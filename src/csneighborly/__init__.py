@@ -19,7 +19,6 @@ from .blocks import (
 )
 from .certificate import (
     CombinationCertificate,
-    certificate_block,
     expand_combination,
     hadamard_correction_rule,
     structural_identities,
@@ -76,7 +75,6 @@ __all__ = [
     "block_row_count",
     "block_rows",
     "build",
-    "certificate_block",
     "cs_transform_points",
     "dominant_subset_sweep",
     "expand_combination",

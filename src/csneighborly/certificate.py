@@ -30,60 +30,20 @@ re-summation at 2*p*q*d), so they are exact without any Fraction overhead.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 
-from .blocks import SignedSupportRow, block_rows
+from .blocks import SignedSupportRow, block_row_count, block_rows
 from .construction import Construction
 from .exact import Matrix
 from .hadamard import first_nonorthogonal_columns
 from .sampling import SplitMix64, block_sample_seed
+from .sweep import ordered_map
 
 
-# -- streamed correction blocks ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorrectionRow:
-    index: int
-    left: SignedSupportRow
-    right: SignedSupportRow
-    left_correction: tuple
-    right_correction: tuple
-
-
-class CertificateBlock:
-    """Streamed corrections for one block; tracks the running max entry."""
-
-    def __init__(self, con: Construction, l: int):
-        self.construction = con
-        self.l = l
-        self.stream = block_rows(con.d, con.k, l)
-        self.count = self.stream.count
-        self.max_abs_entry = Fraction(0)
-
-    def __iter__(self):
-        con = self.construction
-        alpha, beta = con.params.alpha, con.params.beta
-        h = con.hadamard
-        for index, (left, right) in enumerate(self.stream):
-            m_hat = _signed_column_sum(h.columns, right)
-            n_hat = _signed_column_sum(h.signs, left)
-            left_corr = tuple(beta * v for v in m_hat)
-            right_corr = tuple(alpha * v for v in n_hat)
-            worst = max(
-                max((abs(v) for v in left_corr), default=Fraction(0)),
-                max((abs(v) for v in right_corr), default=Fraction(0)),
-            )
-            if worst > self.max_abs_entry:
-                self.max_abs_entry = worst
-            yield CorrectionRow(index, left, right, left_corr, right_corr)
-
-
-def certificate_block(con: Construction, l: int) -> CertificateBlock:
-    """Correction rows for block l, streamed in block order."""
-    return CertificateBlock(con, l)
+# -- correction rows ----------------------------------------------------------
 
 
 def _signed_column_sum(vectors, row: SignedSupportRow) -> list:
@@ -214,12 +174,6 @@ def expand_combination(
     )
     cert.verify(con.A)
     return cert
-
-
-def expected_coefficient_sum(con: Construction, l: int) -> Fraction:
-    """Closed form for the block-l coefficient sum: (k-l)*beta + l*alpha."""
-    k = con.k
-    return (k - l) * con.params.beta + l * con.params.alpha
 
 
 # -- the scaled-integer row check ---------------------------------------------
@@ -376,72 +330,71 @@ class ConditionsReport:
         )
 
 
-def _scan_rows(h_rows, h_cols, d, k, p, q, pairs):
-    """Run the row check over (index, (left, right)) pairs.
+def block_sweep_tasks(d: int, k: int, l: int, sampled: bool, sample_rows: int,
+                      seed: int):
+    """The (l, row index) tasks a conditions sweep checks in block l.
 
-    Stops at the first failing row.  Returns
-    (checked, max_m_hat, max_n_hat, bound_ok, eq_ok, cert_ok, first_failure).
+    In sweep order: every row of the block, or, when sampled, its first and
+    last row followed by sample_rows draws from the block's SplitMix64
+    stream (block_sample_seed(seed, d, k, l)).  Tasks carry indices only;
+    the check unranks its row, so pooled sweeps send no rows to workers.
+    """
+    total = block_row_count(d, k, l)
+    if sampled:
+        gen = SplitMix64(block_sample_seed(seed, d, k, l))
+        ends = (0, total - 1) if total > 1 else (0,)
+        indices = chain(ends, (gen.below(total) for _ in range(sample_rows)))
+    else:
+        indices = range(total)
+    return ((l, index) for index in indices)
+
+
+@lru_cache(maxsize=None)
+def _block_stream(d: int, k: int, l: int):
+    return block_rows(d, k, l)
+
+
+def _check_row(con, task):
+    """Sweep check of one block row: (index, entry_ok, eq_ok, cert_ok, maxima)."""
+    l, index = task
+    left, right = _block_stream(con.d, con.k, l).row(index)
+    h, alpha = con.hadamard, con.params.alpha
+    entry_ok, eq_ok, cert_ok, max_m, max_n = _check_row_scaled(
+        h.signs, h.columns, con.d, con.k, alpha.numerator, alpha.denominator,
+        left, right,
+    )
+    return index, entry_ok, eq_ok, cert_ok, (max_m, max_n)
+
+
+def _row_failed(result) -> bool:
+    return not (result[1] and result[2] and result[3])
+
+
+def _fold_block(results):
+    """Fold one block's row results, in sweep order, into its summary.
+
+    The results end at the block's first failing row, if any.  Returns
+    (checked, maxima, entry_ok, eq_ok, cert_ok, first_failure) with maxima
+    the entrywise maximum of the rows' maxima (None for no rows) and
+    first_failure = (row index, reason) or None.
     """
     checked = 0
-    max_m = max_n = 0
-    bound_ok = eq_ok = cert_ok = True
+    maxima = None
+    entry_ok = eq_ok = cert_ok = True
     first_failure = None
-    for index, (left, right) in pairs:
-        b_ok, e_ok, c_ok, row_m, row_n = _check_row_scaled(
-            h_rows, h_cols, d, k, p, q, left, right
-        )
+    for index, row_entry_ok, row_eq_ok, row_cert_ok, row_maxima in results:
         checked += 1
-        if row_m > max_m:
-            max_m = row_m
-        if row_n > max_n:
-            max_n = row_n
-        if not (b_ok and e_ok and c_ok):
-            bound_ok &= b_ok
-            eq_ok &= e_ok
-            cert_ok &= c_ok
+        maxima = row_maxima if maxima is None else tuple(
+            map(max, maxima, row_maxima))
+        if not (row_entry_ok and row_eq_ok and row_cert_ok):
+            entry_ok, eq_ok, cert_ok = row_entry_ok, row_eq_ok, row_cert_ok
             reason = (
-                "entry bound exceeded" if not b_ok
-                else "matrix equation failed" if not e_ok
+                "entry bound exceeded" if not entry_ok
+                else "matrix equation failed" if not eq_ok
                 else "combination certificate failed"
             )
             first_failure = (index, reason)
-            break
-    return checked, max_m, max_n, bound_ok, eq_ok, cert_ok, first_failure
-
-
-_SCAN_STATE = None
-
-
-def _scan_init(h_rows, h_cols, d, k, p, q):
-    global _SCAN_STATE
-    _SCAN_STATE = (h_rows, h_cols, d, k, p, q)
-
-
-def _scan_worker(task):
-    l, indices = task
-    h_rows, h_cols, d, k, p, q = _SCAN_STATE
-    stream = block_rows(d, k, l)
-    return _scan_rows(
-        h_rows, h_cols, d, k, p, q, ((i, stream.row(i)) for i in indices)
-    )
-
-
-def _merge_scans(parts):
-    checked = 0
-    max_m = max_n = 0
-    bound_ok = eq_ok = cert_ok = True
-    failures = []
-    for c, mm, mn, b_ok, e_ok, c_ok, failure in parts:
-        checked += c
-        max_m = max(max_m, mm)
-        max_n = max(max_n, mn)
-        bound_ok &= b_ok
-        eq_ok &= e_ok
-        cert_ok &= c_ok
-        if failure is not None:
-            failures.append(failure)
-    first_failure = min(failures) if failures else None
-    return checked, max_m, max_n, bound_ok, eq_ok, cert_ok, first_failure
+    return checked, maxima, entry_ok, eq_ok, cert_ok, first_failure
 
 
 def verify_conditions(
@@ -458,60 +411,31 @@ def verify_conditions(
     and on a sample of sample_rows rows otherwise; "exhaustive" and "sample"
     force one behavior for every block (exhaustive raises if a block exceeds
     the cap).  A sampled block always also checks its first and last row, and
-    the sweep aborts a block at its first failing row, which is reported with
-    its index.  With jobs > 1 each block's rows are split across worker
-    processes; verdicts and maxima are independent of the job count.
+    the sweep stops a block at its first failing row in sweep order, which is
+    reported with its index and counted in rows_checked.  With jobs > 1 each
+    block's rows are checked on worker processes; the report is the same for
+    every job count.
     """
     if mode not in ("auto", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     d, k = con.d, con.k
-    h_rows = con.hadamard.signs
-    h_cols = con.hadamard.columns
     alpha, beta = con.params.alpha, con.params.beta
     p, q = alpha.numerator, alpha.denominator
 
     block_reports = []
     for l in range(k + 1):
-        stream = block_rows(d, k, l)
-        total = stream.count
+        total = block_row_count(d, k, l)
         if mode == "exhaustive" and total > row_cap:
             raise ValueError(
                 f"block l={l} has {total} rows, above the cap {row_cap}; "
                 "run in sampled mode"
             )
-        exhaustive = mode == "exhaustive" or (mode == "auto" and total <= row_cap)
-
-        if exhaustive:
-            indices = None
-        else:
-            gen = SplitMix64(block_sample_seed(seed, d, k, l))
-            indices = [0, total - 1] if total > 1 else [0]
-            indices += [gen.below(total) for _ in range(sample_rows)]
-
-        if jobs > 1:
-            if indices is None:
-                indices = list(range(total))
-            chunk = max(1, len(indices) // (jobs * 4))
-            tasks = [
-                (l, indices[i : i + chunk])
-                for i in range(0, len(indices), chunk)
-            ]
-            ctx = multiprocessing.get_context()
-            with ctx.Pool(
-                processes=jobs,
-                initializer=_scan_init,
-                initargs=(h_rows, h_cols, d, k, p, q),
-            ) as pool:
-                parts = pool.map(_scan_worker, tasks)
-            scan = _merge_scans(parts)
-        elif indices is None:
-            scan = _scan_rows(h_rows, h_cols, d, k, p, q, enumerate(stream))
-        else:
-            scan = _scan_rows(
-                h_rows, h_cols, d, k, p, q,
-                ((i, stream.row(i)) for i in indices),
-            )
-        checked, max_m, max_n, bound_ok, eq_ok, cert_ok, first_failure = scan
+        sampled = mode == "sample" or (mode == "auto" and total > row_cap)
+        tasks = block_sweep_tasks(d, k, l, sampled, sample_rows, seed)
+        checked, (max_m, max_n), bound_ok, eq_ok, cert_ok, first_failure = (
+            _fold_block(ordered_map(_check_row, con, tasks, jobs,
+                                    failed=_row_failed))
+        )
 
         musum = Fraction(4 * (k - l) * q * q + 4 * l * p * p * d, 4 * p * q * d)
         block_reports.append(
@@ -519,7 +443,7 @@ def verify_conditions(
                 l=l,
                 rows_total=total,
                 rows_checked=checked,
-                sampled=not exhaustive,
+                sampled=sampled,
                 max_abs_left=beta * max_m,
                 max_abs_right=alpha * max_n,
                 coefficient_sum=musum,
@@ -656,7 +580,6 @@ def verify_general(
         raise ValueError("k must be at least 1")
     d, n = a.rows, a.cols
     rule = correction_rule if correction_rule is not None else hadamard_correction_rule(a)
-    half = Fraction(1, 2)
 
     reports = []
     for l in range(k + 1):
@@ -668,72 +591,21 @@ def verify_general(
             if exhaustive
             else stream.sample(sample_rows, seed)
         )
-        checked = 0
-        max_abs = Fraction(0)
-        bound_ok = eq_ok = cert_ok = True
-        first_failure = None
-        for index, (left, right) in rows:
-            m_row, n_row = rule(left, right)
-            if len(m_row) != d or len(n_row) != n:
-                raise ValueError("correction rule returned wrong widths")
-            checked += 1
-            worst = max(
-                max((abs(v) for v in m_row), default=Fraction(0)),
-                max((abs(v) for v in n_row), default=Fraction(0)),
-            )
-            if worst > max_abs:
-                max_abs = worst
-            row_bound_ok = worst <= half
-            e_dense = left.dense()
-            lhs = [Fraction(0)] * n
-            for j in range(d):
-                coeff = e_dense[j] + m_row[j]
-                if coeff:
-                    arow = a.row(j)
-                    for c in range(n):
-                        lhs[c] += coeff * arow[c]
-            f_dense = right.dense()
-            row_eq_ok = all(lhs[c] == f_dense[c] + n_row[c] for c in range(n))
-            row_cert_ok = True
-            if row_bound_ok:
-                terms = cube_combination(tuple(m_row) + tuple(n_row))
-                shift = [Fraction(0)] * d
-                for mu, delta in terms:
-                    for j in range(d):
-                        shift[j] += mu * delta[j]
-                nus = tuple(e_dense[j] + shift[j] for j in range(d))
-                total_mu = sum((mu for mu, _ in terms), Fraction(0))
-                cert = CombinationCertificate(
-                    block=l,
-                    target=(Fraction(1),) + tuple(e_dense) + tuple(f_dense),
-                    mu_terms=tuple(terms),
-                    nus=nus,
-                    eps=1 - 2 * total_mu,
-                )
-                try:
-                    cert.verify(a)
-                except ValueError:
-                    row_cert_ok = False
-            else:
-                row_cert_ok = False
-            if not (row_bound_ok and row_eq_ok and row_cert_ok):
-                bound_ok &= row_bound_ok
-                eq_ok &= row_eq_ok
-                cert_ok &= row_cert_ok
-                reason = (
-                    "entry bound exceeded" if not row_bound_ok
-                    else "matrix equation failed" if not row_eq_ok
-                    else "combination certificate failed"
-                )
-                first_failure = (index, reason)
-                break
+        # a block is empty when k - l exceeds n or l exceeds d
+        results = (
+            ordered_map(_check_general_row, (a, rule), rows, failed=_row_failed)
+            if total else ()
+        )
+        checked, maxima, bound_ok, eq_ok, cert_ok, first_failure = _fold_block(
+            results
+        )
         reports.append(
             GeneralBlockReport(
                 l=l,
                 rows_total=total,
                 rows_checked=checked,
                 sampled=not exhaustive,
-                max_abs_entry=max_abs,
+                max_abs_entry=maxima[0] if maxima else Fraction(0),
                 entry_bound_ok=bound_ok,
                 equation_ok=eq_ok,
                 certificate_ok=cert_ok,
@@ -741,3 +613,49 @@ def verify_general(
             )
         )
     return GeneralReport(d=d, n=n, k=k, blocks=tuple(reports))
+
+
+def _check_general_row(pair, task):
+    """Sweep check of one row against (A, rule), in plain Fractions."""
+    a, rule = pair
+    index, (left, right) = task
+    d, n = a.rows, a.cols
+    m_row, n_row = rule(left, right)
+    if len(m_row) != d or len(n_row) != n:
+        raise ValueError("correction rule returned wrong widths")
+    worst = max(
+        max((abs(v) for v in m_row), default=Fraction(0)),
+        max((abs(v) for v in n_row), default=Fraction(0)),
+    )
+    bound_ok = worst <= Fraction(1, 2)
+    e_dense = left.dense()
+    lhs = [Fraction(0)] * n
+    for j in range(d):
+        coeff = e_dense[j] + m_row[j]
+        if coeff:
+            arow = a.row(j)
+            for c in range(n):
+                lhs[c] += coeff * arow[c]
+    f_dense = right.dense()
+    eq_ok = all(lhs[c] == f_dense[c] + n_row[c] for c in range(n))
+    cert_ok = bound_ok
+    if bound_ok:
+        terms = cube_combination(tuple(m_row) + tuple(n_row))
+        shift = [Fraction(0)] * d
+        for mu, delta in terms:
+            for j in range(d):
+                shift[j] += mu * delta[j]
+        nus = tuple(e_dense[j] + shift[j] for j in range(d))
+        total_mu = sum((mu for mu, _ in terms), Fraction(0))
+        cert = CombinationCertificate(
+            block=left.weight,
+            target=(Fraction(1),) + tuple(e_dense) + tuple(f_dense),
+            mu_terms=tuple(terms),
+            nus=nus,
+            eps=1 - 2 * total_mu,
+        )
+        try:
+            cert.verify(a)
+        except ValueError:
+            cert_ok = False
+    return index, bound_ok, eq_ok, cert_ok, (worst,)

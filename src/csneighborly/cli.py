@@ -10,8 +10,9 @@ Commands:
 Exit codes are a stable API: 0 success, 2 usage or input error,
 3 verification failure, 1 internal error.  Exact values are serialized as
 canonical fraction strings ("p/q", or "p" when the denominator is 1), never
-floats; reports embed their command line, and re-running it reproduces the
-report byte for byte apart from the duration field.
+floats; reports embed their command line, including every flag and the
+environment cap that change the report, and re-running it reproduces the
+report byte for byte apart from the duration field.  --jobs changes no output.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import certificate, construction, oracle
 from .blocks import block_rows
 from .hadamard import load_hadamard, row_profile, sylvester
+from .sweep import ordered_map
 
 SCHEMA = 1
 DEFAULT_CAP = 1_000_000
@@ -129,10 +132,11 @@ def _emit(doc, out_path) -> None:
 
 
 def _row_cap(args) -> int:
+    """--cap if given, else NEIGHBORLY_MAX_ROWS if set, else DEFAULT_CAP."""
+    if args.cap is not None:
+        return args.cap
     env = os.environ.get("NEIGHBORLY_MAX_ROWS")
-    if env is not None:
-        return int(env)
-    return getattr(args, "cap", None) or DEFAULT_CAP
+    return DEFAULT_CAP if env is None else int(env)
 
 
 def _load_construction(args):
@@ -177,18 +181,16 @@ def _write_points(fmt, con, points, fh):
 def cmd_certify(args) -> int:
     start = time.monotonic()
     con = _load_construction(args)
-    mode = "sample" if args.sample else "auto"
-    sample_rows = args.sample or 100_000
     report = certificate.verify_conditions(
         con,
-        mode=mode,
+        mode="auto" if args.sample is None else "sample",
         row_cap=_row_cap(args),
-        sample_rows=sample_rows,
+        sample_rows=100_000 if args.sample is None else args.sample,
         seed=args.seed,
         jobs=args.jobs,
     )
     if args.emit_certificates:
-        _dump_certificates(con, report, args.emit_certificates, args.emit_limit)
+        _dump_certificates(con, report, args)
     counts = {
         "blocks": [
             {
@@ -225,41 +227,47 @@ def cmd_certify(args) -> int:
     return 0 if report.passed else 3
 
 
-def _dump_certificates(con, report, path, limit) -> None:
-    docs = []
-    for block in report.blocks:
-        stream = block_rows(con.d, con.k, block.l)
-        if block.sampled:
-            rows = stream.sample(min(limit, block.rows_checked), report.seed)
-        else:
-            rows = enumerate(stream)
-        for count, (index, (left, right)) in enumerate(rows):
-            if count >= limit:
-                break
-            cert = certificate.expand_combination(con, left, right)
-            docs.append(
-                {
-                    "block": block.l,
-                    "row": index,
-                    "target": [frac_str(v) for v in cert.target],
-                    "mu_terms": [
-                        {"mu": frac_str(mu), "delta": list(delta)}
-                        for mu, delta in cert.mu_terms
-                    ],
-                    "nus": [frac_str(v) for v in cert.nus],
-                    "eps": frac_str(cert.eps),
-                }
-            )
-    with open(path, "w", encoding="utf-8") as fh:
+def _dump_certificates(con, report, args) -> None:
+    """Write the combination certificates of the rows the sweep checked.
+
+    Per block, the first min(--emit-limit, rows_checked) rows in sweep order.
+    """
+    tasks = chain.from_iterable(
+        islice(
+            certificate.block_sweep_tasks(con.d, con.k, block.l, block.sampled,
+                                          report.sample_rows, report.seed),
+            min(args.emit_limit, block.rows_checked),
+        )
+        for block in report.blocks
+    )
+    docs = list(ordered_map(_certificate_doc, con, tasks, args.jobs))
+    with open(args.emit_certificates, "w", encoding="utf-8") as fh:
         json.dump({"schema": SCHEMA, "kind": "certificates", "items": docs},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _certificate_doc(con, task) -> dict:
+    l, index = task
+    left, right = block_rows(con.d, con.k, l).row(index)
+    cert = certificate.expand_combination(con, left, right)
+    return {
+        "block": cert.block,
+        "row": index,
+        "target": [frac_str(v) for v in cert.target],
+        "mu_terms": [
+            {"mu": frac_str(mu), "delta": list(delta)}
+            for mu, delta in cert.mu_terms
+        ],
+        "nus": [frac_str(v) for v in cert.nus],
+        "eps": frac_str(cert.eps),
+    }
+
+
 def cmd_verify(args) -> int:
     start = time.monotonic()
     con = _load_construction(args)
-    k = args.k or con.k
+    k = con.k if args.k is None else args.k
     cap = _row_cap(args)
     common = dict(
         k=k, mode=args.mode, cap=cap, samples=args.samples,
@@ -358,16 +366,25 @@ def _command_line(name, args) -> str:
         parts += ["--alpha", args.alpha]
     if name == "verify":
         parts += ["--check", args.check, "--mode", args.mode]
-        if args.k:
+        if args.k is not None:
             parts += ["--k", str(args.k)]
         if args.mode == "sample":
             parts += ["--samples", str(args.samples), "--seed", str(args.seed)]
-    if name == "certify" and getattr(args, "sample", None):
+    if name == "certify" and args.sample is not None:
         parts += ["--sample", str(args.sample), "--seed", str(args.seed)]
+    if args.cap is not None or "NEIGHBORLY_MAX_ROWS" in os.environ:
+        parts += ["--cap", str(_row_cap(args))]
     return " ".join(parts)
 
 
 # -- parser ----------------------------------------------------------------------
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,32 +410,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = sub.add_parser("certify", help="check the certificate conditions")
     add_source(p_cert)
-    p_cert.add_argument("--sample", type=int, default=None,
+    p_cert.add_argument("--sample", type=positive_int, default=None,
                         help="rows to sample per block (default: auto mode)")
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--jobs", type=int, default=1)
+    p_cert.add_argument("--jobs", type=positive_int, default=1)
     p_cert.add_argument("--cap", type=int, default=None,
-                        help="exhaustive row cap per block")
+                        help="exhaustive row cap per block (overrides "
+                             "NEIGHBORLY_MAX_ROWS)")
     p_cert.add_argument("--emit-certificates", dest="emit_certificates",
                         help="dump combination certificates to this JSON file")
-    p_cert.add_argument("--emit-limit", dest="emit_limit", type=int,
+    p_cert.add_argument("--emit-limit", dest="emit_limit", type=positive_int,
                         default=1000, help="max certificates per block")
     p_cert.add_argument("--out", help="report path (default: stdout)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_ver = sub.add_parser("verify", help="run an oracle sweep")
     add_source(p_ver)
-    p_ver.add_argument("--k", type=int, default=None,
+    p_ver.add_argument("--k", type=positive_int, default=None,
                        help="subset size (default: the guaranteed k)")
     p_ver.add_argument("--check", choices=("faces", "dominant", "containment"),
                        required=True)
     p_ver.add_argument("--mode", choices=("exhaustive", "sample"),
                        default="exhaustive")
-    p_ver.add_argument("--samples", type=int, default=1000)
+    p_ver.add_argument("--samples", type=positive_int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=positive_int, default=1)
     p_ver.add_argument("--cap", type=int, default=None,
-                       help="exhaustive sweep cap")
+                       help="exhaustive sweep cap (overrides "
+                            "NEIGHBORLY_MAX_ROWS)")
     p_ver.add_argument("--out", help="report path (default: stdout)")
     p_ver.set_defaults(func=cmd_verify)
 

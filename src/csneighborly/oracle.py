@@ -16,24 +16,23 @@ Three checks, each reduced to small exact linear programs:
     vertex of the weight-k section; containment holds iff the minimum margin
     is >= 0 (strict if > 0).
 
-Sweeps enumerate deterministically, can run as a parallel map over worker
-processes, and aggregate results in task order, so reports do not depend on
-the worker count.
+Sweeps enumerate deterministically and run through sweep.ordered_map,
+serially or on worker processes, and aggregate results in task order, so
+reports do not depend on the worker count.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 from .blocks import block_rows, total_row_count, unrank_support
-from .construction import Construction, build
-from .hadamard import HadamardMatrix
+from .construction import Construction
 from .sampling import SplitMix64
 from .simplex import LinearProgram, lp_max
+from .sweep import ordered_map
 
 HALF = Fraction(1, 2)
 
@@ -188,7 +187,7 @@ def verify_k_neighborly(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    reports = _map_tasks(_face_task, con, tasks, jobs)
+    reports = list(ordered_map(is_face, con, tasks, jobs))
 
     passed = sum(1 for r in reports if r.status == "face")
     failures = tuple(
@@ -320,7 +319,7 @@ def dominant_subset_sweep(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    reports = _map_tasks(_dominance_task, con, subsets, jobs)
+    reports = list(ordered_map(is_dominant, con, subsets, jobs))
 
     dominant_found = 0
     first = None
@@ -408,7 +407,7 @@ def projection_containment(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    margins = _map_tasks(_membership_task, con, [pt for _, pt in tasks], jobs)
+    margins = ordered_map(_vertex_margin, con, (pt for _, pt in tasks), jobs)
 
     best = None
     best_at = None
@@ -427,62 +426,5 @@ def projection_containment(
     )
 
 
-# -- parallel plumbing -----------------------------------------------------------
-
-_WORKER_CON: Construction | None = None
-
-
-def _worker_init(signs, alpha_str):
-    global _WORKER_CON
-    _WORKER_CON = build(
-        HadamardMatrix(signs), alpha=Fraction(alpha_str), verify=False
-    )
-
-
-def _face_task(con, subset):
-    return is_face(con, subset)
-
-
-def _dominance_task(con, indices):
-    return is_dominant(con, indices)
-
-
-def _membership_task(con, point):
+def _vertex_margin(con, point):
     return membership_margin(con, point)[0]
-
-
-def _pool_face(subset):
-    return _face_task(_WORKER_CON, subset)
-
-
-def _pool_dominance(indices):
-    return _dominance_task(_WORKER_CON, indices)
-
-
-def _pool_membership(point):
-    return _membership_task(_WORKER_CON, point)
-
-
-_POOL_FN = {
-    _face_task: _pool_face,
-    _dominance_task: _pool_dominance,
-    _membership_task: _pool_membership,
-}
-
-
-def _map_tasks(fn, con: Construction, tasks, jobs: int):
-    """Map fn over tasks, in order; with jobs > 1 use worker processes.
-
-    Results are aggregated in task order either way, so the outcome is
-    independent of the worker count.
-    """
-    if jobs <= 1 or len(tasks) < 2:
-        return [fn(con, task) for task in tasks]
-    ctx = multiprocessing.get_context()
-    chunk = max(1, len(tasks) // (jobs * 8))
-    with ctx.Pool(
-        processes=jobs,
-        initializer=_worker_init,
-        initargs=(con.hadamard.signs, str(con.params.alpha)),
-    ) as pool:
-        return pool.map(_POOL_FN[fn], tasks, chunksize=chunk)

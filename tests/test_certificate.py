@@ -6,7 +6,6 @@ from csneighborly import (
     Matrix,
     block_rows,
     build,
-    certificate_block,
     expand_combination,
     hadamard_correction_rule,
     structural_identities,
@@ -24,7 +23,9 @@ def literal_row_check(con, left, right):
     """Independent oracle: the three conditions in plain Fraction arithmetic.
 
     Computes the correction rows and the full table re-summation literally,
-    with no integer scaling and no shared subexpressions.
+    with no integer scaling and no shared subexpressions.  Returns
+    (bound_ok, eq_ok, cert_ok, coefficient sum, max entry, left correction,
+    right correction).
     """
     d, k = con.d, con.k
     alpha, beta = con.params.alpha, con.params.beta
@@ -85,7 +86,13 @@ def literal_row_check(con, left, right):
     acc[0] += eps
     target = (F(1),) + tuple(e) + tuple(f)
     cert_ok = eps >= 0 and total <= HALF and tuple(acc) == target
-    return bound_ok, eq_ok, cert_ok, total, worst
+    return bound_ok, eq_ok, cert_ok, total, worst, m_row, n_row
+
+
+def scaled_row_check(con, left, right):
+    h = con.hadamard
+    p, q = con.params.alpha.numerator, con.params.alpha.denominator
+    return _check_row_scaled(h.signs, h.columns, con.d, con.k, p, q, left, right)
 
 
 class TestRowCheckAgainstLiteralOracle:
@@ -128,23 +135,31 @@ class TestRowCheckAgainstLiteralOracle:
 class TestCertificateBlocks:
     def test_d4_k1_l1_rows(self):
         con = build(sylvester(2))
-        rows = list(certificate_block(con, 1))
+        rows = list(block_rows(4, 1, 1))
         assert len(rows) == 8
-        for row in rows:
+        for left, right in rows:
+            *oks, _, _, m_row, n_row = literal_row_check(con, left, right)
+            assert oks == [True, True, True]
             # f is empty so the left correction vanishes
-            assert all(v == 0 for v in row.left_correction)
-            j, s = row.left.support[0], row.left.signs[0]
-            expected = tuple(
-                HALF * s * x for x in con.hadamard.row_signs(j)
-            )
-            assert row.right_correction == expected
+            assert all(v == 0 for v in m_row)
+            j, s = left.support[0], left.signs[0]
+            expected = [HALF * s * x for x in con.hadamard.row_signs(j)]
+            assert n_row == expected
+            # the scaled kernel sees the same maxima, unscaled
+            _, _, _, max_m, max_n = scaled_row_check(con, left, right)
+            assert (max_m, con.params.alpha * max_n) == (0, HALF)
 
     def test_running_max_d16_l2(self):
         con = build(sylvester(4))
-        block = certificate_block(con, 2)
-        for _ in block:
-            pass
-        assert block.max_abs_entry == HALF  # alpha*l = 1/2 attained
+        alpha, beta = con.params.alpha, con.params.beta
+        worst = max(
+            max(beta * max_m, alpha * max_n)
+            for _, _, _, max_m, max_n in (
+                scaled_row_check(con, left, right)
+                for left, right in block_rows(16, 2, 2)
+            )
+        )
+        assert worst == HALF  # alpha*l = 1/2 attained
 
     def test_structural_identities(self):
         for e in (2, 3, 4):
@@ -154,13 +169,13 @@ class TestCertificateBlocks:
     def test_correction_times_a_equals_f(self):
         # left_correction @ A == f for every row of a small block
         con = build(sylvester(3))
-        for row in certificate_block(con, 0):
+        for left, right in block_rows(con.d, con.k, 0):
+            m_row = literal_row_check(con, left, right)[5]
             prod = [F(0)] * con.d
             for j in range(con.d):
-                coeff = row.left_correction[j]
                 for c in range(con.d):
-                    prod[c] += coeff * con.A.entry(j, c)
-            assert tuple(prod) == row.right.dense()
+                    prod[c] += m_row[j] * con.A.entry(j, c)
+            assert tuple(prod) == right.dense()
 
 
 class TestVerifyConditions:

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from csneighborly import build, save_hadamard, sylvester
 from csneighborly.cli import main, parse_ext, parse_vertices_json
 
@@ -107,6 +109,21 @@ class TestCertify:
         assert item["eps"] == "0"
         assert sum(F(t["mu"]) for t in item["mu_terms"]) == F(1, 2)
 
+    def test_emit_certificates_dumps_checked_rows(self, capsys, tmp_path):
+        path = tmp_path / "certs.json"
+        code, out, _ = run(
+            capsys, "certify", "--d", "16", "--sample", "5", "--seed", "1",
+            "--emit-certificates", str(path),
+        )
+        assert code == 0
+        blocks = json.loads(out)["counts"]["blocks"]
+        items = json.loads(path.read_text())["items"]
+        for block in blocks:
+            rows = [it["row"] for it in items if it["block"] == block["l"]]
+            # the sweep checks the first and the last row, then the draws
+            assert len(rows) == block["rows_checked"] == 7
+            assert rows[:2] == [0, block["rows_total"] - 1]
+
     def test_sampled_run(self, capsys):
         code, out, _ = run(
             capsys, "certify", "--d", "16", "--sample", "50", "--seed", "1"
@@ -156,6 +173,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--d", "4", "--check", "faces")
         assert code == 2
         assert "cap" in err
+
+    def test_explicit_cap_overrides_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("NEIGHBORLY_MAX_ROWS", "4")
+        code, out, _ = run(
+            capsys, "verify", "--d", "4", "--check", "faces", "--cap", "100"
+        )
+        assert code == 0
+        assert json.loads(out)["command"].endswith("--cap 100")
 
     def test_sample_seed_in_report(self, capsys):
         code, out, _ = run(
@@ -215,6 +240,42 @@ class TestReportReproducibility:
         doc2.pop("duration_seconds")
         assert doc == doc2
 
+    @pytest.mark.parametrize("argv, env_cap, rerun_env_cap", [
+        (["certify", "--d", "4", "--cap", "4"], None, None),
+        (["certify", "--d", "4"], "4", None),
+        (["certify", "--d", "4", "--cap", "1000000"], "4", "4"),
+        (["certify", "--d", "8", "--sample", "20", "--seed", "3"], None, None),
+        (["certify", "--d", "8", "--alpha", "1/3"], None, None),
+        (["verify", "--d", "4", "--check", "dominant", "--cap", "100"], None,
+         None),
+        (["verify", "--d", "4", "--check", "faces"], "100", None),
+        (["verify", "--d", "4", "--check", "faces", "--cap", "1000000"], "4",
+         "4"),
+        (["verify", "--d", "4", "--check", "containment", "--k", "2"], None,
+         None),
+        (["verify", "--d", "16", "--check", "containment", "--mode",
+          "sample", "--samples", "3", "--seed", "9"], None, None),
+        (["verify", "--d", "8", "--check", "faces", "--alpha", "1/3"], None,
+         None),
+    ])
+    def test_embedded_command_keeps_each_flag(self, capsys, monkeypatch,
+                                              argv, env_cap, rerun_env_cap):
+        if env_cap is not None:
+            monkeypatch.setenv("NEIGHBORLY_MAX_ROWS", env_cap)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        if rerun_env_cap is None:
+            monkeypatch.delenv("NEIGHBORLY_MAX_ROWS", raising=False)
+        else:
+            monkeypatch.setenv("NEIGHBORLY_MAX_ROWS", rerun_env_cap)
+        code2, out2, _ = run(capsys, *doc["command"].split()[1:])
+        assert code2 == 0
+        doc2 = json.loads(out2)
+        doc.pop("duration_seconds")
+        doc2.pop("duration_seconds")
+        assert doc == doc2
+
     def test_jobs_flag_does_not_change_report(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--d", "8", "--check", "faces")
         code2, out2, _ = run(
@@ -230,6 +291,32 @@ class TestReportReproducibility:
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["verify", "--d", "4"]) == 2  # --check is required
+
+    def test_zero_k_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "--d", "4", "--check", "faces",
+                           "--k", "0")
+        assert code == 2
+        assert "--k: must be at least 1" in err
+
+    def test_zero_sample_exits_2(self, capsys):
+        code, _, err = run(capsys, "certify", "--d", "4", "--sample", "0")
+        assert code == 2
+        assert "--sample: must be at least 1" in err
+
+    @pytest.mark.parametrize("check", ["faces", "containment"])
+    def test_zero_samples_exits_2(self, capsys, check):
+        code, _, err = run(capsys, "verify", "--d", "4", "--check", check,
+                           "--mode", "sample", "--samples", "0")
+        assert code == 2
+        assert "--samples: must be at least 1" in err
+
+    @pytest.mark.parametrize("command", [
+        ["certify", "--d", "4"], ["verify", "--d", "4", "--check", "faces"],
+    ])
+    def test_zero_jobs_exits_2(self, capsys, command):
+        code, _, err = run(capsys, *command, "--jobs", "0")
+        assert code == 2
+        assert "--jobs: must be at least 1" in err
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -119,9 +119,9 @@ class TestVerifyKNeighborly:
     def test_jobs_match_serial(self, con16):
         subs = list(canonical_subsets(con16.m, 2))[:30]
         serial = [is_face(con16, s) for s in subs]
-        from csneighborly.oracle import _face_task, _map_tasks
+        from csneighborly.sweep import ordered_map
 
-        parallel = _map_tasks(_face_task, con16, subs, jobs=2)
+        parallel = list(ordered_map(is_face, con16, subs, jobs=2))
         assert serial == parallel
 
 
