@@ -26,6 +26,9 @@ row of the block) plus the structural identities that hold independently of
 the row count.  Per-row checks run in scaled integer arithmetic (for
 alpha = p/q the matrix equation clears denominators at q*d, the certificate
 re-summation at 2*p*q*d), so they are exact without any Fraction overhead.
+The Gram matrix G = H^T H is computed once per construction, as a literal
+integer product, and the matrix equation of a row is a signed sum of k rows
+of H, H^T and G, so a row costs O(k*d) rather than a dense O(d^2) product.
 """
 
 from __future__ import annotations
@@ -34,11 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import add, mul, sub
 
 from .blocks import SignedSupportRow, block_row_count, block_rows
 from .construction import Construction
 from .exact import Matrix
-from .hadamard import first_nonorthogonal_columns
+from .hadamard import HadamardMatrix
 from .sampling import SplitMix64, block_sample_seed
 from .sweep import ordered_map
 
@@ -48,17 +52,28 @@ from .sweep import ordered_map
 
 def _signed_column_sum(vectors, row: SignedSupportRow) -> list:
     """Sum of sign-weighted vectors[i] over the row's support, as ints."""
-    width = len(vectors[0]) if vectors else row.length
-    out = [0] * width
+    out = [0] * (len(vectors[0]) if vectors else row.length)
     for i, s in zip(row.support, row.signs):
-        vec = vectors[i]
-        if s > 0:
-            for c in range(width):
-                out[c] += vec[c]
-        else:
-            for c in range(width):
-                out[c] -= vec[c]
+        out = list(map(add if s > 0 else sub, out, vectors[i]))
     return out
+
+
+_GRAM_CACHE = [None, ()]    # [HadamardMatrix, its Gram matrix], the last asked
+
+
+def hadamard_gram(h: HadamardMatrix) -> tuple:
+    """G = H^T H as a tuple of integer rows, by a literal integer product.
+
+    G is never replaced by d*I: the row check sums its actual rows, so a
+    matrix that is not Hadamard fails there too.  The last matrix's G is
+    kept (by identity), so a sweep, and each pool worker, computes it once
+    per construction.
+    """
+    if _GRAM_CACHE[0] is not h:
+        cols = h.columns
+        gram = tuple(tuple(sum(map(mul, ci, cj)) for cj in cols) for ci in cols)
+        _GRAM_CACHE[:] = [h, gram]
+    return _GRAM_CACHE[1]
 
 
 # -- combination certificates -------------------------------------------------
@@ -179,29 +194,31 @@ def expand_combination(
 # -- the scaled-integer row check ---------------------------------------------
 
 
-def _check_row_scaled(h_rows, h_cols, d, k, p, q, left, right):
+def _check_row_scaled(h_rows, h_cols, gram, d, k, p, q, left, right):
     """All-integer verification of one block row, for alpha = p/q.
 
-    With beta = 1/(alpha*d) = q/(p*d), every check below clears denominators:
-    the matrix equation is scaled by q*d, the certificate re-summation by
-    2*p*q*d.  Returns (entry_ok, eq_ok, cert_ok, max_m_hat, max_n_hat) where
-    m_hat = f H^T and n_hat = e H are the unscaled integer correction rows
-    (left_correction = beta*m_hat, right_correction = alpha*n_hat).
+    h_rows and h_cols are the rows and columns of H, gram is G = H^T H
+    (hadamard_gram).  With beta = 1/(alpha*d) = q/(p*d), every check below
+    clears denominators: the matrix equation is scaled by q*d, the
+    certificate re-summation by 2*p*q*d.  Returns (entry_ok, eq_ok, cert_ok,
+    max_m_hat, max_n_hat) where m_hat = f H^T and n_hat = e H are the
+    unscaled integer correction rows (left_correction = beta*m_hat,
+    right_correction = alpha*n_hat).
     """
     n_hat = _signed_column_sum(h_rows, left)
     m_hat = _signed_column_sum(h_cols, right)
-    max_m = max((abs(v) for v in m_hat), default=0)
-    max_n = max((abs(v) for v in n_hat), default=0)
+    max_m = max(map(abs, m_hat), default=0)
+    max_n = max(map(abs, n_hat), default=0)
 
     # (a): beta*max_m <= 1/2 and alpha*max_n <= 1/2
     entry_ok = 2 * q * max_m <= p * d and 2 * p * max_n <= q
 
-    # (b): (e + beta*m_hat) A == f + alpha*n_hat, scaled by q*d
+    # (b): (e + beta*m_hat) A == f + alpha*n_hat, scaled by q*d.  The left
+    # side is e_hat H with e_hat = q*m_hat + p*d*e; as m_hat = f H^T and
+    # integer products are associative, e_hat H = q*(f G) + p*d*n_hat exactly
     pd = p * d
-    e_hat = [q * v for v in m_hat]
-    for j, s in zip(left.support, left.signs):
-        e_hat[j] += s * pd
-    eh = [sum(a * b for a, b in zip(e_hat, col)) for col in h_cols]
+    f_gram = _signed_column_sum(gram, right)
+    eh = [q * a + pd * b for a, b in zip(f_gram, n_hat)]
     rhs = [pd * v for v in n_hat]
     qd = q * d
     for i, s in zip(right.support, right.signs):
@@ -219,8 +236,8 @@ def _check_row_scaled(h_rows, h_cols, d, k, p, q, left, right):
     cert_ok = eps_hat >= 0
     if cert_ok:
         sc = 2 * p * q * d
-        shift_right = [2 * p * p * d * v for v in n_hat]
-        lhs = [2 * p * eh[c] - shift_right[c] for c in range(d)]
+        p2, shift = 2 * p, 2 * p * p * d    # right table shift: shift * n_hat
+        lhs = [p2 * a - shift * b for a, b in zip(eh, n_hat)]
         target_right = [0] * d
         for i, s in zip(right.support, right.signs):
             target_right[i] = sc * s
@@ -247,9 +264,15 @@ def structural_identities(con: Construction) -> StructuralReport:
     """Verify H^T H = d*I and alpha*beta*d = 1 exactly.
 
     Together these give left_correction @ A = f and right_correction = e @ A
-    for every block row by plain algebra, whatever the block sizes.
+    for every block row by plain algebra, whatever the block sizes.  H^T H
+    is the G the row checks use (hadamard_gram).
     """
-    gram_ok = first_nonorthogonal_columns(con.hadamard.signs) is None
+    d = con.d
+    gram_ok = all(
+        v == (d if i == j else 0)
+        for i, row in enumerate(hadamard_gram(con.hadamard))
+        for j, v in enumerate(row)
+    )
     product_ok = con.params.alpha * con.params.beta * con.d == 1
     return StructuralReport(
         hadamard_gram_ok=gram_ok, alpha_beta_product_ok=product_ok
@@ -360,8 +383,8 @@ def _check_row(con, task):
     left, right = _block_stream(con.d, con.k, l).row(index)
     h, alpha = con.hadamard, con.params.alpha
     entry_ok, eq_ok, cert_ok, max_m, max_n = _check_row_scaled(
-        h.signs, h.columns, con.d, con.k, alpha.numerator, alpha.denominator,
-        left, right,
+        h.signs, h.columns, hadamard_gram(h), con.d, con.k, alpha.numerator,
+        alpha.denominator, left, right,
     )
     return index, entry_ok, eq_ok, cert_ok, (max_m, max_n)
 
@@ -544,17 +567,17 @@ def hadamard_correction_rule(a: Matrix):
     alpha = abs(a.entry(0, 0))
     if alpha == 0 or any(abs(v) != alpha for row in a.data for v in row):
         raise ValueError("entries of A must all have the same absolute value")
-    signs = tuple(
-        tuple(1 if v > 0 else -1 for v in row) for row in a.data
-    )
-    if first_nonorthogonal_columns(signs) is not None:
-        raise ValueError("the sign pattern of A is not a Hadamard matrix")
+    try:
+        h = HadamardMatrix(
+            tuple(1 if v > 0 else -1 for v in row) for row in a.data)
+    except ValueError:
+        raise ValueError(
+            "the sign pattern of A is not a Hadamard matrix") from None
     beta = Fraction(1) / (alpha * d)
-    cols = tuple(zip(*signs))
 
     def rule(left: SignedSupportRow, right: SignedSupportRow):
-        m_row = tuple(beta * v for v in _signed_column_sum(cols, right))
-        n_row = tuple(alpha * v for v in _signed_column_sum(signs, left))
+        m_row = tuple(beta * v for v in _signed_column_sum(h.columns, right))
+        n_row = tuple(alpha * v for v in _signed_column_sum(h.signs, left))
         return m_row, n_row
 
     return rule

@@ -132,11 +132,25 @@ def _emit(doc, out_path) -> None:
 
 
 def _row_cap(args) -> int:
-    """--cap if given, else NEIGHBORLY_MAX_ROWS if set, else DEFAULT_CAP."""
+    """--cap if given, else NEIGHBORLY_MAX_ROWS if set, else DEFAULT_CAP.
+
+    Raises ValueError, naming the variable, when NEIGHBORLY_MAX_ROWS is not
+    an integer of at least 1 (argparse already checks --cap).
+    """
     if args.cap is not None:
         return args.cap
     env = os.environ.get("NEIGHBORLY_MAX_ROWS")
-    return DEFAULT_CAP if env is None else int(env)
+    if env is None:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 1:
+        raise ValueError(
+            f"NEIGHBORLY_MAX_ROWS must be an integer of at least 1, got {env!r}"
+        )
+    return cap
 
 
 def _load_construction(args):
@@ -180,11 +194,12 @@ def _write_points(fmt, con, points, fh):
 
 def cmd_certify(args) -> int:
     start = time.monotonic()
+    cap = _row_cap(args)
     con = _load_construction(args)
     report = certificate.verify_conditions(
         con,
         mode="auto" if args.sample is None else "sample",
-        row_cap=_row_cap(args),
+        row_cap=cap,
         sample_rows=100_000 if args.sample is None else args.sample,
         seed=args.seed,
         jobs=args.jobs,
@@ -266,9 +281,9 @@ def _certificate_doc(con, task) -> dict:
 
 def cmd_verify(args) -> int:
     start = time.monotonic()
+    cap = _row_cap(args)
     con = _load_construction(args)
     k = con.k if args.k is None else args.k
-    cap = _row_cap(args)
     common = dict(
         k=k, mode=args.mode, cap=cap, samples=args.samples,
         seed=args.seed, jobs=args.jobs,
@@ -414,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rows to sample per block (default: auto mode)")
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--jobs", type=positive_int, default=1)
-    p_cert.add_argument("--cap", type=int, default=None,
+    p_cert.add_argument("--cap", type=positive_int, default=None,
                         help="exhaustive row cap per block (overrides "
                              "NEIGHBORLY_MAX_ROWS)")
     p_cert.add_argument("--emit-certificates", dest="emit_certificates",
@@ -435,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--samples", type=positive_int, default=1000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--jobs", type=positive_int, default=1)
-    p_ver.add_argument("--cap", type=int, default=None,
+    p_ver.add_argument("--cap", type=positive_int, default=None,
                        help="exhaustive sweep cap (overrides "
                             "NEIGHBORLY_MAX_ROWS)")
     p_ver.add_argument("--out", help="report path (default: stdout)")

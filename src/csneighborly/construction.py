@@ -5,8 +5,13 @@ beta = 1/(alpha*d) and A = alpha*H.  The polytope is conv{+-x_1, ..., +-x_m}
 with m = 2d, where the vertex representatives x_i are the rows of
 X = [I_d; A^T]: the standard basis vectors followed by the scaled Hadamard
 columns.  The cs-transform points v_i are the rows of T = [-A; I_d]; the
-columns of T span the kernel of (I_d | A), and X^T T = 0 with [X | T] of full
-rank is verified exactly at build time.
+columns of T span the kernel of (I_d | A).
+
+The construction is the integer data (H, p, q) with alpha = p/q, and every
+identity checked here follows from H^T H = d*I.  X^T T = -A + A = 0 holds by
+construction, and ``build`` verifies the full rank of [X | T] through an
+integer Gram identity (``cs_transform_defect``), never with Fraction matrix
+products.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 
-from .exact import Matrix, as_scalar, rank
+from .exact import Matrix, as_scalar
 from .hadamard import HadamardMatrix
 
 
@@ -120,11 +126,36 @@ class Construction:
         return f"Construction(d={self.d}, k={self.k}, alpha={self.params.alpha})"
 
 
+def cs_transform_defect(signs) -> str | None:
+    """The first cs-transform identity that fails for the sign matrix H, or None.
+
+    Scaled by q (alpha = p/q), qX = [qI; pH^T] and qT = [-pH; qI], so
+    (qX)^T (qT) = -pqH + pqH = 0 holds by construction for any signs.  The
+    Gram matrix of q[X | T] is block diagonal,
+    [[q^2 I + p^2 H H^T, 0], [0, p^2 H^T H + q^2 I]], so
+    [X | T]^T [X | T] = (1 + alpha^2 d) I_m, and with it rank [X | T] = m,
+    holds exactly when H H^T = d*I and H^T H = d*I.  A HadamardMatrix has
+    H^T H = d*I by validation, which for a square H implies H H^T = d*I;
+    H H^T is still computed here as a literal integer product (its upper
+    triangle: the product is symmetric), so an unvalidated H is caught too.
+    """
+    d = len(signs)
+    for i, row in enumerate(signs):
+        for j in range(i, d):
+            if sum(map(mul, row, signs[j])) != (d if i == j else 0):
+                return (
+                    f"H H^T != d*I at entry ({i}, {j}), so [X | T]^T [X | T] "
+                    "!= (1 + alpha^2 d) I"
+                )
+    return None
+
+
 def build(h: HadamardMatrix, alpha=None, verify: bool = True) -> Construction:
     """Build the construction from a validated Hadamard matrix.
 
     With verify=True (the default) the cs-transform certificate is checked at
-    build time: X^T T = 0 exactly and rank [X | T] = m.
+    build time: X^T T = 0 holds by construction, and rank [X | T] = m is
+    checked through the integer Gram identity (see cs_transform_defect).
     """
     params = parameters(h.order, alpha=alpha)
     d = params.d
@@ -134,10 +165,9 @@ def build(h: HadamardMatrix, alpha=None, verify: bool = True) -> Construction:
     x = Matrix.identity(d).vstack(a.transpose())    # m x d, rows are x_1..x_m
 
     if verify:
-        if not (x.transpose() @ t).is_zero():
-            raise ValueError("internal error: X^T T != 0")
-        if rank(x.hstack(t)) != params.m:
-            raise ValueError("internal error: [X | T] is rank deficient")
+        defect = cs_transform_defect(h.signs)
+        if defect is not None:
+            raise ValueError(f"internal error: {defect}")
         if any(abs(v) != params.alpha for row in a.data for v in row):
             raise ValueError("internal error: |A| entries must all equal alpha")
     return Construction(params, h, a, t, x)

@@ -9,6 +9,7 @@ text format (see ``load_hadamard``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .exact import Matrix
 
@@ -75,7 +76,7 @@ def first_nonorthogonal_columns(signs) -> tuple | None:
     for i in range(n):
         ci = cols[i]
         for j in range(i + 1, n):
-            if sum(a * b for a, b in zip(ci, cols[j])):
+            if sum(map(mul, ci, cols[j])):
                 return (i, j)
     return None
 

@@ -14,7 +14,13 @@ from csneighborly import (
     verify_general,
 )
 from csneighborly.blocks import SignedSupportRow
-from csneighborly.certificate import _check_row_scaled, cube_combination
+from csneighborly.certificate import (
+    _check_row_scaled,
+    cube_combination,
+    hadamard_gram,
+)
+from csneighborly.construction import cs_transform_defect
+from csneighborly.hadamard import HadamardMatrix
 
 HALF = F(1, 2)
 
@@ -92,7 +98,24 @@ def literal_row_check(con, left, right):
 def scaled_row_check(con, left, right):
     h = con.hadamard
     p, q = con.params.alpha.numerator, con.params.alpha.denominator
-    return _check_row_scaled(h.signs, h.columns, con.d, con.k, p, q, left, right)
+    return _check_row_scaled(h.signs, h.columns, hadamard_gram(h), con.d,
+                             con.k, p, q, left, right)
+
+
+def unvalidated_hadamard(signs):
+    """A HadamardMatrix holding `signs` without the orthogonality check."""
+    h = object.__new__(HadamardMatrix)
+    h.signs = tuple(tuple(row) for row in signs)
+    h.order = len(h.signs)
+    h.columns = tuple(zip(*h.signs))
+    return h
+
+
+def flipped_sylvester(e, i, j):
+    """sylvester(e) with entry (i, j) negated: no longer a Hadamard matrix."""
+    rows = [list(row) for row in sylvester(e).signs]
+    rows[i][j] = -rows[i][j]
+    return unvalidated_hadamard(rows)
 
 
 class TestRowCheckAgainstLiteralOracle:
@@ -100,36 +123,55 @@ class TestRowCheckAgainstLiteralOracle:
     def test_every_row_small_orders(self, e):
         con = build(sylvester(e))
         d, k = con.d, con.k
-        h_rows = con.hadamard.signs
-        h_cols = con.hadamard.columns
-        p, q = con.params.alpha.numerator, con.params.alpha.denominator
         for l in range(k + 1):
             for left, right in block_rows(d, k, l):
-                fast = _check_row_scaled(h_rows, h_cols, d, k, p, q, left, right)
+                fast = scaled_row_check(con, left, right)
                 slow = literal_row_check(con, left, right)
                 assert fast[:3] == slow[:3] == (True, True, True)
 
     def test_sampled_rows_d16(self):
         con = build(sylvester(4))
-        h_rows = con.hadamard.signs
-        h_cols = con.hadamard.columns
-        p, q = con.params.alpha.numerator, con.params.alpha.denominator
         for l in range(3):
             for _, (left, right) in block_rows(16, 2, l).sample(40, seed=1):
-                fast = _check_row_scaled(h_rows, h_cols, 16, 2, p, q, left, right)
+                fast = scaled_row_check(con, left, right)
                 slow = literal_row_check(con, left, right)
                 assert fast[:3] == slow[:3] == (True, True, True)
 
     def test_overridden_alpha_every_row(self):
         con = build(sylvester(3), alpha=F(2, 5))
-        h_rows = con.hadamard.signs
-        h_cols = con.hadamard.columns
-        p, q = 2, 5
         for l in range(2):
             for left, right in block_rows(8, 1, l):
-                fast = _check_row_scaled(h_rows, h_cols, 8, 1, p, q, left, right)
+                fast = scaled_row_check(con, left, right)
                 slow = literal_row_check(con, left, right)
                 assert fast[:3] == slow[:3] == (True, True, True)
+
+    def test_non_hadamard_agrees_row_by_row(self):
+        # one flipped entry: H^T H != d*I, so some rows must fail, and the
+        # kernel, which sums the literal G, must fail exactly the rows the
+        # dense Fraction oracle fails, with the same three verdicts
+        h = flipped_sylvester(3, 2, 5)
+        con = build(h, verify=False)
+        assert hadamard_gram(h) != tuple(
+            tuple(8 if i == j else 0 for j in range(8)) for i in range(8))
+        failing = 0
+        for l in range(con.k + 1):
+            for left, right in block_rows(8, con.k, l):
+                fast = scaled_row_check(con, left, right)
+                slow = literal_row_check(con, left, right)
+                assert fast[:3] == slow[:3]
+                failing += not all(fast[:3])
+        assert failing > 0
+        # the integer build check rejects the same matrix
+        assert cs_transform_defect(h.signs) is not None
+        with pytest.raises(ValueError, match="H H\\^T != d\\*I"):
+            build(h)
+
+    def test_non_hadamard_fails_the_sweep(self):
+        con = build(flipped_sylvester(3, 2, 5), verify=False)
+        rep = verify_conditions(con)
+        assert not rep.passed
+        assert not rep.structural.hadamard_gram_ok
+        assert rep.failures
 
 
 class TestCertificateBlocks:

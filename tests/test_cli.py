@@ -318,6 +318,34 @@ class TestExitCodes:
         assert code == 2
         assert "--jobs: must be at least 1" in err
 
+    @pytest.mark.parametrize("command", [
+        ["certify", "--d", "4"], ["verify", "--d", "4", "--check", "faces"],
+    ])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exits_2(self, capsys, command, cap):
+        code, _, err = run(capsys, *command, "--cap", cap)
+        assert code == 2
+        assert "--cap: must be at least 1" in err
+
+    @pytest.mark.parametrize("command", [
+        ["certify", "--d", "4"], ["verify", "--d", "4", "--check", "faces"],
+    ])
+    @pytest.mark.parametrize("env", ["abc", "0", "-5", "1.5", ""])
+    def test_bad_cap_variable_exits_2(self, capsys, monkeypatch, command,
+                                      env):
+        monkeypatch.setenv("NEIGHBORLY_MAX_ROWS", env)
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert "NEIGHBORLY_MAX_ROWS must be an integer of at least 1" in err
+        assert repr(env) in err
+
+    def test_cap_flag_wins_over_bad_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("NEIGHBORLY_MAX_ROWS", "abc")
+        code, out, _ = run(capsys, "certify", "--d", "4", "--cap", "100")
+        assert code == 0
+        assert json.loads(out)["command"].endswith("--cap 100")
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 

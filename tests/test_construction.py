@@ -9,6 +9,7 @@ from csneighborly import (
     rank,
     sylvester,
 )
+from csneighborly.construction import cs_transform_defect
 from csneighborly.exact import Matrix
 
 
@@ -76,6 +77,21 @@ class TestBuild:
         for e in (2, 3, 4):
             con = build(sylvester(e))
             assert rank(con.X.hstack(con.T)) == con.m
+
+    @pytest.mark.parametrize("e, alpha", [
+        (2, None), (3, None), (4, None), (3, F(2, 5)),
+    ])
+    def test_integer_check_agrees_with_literal_checks(self, e, alpha):
+        # build checks rank [X | T] = m through an integer Gram identity and
+        # takes X^T T = 0 from the construction; the literal Fraction
+        # products must give the same verdict
+        con = build(sylvester(e), alpha=alpha)
+        integer_ok = cs_transform_defect(con.hadamard.signs) is None
+        literal_ok = (
+            (con.X.transpose() @ con.T).is_zero()
+            and rank(con.X.hstack(con.T)) == con.m
+        )
+        assert integer_ok and literal_ok
 
     def test_entry_bounds(self):
         con = build(sylvester(3))
