@@ -32,7 +32,6 @@ from .construction import (
     cs_transform_points,
     parameters,
 )
-from .exact import Matrix, Scalar, kron, mat_mul, rank
 from .hadamard import (
     HadamardMatrix,
     load_hadamard,
@@ -68,9 +67,7 @@ __all__ = [
     "HadamardMatrix",
     "LinearProgram",
     "LpResult",
-    "Matrix",
     "NeighborlinessReport",
-    "Scalar",
     "SignedSupportRow",
     "block_row_count",
     "block_rows",
@@ -81,14 +78,11 @@ __all__ = [
     "hadamard_correction_rule",
     "is_dominant",
     "is_face",
-    "kron",
     "load_hadamard",
-    "mat_mul",
     "membership_margin",
     "orthogonality_check",
     "parameters",
     "projection_containment",
-    "rank",
     "row_profile",
     "save_hadamard",
     "signed_support_matrix",

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .exact import Matrix
 from .sampling import SplitMix64, block_sample_seed
 
 
@@ -120,9 +119,10 @@ def unrank_signed_row(d: int, l: int, r: int) -> SignedSupportRow:
     return SignedSupportRow(d, support, _signs_from_bits(l, r & ((1 << l) - 1)))
 
 
-def signed_support_matrix(d: int, l: int) -> Matrix:
-    """The full n(l) x d matrix of weight-l signed rows (the C_l block)."""
-    return Matrix(row.dense() for row in iter_signed_rows(d, l))
+def signed_support_matrix(d: int, l: int) -> tuple:
+    """The n(l) x d matrix of weight-l signed rows (the C_l block), as dense
+    integer rows."""
+    return tuple(row.dense() for row in iter_signed_rows(d, l))
 
 
 # -- block streams -----------------------------------------------------------

@@ -41,7 +41,7 @@ from operator import add, mul, sub
 
 from .blocks import SignedSupportRow, block_row_count, block_rows
 from .construction import Construction
-from .exact import Matrix
+from .exact import Matrix, as_scalar
 from .hadamard import HadamardMatrix
 from .sampling import SplitMix64, block_sample_seed
 from .sweep import ordered_map
@@ -98,9 +98,9 @@ class CombinationCertificate:
     def coefficient_sum(self) -> Fraction:
         return sum((mu for mu, _ in self.mu_terms), Fraction(0))
 
-    def verify(self, a: Matrix) -> None:
-        """Exact re-summation; raises ValueError on any defect."""
-        d, n = a.rows, a.cols
+    def verify(self, a) -> None:
+        """Exact re-summation over the rows of A; raises ValueError on any defect."""
+        d, n = len(a), len(a[0])
         m = d + n
         if len(self.target) != 1 + m or self.target[0] != 1:
             raise ValueError("certificate target must be (1, e) of length 1+m")
@@ -130,7 +130,7 @@ class CombinationCertificate:
                     f"{self.target[1 + j] + shift[j]}"
                 )
             acc[1 + j] += nu
-            arow = a.row(j)
+            arow = a[j]
             for c in range(n):
                 acc[1 + d + c] += nu * arow[c]
         acc[0] += self.eps
@@ -555,21 +555,36 @@ class GeneralReport:
         )
 
 
-def hadamard_correction_rule(a: Matrix):
+def _exact_rows(a) -> Matrix:
+    """Rows of a user-supplied A as a tuple of exact tuples.
+
+    Accepts any iterable of rows; raises ValueError when A is empty or
+    ragged and TypeError (from as_scalar) on an inexact entry.
+    """
+    rows = tuple(tuple(as_scalar(v) for v in row) for row in a)
+    if not rows or not rows[0]:
+        raise ValueError("matrix must have at least one row and one column")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows in matrix input")
+    return rows
+
+
+def hadamard_correction_rule(a):
     """Correction rule for A = alpha*H: f |-> beta f H^T, e |-> e A.
 
-    Requires a square A whose entries all share one absolute value alpha > 0
-    and whose sign pattern is a Hadamard matrix.
+    A is an iterable of rows.  Requires a square A whose entries all share
+    one absolute value alpha > 0 and whose sign pattern is a Hadamard matrix.
     """
-    d, n = a.rows, a.cols
-    if d != n:
+    a = _exact_rows(a)
+    d = len(a)
+    if d != len(a[0]):
         raise ValueError("the Hadamard correction rule needs a square A")
-    alpha = abs(a.entry(0, 0))
-    if alpha == 0 or any(abs(v) != alpha for row in a.data for v in row):
+    alpha = abs(a[0][0])
+    if alpha == 0 or any(abs(v) != alpha for row in a for v in row):
         raise ValueError("entries of A must all have the same absolute value")
     try:
         h = HadamardMatrix(
-            tuple(1 if v > 0 else -1 for v in row) for row in a.data)
+            tuple(1 if v > 0 else -1 for v in row) for row in a)
     except ValueError:
         raise ValueError(
             "the sign pattern of A is not a Hadamard matrix") from None
@@ -584,7 +599,7 @@ def hadamard_correction_rule(a: Matrix):
 
 
 def verify_general(
-    a: Matrix,
+    a,
     k: int,
     correction_rule=None,
     row_cap: int = 20_000,
@@ -593,16 +608,20 @@ def verify_general(
 ) -> GeneralReport:
     """Check conditions (a), (b), (c) for a user-supplied pair (A, rule).
 
-    The rule maps a block row (left, right) to exact correction rows of
-    widths (d, n); it defaults to the Hadamard rule derived from A when A is
-    square.  Condition (c) uses the generic staircase expansion, whose
-    coefficient sum is the max-norm of the correction row, so (c) holds
-    exactly when (a) does; the certificate is still re-summed in full.
+    A is an iterable of rows of exact entries (ints, 'p/q' strings or
+    Fractions; floats raise TypeError); empty or ragged rows raise
+    ValueError.  The rule maps a block row (left, right) to exact correction
+    rows of widths (d, n); it defaults to the Hadamard rule derived from A
+    when A is square.  Condition (c) uses the generic staircase expansion,
+    whose coefficient sum is the max-norm of the correction row, so (c)
+    holds exactly when (a) does; the certificate is still re-summed in full.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    d, n = a.rows, a.cols
-    rule = correction_rule if correction_rule is not None else hadamard_correction_rule(a)
+    a = _exact_rows(a)
+    d, n = len(a), len(a[0])
+    rule = (correction_rule if correction_rule is not None
+            else hadamard_correction_rule(a))
 
     reports = []
     for l in range(k + 1):
@@ -642,7 +661,7 @@ def _check_general_row(pair, task):
     """Sweep check of one row against (A, rule), in plain Fractions."""
     a, rule = pair
     index, (left, right) = task
-    d, n = a.rows, a.cols
+    d, n = len(a), len(a[0])
     m_row, n_row = rule(left, right)
     if len(m_row) != d or len(n_row) != n:
         raise ValueError("correction rule returned wrong widths")
@@ -656,7 +675,7 @@ def _check_general_row(pair, task):
     for j in range(d):
         coeff = e_dense[j] + m_row[j]
         if coeff:
-            arow = a.row(j)
+            arow = a[j]
             for c in range(n):
                 lhs[c] += coeff * arow[c]
     f_dense = right.dense()

@@ -7,11 +7,12 @@ X = [I_d; A^T]: the standard basis vectors followed by the scaled Hadamard
 columns.  The cs-transform points v_i are the rows of T = [-A; I_d]; the
 columns of T span the kernel of (I_d | A).
 
-The construction is the integer data (H, p, q) with alpha = p/q, and every
-identity checked here follows from H^T H = d*I.  X^T T = -A + A = 0 holds by
-construction, and ``build`` verifies the full rank of [X | T] through an
-integer Gram identity (``cs_transform_defect``), never with Fraction matrix
-products.
+The construction is the integer data (H, p, q) with alpha = p/q: A and X
+are tuples of row tuples whose entries are picked by the signs of H from
+shared Fractions, and T is built on demand.  Every identity checked here
+follows from H^T H = d*I.  X^T T = -A + A = 0 holds by construction, and
+``build`` verifies the full rank of [X | T] through an integer Gram identity
+(``cs_transform_defect``), never with Fraction matrix products.
 """
 
 from __future__ import annotations
@@ -80,21 +81,25 @@ def parameters(d: int, alpha=None) -> ConstructionParams:
 
 
 class Construction:
-    """One built instance: parameters, Hadamard source, A, T and X.
+    """One built instance: parameters, Hadamard source, A and X.
 
+    A (d x n) and X (m x d, rows x_1..x_m) are tuples of row tuples of
+    Fractions, and the 2m signed vertices are built once alongside them.
     Everything is immutable after ``build`` and safe to share across workers.
     """
 
-    __slots__ = ("params", "hadamard", "A", "T", "X", "_vertex_rows")
+    __slots__ = ("params", "hadamard", "A", "X", "_signed")
 
     def __init__(self, params: ConstructionParams, h: HadamardMatrix,
-                 a: Matrix, t: Matrix, x: Matrix):
+                 a: Matrix, x: Matrix, minus_x: Matrix):
         self.params = params
         self.hadamard = h
         self.A = a
-        self.T = t
         self.X = x
-        self._vertex_rows = x.data
+        self._signed = (
+            tuple(((i, 1), row) for i, row in enumerate(x))
+            + tuple(((i, -1), row) for i, row in enumerate(minus_x))
+        )
 
     @property
     def d(self) -> int:
@@ -110,20 +115,26 @@ class Construction:
 
     def vertex_representative(self, index: int, sign: int = 1) -> tuple:
         """Vertex sign*x_index as an exact coordinate tuple."""
-        row = self._vertex_rows[index]
-        return row if sign > 0 else tuple(-c for c in row)
+        return self._signed[index if sign > 0 else self.params.m + index][1]
 
     def signed_vertices(self) -> tuple:
         """All 2m vertices as ((index, sign), coordinates), representatives first."""
-        out = [((i, 1), row) for i, row in enumerate(self._vertex_rows)]
-        out += [
-            ((i, -1), tuple(-c for c in row))
-            for i, row in enumerate(self._vertex_rows)
-        ]
-        return tuple(out)
+        return self._signed
 
     def __repr__(self) -> str:
         return f"Construction(d={self.d}, k={self.k}, alpha={self.params.alpha})"
+
+
+def _pick(signs, plus, minus) -> Matrix:
+    """Rows holding the shared object plus at each +1 sign, minus at each -1."""
+    return tuple(tuple(plus if s > 0 else minus for s in row) for row in signs)
+
+
+def _identity(d: int, one: Fraction) -> Matrix:
+    zero = Fraction(0)
+    return tuple(
+        tuple(one if i == j else zero for j in range(d)) for i in range(d)
+    )
 
 
 def cs_transform_defect(signs) -> str | None:
@@ -159,25 +170,25 @@ def build(h: HadamardMatrix, alpha=None, verify: bool = True) -> Construction:
     """
     params = parameters(h.order, alpha=alpha)
     d = params.d
-    hm = h.to_matrix()
-    a = hm.scale(params.alpha)                      # d x n
-    t = (-a).vstack(Matrix.identity(d))             # m x n, rows are v_1..v_m
-    x = Matrix.identity(d).vstack(a.transpose())    # m x d, rows are x_1..x_m
+    alpha, minus = params.alpha, -params.alpha
+    a = _pick(h.signs, alpha, minus)                  # d x n
+    x = _identity(d, Fraction(1)) + tuple(zip(*a))    # m x d, rows x_1..x_m
+    minus_a = _pick(h.signs, minus, alpha)
+    minus_x = _identity(d, Fraction(-1)) + tuple(zip(*minus_a))
 
     if verify:
         defect = cs_transform_defect(h.signs)
         if defect is not None:
             raise ValueError(f"internal error: {defect}")
-        if any(abs(v) != params.alpha for row in a.data for v in row):
-            raise ValueError("internal error: |A| entries must all equal alpha")
-    return Construction(params, h, a, t, x)
+    return Construction(params, h, a, x, minus_x)
 
 
-def cs_transform_points(con: Construction) -> tuple:
-    """The m cs-transform points (rows of T), in order.
+def cs_transform_points(con: Construction) -> Matrix:
+    """The m cs-transform points (rows of T = [-A; I_d]), in order.
 
     The point set used by the dominance characterization is the centrally
     symmetric closure {+-v_1, ..., +-v_m}; this returns one representative
     per antipodal pair.
     """
-    return con.T.data
+    alpha = con.params.alpha
+    return _pick(con.hadamard.signs, -alpha, alpha) + con.X[:con.d]

@@ -1,18 +1,20 @@
-"""Exact rational scalars and dense rational matrices.
+"""Exact rational scalars.
 
 Every number in this package is an arbitrary-precision integer or a
 ``fractions.Fraction``.  Fractions are always in lowest terms with a positive
 denominator, so equality is a plain field-wise comparison and no tolerance
-appears anywhere in the code base.
+appears anywhere in the code base.  There is no matrix class: a matrix is
+a plain tuple of row tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Iterable
 
-Scalar = Fraction
+# The type of a matrix.  The alias also keeps the name exact.Matrix
+# resolvable for bench/spans.py, whose tracer walks exact.Matrix to look up
+# Matrix.__matmul__ (which a tuple does not have, so it is reported absent).
+Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def as_scalar(value) -> Fraction:
@@ -24,159 +26,3 @@ def as_scalar(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")
-
-
-class Matrix:
-    """Dense matrix of exact rationals.  Treat instances as immutable."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data: Iterable[Iterable]):
-        entries = tuple(tuple(as_scalar(x) for x in row) for row in data)
-        if not entries or not entries[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(entries[0])
-        if any(len(row) != width for row in entries):
-            raise ValueError("ragged rows in matrix input")
-        self.data = entries
-        self.rows = len(entries)
-        self.cols = width
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return cls([[z] * cols for _ in range(rows)])
-
-    # -- accessors ---------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.data)
-
-    def shape(self) -> tuple:
-        return (self.rows, self.cols)
-
-    # -- algebra -----------------------------------------------------------
-
-    def transpose(self) -> "Matrix":
-        return Matrix(zip(*self.data))
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError(
-                f"shape mismatch for product: {self.shape()} x {other.shape()}"
-            )
-        cols = tuple(zip(*other.data))
-        return Matrix(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.data
-        )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} + {other.shape()}")
-        return Matrix(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.data, other.data)
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(tuple(-a for a in row) for row in self.data)
-
-    def scale(self, s) -> "Matrix":
-        s = as_scalar(s)
-        return Matrix(tuple(s * a for a in row) for row in self.data)
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        out = []
-        for arow in self.data:
-            for brow in other.data:
-                out.append(tuple(a * b for a in arow for b in brow))
-        return Matrix(out)
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError(f"row mismatch: {self.shape()} | {other.shape()}")
-        return Matrix(ra + rb for ra, rb in zip(self.data, other.data))
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise ValueError(f"column mismatch: {self.shape()} / {other.shape()}")
-        return Matrix(self.data + other.data)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for row in self.data for a in row)
-
-    # -- plumbing ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash(self.data)
-
-    def __repr__(self) -> str:
-        return f"Matrix({self.rows}x{self.cols})"
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product; raises ValueError on a shape mismatch."""
-    return a @ b
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: each entry a_ij replaced by the block a_ij * b."""
-    return a.kron(b)
-
-
-def rank(m: Matrix) -> int:
-    """Rank by fraction-free (Bareiss) elimination on an integer row scaling.
-
-    Each row is multiplied by the lcm of its denominators first (rank is
-    invariant under nonzero row scaling), then the two-term minor update keeps
-    the working matrix integral with exact divisions throughout.
-    """
-    work = []
-    for row in m.data:
-        mult = lcm(*(x.denominator for x in row))
-        work.append([int(x * mult) for x in row])
-    n_rows, n_cols = m.rows, m.cols
-
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, n_rows):
-            fac = work[i][c]
-            row_i, row_r = work[i], work[r]
-            for j in range(c, n_cols):
-                row_i[j] = (row_i[j] * piv - fac * row_r[j]) // prev
-        prev = piv
-        r += 1
-        if r == n_rows:
-            break
-    return r

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .exact import Matrix
-
 DEFAULT_MAX_ORDER = 4096
 
 
@@ -41,9 +39,6 @@ class HadamardMatrix:
 
     def column_signs(self, j: int) -> tuple:
         return self.columns[j]
-
-    def to_matrix(self) -> Matrix:
-        return Matrix(self.signs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HadamardMatrix) and self.signs == other.signs

@@ -225,7 +225,7 @@ def membership_margin(con: Construction, point) -> tuple:
         raise ValueError(f"point must have length {m}")
     le = []
     for i in range(m):
-        xrow = con.X.row(i)
+        xrow = con.X[i]
         w_i = Fraction(point[i])
         le.append((xrow + (Fraction(1),), HALF - w_i))
         le.append((tuple(-v for v in xrow) + (Fraction(1),), HALF + w_i))

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from csneighborly import (
-    Matrix,
     block_rows,
     build,
     expand_combination,
@@ -58,7 +57,7 @@ def literal_row_check(con, left, right):
     for j in range(d):
         coeff = e[j] + m_row[j]
         for c in range(d):
-            lhs[c] += coeff * con.A.entry(j, c)
+            lhs[c] += coeff * con.A[j][c]
     eq_ok = all(lhs[c] == f[c] + n_row[c] for c in range(d))
 
     # the explicit expansion and its literal re-summation
@@ -88,7 +87,7 @@ def literal_row_check(con, left, right):
     for j, nu in enumerate(nus):
         acc[1 + j] += nu
         for c in range(d):
-            acc[1 + d + c] += nu * con.A.entry(j, c)
+            acc[1 + d + c] += nu * con.A[j][c]
     acc[0] += eps
     target = (F(1),) + tuple(e) + tuple(f)
     cert_ok = eps >= 0 and total <= HALF and tuple(acc) == target
@@ -216,7 +215,7 @@ class TestCertificateBlocks:
             prod = [F(0)] * con.d
             for j in range(con.d):
                 for c in range(con.d):
-                    prod[c] += m_row[j] * con.A.entry(j, c)
+                    prod[c] += m_row[j] * con.A[j][c]
             assert tuple(prod) == right.dense()
 
 
@@ -368,7 +367,7 @@ class TestVerifyGeneral:
 
     def test_zero_pair_fails_equation(self):
         d = 4
-        a = Matrix.zero(d, d)
+        a = [[0] * d for _ in range(d)]
         zero_rule = lambda left, right: ((F(0),) * d, (F(0),) * d)
         rep = verify_general(a, k=1, correction_rule=zero_rule)
         assert not rep.passed
@@ -378,7 +377,7 @@ class TestVerifyGeneral:
         )
 
     def test_unscaled_hadamard_fails_bound(self):
-        a = sylvester(2).to_matrix()  # alpha = 1 violates the window
+        a = sylvester(2).signs  # alpha = 1 violates the window
         rep = verify_general(a, k=1)
         assert not rep.passed
         assert any(
@@ -387,7 +386,7 @@ class TestVerifyGeneral:
 
     def test_custom_rectangular_rule(self):
         # d = n = 1, A = [1]: corrections -e/2 and e/2 balance the equation
-        a = Matrix([[1]])
+        a = [[1]]
         rule = lambda left, right: (
             (F(-1, 2) * sum(left.dense()) + F(1, 2) * sum(right.dense()),),
             (F(1, 2) * sum(left.dense()) - F(1, 2) * sum(right.dense()),),
@@ -396,7 +395,68 @@ class TestVerifyGeneral:
         assert rep.passed
 
     def test_rule_width_checked(self):
-        a = Matrix.identity(2)
+        a = ((1, 0), (0, 1))
         bad_rule = lambda left, right: ((F(0),), (F(0),))
         with pytest.raises(ValueError, match="width"):
             verify_general(a, k=1, correction_rule=bad_rule)
+
+    def test_accepts_list_tuple_and_generator_rows(self):
+        con = build(sylvester(2))
+        as_lists = [list(row) for row in con.A]
+        reports = [
+            verify_general(a, k=1)
+            for a in (con.A, as_lists, (tuple(row) for row in as_lists))
+        ]
+        assert reports[0].passed and reports[0] == reports[1] == reports[2]
+        # ints and 'p/q' strings are exact too
+        half_strings = [["1/2" if v > 0 else "-1/2" for v in row]
+                        for row in con.hadamard.signs]
+        assert verify_general(half_strings, k=1) == reports[0]
+        rule = hadamard_correction_rule(row for row in as_lists)
+        left, right = next(iter(block_rows(4, 1, 1)))
+        assert rule(left, right) == hadamard_correction_rule(con.A)(left, right)
+
+    @pytest.mark.parametrize("a", [[], [[]], ()])
+    def test_empty_rows_rejected(self, a):
+        with pytest.raises(ValueError, match="at least one row"):
+            verify_general(a, k=1)
+        with pytest.raises(ValueError, match="at least one row"):
+            hadamard_correction_rule(a)
+
+    def test_ragged_rows_rejected(self):
+        zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
+        for a in ([[1, 2], [3]], ((F(1, 2), F(1, 2)), (F(1, 2),))):
+            with pytest.raises(ValueError, match="ragged"):
+                verify_general(a, k=1)
+            with pytest.raises(ValueError, match="ragged"):
+                verify_general(a, k=1, correction_rule=zero_rule)
+            with pytest.raises(ValueError, match="ragged"):
+                hadamard_correction_rule(a)
+
+    def test_float_entry_rejected(self):
+        a = [[F(1, 2), F(1, 2)], [F(1, 2), -0.5]]
+        zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            verify_general(a, k=1)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            verify_general(a, k=1, correction_rule=zero_rule)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            hadamard_correction_rule(iter(a))
+
+    def test_non_square_rejected(self):
+        a = [[F(1, 2)] * 4, [F(1, 2), F(-1, 2)] * 2]
+        with pytest.raises(ValueError, match="square"):
+            hadamard_correction_rule(a)
+        with pytest.raises(ValueError, match="square"):
+            verify_general(a, k=1)
+
+    def test_non_hadamard_sign_pattern_rejected(self):
+        for a in ([[F(1, 2)] * 4] * 4, [[1, 1], [1, 1]]):
+            with pytest.raises(ValueError, match="not a Hadamard matrix"):
+                hadamard_correction_rule(a)
+            with pytest.raises(ValueError, match="not a Hadamard matrix"):
+                verify_general(a, k=1)
+        with pytest.raises(ValueError, match="same absolute value"):
+            hadamard_correction_rule([[1, 2], [2, -1]])
+        with pytest.raises(ValueError, match="same absolute value"):
+            hadamard_correction_rule([[0, 0], [0, 0]])

@@ -1,51 +1,61 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
 
-from csneighborly import Matrix, build, kron, mat_mul, rank, sylvester
+from csneighborly import build, cs_transform_points, sylvester
+from csneighborly.certificate import hadamard_gram
+from csneighborly.construction import cs_transform_defect
+from csneighborly.exact import as_scalar
+from csneighborly.hadamard import HadamardMatrix
+from literal import (
+    gauss_rank, hstack, identity, kron, naive_product, transpose,
+)
 
 
 def random_matrix(rng, rows, cols, den=6):
-    return Matrix(
-        [
-            [F(rng.randint(-8, 8), rng.randint(1, den)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
+    return tuple(
+        tuple(F(rng.randint(-8, 8), rng.randint(1, den)) for _ in range(cols))
+        for _ in range(rows)
     )
 
 
-def gauss_rank(m):
-    """Independent oracle: plain Fraction row reduction."""
-    work = [list(row) for row in m.data]
-    rows, cols = m.rows, m.cols
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [v * inv for v in work[r]]
-        for i in range(rows):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-    return r
+def add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def naive_product(a, b):
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = F(0)
-            for t in range(a.cols):
-                acc += a.entry(i, t) * b.entry(t, j)
-            row.append(acc)
-        out.append(row)
-    return Matrix(out)
+def minors_rank(m):
+    """Largest r with a nonzero r x r minor, determinants by the Leibniz sum."""
+    def det(rows, cols):
+        total = F(0)
+        for perm in permutations(range(len(cols))):
+            inversions = sum(
+                1 for i, j in combinations(range(len(perm)), 2) if perm[i] > perm[j]
+            )
+            term = F(-1 if inversions % 2 else 1)
+            for r, c in zip(rows, perm):
+                term *= m[r][cols[c]]
+            total += term
+        return total
+
+    for size in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), size):
+            for cols in combinations(range(len(m[0])), size):
+                if det(rows, cols) != 0:
+                    return size
+    return 0
+
+
+def unvalidated_signs(rng, order):
+    """A random +-1 square matrix wrapped as a HadamardMatrix, unchecked."""
+    h = object.__new__(HadamardMatrix)
+    h.signs = tuple(
+        tuple(rng.choice((1, -1)) for _ in range(order)) for _ in range(order)
+    )
+    h.order = order
+    h.columns = tuple(zip(*h.signs))
+    return h
 
 
 class TestScalars:
@@ -61,31 +71,48 @@ class TestScalars:
                 assert q.denominator > 0
             assert a + (-a) == 0
 
+    def test_as_scalar_coercion(self):
+        half = F(1, 2)
+        assert as_scalar(half) is half
+        assert as_scalar(3) == F(3) and isinstance(as_scalar(3), F)
+        assert as_scalar("-2/6") == F(-1, 3)
+        for bad in (0.5, 1e-3, None, [1]):
+            with pytest.raises(TypeError):
+                as_scalar(bad)
+
 
 class TestMatMul:
+    """The literal product that the construction's identities are checked with."""
+
     def test_identity(self):
-        m = Matrix([[F(1, 2), 3], [-2, F(5, 7)]])
-        assert mat_mul(Matrix.identity(2), m) == m
+        m = ((F(1, 2), 3), (-2, F(5, 7)))
+        assert naive_product(identity(2), m) == m
 
     def test_hadamard_gram_order_two(self):
-        h2 = Matrix([[1, 1], [1, -1]])
-        assert mat_mul(h2, h2.transpose()) == Matrix([[2, 0], [0, 2]])
+        h2 = ((1, 1), (1, -1))
+        assert naive_product(h2, transpose(h2)) == ((2, 0), (0, 2))
 
     def test_cancellation(self):
-        a = Matrix([[F(1, 2), F(1, 2)]])
-        b = Matrix([[1], [-1]])
-        assert mat_mul(a, b) == Matrix([[0]])
+        assert naive_product(((F(1, 2), F(1, 2)),), ((1,), (-1,))) == ((0,),)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            mat_mul(Matrix.identity(2), Matrix.identity(3))
+            naive_product(identity(2), identity(3))
 
     def test_against_naive_oracle(self):
+        # the package's integer products, G = H^T H and H H^T = d*I, agree
+        # with the literal product on random (mostly non-Hadamard) signs
         rng = random.Random(11)
-        for _ in range(20):
-            a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            b = random_matrix(rng, a.cols, rng.randint(1, 4))
-            assert a @ b == naive_product(a, b)
+        for order in (1, 2, 3, 4, 4, 6, 8, 8):
+            h = unvalidated_signs(rng, order)
+            assert hadamard_gram(h) == naive_product(transpose(h.signs), h.signs)
+            literal_ok = naive_product(h.signs, transpose(h.signs)) == identity(
+                order, order
+            )
+            assert (cs_transform_defect(h.signs) is None) == literal_ok
+        h = sylvester(3)
+        assert hadamard_gram(h) == identity(8, 8)
+        assert cs_transform_defect(h.signs) is None
 
     def test_associative_and_distributive(self):
         rng = random.Random(13)
@@ -93,78 +120,70 @@ class TestMatMul:
             a = random_matrix(rng, 3, 2)
             b = random_matrix(rng, 2, 4)
             c = random_matrix(rng, 4, 3)
-            assert (a @ b) @ c == a @ (b @ c)
+            assert naive_product(naive_product(a, b), c) == naive_product(
+                a, naive_product(b, c)
+            )
             b2 = random_matrix(rng, 2, 4)
-            assert a @ (b + b2) == a @ b + a @ b2
+            assert naive_product(a, add(b, b2)) == add(
+                naive_product(a, b), naive_product(a, b2)
+            )
 
 
 class TestKron:
+    """The literal Kronecker product that builds the regular order-16 seed."""
+
     def test_scalar_one(self):
         m = random_matrix(random.Random(3), 2, 3)
-        assert kron(Matrix([[1]]), m) == m
+        assert kron(((1,),), m) == m
 
     def test_column_replication(self):
-        assert kron(Matrix([[1], [1]]), Matrix([[1, -1]])) == Matrix(
-            [[1, -1], [1, -1]]
-        )
+        assert kron(((1,), (1,)), ((1, -1),)) == ((1, -1), (1, -1))
 
     def test_transpose_identity(self):
         rng = random.Random(17)
         for _ in range(10):
             a = random_matrix(rng, 2, 2)
             b = random_matrix(rng, 2, 2)
-            assert kron(a, b).transpose() == kron(a.transpose(), b.transpose())
+            assert transpose(kron(a, b)) == kron(transpose(a), transpose(b))
 
     def test_mixed_product_identity(self):
         rng = random.Random(19)
         for _ in range(10):
-            a = random_matrix(rng, 2, 2)
-            b = random_matrix(rng, 2, 2)
-            c = random_matrix(rng, 2, 2)
-            d = random_matrix(rng, 2, 2)
-            assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
+            a, b, c, d = (random_matrix(rng, 2, 2) for _ in range(4))
+            assert naive_product(kron(a, b), kron(c, d)) == kron(
+                naive_product(a, c), naive_product(b, d)
+            )
 
     def test_shape(self):
         a = random_matrix(random.Random(23), 2, 3)
         b = random_matrix(random.Random(29), 4, 5)
-        assert kron(a, b).shape() == (8, 15)
+        out = kron(a, b)
+        assert (len(out), len(out[0])) == (8, 15)
 
 
 class TestRank:
+    """The literal rank behind the rank [X | T] = m cross-checks."""
+
     def test_identity(self):
-        assert rank(Matrix.identity(4)) == 4
+        assert gauss_rank(identity(4)) == 4
 
     def test_zero(self):
-        assert rank(Matrix.zero(3, 3)) == 0
+        assert gauss_rank(identity(3, 0)) == 0
 
     def test_construction_stack_full_rank(self):
         con = build(sylvester(2))
-        stacked = con.X.hstack(con.T)
-        assert rank(stacked) == 8
-        assert gauss_rank(stacked) == 8
+        stacked = hstack(con.X, cs_transform_points(con))
+        assert gauss_rank(stacked) == 8 == con.m
 
     def test_against_gauss_oracle(self):
+        # an independent reference for the reference: largest nonzero minor
         rng = random.Random(31)
         for _ in range(25):
-            m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-            assert rank(m) == gauss_rank(m)
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            if rng.random() < 0.4:   # force a dependent row now and then
+                m = m + (tuple(2 * v for v in m[0]),)
+            assert gauss_rank(m) == minors_rank(m)
 
     def test_rank_deficient(self):
-        m = Matrix([[1, 2, 3], [2, 4, 6], [1, 1, 1]])
-        assert rank(m) == 2 == gauss_rank(m)
-
-
-class TestMatrixBasics:
-    def test_transpose_involution(self):
-        m = random_matrix(random.Random(37), 3, 5)
-        assert m.transpose().transpose() == m
-
-    def test_ragged_rejected(self):
-        with pytest.raises(ValueError):
-            Matrix([[1, 2], [3]])
-
-    def test_stacking(self):
-        a = Matrix([[1, 2]])
-        b = Matrix([[3, 4]])
-        assert a.vstack(b) == Matrix([[1, 2], [3, 4]])
-        assert a.hstack(b) == Matrix([[1, 2, 3, 4]])
+        m = ((1, 2, 3), (2, 4, 6), (1, 1, 1))
+        assert gauss_rank(m) == 2 == minors_rank(m)

@@ -4,14 +4,13 @@ import pytest
 
 from csneighborly import (
     HadamardMatrix,
-    Matrix,
-    kron,
     load_hadamard,
     row_profile,
     save_hadamard,
     sylvester,
     validate,
 )
+from literal import kron
 
 H4_ROWS = (
     (1, 1, 1, 1),
@@ -25,9 +24,7 @@ R4 = ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
 
 
 def regular_hadamard_16():
-    a = Matrix(R4)
-    prod = kron(a, a)
-    return [[int(v) for v in row] for row in prod.data]
+    return [list(row) for row in kron(R4, R4)]
 
 
 class TestSylvester:

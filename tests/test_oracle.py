@@ -136,7 +136,7 @@ class TestMembership:
             # the witness places the shifted point inside the shrunk cube
             shifted = list(point)
             for r in range(8):
-                row = con4.X.row(r)
+                row = con4.X[r]
                 shifted[r] += sum(c * y for c, y in zip(row, witness))
             assert max(abs(v) for v in shifted) == F(1, 2) - margin
 
