@@ -166,7 +166,10 @@ def _load_construction(args):
                 "Sylvester-only (powers of two); import one with --hadamard"
             )
         h = sylvester(d.bit_length() - 1)
-    alpha = Fraction(args.alpha) if getattr(args, "alpha", None) else None
+    try:
+        alpha = Fraction(args.alpha) if getattr(args, "alpha", None) else None
+    except ZeroDivisionError:
+        raise ValueError(f"--alpha {args.alpha}: zero denominator") from None
     return construction.build(h, alpha=alpha)
 
 
@@ -473,7 +476,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - internal failures

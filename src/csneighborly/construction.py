@@ -76,6 +76,8 @@ def parameters(d: int, alpha=None) -> ConstructionParams:
         raise ValueError(f"dimension d={d} is below the minimum 4")
     k = neighborliness_target(d)
     alpha = Fraction(1, 2 * k) if alpha is None else as_scalar(alpha)
+    if alpha <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     beta = Fraction(1) / (alpha * d)
     return ConstructionParams(d=d, n=d, m=2 * d, k=k, alpha=alpha, beta=beta)
 

@@ -28,7 +28,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .blocks import block_rows, total_row_count, unrank_support
+from .blocks import (_signs_from_bits, block_rows, total_row_count,
+                     unrank_support)
 from .construction import Construction
 from .sampling import SplitMix64
 from .simplex import LinearProgram, lp_max
@@ -42,7 +43,9 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class FaceReport:
-    """Outcome of one face check, self-verified by exact re-substitution."""
+    """Outcome of one face check.  witness and margin are the face LP's
+    optimum (c, t), which lp_max re-substituted into the LP's rows: exactly
+    <c, v> = 1 on the subset and <c, v> + t <= 1 on the other 2m vertices."""
 
     subset: tuple                  # ((vertex index, sign), ...) sorted
     status: str                    # "face" | "not-face" | "antipodal-rejected"
@@ -70,38 +73,23 @@ def is_face(con: Construction, subset) -> FaceReport:
 
     d = con.d
     member_set = set(members)
-    eq = []
-    for i, s in members:
-        eq.append((con.vertex_representative(i, s) + (Fraction(0),), Fraction(1)))
-    le = []
-    for key, coords in con.signed_vertices():
-        if key in member_set:
-            continue
-        le.append((coords + (Fraction(1),), Fraction(1)))
-    le.append(((Fraction(0),) * d + (Fraction(1),), Fraction(1)))
+    eq = [(con.vertex_representative(i, s) + (0,), 1) for i, s in members]
+    le = [
+        (coords + (1,), 1)
+        for key, coords in con.signed_vertices()
+        if key not in member_set
+    ]
+    le.append(((0,) * d + (1,), 1))
 
-    objective = (Fraction(0),) * d + (Fraction(1),)
+    objective = (0,) * d + (1,)
     result = lp_max(LinearProgram.maximize(objective, eq=eq, le=le))
     if result.status == "infeasible":
         return FaceReport(members, "not-face", None, None)
     if result.status != "optimal":
         raise RuntimeError("face LP cannot be unbounded")
-    witness = result.x[:d]
     margin = result.x[d]
-    _recheck_face(con, member_set, witness, margin)
     status = "face" if margin > 0 else "not-face"
-    return FaceReport(members, status, witness, margin)
-
-
-def _recheck_face(con, member_set, witness, margin) -> None:
-    """Exact re-substitution of the face witness over all 2m vertices."""
-    for key, coords in con.signed_vertices():
-        value = sum((c * v for c, v in zip(witness, coords)), Fraction(0))
-        if key in member_set:
-            if value != 1:
-                raise RuntimeError("face witness misses a subset vertex")
-        elif value > 1 - margin:
-            raise RuntimeError("face witness violated by a non-subset vertex")
+    return FaceReport(members, status, result.x[:d], margin)
 
 
 def canonical_subsets(m: int, k: int):
@@ -114,18 +102,12 @@ def canonical_subsets(m: int, k: int):
     half_patterns = 1 << (k - 1)
     for idxs in combinations(range(m), k):
         for bits in range(half_patterns):
-            signs = (1,) + tuple(
-                -1 if (bits >> (k - 2 - p)) & 1 else 1 for p in range(k - 1)
-            )
-            yield tuple(zip(idxs, signs))
+            yield tuple(zip(idxs, (1,) + _signs_from_bits(k - 1, bits)))
 
 
 def _unrank_canonical_subset(m: int, k: int, comb_rank: int, bits: int):
     idxs = unrank_support(m, k, comb_rank)
-    signs = (1,) + tuple(
-        -1 if (bits >> (k - 2 - p)) & 1 else 1 for p in range(k - 1)
-    )
-    return tuple(zip(idxs, signs))
+    return tuple(zip(idxs, (1,) + _signs_from_bits(k - 1, bits)))
 
 
 @dataclass(frozen=True)
@@ -227,9 +209,9 @@ def membership_margin(con: Construction, point) -> tuple:
     for i in range(m):
         xrow = con.X[i]
         w_i = Fraction(point[i])
-        le.append((xrow + (Fraction(1),), HALF - w_i))
-        le.append((tuple(-v for v in xrow) + (Fraction(1),), HALF + w_i))
-    objective = (Fraction(0),) * d + (Fraction(1),)
+        le.append((xrow + (1,), HALF - w_i))
+        le.append((tuple(-v for v in xrow) + (1,), HALF + w_i))
+    objective = (0,) * d + (1,)
     result = lp_max(LinearProgram.maximize(objective, le=le))
     if result.status != "optimal":
         raise RuntimeError("membership LP must have a finite optimum")
@@ -255,9 +237,7 @@ def is_dominant(con: Construction, indices) -> DominanceReport:
     pattern_margins = []
     best = None
     for bits in range(1 << size):
-        signs = tuple(
-            -1 if (bits >> (size - 1 - p)) & 1 else 1 for p in range(size)
-        )
+        signs = _signs_from_bits(size, bits)
         point = [0] * con.m
         for i, s in zip(indices, signs):
             point[i] = s

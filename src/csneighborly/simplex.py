@@ -16,6 +16,10 @@ exact, so no Fraction arithmetic (and no rounding of any kind) happens in the
 pivot loop.  Pivot selection is Bland's smallest-index rule in both phases,
 which guarantees termination; identical inputs therefore produce identical
 pivot sequences and outputs.
+
+Fractions appear only in a LinearProgram's inputs, scaled once to integer
+rows, and in the LpResult; the witness is re-substituted once, as integer
+numerators over the tableau denominator.
 """
 
 from __future__ import annotations
@@ -23,36 +27,54 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .exact import as_scalar
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x over free x, subject to eq rows and <= rows."""
+    """maximize objective . x over free x, subject to eq rows and <= rows.
+
+    Each constraint (coeffs, rhs) is held as an integer row, scaled by the lcm
+    of its denominators: ([1/2, 1/3], 5/6) as ((3, 2), 5).  The objective is
+    held unscaled, as Fractions.
+    """
 
     n_vars: int
     objective: tuple
     eq: tuple = ()
     le: tuple = ()
 
+    def __post_init__(self):
+        n = self.n_vars
+        objective = tuple(as_scalar(c) for c in self.objective)
+        if len(objective) != n:
+            raise ValueError(f"objective width {len(objective)} != {n}")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "eq", _integer_rows(self.eq, n))
+        object.__setattr__(self, "le", _integer_rows(self.le, n))
+
     @classmethod
     def maximize(cls, objective, eq=(), le=()) -> "LinearProgram":
-        objective = tuple(as_scalar(c) for c in objective)
-        n = len(objective)
+        objective = tuple(objective)
+        return cls(n_vars=len(objective), objective=objective, eq=eq, le=le)
 
-        def canon(rows):
-            out = []
-            for coeffs, rhs in rows:
-                coeffs = tuple(as_scalar(c) for c in coeffs)
-                if len(coeffs) != n:
-                    raise ValueError(
-                        f"constraint width {len(coeffs)} != {n} variables"
-                    )
-                out.append((coeffs, as_scalar(rhs)))
-            return tuple(out)
 
-        return cls(n_vars=n, objective=objective, eq=canon(eq), le=canon(le))
+def _integer_rows(rows, n: int) -> tuple:
+    """Each (coeffs, rhs) scaled by the lcm of its denominators, as ints."""
+    out = []
+    for coeffs, rhs in rows:
+        coeffs = [as_scalar(c) for c in coeffs]
+        if len(coeffs) != n:
+            raise ValueError(
+                f"constraint width {len(coeffs)} != {n} variables"
+            )
+        coeffs.append(as_scalar(rhs))
+        mult = lcm(*(c.denominator for c in coeffs))
+        ints = tuple(c.numerator * (mult // c.denominator) for c in coeffs)
+        out.append((ints[:-1], ints[-1]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -129,31 +151,23 @@ class _Tableau:
                 raise RuntimeError("pivot limit exceeded")
 
 
-def _scale_row(coeffs, rhs):
-    """Clear denominators; returns (int coeffs, int rhs)."""
-    mult = lcm(rhs.denominator, *(c.denominator for c in coeffs))
-    return [int(c * mult) for c in coeffs], int(rhs * mult)
-
-
 def lp_max(lp: LinearProgram, max_pivots: int = 200_000) -> LpResult:
     """Exact optimum of a LinearProgram via two-phase simplex.
 
-    The returned witness is re-substituted into every constraint before the
-    result is returned; any violation raises instead of returning.
+    The returned witness is re-substituted into every constraint and the
+    objective before the result is returned; any mismatch raises.
     """
     n = lp.n_vars
     if n <= 0:
         raise ValueError("the program needs at least one variable")
 
-    # one record per constraint: (split int coeffs over 2n cols, rhs, kind)
+    # one record per constraint: (int coeffs, rhs >= 0, kind, negated)
     records = []
-    for coeffs, rhs in lp.eq:
-        ints, b = _scale_row(coeffs, rhs)
+    for ints, b in lp.eq:
         if b < 0:
             ints, b = [-v for v in ints], -b
         records.append((ints, b, "eq", False))
-    for coeffs, rhs in lp.le:
-        ints, b = _scale_row(coeffs, rhs)
+    for ints, b in lp.le:
         negated = b < 0
         if negated:
             ints, b = [-v for v in ints], -b
@@ -212,11 +226,8 @@ def lp_max(lp: LinearProgram, max_pivots: int = 200_000) -> LpResult:
 
     # phase 2: the real objective, priced out for the current basis
     obj_mult = lcm(*(c.denominator for c in lp.objective))
-    c_full = [0] * (n_cols + 1)
-    for j, c in enumerate(lp.objective):
-        ci = int(c * obj_mult)
-        c_full[j] = ci
-        c_full[n + j] = -ci
+    c_ints = [c.numerator * (obj_mult // c.denominator) for c in lp.objective]
+    c_full = c_ints + [-c for c in c_ints] + [0] * (n_cols + 1 - n_struct)
     obj = [tab.den * c for c in c_full]
     for i, b in enumerate(tab.basis):
         cb = c_full[b]
@@ -226,16 +237,13 @@ def lp_max(lp: LinearProgram, max_pivots: int = 200_000) -> LpResult:
     if status == "unbounded":
         return LpResult("unbounded", None, None, tab.pivots)
 
-    values = {}
-    for i, b in enumerate(tab.basis):
-        values[b] = Fraction(tab.rows[i][-1], tab.den)
-    x = tuple(
-        values.get(j, Fraction(0)) - values.get(n + j, Fraction(0))
-        for j in range(n)
-    )
-    objective = sum((c * v for c, v in zip(lp.objective, x)), Fraction(0))
-    _recheck(lp, x, objective)
-    return LpResult("optimal", objective, x, tab.pivots)
+    # the witness is x = nums / den, and c.x = optimum / (den * obj_mult)
+    values = {b: tab.rows[i][-1] for i, b in enumerate(tab.basis)}
+    nums = [values.get(j, 0) - values.get(n + j, 0) for j in range(n)]
+    den, optimum = tab.den, -obj[-1]
+    _recheck(lp, nums, den, c_ints, optimum)
+    x = tuple(Fraction(v, den) for v in nums)
+    return LpResult("optimal", Fraction(optimum, den * obj_mult), x, tab.pivots)
 
 
 def _evict_artificials(tab: _Tableau, artificials, art_base) -> None:
@@ -265,12 +273,14 @@ def _evict_artificials(tab: _Tableau, artificials, art_base) -> None:
         del tab.basis[i]
 
 
-def _recheck(lp: LinearProgram, x, objective) -> None:
+def _recheck(lp: LinearProgram, nums, den: int, c_ints, optimum: int) -> None:
+    """Check x = nums / den in lp's integer rows, and c_ints . x against the
+    tableau's optimum, optimum / den."""
     for coeffs, rhs in lp.eq:
-        if sum((c * v for c, v in zip(coeffs, x)), Fraction(0)) != rhs:
+        if sum(map(mul, coeffs, nums)) != rhs * den:
             raise RuntimeError("internal error: equality violated by witness")
     for coeffs, rhs in lp.le:
-        if sum((c * v for c, v in zip(coeffs, x)), Fraction(0)) > rhs:
+        if sum(map(mul, coeffs, nums)) > rhs * den:
             raise RuntimeError("internal error: inequality violated by witness")
-    if sum((c * v for c, v in zip(lp.objective, x)), Fraction(0)) != objective:
+    if sum(map(mul, c_ints, nums)) != optimum:
         raise RuntimeError("internal error: objective mismatch")

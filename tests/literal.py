@@ -1,8 +1,10 @@
-"""Literal linear-algebra references for the tests, on plain row sequences.
+"""Literal references for the tests, on plain row sequences.
 
 The package never multiplies, ranks or stacks Fraction matrices: its
-identities hold by construction or reduce to integer products.  These slow,
-obvious versions are what the tests check those shortcuts against.
+identities hold by construction or reduce to integer products.  Nor does it
+re-substitute a face witness into the vertices in Fractions: the face LP's
+integer recheck covers that.  These slow, obvious versions are what the tests
+check those shortcuts against.
 """
 
 from fractions import Fraction as F
@@ -68,3 +70,20 @@ def gauss_rank(m):
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         r += 1
     return r
+
+
+def recheck_face(con, report):
+    """Signed vertices at which a FaceReport's witness fails, in Fractions.
+
+    The witness c must give <c, v> = 1 on every subset vertex and
+    <c, v> <= 1 - margin on every other of the 2m signed vertices; returns
+    the keys (index, sign) where that does not hold.
+    """
+    members = set(report.subset)
+    bad = []
+    for key, coords in con.signed_vertices():
+        value = sum((c * v for c, v in zip(report.witness, coords)), F(0))
+        ok = value == 1 if key in members else value <= 1 - report.margin
+        if not ok:
+            bad.append(key)
+    return bad

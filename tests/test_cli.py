@@ -349,6 +349,32 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("command", [
+        ["generate", "--d", "8"], ["certify", "--d", "8"],
+        ["verify", "--d", "8", "--check", "faces"],
+    ])
+    @pytest.mark.parametrize("alpha,message", [
+        ("0", "alpha must be positive"),
+        ("1/0", "--alpha 1/0: zero denominator"),
+    ])
+    def test_degenerate_alpha_exits_2(self, capsys, command, alpha, message):
+        code, out, err = run(capsys, *command, "--alpha", alpha)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("command", [
+        ["certify", "--hadamard"],
+        ["verify", "--check", "faces", "--hadamard"],
+        ["hadamard", "--import"],
+    ])
+    def test_missing_input_file_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "absent.txt"
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+
     def test_verification_failure_exits_3(self, capsys, monkeypatch):
         # the shipped constructions always pass, so force a failing sweep to
         # pin the exit-code contract

@@ -76,6 +76,11 @@ class TestParameters:
         with pytest.raises(ValueError):
             parameters(16, alpha=F(3, 10))  # window at d = 16 is the point 1/4
 
+    @pytest.mark.parametrize("alpha", [0, F(0), "0", F(-1, 3)])
+    def test_nonpositive_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive"):
+            parameters(8, alpha=alpha)
+
 
 class TestBuild:
     def test_d4_vertices(self):

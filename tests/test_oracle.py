@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from csneighborly import (
+    FaceReport,
     build,
     dominant_subset_sweep,
     is_dominant,
@@ -13,7 +14,9 @@ from csneighborly import (
     sylvester,
     verify_k_neighborly,
 )
+from csneighborly import oracle
 from csneighborly.oracle import canonical_subsets
+from literal import recheck_face
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +87,43 @@ class TestIsFace:
             is_face(con4, [(99, 1)])
         with pytest.raises(ValueError):
             is_face(con4, [(i, 1) for i in range(5)])  # larger than d
+
+
+class TestFaceWitnessLiteral:
+    def test_sweep_witnesses_resubstitute(self, con16, monkeypatch):
+        # every report of seeded d = 16 sweeps at sizes 1-4, including the
+        # failure path: k = 4, seed 2 fails 6 subsets (3 canonical LPs and
+        # their negations), all with margin 0
+        reports = []
+
+        def recorded(con, subset):
+            rep = is_face(con, subset)
+            reports.append(rep)
+            return rep
+
+        monkeypatch.setattr(oracle, "is_face", recorded)
+        sweeps = ((1, 10, 1), (2, 12, 1), (3, 12, 1), (4, 40, 2))
+        for k, samples, seed in sweeps:
+            rep = verify_k_neighborly(con16, k, mode="sample", samples=samples,
+                                      seed=seed)
+        assert rep.failed == 6
+        assert [(st, margin) for _, st, margin in rep.failures] == [
+            ("not-face", 0)] * 3
+        assert len(reports) == 74
+        with_witness = [r for r in reports if r.witness is not None]
+        assert {r.status for r in with_witness} == {"face", "not-face"}
+        for r in with_witness:
+            assert recheck_face(con16, r) == [], r.subset
+
+    def test_literal_recheck_catches_a_bad_witness(self, con16):
+        rep = is_face(con16, [(0, 1), (16, 1)])
+        assert rep.status == "face" and recheck_face(con16, rep) == []
+        shifted = rep.witness[:-1] + (rep.witness[-1] + F(1, 7),)
+        bad_witness = FaceReport(rep.subset, rep.status, shifted, rep.margin)
+        bad_margin = FaceReport(rep.subset, rep.status, rep.witness,
+                                2 * rep.margin)
+        assert recheck_face(con16, bad_witness) != []
+        assert recheck_face(con16, bad_margin) != []
 
 
 class TestVerifyKNeighborly:

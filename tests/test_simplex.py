@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from csneighborly import LinearProgram, lp_max
+from csneighborly.simplex import _recheck
 
 
 def solve_square(rows, rhs):
@@ -236,3 +237,70 @@ class TestWitnesses:
     def test_rejects_empty_program(self):
         with pytest.raises(ValueError):
             lp_max(LinearProgram.maximize([]))
+
+
+class TestIntegerRows:
+    def test_mixed_denominators_scaled_by_lcm(self):
+        row = ([F(1, 2), F(1, 3)], F(5, 6))
+        programs = [
+            LinearProgram.maximize([0, 1], eq=[row], le=[row]),
+            LinearProgram(n_vars=2, objective=(0, 1), eq=(row,), le=(row,)),
+        ]
+        for lp in programs:
+            assert lp.eq == lp.le == (((3, 2), 5),)
+            ints, rhs = lp.le[0]
+            assert all(type(v) is int for v in ints + (rhs,))
+            assert lp.objective == (F(0), F(1))
+
+    def test_sign_and_mixed_inputs(self):
+        lp = LinearProgram.maximize(
+            [F(1, 2), 1], le=[(["-1/4", 1], F(-3, 2)), ((2, 4), 6)]
+        )
+        assert lp.le == (((-1, 4), -6), ((2, 4), 6))
+        assert lp.objective == (F(1, 2), F(1))   # not scaled
+
+    @pytest.mark.parametrize("kind", ["eq", "le"])
+    def test_float_entry_rejected(self, kind):
+        with pytest.raises(TypeError):
+            LinearProgram.maximize([1, 1], **{kind: [([0.5, 1], 1)]})
+        with pytest.raises(TypeError):
+            LinearProgram(n_vars=2, objective=(1, 1),
+                          **{kind: (((1, 1), 0.5),)})
+        with pytest.raises(TypeError):
+            LinearProgram.maximize([1, 0.5])
+
+    @pytest.mark.parametrize("kind", ["eq", "le"])
+    def test_width_mismatch_rejected(self, kind):
+        with pytest.raises(ValueError, match="constraint width 3 != 2"):
+            LinearProgram.maximize([1, 1], **{kind: [([1, 1, 1], 1)]})
+        with pytest.raises(ValueError, match="constraint width 1 != 2"):
+            LinearProgram(n_vars=2, objective=(1, 1), **{kind: (((1,), 1),)})
+        with pytest.raises(ValueError, match="objective width 1 != 2"):
+            LinearProgram(n_vars=2, objective=(1,))
+
+
+class TestRecheck:
+    """The witness check runs on integer numerators over a denominator."""
+
+    # maximize x + 2y  s.t.  x + y = 3/2,  x - y <= 1/2,  -x <= 0
+    LP = LinearProgram.maximize(
+        [1, 2], eq=[([1, 1], F(3, 2))], le=[([1, -1], F(1, 2)), ([-1, 0], 0)]
+    )
+
+    def test_optimum_passes(self):
+        res = lp_max(self.LP)
+        assert res.x == (0, F(3, 2)) and res.objective == 3
+        # x = (0, 3) / 2, and c.x = 6 / 2
+        _recheck(self.LP, [0, 3], 2, [1, 2], 6)
+        _recheck(self.LP, [0, 6], 4, [1, 2], 12)
+
+    @pytest.mark.parametrize("nums,den,optimum,message", [
+        ([1, 3], 2, 7, "equality violated"),
+        ([5, 1], 4, 7, "inequality violated"),
+        ([-1, 4], 2, 7, "inequality violated"),
+        ([0, 3], 2, 5, "objective mismatch"),
+        ([0, 3], 2, 7, "objective mismatch"),
+    ])
+    def test_each_violation_raises(self, nums, den, optimum, message):
+        with pytest.raises(RuntimeError, match=message):
+            _recheck(self.LP, nums, den, [1, 2], optimum)
