@@ -10,16 +10,12 @@ order, that the predicate marks.  Results are therefore the same for every
 worker count, on the failure path too.
 
 Each worker rebuilds the construction once, from the Hadamard signs and
-alpha, and then applies the check to its chunks of tasks.  Stopping early
-cancels the chunks not yet started and waits for the running ones, so no
-worker is killed while it holds a queue lock; a worker that dies makes the
-map raise BrokenProcessPool instead of waiting for it forever.
+alpha, and then applies the check to its chunks of tasks.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -60,17 +56,12 @@ def _until_failed(results, failed):
 
 def _pooled(check, con, tasks, jobs, failed):
     chunk = max(1, len(tasks) // (jobs * 8))
-    pool = ProcessPoolExecutor(
-        jobs,
-        mp_context=multiprocessing.get_context(),
-        initializer=_worker_init,
-        initargs=(check, con.hadamard.signs, str(con.params.alpha)),
-    )
-    try:
-        results = pool.map(_worker_run, tasks, chunksize=chunk)
-        yield from _until_failed(results, failed)
-    finally:
-        pool.shutdown(cancel_futures=True)
+    ctx = multiprocessing.get_context()
+    initargs = (check, con.hadamard.signs, str(con.params.alpha))
+    # leaving the block terminates the pool, so chunks still running past
+    # the first failure are dropped
+    with ctx.Pool(jobs, initializer=_worker_init, initargs=initargs) as pool:
+        yield from _until_failed(pool.imap(_worker_run, tasks, chunk), failed)
 
 
 _WORKER = None                     # (check, construction) in a worker process

@@ -1,9 +1,9 @@
 """Puts this directory on sys.path, so that the test modules can import the
 shared literal references in ``literal.py`` under every pytest import mode.
 
-Every test also runs under a time limit (``time_limit`` below): a test that
-hangs fails with a TimeoutError and a traceback of where it waited, and the
-rest of the run goes on.
+Every test also runs under one time limit: a test that hangs fails with a
+TimeoutError and a traceback of where it waited, and the rest of the run
+goes on.
 """
 
 import os
@@ -14,28 +14,18 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-DEFAULT_TIME_LIMIT = 900           # seconds; the slowest test takes ~75 s
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "time_limit(seconds): fail the test after this many seconds "
-        f"(default {DEFAULT_TIME_LIMIT})",
-    )
+TIME_LIMIT = 300                   # seconds; the slowest test takes ~72 s
 
 
 @pytest.fixture(autouse=True)
-def time_limit(request):
-    """Raise TimeoutError in the test once its limit has passed."""
-    mark = request.node.get_closest_marker("time_limit")
-    seconds = mark.args[0] if mark else DEFAULT_TIME_LIMIT
+def time_limit():
+    """Raise TimeoutError in the test once TIME_LIMIT has passed."""
 
     def expire(signum, frame):
-        raise TimeoutError(f"the test ran past its {seconds} s time limit")
+        raise TimeoutError(f"the test ran past its {TIME_LIMIT} s time limit")
 
     previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
+    signal.alarm(TIME_LIMIT)
     try:
         yield
     finally:

@@ -184,23 +184,23 @@ def test_criterion_7_property_suite(cons, tmp_path, capsys):
     lp_ok = True
     for _ in range(25):
         n = rng.randint(2, 3)
-        lp = LinearProgram.maximize(
-            [F(rng.randint(-3, 3)) for _ in range(n)],
-            le=[
-                (tuple(F(rng.randint(-3, 3)) for _ in range(n)),
-                 F(rng.randint(0, 5)))
-                for _ in range(rng.randint(2, 5))
-            ] + [(tuple(F(1) if i == j else F(0) for j in range(n)), F(4))
-                 for i in range(n)]
-              + [(tuple(F(-1) if i == j else F(0) for j in range(n)), F(4))
-                 for i in range(n)],
+        objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+        le = (
+            [(tuple(F(rng.randint(-3, 3)) for _ in range(n)),
+              F(rng.randint(0, 5)))
+             for _ in range(rng.randint(2, 5))]
+            + [(tuple(F(1) if i == j else F(0) for j in range(n)), F(4))
+               for i in range(n)]
+            + [(tuple(F(-1) if i == j else F(0) for j in range(n)), F(4))
+               for i in range(n)]
         )
-        res = lp_max(lp)
+        res = lp_max(LinearProgram.maximize(objective, le=le))
+        # re-substituted into the rows given here, not the solver's copy
         if res.status == "optimal":
-            for coeffs, rhs in lp.le:
+            for coeffs, rhs in le:
                 lp_ok &= sum(c * v for c, v in zip(coeffs, res.x)) <= rhs
             lp_ok &= sum(
-                c * v for c, v in zip(lp.objective, res.x)
+                c * v for c, v in zip(objective, res.x)
             ) == res.objective
 
     # is_face invariant under global negation on 1000 randomized subsets

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
@@ -26,16 +27,18 @@ def solve_square(rows, rhs):
     return [work[i][n] for i in range(n)]
 
 
-def brute_force_max(lp):
+def brute_force_max(objective, eq, le):
     """Independent oracle for bounded problems: enumerate basic points.
 
-    Requires the feasible region to be bounded (the callers add box
-    constraints), so it is a polytope and the optimum sits at a vertex, i.e.
-    at an intersection of n constraint hyperplanes.
+    Reads the caller's rows, not the solver's scaled copy, so a scaling
+    error in ``LinearProgram`` shows as a disagreement.  Requires the
+    feasible region to be bounded (the callers add box constraints), so it
+    is a polytope and the optimum sits at a vertex, i.e. at an intersection
+    of n constraint hyperplanes.
     """
-    n = lp.n_vars
-    cons = [(coeffs, rhs, True) for coeffs, rhs in lp.eq]
-    cons += [(coeffs, rhs, False) for coeffs, rhs in lp.le]
+    n = len(objective)
+    cons = [(coeffs, rhs, True) for coeffs, rhs in eq]
+    cons += [(coeffs, rhs, False) for coeffs, rhs in le]
     best = None
     for subset in combinations(range(len(cons)), n):
         rows = [cons[i][0] for i in subset]
@@ -50,15 +53,15 @@ def brute_force_max(lp):
                 feasible = False
                 break
         if feasible:
-            value = sum(c * v for c, v in zip(lp.objective, point))
+            value = sum(c * v for c, v in zip(objective, point))
             if best is None or value > best:
                 best = value
     return best
 
 
-def boxed(lp, bound=5):
-    """Add |x_i| <= bound rows so the brute-force oracle applies."""
-    n = lp.n_vars
+def boxed(n, le, bound=5):
+    """Return ``le`` plus |x_i| <= bound rows, so the brute-force oracle
+    applies."""
     extra = []
     for i in range(n):
         e = [F(0)] * n
@@ -67,7 +70,17 @@ def boxed(lp, bound=5):
         e2 = [F(0)] * n
         e2[i] = F(-1)
         extra.append((tuple(e2), F(bound)))
-    return LinearProgram.maximize(lp.objective, eq=lp.eq, le=lp.le + tuple(extra))
+    return list(le) + extra
+
+
+def assert_witness(objective, eq, le, res):
+    """Re-substitute ``res.x`` into the caller's own rows."""
+    assert res.status == "optimal"
+    for coeffs, rhs in eq:
+        assert sum(c * v for c, v in zip(coeffs, res.x)) == rhs
+    for coeffs, rhs in le:
+        assert sum(c * v for c, v in zip(coeffs, res.x)) <= rhs
+    assert sum(c * v for c, v in zip(objective, res.x)) == res.objective
 
 
 class TestTrivialPrograms:
@@ -152,24 +165,21 @@ class TestAgainstBruteForce:
         statuses = {"optimal": 0, "infeasible": 0}
         for _ in range(40):
             n = rng.randint(2, 3)
-            lp = LinearProgram.maximize(
-                [F(rng.randint(-4, 4)) for _ in range(n)],
-                le=[
-                    (
-                        tuple(F(rng.randint(-3, 3)) for _ in range(n)),
-                        F(rng.randint(-4, 6)),
-                    )
-                    for _ in range(rng.randint(2, 5))
-                ],
-            )
-            lp = boxed(lp)
-            res = lp_max(lp)
-            expected = brute_force_max(lp)
+            objective = [F(rng.randint(-4, 4)) for _ in range(n)]
+            le = boxed(n, [
+                (
+                    tuple(F(rng.randint(-3, 3)) for _ in range(n)),
+                    F(rng.randint(-4, 6)),
+                )
+                for _ in range(rng.randint(2, 5))
+            ])
+            res = lp_max(LinearProgram.maximize(objective, le=le))
+            expected = brute_force_max(objective, [], le)
             if expected is None:
                 assert res.status == "infeasible"
             else:
-                assert res.status == "optimal"
                 assert res.objective == expected
+                assert_witness(objective, [], le, res)
             statuses[res.status] += 1
         assert statuses["optimal"] > 0  # the sample exercises both paths
 
@@ -186,43 +196,35 @@ class TestAgainstBruteForce:
                         F(rng.randint(-3, 3)),
                     )
                 )
-            lp = LinearProgram.maximize(
-                [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)],
-                eq=eq,
-                le=[
-                    (
-                        tuple(F(rng.randint(-3, 3)) for _ in range(n)),
-                        F(rng.randint(-3, 6)),
-                    )
-                    for _ in range(rng.randint(1, 4))
-                ],
-            )
-            lp = boxed(lp)
-            res = lp_max(lp)
-            expected = brute_force_max(lp)
+            objective = [
+                F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)
+            ]
+            le = boxed(n, [
+                (
+                    tuple(F(rng.randint(-3, 3)) for _ in range(n)),
+                    F(rng.randint(-3, 6)),
+                )
+                for _ in range(rng.randint(1, 4))
+            ])
+            res = lp_max(LinearProgram.maximize(objective, eq=eq, le=le))
+            expected = brute_force_max(objective, eq, le)
             if expected is None:
                 assert res.status == "infeasible"
                 seen_infeasible = True
             else:
                 assert res.status == "optimal", expected
                 assert res.objective == expected
+                assert_witness(objective, eq, le, res)
         assert seen_infeasible
 
 
 class TestWitnesses:
     def test_exact_resubstitution(self):
-        lp = LinearProgram.maximize(
-            [F(2), F(-1, 3)],
-            eq=[([1, 1], F(5, 7))],
-            le=[([1, -1], 2), ([-1, 0], 0)],
-        )
-        res = lp_max(lp)
-        assert res.status == "optimal"
-        for coeffs, rhs in lp.eq:
-            assert sum(c * v for c, v in zip(coeffs, res.x)) == rhs
-        for coeffs, rhs in lp.le:
-            assert sum(c * v for c, v in zip(coeffs, res.x)) <= rhs
-        assert sum(c * v for c, v in zip(lp.objective, res.x)) == res.objective
+        objective = [F(2), F(-1, 3)]
+        eq = [([1, 1], F(5, 7))]
+        le = [([1, -1], 2), ([-1, 0], 0)]
+        res = lp_max(LinearProgram.maximize(objective, eq=eq, le=le))
+        assert_witness(objective, eq, le, res)
 
     def test_determinism(self):
         lp = LinearProgram.maximize(
@@ -258,6 +260,27 @@ class TestIntegerRows:
         )
         assert lp.le == (((-1, 4), -6), ((2, 4), 6))
         assert lp.objective == (F(1, 2), F(1))   # not scaled
+
+    def test_random_rows_are_lcm_multiples(self):
+        # each held row is the caller's row times the lcm of its
+        # denominators, computed here with Fraction arithmetic
+        rng = random.Random(303)
+        for _ in range(50):
+            n = rng.randint(1, 4)
+            rows = [
+                (tuple(F(rng.randint(-9, 9), rng.randint(1, 12))
+                       for _ in range(n)),
+                 F(rng.randint(-9, 9), rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            lp = LinearProgram.maximize([0] * n, eq=rows, le=rows)
+            expected = []
+            for coeffs, rhs in rows:
+                lcm = math.lcm(*(v.denominator for v in coeffs + (rhs,)))
+                expected.append(
+                    (tuple(v * lcm for v in coeffs), rhs * lcm)
+                )
+            assert lp.eq == lp.le == tuple(expected)
 
     @pytest.mark.parametrize("kind", ["eq", "le"])
     def test_float_entry_rejected(self, kind):

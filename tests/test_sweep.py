@@ -6,9 +6,6 @@ receive with the check, so serial and pooled runs see the same failing rows.
 """
 
 import json
-import multiprocessing
-import os
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -24,7 +21,6 @@ from csneighborly import (
 )
 from csneighborly.cli import main
 from csneighborly.oracle import FaceReport
-from csneighborly import sweep
 from csneighborly.sweep import ordered_map
 
 # rows of block 1 at d = 16 (1024 rows) forced to fail, spread over the pool
@@ -51,16 +47,6 @@ def _is_face_failing(con, subset):
 
 def _square(con, x):
     return x * x
-
-
-def _exit_at_5(con, x):
-    if x == 5:
-        os._exit(3)
-    return x
-
-
-def _failing_build(*args, **kwargs):
-    raise RuntimeError("worker set-up failed")
 
 
 @pytest.fixture(scope="module")
@@ -90,28 +76,6 @@ class TestOrderedMap:
             ordered_map(_square, con16, range(3), jobs=0)
 
 
-@pytest.mark.time_limit(120)
-class TestPoolShutdown:
-    """A pooled map ends, and leaves no worker behind, on every path."""
-
-    def test_early_stop_leaves_no_workers(self, con16):
-        got = list(ordered_map(_square, con16, range(2000), 3,
-                               failed=lambda r: r == 400))
-        assert got == [x * x for x in range(21)]
-        assert multiprocessing.active_children() == []
-
-    def test_dead_worker_raises(self, con16):
-        with pytest.raises(BrokenProcessPool):
-            list(ordered_map(_exit_at_5, con16, range(40), 2))
-        assert multiprocessing.active_children() == []
-
-    def test_failed_worker_set_up_raises(self, con16, monkeypatch):
-        monkeypatch.setattr(sweep, "build", _failing_build)
-        with pytest.raises(BrokenProcessPool):
-            list(ordered_map(_square, con16, range(40), 2))
-        assert multiprocessing.active_children() == []
-
-
 class TestEmptySweepsRejected:
     def test_faces_zero_samples(self, con16):
         with pytest.raises(ValueError, match="no tasks"):
@@ -126,7 +90,6 @@ class TestEmptySweepsRejected:
             projection_containment(con16, 2, mode="sample", samples=0)
 
 
-@pytest.mark.time_limit(120)
 class TestFailureReportsIndependentOfJobs:
     def test_verify_conditions(self, con16, monkeypatch):
         monkeypatch.setattr(certificate, "_check_row", _check_row_failing)
