@@ -20,7 +20,6 @@ from .blocks import (
 from .certificate import (
     CombinationCertificate,
     expand_combination,
-    hadamard_correction_rule,
     structural_identities,
     verify_conditions,
     verify_general,
@@ -75,7 +74,6 @@ __all__ = [
     "cs_transform_points",
     "dominant_subset_sweep",
     "expand_combination",
-    "hadamard_correction_rule",
     "is_dominant",
     "is_face",
     "load_hadamard",

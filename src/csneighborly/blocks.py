@@ -54,22 +54,25 @@ def iter_supports(d: int, l: int):
     Indicator-lex order prefers a 0 in the earliest position, so support
     {d-1} comes first and {0, ...} variants come last.
     """
-    if l < 0 or l > d:
+    return _supports_from(d, l, 0)
+
+
+def _supports_from(d: int, l: int, r: int):
+    """iter_supports(d, l) from the support at position r on."""
+    if not (0 <= l <= d and r < comb(d, l)):
         return
-
-    def rec(start: int, need: int):
-        remaining = d - start
-        if need == 0:
-            yield ()
+    support = list(unrank_support(d, l, r))
+    while True:
+        yield tuple(support)
+        # the next support lowers the last entry that has room below it and
+        # puts every later entry as high as it can go
+        t = l - 1
+        while t >= 0 and support[t] == (support[t - 1] + 1 if t else 0):
+            t -= 1
+        if t < 0:
             return
-        if remaining < need:
-            return
-        if remaining - 1 >= need:
-            yield from rec(start + 1, need)
-        for rest in rec(start + 1, need - 1):
-            yield (start,) + rest
-
-    yield from rec(0, l)
+        support[t] -= 1
+        support[t + 1:] = range(d - l + t + 1, d)
 
 
 def unrank_support(d: int, l: int, r: int) -> tuple:
@@ -101,12 +104,20 @@ def signed_row_count(d: int, l: int) -> int:
 
 def iter_signed_rows(d: int, l: int):
     """All weight-l signed rows of length d in doubly-lexicographic order."""
-    if l == 0:
-        yield SignedSupportRow(d, (), ())
+    return iter_signed_rows_from(d, l, 0)
+
+
+def iter_signed_rows_from(d: int, l: int, start: int):
+    """iter_signed_rows(d, l) from position start on (nothing past its end),
+    after one unrank_support."""
+    if not 0 <= l <= d:
         return
-    for support in iter_supports(d, l):
-        for bits in range(1 << l):
-            yield SignedSupportRow(d, support, _signs_from_bits(l, bits))
+    support_rank, bits = divmod(start, 1 << l)
+    sign_rows = [_signs_from_bits(l, b) for b in range(1 << l)]
+    for support in _supports_from(d, l, support_rank):
+        for signs in sign_rows[bits:]:
+            yield SignedSupportRow(d, support, signs)
+        bits = 0
 
 
 def unrank_signed_row(d: int, l: int, r: int) -> SignedSupportRow:

@@ -20,26 +20,31 @@ index of f and two of weight alpha/2 per support index of e, so the
 coefficient sum in block l is (k-l)*beta + l*alpha = 1/2 - (k-l)*(alpha-beta),
 attaining 1/2 exactly when alpha = beta (d = 4k^2) or l = k.
 
-Exhaustive sweeps run on every row; blocks larger than a row cap are verified
-on a deterministic pseudorandom sample (always including the first and last
-row of the block) plus the structural identities that hold independently of
-the row count.  Per-row checks run in scaled integer arithmetic (for
-alpha = p/q the matrix equation clears denominators at q*d, the certificate
-re-summation at 2*p*q*d), so they are exact without any Fraction overhead.
-The Gram matrix G = H^T H is computed once per construction, as a literal
-integer product, and the matrix equation of a row is a signed sum of k rows
-of H, H^T and G, so a row costs O(k*d) rather than a dense O(d^2) product.
+A row check separates into checks of its left part e and its right part f.
+For alpha = p/q, n_hat = e H, m_hat = f H^T and G = H^T H: (a) is
+alpha*max|n_hat| <= 1/2 on e and beta*max|m_hat| <= 1/2 on f; (b) reads
+alpha*n_hat + (1/d) f G = f + alpha*n_hat, where the alpha*n_hat terms
+cancel, so it is f G == d*f; (c) re-sums, scaled by 2pqd, to that same
+comparison and needs eps = 1 - 2*(coefficient sum) >= 0, one per block.
+Each distinct part of a block is checked once, in integers, against the
+actual H and G (hadamard_gram), at O(k*d) per part: L + R checks for an
+exhaustive block of L*R rows.  Blocks above a row cap are checked on a
+deterministic pseudorandom sample of rows, always with their first and last
+row, plus the structural identities that hold independently of the row
+count.  Rows are folded in sweep order from the parts' results, so a
+failure is reported at the row a row-by-row sweep would stop at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
-from operator import add, mul, sub
+from functools import partial
+from itertools import chain, groupby, islice, repeat
+from operator import add, itemgetter, mul, sub
 
-from .blocks import SignedSupportRow, block_row_count, block_rows
+from .blocks import (SignedSupportRow, block_row_count, block_rows,
+                     iter_signed_rows_from, signed_row_count, unrank_signed_row)
 from .construction import Construction
 from .exact import Matrix, as_scalar
 from .hadamard import HadamardMatrix
@@ -47,15 +52,15 @@ from .sampling import SplitMix64, block_sample_seed
 from .sweep import ordered_map
 
 
-# -- correction rows ----------------------------------------------------------
+# -- signed sums of rows ---------------------------------------------------------
 
 
 def _signed_column_sum(vectors, row: SignedSupportRow) -> list:
     """Sum of sign-weighted vectors[i] over the row's support, as ints."""
-    out = [0] * (len(vectors[0]) if vectors else row.length)
+    out = repeat(0, len(vectors[0]))
     for i, s in zip(row.support, row.signs):
-        out = list(map(add if s > 0 else sub, out, vectors[i]))
-    return out
+        out = map(add if s > 0 else sub, out, vectors[i])
+    return list(out)
 
 
 _GRAM_CACHE = [None, ()]    # [HadamardMatrix, its Gram matrix], the last asked
@@ -191,58 +196,29 @@ def expand_combination(
     return cert
 
 
-# -- the scaled-integer row check ---------------------------------------------
+# -- the half kernels ------------------------------------------------------------
 
 
-def _check_row_scaled(h_rows, h_cols, gram, d, k, p, q, left, right):
-    """All-integer verification of one block row, for alpha = p/q.
+def _left_half(h_rows, p, q, e):
+    """(entry_ok, True, max|n_hat|) for a left part e, with n_hat = e H and
+    alpha = p/q: e enters condition (a) only."""
+    top = max(map(abs, _signed_column_sum(h_rows, e)))
+    return 2 * p * top <= q, True, top
 
-    h_rows and h_cols are the rows and columns of H, gram is G = H^T H
-    (hadamard_gram).  With beta = 1/(alpha*d) = q/(p*d), every check below
-    clears denominators: the matrix equation is scaled by q*d, the
-    certificate re-summation by 2*p*q*d.  Returns (entry_ok, eq_ok, cert_ok,
-    max_m_hat, max_n_hat) where m_hat = f H^T and n_hat = e H are the
-    unscaled integer correction rows (left_correction = beta*m_hat,
-    right_correction = alpha*n_hat).
-    """
-    n_hat = _signed_column_sum(h_rows, left)
-    m_hat = _signed_column_sum(h_cols, right)
-    max_m = max(map(abs, m_hat), default=0)
-    max_n = max(map(abs, n_hat), default=0)
 
-    # (a): beta*max_m <= 1/2 and alpha*max_n <= 1/2
-    entry_ok = 2 * q * max_m <= p * d and 2 * p * max_n <= q
+def _right_half(h_cols, gram, d, p, q, f):
+    """(entry_ok, gram_ok, max|m_hat|) for a right part f, with m_hat = f H^T:
+    condition (a), beta*max|m_hat| <= 1/2, and (b), f G == d*f."""
+    top = max(map(abs, _signed_column_sum(h_cols, f)))
+    target = [0] * d
+    for i, s in zip(f.support, f.signs):
+        target[i] = d * s
+    return 2 * q * top <= p * d, _signed_column_sum(gram, f) == target, top
 
-    # (b): (e + beta*m_hat) A == f + alpha*n_hat, scaled by q*d.  The left
-    # side is e_hat H with e_hat = q*m_hat + p*d*e; as m_hat = f H^T and
-    # integer products are associative, e_hat H = q*(f G) + p*d*n_hat exactly
-    pd = p * d
-    f_gram = _signed_column_sum(gram, right)
-    eh = [q * a + pd * b for a, b in zip(f_gram, n_hat)]
-    rhs = [pd * v for v in n_hat]
-    qd = q * d
-    for i, s in zip(right.support, right.signs):
-        rhs[i] += s * qd
-    eq_ok = eh == rhs
 
-    # (c): re-sum the combination certificate, scaled by sc = 2pqd.
-    # Expansion weights scale to q^2 per right-support term and p^2*d per
-    # left-support term; the all-ones halves of each term pair cancel, so the
-    # summed table shift is (2q^2 m_hat | 2p^2 d n_hat), and the multiplier
-    # row becomes 2q * e_hat, whose product with A reuses eh.
-    l = left.weight
-    musum2 = 4 * (k - l) * q * q + 4 * l * p * p * d       # 2 * sum of mu-hat
-    eps_hat = 2 * p * q * d - musum2
-    cert_ok = eps_hat >= 0
-    if cert_ok:
-        sc = 2 * p * q * d
-        p2, shift = 2 * p, 2 * p * p * d    # right table shift: shift * n_hat
-        lhs = [p2 * a - shift * b for a, b in zip(eh, n_hat)]
-        target_right = [0] * d
-        for i, s in zip(right.support, right.signs):
-            target_right[i] = sc * s
-        cert_ok = lhs == target_right
-    return entry_ok, eq_ok, cert_ok, max_m, max_n
+def _row_flags(eps_ok, left, right):
+    """(entry_ok, eq_ok, cert_ok) of the row (e | f) from its halves' results."""
+    return left[0] and right[0], right[1], eps_ok and right[1]
 
 
 # -- structural identities ------------------------------------------------------
@@ -301,15 +277,6 @@ class BlockConditionReport:
     def max_abs_entry(self) -> Fraction:
         return max(self.max_abs_left, self.max_abs_right)
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.entry_bound_ok
-            and self.equation_ok
-            and self.certificate_ok
-            and self.coefficient_sum == self.coefficient_sum_expected
-        )
-
 
 @dataclass(frozen=True)
 class ConditionsReport:
@@ -359,8 +326,7 @@ def block_sweep_tasks(d: int, k: int, l: int, sampled: bool, sample_rows: int,
 
     In sweep order: every row of the block, or, when sampled, its first and
     last row followed by sample_rows draws from the block's SplitMix64
-    stream (block_sample_seed(seed, d, k, l)).  Tasks carry indices only;
-    the check unranks its row, so pooled sweeps send no rows to workers.
+    stream (block_sample_seed(seed, d, k, l)).
     """
     total = block_row_count(d, k, l)
     if sampled:
@@ -372,52 +338,107 @@ def block_sweep_tasks(d: int, k: int, l: int, sampled: bool, sample_rows: int,
     return ((l, index) for index in indices)
 
 
-@lru_cache(maxsize=None)
-def _block_stream(d: int, k: int, l: int):
-    return block_rows(d, k, l)
+LEFT, RIGHT = 0, 1
+HALVES_PER_TASK = 4096
 
 
-def _check_row(con, task):
-    """Sweep check of one block row: (index, entry_ok, eq_ok, cert_ok, maxima)."""
-    l, index = task
-    left, right = _block_stream(con.d, con.k, l).row(index)
-    h, alpha = con.hadamard, con.params.alpha
-    entry_ok, eq_ok, cert_ok, max_m, max_n = _check_row_scaled(
-        h.signs, h.columns, hadamard_gram(h), con.d, con.k, alpha.numerator,
-        alpha.denominator, left, right,
-    )
-    return index, entry_ok, eq_ok, cert_ok, (max_m, max_n)
+def _check_halves(con, task):
+    """(l, [(entry_ok, gram_ok, max), ...]) for task = (l, side, ranks): the
+    left (weight l) or right (weight k-l) parts of block l at positions
+    ranks, a range (streamed) or a list (each unranked)."""
+    l, side, ranks = task
+    d, h, (p, q) = con.d, con.hadamard, con.params.alpha.as_integer_ratio()
+    if side == LEFT:
+        weight, kernel = l, partial(_left_half, h.signs, p, q)
+    else:
+        weight = con.k - l
+        kernel = partial(_right_half, h.columns, hadamard_gram(h), d, p, q)
+    if isinstance(ranks, range):
+        rows = islice(iter_signed_rows_from(d, weight, ranks.start), len(ranks))
+    else:
+        rows = (unrank_signed_row(d, weight, r) for r in ranks)
+    return l, list(map(kernel, rows))
 
 
-def _row_failed(result) -> bool:
-    return not (result[1] and result[2] and result[3])
+class _BlockSweep:
+    """The half tasks of block l, and the fold of their results over its rows.
 
-
-def _fold_block(results):
-    """Fold one block's row results, in sweep order, into its summary.
-
-    The results end at the block's first failing row, if any.  Returns
-    (checked, maxima, entry_ok, eq_ok, cert_ok, first_failure) with maxima
-    the entrywise maximum of the rows' maxima (None for no rows) and
-    first_failure = (row index, reason) or None.
+    Row i*R + j is (left i | right j), for the L = n(l) left parts and the
+    R = n(k-l) right parts.  An exhaustive block hands out its parts as
+    ranges, in the order they first appear in its rows: left 0, rights
+    0..R-1, lefts 1..L-1.  A sampled block (sample: the row tasks of
+    block_sweep_tasks) hands out each distinct part of its rows once.
     """
-    checked = 0
-    maxima = None
-    entry_ok = eq_ok = cert_ok = True
-    first_failure = None
-    for index, row_entry_ok, row_eq_ok, row_cert_ok, row_maxima in results:
-        checked += 1
+
+    def __init__(self, l, lefts, rights, sample, coefficient_sum):
+        self.l, self.lefts, self.rights = l, lefts, rights
+        self.sample, self.coefficient_sum = sample, coefficient_sum
+        self.done = False          # once folded, tasks() hands out no more
+
+    def tasks(self):
+        if self.sample is None:
+            sides = [(LEFT, range(1)), (RIGHT, range(self.rights)),
+                     (LEFT, range(1, self.lefts))]
+        else:
+            # the distinct parts, in order; fold() fills in their results
+            self.indices = [index for _, index in self.sample]
+            self.found = (dict.fromkeys(i // self.rights for i in self.indices),
+                          dict.fromkeys(i % self.rights for i in self.indices))
+            sides = enumerate(map(list, self.found))
+        self.plan = [(side, ranks[a:a + HALVES_PER_TASK])
+                     for side, ranks in sides
+                     for a in range(0, len(ranks), HALVES_PER_TASK)]
+        for side, ranks in self.plan:
+            if self.done:
+                return
+            yield self.l, side, ranks
+
+    def fold(self, results):
+        """(rows_checked, maxima, flags, first_failure) as _fold_rows gives,
+        with maxima = (max|m_hat|, max|n_hat|), from the block's results."""
+        if self.sample is None:
+            # row (0, j) is the first to read right j and row (i, 0) the
+            # first to read left i: once the rows (0, j) have passed, a later
+            # row fails exactly when its left part does
+            halves = chain.from_iterable(map(itemgetter(1), results))
+            first_left, first_right = next(halves), next(halves)
+            rights = chain((first_right,), islice(halves, self.rights - 1))
+            rows = chain(((j, first_left, right) for j, right in enumerate(rights)),
+                         ((i * self.rights, left, first_right)
+                          for i, left in enumerate(halves, 1)))
+        else:
+            (lefts, rights), indices = self.found, self.indices
+            # zip reads no result past the block's own
+            for (side, ranks), (_, halves) in zip(self.plan, results):
+                (lefts, rights)[side].update(zip(ranks, halves))
+            self.found = self.indices = self.plan = None
+            rows = ((i, lefts[i // self.rights], rights[i % self.rights])
+                    for i in indices)
+        eps_ok = self.coefficient_sum <= Fraction(1, 2)
+        checked, maxima, flags, failure = _fold_rows(
+            (index, _row_flags(eps_ok, left, right), (right[2], left[2]))
+            for index, left, right in rows)
+        if self.sample is None:
+            checked = failure[0] + 1 if failure else self.lefts * self.rights
+        return checked, maxima, flags, failure
+
+
+def _fold_rows(rows):
+    """Fold (row index, (entry_ok, eq_ok, cert_ok), maxima) rows, in sweep
+    order, up to the first failing one: (rows folded, entrywise maximum of
+    their maxima or None, its flags or all True, (index, reason) or None)."""
+    checked, maxima = 0, None
+    for checked, (index, flags, row_maxima) in enumerate(rows, 1):
         maxima = row_maxima if maxima is None else tuple(
             map(max, maxima, row_maxima))
-        if not (row_entry_ok and row_eq_ok and row_cert_ok):
-            entry_ok, eq_ok, cert_ok = row_entry_ok, row_eq_ok, row_cert_ok
+        if not all(flags):
             reason = (
-                "entry bound exceeded" if not entry_ok
-                else "matrix equation failed" if not eq_ok
+                "entry bound exceeded" if not flags[0]
+                else "matrix equation failed" if not flags[1]
                 else "combination certificate failed"
             )
-            first_failure = (index, reason)
-    return checked, maxima, entry_ok, eq_ok, cert_ok, first_failure
+            return checked, maxima, flags, (index, reason)
+    return checked, maxima, (True, True, True), None
 
 
 def verify_conditions(
@@ -435,9 +456,10 @@ def verify_conditions(
     force one behavior for every block (exhaustive raises if a block exceeds
     the cap).  A sampled block always also checks its first and last row, and
     the sweep stops a block at its first failing row in sweep order, which is
-    reported with its index and counted in rows_checked.  With jobs > 1 each
-    block's rows are checked on worker processes; the report is the same for
-    every job count.
+    reported with its index and counted in rows_checked.  Rows are checked
+    as their left and right halves (see the module docstring); with jobs > 1
+    the halves of every block are checked on one pool of worker processes.
+    The report is the same for every job count.
     """
     if mode not in ("auto", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -445,7 +467,7 @@ def verify_conditions(
     alpha, beta = con.params.alpha, con.params.beta
     p, q = alpha.numerator, alpha.denominator
 
-    block_reports = []
+    sweeps = []
     for l in range(k + 1):
         total = block_row_count(d, k, l)
         if mode == "exhaustive" and total > row_cap:
@@ -454,26 +476,35 @@ def verify_conditions(
                 "run in sampled mode"
             )
         sampled = mode == "sample" or (mode == "auto" and total > row_cap)
-        tasks = block_sweep_tasks(d, k, l, sampled, sample_rows, seed)
-        checked, (max_m, max_n), bound_ok, eq_ok, cert_ok, first_failure = (
-            _fold_block(ordered_map(_check_row, con, tasks, jobs,
-                                    failed=_row_failed))
-        )
-
+        # expansion weights times 4pqd: 4q^2 per right, 4p^2*d per left index
         musum = Fraction(4 * (k - l) * q * q + 4 * l * p * p * d, 4 * p * q * d)
+        sample = (block_sweep_tasks(d, k, l, True, sample_rows, seed)
+                  if sampled else None)
+        sweeps.append(_BlockSweep(l, signed_row_count(d, l),
+                                  signed_row_count(d, k - l), sample, musum))
+
+    # one map over every block's tasks; results come in task order, so they
+    # group by block
+    tasks = chain.from_iterable(sweep.tasks() for sweep in sweeps)
+    block_reports = []
+    for l, group in groupby(ordered_map(_check_halves, con, tasks, jobs),
+                            key=itemgetter(0)):
+        sweep = sweeps[l]
+        checked, (max_m, max_n), flags, first_failure = sweep.fold(group)
+        sweep.done = True          # a serial sweep skips the block's rest
         block_reports.append(
             BlockConditionReport(
                 l=l,
-                rows_total=total,
+                rows_total=sweep.lefts * sweep.rights,
                 rows_checked=checked,
-                sampled=sampled,
+                sampled=sweep.sample is not None,
                 max_abs_left=beta * max_m,
                 max_abs_right=alpha * max_n,
-                coefficient_sum=musum,
+                coefficient_sum=sweep.coefficient_sum,
                 coefficient_sum_expected=(k - l) * beta + l * alpha,
-                entry_bound_ok=bound_ok,
-                equation_ok=eq_ok,
-                certificate_ok=cert_ok,
+                entry_bound_ok=flags[0],
+                equation_ok=flags[1],
+                certificate_ok=flags[2],
                 first_failure=first_failure,
             )
         )
@@ -569,39 +600,10 @@ def _exact_rows(a) -> Matrix:
     return rows
 
 
-def hadamard_correction_rule(a):
-    """Correction rule for A = alpha*H: f |-> beta f H^T, e |-> e A.
-
-    A is an iterable of rows.  Requires a square A whose entries all share
-    one absolute value alpha > 0 and whose sign pattern is a Hadamard matrix.
-    """
-    a = _exact_rows(a)
-    d = len(a)
-    if d != len(a[0]):
-        raise ValueError("the Hadamard correction rule needs a square A")
-    alpha = abs(a[0][0])
-    if alpha == 0 or any(abs(v) != alpha for row in a for v in row):
-        raise ValueError("entries of A must all have the same absolute value")
-    try:
-        h = HadamardMatrix(
-            tuple(1 if v > 0 else -1 for v in row) for row in a)
-    except ValueError:
-        raise ValueError(
-            "the sign pattern of A is not a Hadamard matrix") from None
-    beta = Fraction(1) / (alpha * d)
-
-    def rule(left: SignedSupportRow, right: SignedSupportRow):
-        m_row = tuple(beta * v for v in _signed_column_sum(h.columns, right))
-        n_row = tuple(alpha * v for v in _signed_column_sum(h.signs, left))
-        return m_row, n_row
-
-    return rule
-
-
 def verify_general(
     a,
     k: int,
-    correction_rule=None,
+    correction_rule,
     row_cap: int = 20_000,
     sample_rows: int = 1_000,
     seed: int = 0,
@@ -611,8 +613,7 @@ def verify_general(
     A is an iterable of rows of exact entries (ints, 'p/q' strings or
     Fractions; floats raise TypeError); empty or ragged rows raise
     ValueError.  The rule maps a block row (left, right) to exact correction
-    rows of widths (d, n); it defaults to the Hadamard rule derived from A
-    when A is square.  Condition (c) uses the generic staircase expansion,
+    rows of widths (d, n).  Condition (c) uses the generic staircase expansion,
     whose coefficient sum is the max-norm of the correction row, so (c)
     holds exactly when (a) does; the certificate is still re-summed in full.
     """
@@ -620,8 +621,6 @@ def verify_general(
         raise ValueError("k must be at least 1")
     a = _exact_rows(a)
     d, n = len(a), len(a[0])
-    rule = (correction_rule if correction_rule is not None
-            else hadamard_correction_rule(a))
 
     reports = []
     for l in range(k + 1):
@@ -635,12 +634,10 @@ def verify_general(
         )
         # a block is empty when k - l exceeds n or l exceeds d
         results = (
-            ordered_map(_check_general_row, (a, rule), rows, failed=_row_failed)
+            ordered_map(_check_general_row, (a, correction_rule), rows)
             if total else ()
         )
-        checked, maxima, bound_ok, eq_ok, cert_ok, first_failure = _fold_block(
-            results
-        )
+        checked, maxima, flags, first_failure = _fold_rows(results)
         reports.append(
             GeneralBlockReport(
                 l=l,
@@ -648,9 +645,9 @@ def verify_general(
                 rows_checked=checked,
                 sampled=not exhaustive,
                 max_abs_entry=maxima[0] if maxima else Fraction(0),
-                entry_bound_ok=bound_ok,
-                equation_ok=eq_ok,
-                certificate_ok=cert_ok,
+                entry_bound_ok=flags[0],
+                equation_ok=flags[1],
+                certificate_ok=flags[2],
                 first_failure=first_failure,
             )
         )
@@ -700,4 +697,4 @@ def _check_general_row(pair, task):
             cert.verify(a)
         except ValueError:
             cert_ok = False
-    return index, bound_ok, eq_ok, cert_ok, (worst,)
+    return index, (bound_ok, eq_ok, cert_ok), (worst,)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -470,8 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse takes a value such as -1/3 for an option, so '--alpha -1/3'
+    # is read as '--alpha=-1/3' for a negative alpha to reach its check
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens[-1:] == ["--alpha"] and re.match(r"-\.?\d", token):
+            token = f"{tokens.pop()}={token}"
+        tokens.append(token)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(tokens)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -31,6 +31,7 @@ from math import comb
 from .blocks import (_signs_from_bits, block_rows, total_row_count,
                      unrank_support)
 from .construction import Construction
+from .exact import as_scalar
 from .sampling import SplitMix64
 from .simplex import LinearProgram, lp_max
 from .sweep import ordered_map
@@ -200,7 +201,8 @@ def membership_margin(con: Construction, point) -> tuple:
 
     Maximizes t subject to point + X y lying in the cube of half-width
     1/2 - t; t > 0 means strictly inside, t = 0 on the boundary, t < 0
-    outside.  Returns (t, y).
+    outside.  Returns (t, y).  Entries are ints, 'p/q' strings or
+    Fractions; a float raises TypeError.
     """
     d, m = con.d, con.m
     if len(point) != m:
@@ -208,7 +210,7 @@ def membership_margin(con: Construction, point) -> tuple:
     le = []
     for i in range(m):
         xrow = con.X[i]
-        w_i = Fraction(point[i])
+        w_i = as_scalar(point[i])
         le.append((xrow + (1,), HALF - w_i))
         le.append((tuple(-v for v in xrow) + (1,), HALF + w_i))
     objective = (0,) * d + (1,)

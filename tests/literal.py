@@ -3,11 +3,22 @@
 The package never multiplies, ranks or stacks Fraction matrices: its
 identities hold by construction or reduce to integer products.  Nor does it
 re-substitute a face witness into the vertices in Fractions: the face LP's
-integer recheck covers that.  These slow, obvious versions are what the tests
-check those shortcuts against.
+integer recheck covers that, and it checks a certificate row as two halves
+in scaled integers.  These slow, obvious versions are what the tests check
+those shortcuts against.
 """
 
 from fractions import Fraction as F
+
+from csneighborly.blocks import block_row_count, block_rows
+from csneighborly.certificate import (
+    BlockConditionReport,
+    ConditionsReport,
+    StructuralReport,
+    block_sweep_tasks,
+)
+
+HALF = F(1, 2)
 
 
 def transpose(a):
@@ -87,3 +98,150 @@ def recheck_face(con, report):
         if not ok:
             bad.append(key)
     return bad
+
+
+def literal_row_check(con, left, right):
+    """The three conditions on one row (e | f), in plain Fraction arithmetic.
+
+    Computes the correction rows and the full table re-summation literally,
+    with no integer scaling and no shared subexpressions.  Returns
+    (bound_ok, eq_ok, cert_ok, coefficient sum, max entry, left correction,
+    right correction).
+    """
+    d = con.d
+    alpha, beta = con.params.alpha, con.params.beta
+    h = con.hadamard
+    e = left.dense()
+    f = right.dense()
+
+    m_row = [F(0)] * d
+    for i, s in zip(right.support, right.signs):
+        for c in range(d):
+            m_row[c] += beta * s * h.column_signs(i)[c]
+    n_row = [F(0)] * d
+    for j, s in zip(left.support, left.signs):
+        for c in range(d):
+            n_row[c] += alpha * s * h.row_signs(j)[c]
+
+    worst = max(
+        max((abs(v) for v in m_row), default=F(0)),
+        max((abs(v) for v in n_row), default=F(0)),
+    )
+    bound_ok = worst <= HALF
+
+    lhs = [F(0)] * d
+    for j in range(d):
+        coeff = e[j] + m_row[j]
+        for c in range(d):
+            lhs[c] += coeff * con.A[j][c]
+    eq_ok = all(lhs[c] == f[c] + n_row[c] for c in range(d))
+
+    # the explicit expansion and its literal re-summation
+    terms = []
+    ones = (1,) * d
+    neg = (-1,) * d
+    for i, s in zip(right.support, right.signs):
+        col = tuple(s * x for x in h.column_signs(i))
+        terms.append((beta / 2, col + ones))
+        terms.append((beta / 2, col + neg))
+    for j, s in zip(left.support, left.signs):
+        row = tuple(s * x for x in h.row_signs(j))
+        terms.append((alpha / 2, ones + row))
+        terms.append((alpha / 2, neg + row))
+    total = sum((mu for mu, _ in terms), F(0))
+    eps = 1 - 2 * total
+    shift = [F(0)] * (2 * d)
+    for mu, delta in terms:
+        for c in range(2 * d):
+            shift[c] += mu * delta[c]
+    nus = [e[j] + shift[j] for j in range(d)]
+    acc = [F(0)] * (1 + 2 * d)
+    for mu, delta in terms:
+        acc[0] += 2 * mu
+        for c in range(2 * d):
+            acc[1 + c] -= mu * delta[c]
+    for j, nu in enumerate(nus):
+        acc[1 + j] += nu
+        for c in range(d):
+            acc[1 + d + c] += nu * con.A[j][c]
+    acc[0] += eps
+    target = (F(1),) + tuple(e) + tuple(f)
+    cert_ok = eps >= 0 and total <= HALF and tuple(acc) == target
+    return bound_ok, eq_ok, cert_ok, total, worst, m_row, n_row
+
+
+def literal_conditions(con, mode="auto", row_cap=1_000_000,
+                       sample_rows=100_000, seed=0):
+    """Row-by-row reference for verify_conditions.
+
+    Folds literal_row_check over the rows of block_sweep_tasks, in sweep
+    order, and stops each block at its first failing row.  The structural
+    identities are checked with a literal Fraction product H^T H.
+    """
+    d, k = con.d, con.k
+    alpha, beta = con.params.alpha, con.params.beta
+    blocks = []
+    for l in range(k + 1):
+        total = block_row_count(d, k, l)
+        if mode == "exhaustive" and total > row_cap:
+            raise ValueError(f"block l={l} has {total} rows, above the cap")
+        sampled = mode == "sample" or (mode == "auto" and total > row_cap)
+        stream = block_rows(d, k, l)
+        checked, max_left, max_right = 0, F(0), F(0)
+        flags, failure = (True, True, True), None
+        for _, index in block_sweep_tasks(d, k, l, sampled, sample_rows, seed):
+            left, right = stream.row(index)
+            *row_flags, musum, _, m_row, n_row = literal_row_check(
+                con, left, right)
+            checked += 1
+            max_left = max(max_left, *map(abs, m_row))
+            max_right = max(max_right, *map(abs, n_row))
+            if not all(row_flags):
+                flags = tuple(row_flags)
+                reason = (
+                    "entry bound exceeded" if not flags[0]
+                    else "matrix equation failed" if not flags[1]
+                    else "combination certificate failed"
+                )
+                failure = (index, reason)
+                break
+        blocks.append(BlockConditionReport(
+            l=l, rows_total=total, rows_checked=checked, sampled=sampled,
+            max_abs_left=max_left, max_abs_right=max_right,
+            coefficient_sum=musum,
+            coefficient_sum_expected=(k - l) * beta + l * alpha,
+            entry_bound_ok=flags[0], equation_ok=flags[1],
+            certificate_ok=flags[2], first_failure=failure,
+        ))
+    h = con.hadamard.signs
+    return ConditionsReport(
+        d=d, k=k, alpha=alpha, beta=beta, mode=mode, seed=seed,
+        sample_rows=sample_rows, blocks=tuple(blocks),
+        structural=StructuralReport(
+            hadamard_gram_ok=naive_product(transpose(h), h) == identity(d, d),
+            alpha_beta_product_ok=alpha * beta * d == 1,
+        ),
+    )
+
+
+def hadamard_rule(a):
+    """The Hadamard correction rule of A = alpha*H, for verify_general.
+
+    The left correction beta * f H^T is f A^T / (alpha^2 d) and the right
+    correction alpha * e H is e A, both as literal Fraction products, with
+    alpha = |A[0][0]|.  Any A gives corrections of the widths verify_general
+    expects; only a Hadamard A makes them pass.
+    """
+    a = tuple(tuple(F(v) for v in row) for row in a)
+    d, n = len(a), len(a[0])
+    scale = 1 / (abs(a[0][0]) ** 2 * d)
+
+    def rule(left, right):
+        e, f = left.dense(), right.dense()
+        m_row = tuple(scale * sum((f[c] * a[j][c] for c in range(n)), F(0))
+                      for j in range(d))
+        n_row = tuple(sum((e[j] * a[j][c] for j in range(d)), F(0))
+                      for c in range(n))
+        return m_row, n_row
+
+    return rule

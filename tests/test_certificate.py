@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,6 @@ from csneighborly import (
     block_rows,
     build,
     expand_combination,
-    hadamard_correction_rule,
     structural_identities,
     sylvester,
     verify_conditions,
@@ -14,91 +14,40 @@ from csneighborly import (
 )
 from csneighborly.blocks import SignedSupportRow
 from csneighborly.certificate import (
-    _check_row_scaled,
+    _left_half,
+    _right_half,
+    _row_flags,
     cube_combination,
     hadamard_gram,
 )
 from csneighborly.construction import cs_transform_defect
 from csneighborly.hadamard import HadamardMatrix
+from literal import HALF, hadamard_rule, literal_conditions, literal_row_check
 
-HALF = F(1, 2)
 
+def half_row_check(con, left, right):
+    """The sweep's verdict on one row (e | f), composed from its two halves.
 
-def literal_row_check(con, left, right):
-    """Independent oracle: the three conditions in plain Fraction arithmetic.
-
-    Computes the correction rows and the full table re-summation literally,
-    with no integer scaling and no shared subexpressions.  Returns
-    (bound_ok, eq_ok, cert_ok, coefficient sum, max entry, left correction,
-    right correction).
+    Returns (entry_ok, eq_ok, cert_ok, max|f H^T|, max|e H|).
     """
-    d, k = con.d, con.k
+    h, d, k, l = con.hadamard, con.d, con.k, left.weight
     alpha, beta = con.params.alpha, con.params.beta
-    h = con.hadamard
-    e = left.dense()
-    f = right.dense()
-
-    m_row = [F(0)] * d
-    for i, s in zip(right.support, right.signs):
-        for c in range(d):
-            m_row[c] += beta * s * h.column_signs(i)[c]
-    n_row = [F(0)] * d
-    for j, s in zip(left.support, left.signs):
-        for c in range(d):
-            n_row[c] += alpha * s * h.row_signs(j)[c]
-
-    worst = max(
-        max((abs(v) for v in m_row), default=F(0)),
-        max((abs(v) for v in n_row), default=F(0)),
-    )
-    bound_ok = worst <= HALF
-
-    lhs = [F(0)] * d
-    for j in range(d):
-        coeff = e[j] + m_row[j]
-        for c in range(d):
-            lhs[c] += coeff * con.A[j][c]
-    eq_ok = all(lhs[c] == f[c] + n_row[c] for c in range(d))
-
-    # the explicit expansion and its literal re-summation
-    terms = []
-    ones = (1,) * d
-    neg = (-1,) * d
-    for i, s in zip(right.support, right.signs):
-        col = tuple(s * x for x in h.column_signs(i))
-        terms.append((beta / 2, col + ones))
-        terms.append((beta / 2, col + neg))
-    for j, s in zip(left.support, left.signs):
-        row = tuple(s * x for x in h.row_signs(j))
-        terms.append((alpha / 2, ones + row))
-        terms.append((alpha / 2, neg + row))
-    total = sum((mu for mu, _ in terms), F(0))
-    eps = 1 - 2 * total
-    shift = [F(0)] * (2 * d)
-    for mu, delta in terms:
-        for c in range(2 * d):
-            shift[c] += mu * delta[c]
-    nus = [e[j] + shift[j] for j in range(d)]
-    acc = [F(0)] * (1 + 2 * d)
-    for mu, delta in terms:
-        acc[0] += 2 * mu
-        for c in range(2 * d):
-            acc[1 + c] -= mu * delta[c]
-    for j, nu in enumerate(nus):
-        acc[1 + j] += nu
-        for c in range(d):
-            acc[1 + d + c] += nu * con.A[j][c]
-    acc[0] += eps
-    target = (F(1),) + tuple(e) + tuple(f)
-    cert_ok = eps >= 0 and total <= HALF and tuple(acc) == target
-    return bound_ok, eq_ok, cert_ok, total, worst, m_row, n_row
+    p, q = alpha.numerator, alpha.denominator
+    left_result = _left_half(h.signs, p, q, left)
+    right_result = _right_half(h.columns, hadamard_gram(h), d, p, q, right)
+    eps_ok = (k - l) * beta + l * alpha <= HALF
+    return _row_flags(eps_ok, left_result, right_result) + (
+        right_result[2], left_result[2])
 
 
-def scaled_row_check(con, left, right):
-    h = con.hadamard
-    p, q = con.params.alpha.numerator, con.params.alpha.denominator
-    return _check_row_scaled(h.signs, h.columns, hadamard_gram(h), con.d,
-                             con.k, p, q, left, right)
+def assert_halves_match_literal(con, left, right):
+    """The composed halves and the literal oracle agree on one row."""
+    fast = half_row_check(con, left, right)
+    slow = literal_row_check(con, left, right)
+    assert fast[:3] == slow[:3]
+    assert con.params.beta * fast[3] == max(map(abs, slow[5]))
+    assert con.params.alpha * fast[4] == max(map(abs, slow[6]))
+    return fast[:3]
 
 
 def unvalidated_hadamard(signs):
@@ -117,6 +66,13 @@ def flipped_sylvester(e, i, j):
     return unvalidated_hadamard(rows)
 
 
+def random_sign_matrix(d, seed):
+    """An unvalidated d x d matrix of pseudorandom +-1 entries."""
+    rng = random.Random(seed)
+    return unvalidated_hadamard(
+        [[rng.choice((1, -1)) for _ in range(d)] for _ in range(d)])
+
+
 class TestRowCheckAgainstLiteralOracle:
     @pytest.mark.parametrize("e", [2, 3])
     def test_every_row_small_orders(self, e):
@@ -124,30 +80,27 @@ class TestRowCheckAgainstLiteralOracle:
         d, k = con.d, con.k
         for l in range(k + 1):
             for left, right in block_rows(d, k, l):
-                fast = scaled_row_check(con, left, right)
-                slow = literal_row_check(con, left, right)
-                assert fast[:3] == slow[:3] == (True, True, True)
+                assert assert_halves_match_literal(con, left, right) == (
+                    True, True, True)
 
     def test_sampled_rows_d16(self):
         con = build(sylvester(4))
         for l in range(3):
             for _, (left, right) in block_rows(16, 2, l).sample(40, seed=1):
-                fast = scaled_row_check(con, left, right)
-                slow = literal_row_check(con, left, right)
-                assert fast[:3] == slow[:3] == (True, True, True)
+                assert assert_halves_match_literal(con, left, right) == (
+                    True, True, True)
 
     def test_overridden_alpha_every_row(self):
         con = build(sylvester(3), alpha=F(2, 5))
         for l in range(2):
             for left, right in block_rows(8, 1, l):
-                fast = scaled_row_check(con, left, right)
-                slow = literal_row_check(con, left, right)
-                assert fast[:3] == slow[:3] == (True, True, True)
+                assert assert_halves_match_literal(con, left, right) == (
+                    True, True, True)
 
     def test_non_hadamard_agrees_row_by_row(self):
         # one flipped entry: H^T H != d*I, so some rows must fail, and the
-        # kernel, which sums the literal G, must fail exactly the rows the
-        # dense Fraction oracle fails, with the same three verdicts
+        # halves, which sum the literal H and G, must fail exactly the rows
+        # the dense Fraction oracle fails, with the same three verdicts
         h = flipped_sylvester(3, 2, 5)
         con = build(h, verify=False)
         assert hadamard_gram(h) != tuple(
@@ -155,15 +108,28 @@ class TestRowCheckAgainstLiteralOracle:
         failing = 0
         for l in range(con.k + 1):
             for left, right in block_rows(8, con.k, l):
-                fast = scaled_row_check(con, left, right)
-                slow = literal_row_check(con, left, right)
-                assert fast[:3] == slow[:3]
-                failing += not all(fast[:3])
+                failing += not all(
+                    assert_halves_match_literal(con, left, right))
         assert failing > 0
         # the integer build check rejects the same matrix
         assert cs_transform_defect(h.signs) is not None
         with pytest.raises(ValueError, match="H H\\^T != d\\*I"):
             build(h)
+
+    @pytest.mark.parametrize("con", [
+        pytest.param(lambda: build(flipped_sylvester(4, 6, 9), verify=False),
+                     id="flipped16"),
+        pytest.param(lambda: build(random_sign_matrix(16, 3), verify=False),
+                     id="random16"),
+    ])
+    def test_failing_rows_agree_row_by_row(self, con):
+        # sampled rows of every block of a d = 16 matrix that is not Hadamard
+        con = con()
+        verdicts = set()
+        for l in range(con.k + 1):
+            for _, (left, right) in block_rows(16, 2, l).sample(100, seed=2):
+                verdicts.add(assert_halves_match_literal(con, left, right))
+        assert verdicts - {(True, True, True)}
 
     def test_non_hadamard_fails_the_sweep(self):
         con = build(flipped_sylvester(3, 2, 5), verify=False)
@@ -171,6 +137,48 @@ class TestRowCheckAgainstLiteralOracle:
         assert not rep.passed
         assert not rep.structural.hadamard_gram_ok
         assert rep.failures
+
+
+SWEEP_CASES = [
+    pytest.param(lambda: build(sylvester(2)), id="sylvester2"),
+    pytest.param(lambda: build(sylvester(3)), id="sylvester3"),
+    pytest.param(lambda: build(sylvester(3), alpha=F(2, 5)),
+                 id="sylvester3-alpha2/5"),
+    pytest.param(lambda: build(flipped_sylvester(3, 2, 5), verify=False),
+                 id="flipped8"),
+    pytest.param(lambda: build(flipped_sylvester(4, 6, 9), verify=False),
+                 id="flipped16"),
+    pytest.param(lambda: build(random_sign_matrix(16, 3), verify=False),
+                 id="random16"),
+    # row 15 = -row 14: the first left part of block 2, +e_14 + e_15, has
+    # e H = 0, so its maximum must come from later rows
+    pytest.param(lambda: build(unvalidated_hadamard(
+        sylvester(4).signs[:15] + (tuple(-v for v in sylvester(4).signs[14]),)),
+        verify=False), id="negated-row16"),
+]
+
+
+class TestConditionsAgainstLiteralSweep:
+    """verify_conditions equals the row-by-row literal sweep, field by field,
+    on the failure path too, for every job count."""
+
+    @pytest.mark.parametrize("con", SWEEP_CASES)
+    @pytest.mark.parametrize("mode,options", [
+        ("exhaustive", {}),
+        ("sample", {"sample_rows": 25, "seed": 7}),
+    ])
+    def test_equals_literal_sweep(self, con, mode, options):
+        con = con()
+        expected = literal_conditions(con, mode=mode, **options)
+        for jobs in (1, 2):
+            assert verify_conditions(con, mode=mode, jobs=jobs,
+                                     **options) == expected
+
+    def test_failing_cases_fail(self):
+        # the non-Hadamard cases above do exercise the failure path
+        for case in SWEEP_CASES[3:]:
+            rep = verify_conditions(case.values[0](), mode="exhaustive")
+            assert not rep.passed and rep.failures
 
 
 class TestCertificateBlocks:
@@ -186,8 +194,8 @@ class TestCertificateBlocks:
             j, s = left.support[0], left.signs[0]
             expected = [HALF * s * x for x in con.hadamard.row_signs(j)]
             assert n_row == expected
-            # the scaled kernel sees the same maxima, unscaled
-            _, _, _, max_m, max_n = scaled_row_check(con, left, right)
+            # the halves see the same maxima, unscaled
+            _, _, _, max_m, max_n = half_row_check(con, left, right)
             assert (max_m, con.params.alpha * max_n) == (0, HALF)
 
     def test_running_max_d16_l2(self):
@@ -196,7 +204,7 @@ class TestCertificateBlocks:
         worst = max(
             max(beta * max_m, alpha * max_n)
             for _, _, _, max_m, max_n in (
-                scaled_row_check(con, left, right)
+                half_row_check(con, left, right)
                 for left, right in block_rows(16, 2, 2)
             )
         )
@@ -358,12 +366,17 @@ class TestCubeCombination:
 class TestVerifyGeneral:
     def test_hadamard_rule_passes(self):
         con = build(sylvester(2))
-        rep = verify_general(con.A, k=1)
+        rep = verify_general(con.A, k=1, correction_rule=hadamard_rule(con.A))
         assert rep.passed
+
+    def test_rule_is_required(self):
+        with pytest.raises(TypeError):
+            verify_general(build(sylvester(2)).A, k=1)
 
     def test_matches_verify_conditions(self):
         con = build(sylvester(3))
-        assert verify_general(con.A, k=con.k).passed == verify_conditions(con).passed
+        rep = verify_general(con.A, k=con.k, correction_rule=hadamard_rule(con.A))
+        assert rep.passed == verify_conditions(con).passed
 
     def test_zero_pair_fails_equation(self):
         d = 4
@@ -378,7 +391,7 @@ class TestVerifyGeneral:
 
     def test_unscaled_hadamard_fails_bound(self):
         a = sylvester(2).signs  # alpha = 1 violates the window
-        rep = verify_general(a, k=1)
+        rep = verify_general(a, k=1, correction_rule=hadamard_rule(a))
         assert not rep.passed
         assert any(
             reason == "entry bound exceeded" for _, _, reason in rep.failures
@@ -402,61 +415,47 @@ class TestVerifyGeneral:
 
     def test_accepts_list_tuple_and_generator_rows(self):
         con = build(sylvester(2))
+        rule = hadamard_rule(con.A)
         as_lists = [list(row) for row in con.A]
         reports = [
-            verify_general(a, k=1)
+            verify_general(a, k=1, correction_rule=rule)
             for a in (con.A, as_lists, (tuple(row) for row in as_lists))
         ]
         assert reports[0].passed and reports[0] == reports[1] == reports[2]
         # ints and 'p/q' strings are exact too
         half_strings = [["1/2" if v > 0 else "-1/2" for v in row]
                         for row in con.hadamard.signs]
-        assert verify_general(half_strings, k=1) == reports[0]
-        rule = hadamard_correction_rule(row for row in as_lists)
-        left, right = next(iter(block_rows(4, 1, 1)))
-        assert rule(left, right) == hadamard_correction_rule(con.A)(left, right)
+        assert verify_general(half_strings, k=1, correction_rule=rule) == (
+            reports[0])
 
     @pytest.mark.parametrize("a", [[], [[]], ()])
     def test_empty_rows_rejected(self, a):
+        zero_rule = lambda left, right: ((F(0),), (F(0),))
         with pytest.raises(ValueError, match="at least one row"):
-            verify_general(a, k=1)
-        with pytest.raises(ValueError, match="at least one row"):
-            hadamard_correction_rule(a)
+            verify_general(a, k=1, correction_rule=zero_rule)
 
     def test_ragged_rows_rejected(self):
         zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
         for a in ([[1, 2], [3]], ((F(1, 2), F(1, 2)), (F(1, 2),))):
             with pytest.raises(ValueError, match="ragged"):
-                verify_general(a, k=1)
-            with pytest.raises(ValueError, match="ragged"):
                 verify_general(a, k=1, correction_rule=zero_rule)
-            with pytest.raises(ValueError, match="ragged"):
-                hadamard_correction_rule(a)
 
     def test_float_entry_rejected(self):
         a = [[F(1, 2), F(1, 2)], [F(1, 2), -0.5]]
         zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
         with pytest.raises(TypeError, match="not an exact scalar"):
-            verify_general(a, k=1)
-        with pytest.raises(TypeError, match="not an exact scalar"):
             verify_general(a, k=1, correction_rule=zero_rule)
         with pytest.raises(TypeError, match="not an exact scalar"):
-            hadamard_correction_rule(iter(a))
+            verify_general(iter(a), k=1, correction_rule=zero_rule)
 
     def test_non_square_rejected(self):
+        # the Hadamard rule of a 2 x 4 A has the right widths, but the
+        # pair fails the conditions
         a = [[F(1, 2)] * 4, [F(1, 2), F(-1, 2)] * 2]
-        with pytest.raises(ValueError, match="square"):
-            hadamard_correction_rule(a)
-        with pytest.raises(ValueError, match="square"):
-            verify_general(a, k=1)
+        rep = verify_general(a, k=1, correction_rule=hadamard_rule(a))
+        assert not rep.passed and rep.failures
 
     def test_non_hadamard_sign_pattern_rejected(self):
-        for a in ([[F(1, 2)] * 4] * 4, [[1, 1], [1, 1]]):
-            with pytest.raises(ValueError, match="not a Hadamard matrix"):
-                hadamard_correction_rule(a)
-            with pytest.raises(ValueError, match="not a Hadamard matrix"):
-                verify_general(a, k=1)
-        with pytest.raises(ValueError, match="same absolute value"):
-            hadamard_correction_rule([[1, 2], [2, -1]])
-        with pytest.raises(ValueError, match="same absolute value"):
-            hadamard_correction_rule([[0, 0], [0, 0]])
+        for a in ([[F(1, 2)] * 4] * 4, [[1, 1], [1, 1]], [[1, 2], [2, -1]]):
+            rep = verify_general(a, k=1, correction_rule=hadamard_rule(a))
+            assert not rep.passed and rep.failures

@@ -364,6 +364,18 @@ class TestExitCodes:
         assert message in err
 
     @pytest.mark.parametrize("command", [
+        ["generate", "--d", "8"], ["certify", "--d", "8"],
+        ["verify", "--d", "8", "--check", "faces"],
+    ])
+    @pytest.mark.parametrize("alpha", [["--alpha", "-1/3"], ["--alpha=-1/3"]])
+    def test_negative_alpha_exits_2(self, capsys, command, alpha):
+        # as two tokens too, the value reaches the parameter check
+        code, out, err = run(capsys, *command, *alpha)
+        assert code == 2
+        assert out == ""
+        assert "alpha must be positive, got -1/3" in err
+
+    @pytest.mark.parametrize("command", [
         ["certify", "--hadamard"],
         ["verify", "--check", "faces", "--hadamard"],
         ["hadamard", "--import"],

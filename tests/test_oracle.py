@@ -184,6 +184,13 @@ class TestMembership:
         margin, _ = membership_margin(con4, [0] * 8)
         assert margin == F(1, 2)
 
+    def test_float_entry_rejected(self, con4):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            membership_margin(con4, [0.1] + [0] * 7)
+        # the same point in exact form is accepted
+        margin, _ = membership_margin(con4, ["1/10"] + [0] * 7)
+        assert margin == membership_margin(con4, [F(1, 10)] + [0] * 7)[0]
+
 
 class TestDominance:
     def test_full_index_set_dominant(self, con4):

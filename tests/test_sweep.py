@@ -1,8 +1,9 @@
 """ordered_map, and reports that do not depend on the worker count.
 
-Failures are injected by replacing the check function a sweep hands to
-ordered_map with a function of this file, which the worker processes
-receive with the check, so serial and pooled runs see the same failing rows.
+Failures are injected by replacing a function the sweep calls (a half
+kernel of the certificate sweep, or the face check) with a function of this
+file.  The worker processes fork after the replacement, so serial and pooled
+runs see the same failing halves and subsets.
 """
 
 import json
@@ -23,19 +24,29 @@ from csneighborly.cli import main
 from csneighborly.oracle import FaceReport
 from csneighborly.sweep import ordered_map
 
-# rows of block 1 at d = 16 (1024 rows) forced to fail, spread over the pool
-# chunks of jobs 2 and 4; the first one in sweep order is 192
-FAILING_ROWS = frozenset({900, 700, 300, 192})
-_real_check_row = certificate._check_row
+_real_left_half = certificate._left_half
+_real_right_half = certificate._right_half
 _real_is_face = oracle.is_face
 
 
-def _check_row_failing(con, task):
-    l, index = task
-    result = _real_check_row(con, task)
-    if l == 1 and index in FAILING_ROWS:
-        return result[:2] + (False,) + result[3:]
-    return result
+def _left_half_failing(h_rows, p, q, e):
+    # fails the entry bound of the left part -e_5.  Only block 1 at d = 16
+    # has weight-1 left parts (32 of them, supports {15}, {14}, ..., {0},
+    # each with sign + then -), so -e_5 is left 2*10 + 1 = 21, and the first
+    # row that reads it is 21 * 32 = 672
+    entry_ok, gram_ok, top = _real_left_half(h_rows, p, q, e)
+    if (e.support, e.signs) == ((5,), (-1,)):
+        entry_ok = False
+    return entry_ok, gram_ok, top
+
+
+def _right_half_failing(h_cols, gram, d, p, q, f):
+    # fails the matrix equation f G == d*f of the right part +e_3: right
+    # 2*12 = 24 of block 1 at d = 16, first read by row 24 (left 0)
+    entry_ok, gram_ok, top = _real_right_half(h_cols, gram, d, p, q, f)
+    if (f.support, f.signs) == ((3,), (1,)):
+        gram_ok = False
+    return entry_ok, gram_ok, top
 
 
 def _is_face_failing(con, subset):
@@ -45,7 +56,11 @@ def _is_face_failing(con, subset):
     return report
 
 
+_SQUARED = []                      # arguments _square saw in this process
+
+
 def _square(con, x):
+    _SQUARED.append(x)
     return x * x
 
 
@@ -63,9 +78,20 @@ class TestOrderedMap:
 
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_stops_after_first_failure(self, con16, jobs):
-        got = list(ordered_map(_square, con16, range(200), jobs,
-                               failed=lambda r: r in (49, 64, 9801)))
+        # a sweep stops at its first failure by reading no further: what it
+        # read is in task order, and a serial map has checked nothing after
+        _SQUARED.clear()
+        results = ordered_map(_square, con16, range(200), jobs)
+        got = []
+        for result in results:
+            got.append(result)
+            if result in (49, 64, 9801):
+                break
         assert got == [x * x for x in range(8)]
+        if jobs == 1:
+            assert _SQUARED == list(range(8))
+        else:
+            results.close()        # ends the pool
 
     def test_empty_task_source_rejected(self, con16):
         with pytest.raises(ValueError, match="no tasks"):
@@ -92,18 +118,29 @@ class TestEmptySweepsRejected:
 
 class TestFailureReportsIndependentOfJobs:
     def test_verify_conditions(self, con16, monkeypatch):
-        monkeypatch.setattr(certificate, "_check_row", _check_row_failing)
+        monkeypatch.setattr(certificate, "_left_half", _left_half_failing)
         reports = [verify_conditions(con16, jobs=jobs) for jobs in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
         block = reports[0].blocks[1]
-        assert block.rows_checked == 193
-        assert not block.equation_ok
-        assert block.entry_bound_ok and block.certificate_ok
-        assert reports[0].failures == ((1, 192, "matrix equation failed"),)
-        assert [b.rows_checked for b in reports[0].blocks] == [480, 193, 480]
+        assert block.rows_checked == 673
+        assert not block.entry_bound_ok
+        assert block.equation_ok and block.certificate_ok
+        assert reports[0].failures == ((1, 672, "entry bound exceeded"),)
+        assert [b.rows_checked for b in reports[0].blocks] == [480, 673, 480]
+
+    def test_verify_conditions_right_half(self, con16, monkeypatch):
+        monkeypatch.setattr(certificate, "_right_half", _right_half_failing)
+        reports = [verify_conditions(con16, jobs=jobs) for jobs in (1, 2, 4)]
+        assert reports[0] == reports[1] == reports[2]
+        block = reports[0].blocks[1]
+        assert block.rows_checked == 25
+        assert block.entry_bound_ok
+        assert not block.equation_ok and not block.certificate_ok
+        assert reports[0].failures == ((1, 24, "matrix equation failed"),)
+        assert [b.rows_checked for b in reports[0].blocks] == [480, 25, 480]
 
     def test_certify_reports(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(certificate, "_check_row", _check_row_failing)
+        monkeypatch.setattr(certificate, "_right_half", _right_half_failing)
         texts = []
         for jobs in ("1", "2", "4"):
             path = tmp_path / f"report-{jobs}.json"
@@ -113,10 +150,10 @@ class TestFailureReportsIndependentOfJobs:
             texts.append(_without_duration(path.read_text()))
         assert texts[0] == texts[1] == texts[2]
         doc = json.loads(texts[0])
-        assert doc["counts"]["rows_checked"] == 480 + 193 + 480
+        assert doc["counts"]["rows_checked"] == 480 + 25 + 480
         assert not doc["counts"]["condition_b"]
         assert doc["failures"] == [
-            {"block": 1, "row": 192, "reason": "matrix equation failed"}
+            {"block": 1, "row": 24, "reason": "matrix equation failed"}
         ]
 
     def test_faces_reports(self, monkeypatch, tmp_path, capsys):
