@@ -51,7 +51,7 @@ from .oracle import (
     projection_containment,
     verify_k_neighborly,
 )
-from .simplex import LinearProgram, LpResult, lp_max
+from .simplex import LpResult, lp_max
 
 __version__ = "0.1.0"
 
@@ -64,7 +64,6 @@ __all__ = [
     "DominanceReport",
     "FaceReport",
     "HadamardMatrix",
-    "LinearProgram",
     "LpResult",
     "NeighborlinessReport",
     "SignedSupportRow",

@@ -39,12 +39,22 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
+def _exact_token(tok) -> Fraction:
+    """An int or 'p/q' coordinate; anything else raises ValueError."""
+    try:
+        if type(tok) in (str, int):
+            return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"coordinate {tok!r} is not an exact number")
+
+
 def _parse_points_tokens(tokens, width):
     points = []
     for line in tokens:
         if len(line) != width:
             raise ValueError(f"vertex line has {len(line)} fields, expected {width}")
-        points.append(tuple(Fraction(tok) for tok in line))
+        points.append(tuple(_exact_token(tok) for tok in line))
     return points
 
 
@@ -59,18 +69,21 @@ def write_ext(points, dim, fh) -> None:
 
 
 def parse_ext(text: str):
-    """Parse the vertex file written by write_ext back to exact points."""
+    """Parse write_ext's vertex file; malformed text raises ValueError."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "V-representation":
         raise ValueError("missing V-representation header")
-    if lines[1] != "begin":
+    if lines[1:2] != ["begin"]:
         raise ValueError("missing begin line")
-    count_s, width_s, kind = lines[2].split()
+    size = lines[2].split() if len(lines) > 2 else []
+    if len(size) != 3:
+        raise ValueError("missing size line 'count width rational'")
+    count_s, width_s, kind = size
     if kind != "rational":
         raise ValueError(f"unsupported number type {kind!r}")
     count, width = int(count_s), int(width_s)
     body = lines[3 : 3 + count]
-    if len(body) != count or lines[3 + count] != "end":
+    if len(body) != count or lines[3 + count : 4 + count] != ["end"]:
         raise ValueError("vertex count does not match body")
     points = _parse_points_tokens([ln.split() for ln in body], width)
     for p in points:
@@ -95,10 +108,15 @@ def write_vertices_json(con, points, fh) -> None:
 
 
 def parse_vertices_json(text: str):
+    """Parse write_vertices_json's document; malformed text raises ValueError."""
     doc = json.loads(text)
-    if doc.get("schema") != SCHEMA or doc.get("kind") != "vertices":
+    if type(doc) is not dict or (doc.get("schema"), doc.get("kind")) != (
+            SCHEMA, "vertices"):
         raise ValueError("not a vertices document")
-    return [tuple(Fraction(tok) for tok in p) for p in doc["points"]]
+    points = doc.get("points")
+    if type(points) is not list or any(type(p) is not list for p in points):
+        raise ValueError("points must be a list of coordinate lists")
+    return [tuple(_exact_token(tok) for tok in p) for p in points]
 
 
 # -- report plumbing -----------------------------------------------------------

@@ -26,14 +26,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 from .blocks import (_signs_from_bits, block_rows, total_row_count,
                      unrank_support)
 from .construction import Construction
 from .exact import as_scalar
 from .sampling import SplitMix64
-from .simplex import LinearProgram, lp_max
+from .simplex import lp_max
 from .sweep import ordered_map
 
 HALF = Fraction(1, 2)
@@ -42,11 +43,28 @@ HALF = Fraction(1, 2)
 # -- face checks ---------------------------------------------------------------
 
 
+_ROWS_CACHE = [None, ()]    # [Construction, its vertex rows], the last asked
+
+
+def _hadamard_rows(con: Construction) -> tuple:
+    """The vertices x_{d+j} = (p/q) h_j, alpha = p/q, as integer rows p*h_j.
+
+    Built on a construction's first LP, not in ``build``, and kept for the
+    last construction (by identity), so each sweep or pool worker builds
+    them once."""
+    if _ROWS_CACHE[0] is not con:
+        p = con.params.alpha.numerator
+        rows = tuple(tuple(p * s for s in col) for col in con.hadamard.columns)
+        _ROWS_CACHE[:] = [con, rows]
+    return _ROWS_CACHE[1]
+
+
 @dataclass(frozen=True)
 class FaceReport:
     """Outcome of one face check.  witness and margin are the face LP's
-    optimum (c, t), which lp_max re-substituted into the LP's rows: exactly
-    <c, v> = 1 on the subset and <c, v> + t <= 1 on the other 2m vertices."""
+    optimum (c, t): exactly <c, v> = 1 on the subset and <c, v> + t <= 1 on
+    the other 2m vertices.  margin is None when no c attains 1 on the whole
+    subset."""
 
     subset: tuple                  # ((vertex index, sign), ...) sorted
     status: str                    # "face" | "not-face" | "antipodal-rejected"
@@ -59,6 +77,13 @@ def is_face(con: Construction, subset) -> FaceReport:
 
     Subset members are (index, sign) pairs over the m vertex representatives;
     a subset containing an antipodal pair is rejected without solving.
+
+    The LP maximizes t with <c, s x_i> = 1 on the members and
+    |<c, x_i>| <= 1 - t on the other vertex pairs.  In u = c/(1-t) and
+    sigma = 1/(1-t): maximize sigma >= 0 with s x_i.u = sigma on the members
+    and |x_i.u| <= 1 on the other pairs (for i < d, a bound on u_i).  Then
+    t = 1 - 1/sigma and c = u/sigma; sigma* = 0 means no c attains 1 on the
+    subset, and an unbounded sigma means t = 1, with c from the ray.
     """
     members = tuple(sorted(set((int(i), int(s)) for i, s in subset)))
     if not members:
@@ -72,25 +97,29 @@ def is_face(con: Construction, subset) -> FaceReport:
     if len(set(indices)) < len(indices):
         return FaceReport(members, "antipodal-rejected", None, None)
 
-    d = con.d
-    member_set = set(members)
-    eq = [(con.vertex_representative(i, s) + (0,), 1) for i, s in members]
-    le = [
-        (coords + (1,), 1)
-        for key, coords in con.signed_vertices()
-        if key not in member_set
-    ]
-    le.append(((0,) * d + (1,), 1))
+    d, q = con.d, con.params.alpha.denominator
+    hrows = _hadamard_rows(con)
+    bounds = [(-1, 1)] * d + [(0, None)]
+    rows = []
+    for i, s in members:                         # s x_i.u - sigma in [0, 0]
+        if i < d:
+            coeffs = [0] * (d + 1)
+            coeffs[i], coeffs[d] = s, -1
+            bounds[i] = (None, None)
+        else:
+            coeffs = [s * v for v in hrows[i - d]] + [-q]
+        rows.append((coeffs, 0, 0))
+    rows += [(hrows[j] + (0,), -q, q)             # |p h_j.u| <= q
+             for j in range(d) if d + j not in indices]
 
-    objective = (0,) * d + (1,)
-    result = lp_max(LinearProgram.maximize(objective, eq=eq, le=le))
-    if result.status == "infeasible":
+    result = lp_max((0,) * d + (1,), rows, bounds)
+    sigma = result.x[d]
+    if not sigma:
         return FaceReport(members, "not-face", None, None)
-    if result.status != "optimal":
-        raise RuntimeError("face LP cannot be unbounded")
-    margin = result.x[d]
+    margin = 1 - 1 / sigma if result.status == "optimal" else Fraction(1)
     status = "face" if margin > 0 else "not-face"
-    return FaceReport(members, status, result.x[:d], margin)
+    return FaceReport(members, status, tuple(c / sigma for c in result.x[:d]),
+                      margin)
 
 
 def canonical_subsets(m: int, k: int):
@@ -199,25 +228,35 @@ def verify_k_neighborly(
 def membership_margin(con: Construction, point) -> tuple:
     """Margin of proj(point) inside the projected cube, with the cube witness.
 
-    Maximizes t subject to point + X y lying in the cube of half-width
-    1/2 - t; t > 0 means strictly inside, t = 0 on the boundary, t < 0
+    Maximizes t subject to w + X y lying in the cube of half-width 1/2 - t,
+    w the point; t > 0 means strictly inside, t = 0 on the boundary, t < 0
     outside.  Returns (t, y).  Entries are ints, 'p/q' strings or
     Fractions; a float raises TypeError.
+
+    In u = (w_{1..d} + y)/(1/2 - t) and sigma = 1/(1/2 - t): maximize
+    sigma >= 0 with |u_i| <= 1 and |x_{d+j}.u + b_j sigma| <= 1, where
+    b_j = w_{d+j} - x_{d+j}.w_{1..d}.  Then t = 1/2 - 1/sigma (1/2 when
+    sigma is unbounded) and y = u/sigma - w_{1..d}.  The rows are scaled by
+    q times the lcm of w's denominators: for an integer w, by q alone.
     """
-    d, m = con.d, con.m
+    d, m, q = con.d, con.m, con.params.alpha.denominator
     if len(point) != m:
         raise ValueError(f"point must have length {m}")
-    le = []
-    for i in range(m):
-        xrow = con.X[i]
-        w_i = as_scalar(point[i])
-        le.append((xrow + (1,), HALF - w_i))
-        le.append((tuple(-v for v in xrow) + (1,), HALF + w_i))
-    objective = (0,) * d + (1,)
-    result = lp_max(LinearProgram.maximize(objective, le=le))
-    if result.status != "optimal":
-        raise RuntimeError("membership LP must have a finite optimum")
-    return result.objective, result.x[:d]
+    w = [as_scalar(v) for v in point]
+    scale = lcm(*(v.denominator for v in w))
+    ints = [v.numerator * (scale // v.denominator) for v in w]
+    head = ints[:d]
+    rows = []
+    for j, hrow in enumerate(_hadamard_rows(con)):
+        qb = q * ints[d + j] - sum(map(mul, hrow, head))    # scale*q*b_j
+        if scale != 1:
+            hrow = tuple(scale * v for v in hrow)
+        rows.append((hrow + (qb,), -scale * q, scale * q))
+
+    result = lp_max((0,) * d + (1,), rows, [(-1, 1)] * d + [(0, None)])
+    sigma = result.x[d]
+    margin = HALF - 1 / sigma if result.status == "optimal" else HALF
+    return margin, tuple(u / sigma - v for u, v in zip(result.x[:d], w))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from csneighborly import (
 )
 from csneighborly.cli import main, parse_ext, parse_vertices_json
 from csneighborly.oracle import is_face
-from csneighborly.simplex import LinearProgram, lp_max
+from csneighborly.simplex import lp_max
 
 HALF = F(1, 2)
 
@@ -194,8 +194,13 @@ def test_criterion_7_property_suite(cons, tmp_path, capsys):
             + [(tuple(F(-1) if i == j else F(0) for j in range(n)), F(4))
                for i in range(n)]
         )
-        res = lp_max(LinearProgram.maximize(objective, le=le))
+        # every right-hand side is >= 0, so the origin is feasible
+        res = lp_max([int(c) for c in objective],
+                     [([int(a) for a in coeffs], None, int(rhs))
+                      for coeffs, rhs in le],
+                     [(None, None)] * n)
         # re-substituted into the rows given here, not the solver's copy
+        lp_ok &= res.status == "optimal"
         if res.status == "optimal":
             for coeffs, rhs in le:
                 lp_ok &= sum(c * v for c, v in zip(coeffs, res.x)) <= rhs

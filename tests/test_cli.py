@@ -55,6 +55,28 @@ class TestGenerate:
             expected += [con.vertex_representative(i, -1) for i in range(16)]
             assert parse(out) == expected
 
+    @pytest.mark.parametrize("parse,text", [
+        (parse_ext, ""),
+        (parse_ext, "V-representation"),
+        (parse_ext, "V-representation\nbegin"),
+        (parse_ext, "V-representation\nbegin\n 1 3\nend"),
+        (parse_ext, "V-representation\nbegin\n x 3 rational\n 1 0 0\nend"),
+        (parse_ext, "V-representation\nbegin\n 1 3 rational\n 1 0 0"),
+        (parse_ext, "V-representation\nbegin\n 1 3 rational\n 1 0 1/0\nend"),
+        (parse_ext, "V-representation\nbegin\n 1 3 rational\n 2 0 0\nend"),
+        (parse_vertices_json, "[]"),
+        (parse_vertices_json, "not json"),
+        (parse_vertices_json, '{"schema": 1, "kind": "vertices"}'),
+        (parse_vertices_json, '{"schema": 1, "kind": "vertices", "points": 5}'),
+        (parse_vertices_json,
+         '{"schema": 1, "kind": "vertices", "points": [[0.5]]}'),
+        (parse_vertices_json,
+         '{"schema": 1, "kind": "vertices", "points": [["1/0"]]}'),
+    ])
+    def test_malformed_vertex_text_raises_value_error(self, parse, text):
+        with pytest.raises(ValueError, match=r"\w"):
+            parse(text)
+
     def test_no_hadamard_source(self, capsys):
         code, _, err = run(capsys, "generate", "--d", "6")
         assert code == 2

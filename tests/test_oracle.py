@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +19,36 @@ from csneighborly import (
 from csneighborly import oracle
 from csneighborly.oracle import canonical_subsets
 from literal import recheck_face
+
+
+# (status, margin) of each of the 848 canonical d = 4 subsets of sizes 1-4,
+# recorded with the two-phase tableau solver that the bounded-variable
+# dictionary replaced: a tally, and the sha256 of the lines
+# "<subset> <status> <margin>" in canonical_subsets order.  The 12 margin-1
+# faces take the LP's unbounded (ray) path, and the 60 not-face subsets with
+# margin None its sigma* = 0 path.
+D4_FACE_TALLY = {
+    ("face", "1"): 12, ("face", "1/2"): 8, ("face", "2/3"): 16,
+    ("not-face", "-1"): 8, ("not-face", "-2"): 240, ("not-face", "-4"): 32,
+    ("not-face", "0"): 472, ("not-face", None): 60,
+}
+D4_FACE_DIGEST = (
+    "dbb4aac6413c791fc6b9e74cf86aefd1d422294949b8be767829d77b6f1256dd")
+
+# membership margins of 20 seeded rational points at d = 8 (see
+# TestMembership.test_rational_points_d8), recorded with the same solver
+D8_RATIONAL_MARGINS = (
+    "43/160", "1/9", "79/308", "23/80", "1217/5940", "43/165", "223/1680",
+    "661/2520", "2687/7920", "2503/9240", "179/840", "203/1080", "2579/6336",
+    "23/112", "181/1080", "2927/15840", "3567/10780", "-57/6160", "13/80",
+    "11453/41580",
+)
+
+
+def cube_offsets(con, point, y):
+    """point + X y, in the caller's coordinates."""
+    return [w + sum(c * v for c, v in zip(row, y))
+            for w, row in zip(point, con.X)]
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +158,39 @@ class TestFaceWitnessLiteral:
         assert recheck_face(con16, bad_margin) != []
 
 
+class TestFaceTableD4:
+    def test_every_canonical_subset_of_sizes_1_to_4(self, con4):
+        lines, tally = [], Counter()
+        for k in range(1, 5):
+            for subset in canonical_subsets(con4.m, k):
+                rep = is_face(con4, subset)
+                margin = None if rep.margin is None else str(rep.margin)
+                lines.append(f"{subset} {rep.status} {margin}")
+                tally[rep.status, margin] += 1
+                if rep.witness is None:
+                    assert rep.margin is None
+                else:
+                    assert recheck_face(con4, rep) == [], subset
+        assert len(lines) == 848
+        assert dict(tally) == D4_FACE_TALLY
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == D4_FACE_DIGEST
+
+
+class TestVertexRows:
+    def test_built_once_per_construction_on_first_lp(self, con4):
+        fresh = build(sylvester(2))
+        assert oracle._ROWS_CACHE[0] is not fresh      # build does no LP work
+        is_face(fresh, [(4, 1)])
+        rows = oracle._ROWS_CACHE[1]
+        assert oracle._ROWS_CACHE[0] is fresh
+        membership_margin(fresh, [1] + [0] * 7)
+        is_face(fresh, [(5, -1), (1, 1)])
+        assert oracle._ROWS_CACHE[1] is rows           # reused, not rebuilt
+        # x_{d+j} = (p/q) h_j with alpha = p/q = 1/2 at d = 4
+        assert rows == tuple(tuple(col) for col in fresh.hadamard.columns)
+
+
 class TestVerifyKNeighborly:
     def test_d4_all_vertices(self, con4):
         rep = verify_k_neighborly(con4, 1)
@@ -174,15 +239,26 @@ class TestMembership:
             margin, witness = membership_margin(con4, point)
             assert margin == F(1, 6)
             # the witness places the shifted point inside the shrunk cube
-            shifted = list(point)
-            for r in range(8):
-                row = con4.X[r]
-                shifted[r] += sum(c * y for c, y in zip(row, witness))
+            shifted = cube_offsets(con4, point, witness)
             assert max(abs(v) for v in shifted) == F(1, 2) - margin
 
     def test_origin_strictly_inside(self, con4):
-        margin, _ = membership_margin(con4, [0] * 8)
+        # sigma is unbounded: the witness comes from the ray
+        margin, witness = membership_margin(con4, [0] * 8)
         assert margin == F(1, 2)
+        assert cube_offsets(con4, [0] * 8, witness) == [0] * 8
+
+    def test_rational_points_d8(self, con8):
+        rng = random.Random(8)
+        margins = []
+        for _ in range(20):
+            point = [F(rng.randint(-3, 3), rng.randint(4, 12))
+                     for _ in range(con8.m)]
+            margin, witness = membership_margin(con8, point)
+            margins.append(str(margin))
+            offsets = cube_offsets(con8, point, witness)
+            assert max(abs(v) for v in offsets) == F(1, 2) - margin
+        assert tuple(margins) == D8_RATIONAL_MARGINS
 
     def test_float_entry_rejected(self, con4):
         with pytest.raises(TypeError, match="not an exact scalar"):

@@ -1,12 +1,14 @@
-import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 
-from csneighborly import LinearProgram, lp_max
+from csneighborly import lp_max
 from csneighborly.simplex import _recheck
+
+FREE = (None, None)
 
 
 def solve_square(rows, rhs):
@@ -27,19 +29,12 @@ def solve_square(rows, rhs):
     return [work[i][n] for i in range(n)]
 
 
-def brute_force_max(objective, eq, le):
-    """Independent oracle for bounded problems: enumerate basic points.
-
-    Reads the caller's rows, not the solver's scaled copy, so a scaling
-    error in ``LinearProgram`` shows as a disagreement.  Requires the
-    feasible region to be bounded (the callers add box constraints), so it
-    is a polytope and the optimum sits at a vertex, i.e. at an intersection
-    of n constraint hyperplanes.
-    """
-    n = len(objective)
+def basic_points(n, eq, le):
+    """Every feasible intersection of n constraint hyperplanes, with
+    repeats, read from the caller's own rows."""
     cons = [(coeffs, rhs, True) for coeffs, rhs in eq]
     cons += [(coeffs, rhs, False) for coeffs, rhs in le]
-    best = None
+    points = []
     for subset in combinations(range(len(cons)), n):
         rows = [cons[i][0] for i in subset]
         rhs = [cons[i][1] for i in subset]
@@ -53,10 +48,24 @@ def brute_force_max(objective, eq, le):
                 feasible = False
                 break
         if feasible:
-            value = sum(c * v for c, v in zip(objective, point))
-            if best is None or value > best:
-                best = value
-    return best
+            points.append(point)
+    return points
+
+
+def brute_force_max(objective, eq, le):
+    """Independent oracle for bounded problems: enumerate basic points.
+
+    Reads the caller's rows, not the solver's copy, so an error in how
+    ``lp_max`` reads its rows shows as a disagreement.  Requires the
+    feasible region to be bounded (the callers add box constraints), so it
+    is a polytope and the optimum sits at a vertex, i.e. at an intersection
+    of n constraint hyperplanes.
+    """
+    return max(
+        (sum(c * v for c, v in zip(objective, point))
+         for point in basic_points(len(objective), eq, le)),
+        default=None,
+    )
 
 
 def boxed(n, le, bound=5):
@@ -73,119 +82,213 @@ def boxed(n, le, bound=5):
     return list(le) + extra
 
 
-def assert_witness(objective, eq, le, res):
-    """Re-substitute ``res.x`` into the caller's own rows."""
-    assert res.status == "optimal"
+def ints(values):
+    """Integer-valued Fractions as ints; anything else is a test error."""
+    values = list(values)
+    assert all(F(v).denominator == 1 for v in values)
+    return [int(v) for v in values]
+
+
+def ranged(eq, le):
+    """The rows eq (a.x = b) and le (a.x <= b) in lp_max's ranged form."""
+    return ([(ints(a), int(b), int(b)) for a, b in eq]
+            + [(ints(a), None, int(b)) for a, b in le])
+
+
+def origin_feasible(eq, le):
+    return all(b == 0 for _, b in eq) and all(b >= 0 for _, b in le)
+
+
+def assert_witness(objective, eq, le, x, value):
+    """Re-substitute the point x into the caller's own rows and objective."""
     for coeffs, rhs in eq:
-        assert sum(c * v for c, v in zip(coeffs, res.x)) == rhs
+        assert sum(c * v for c, v in zip(coeffs, x)) == rhs
     for coeffs, rhs in le:
-        assert sum(c * v for c, v in zip(coeffs, res.x)) <= rhs
-    assert sum(c * v for c, v in zip(objective, res.x)) == res.objective
+        assert sum(c * v for c, v in zip(coeffs, x)) <= rhs
+    assert sum(c * v for c, v in zip(objective, x)) == value
+
+
+def solve_shifted(c_ints, eq, le, x0, box=None):
+    """Solve in y = D (x - x0), D the lcm of x0's denominators, so that every
+    row and bound is integral and the origin is feasible.  The rows come
+    from eq, le and, as bounds, the box |x_i| <= box.  Returns the result
+    and x = x0 + y / D, c.x = c.x0 + optimum / D."""
+    scale = lcm(*(v.denominator for v in x0))
+
+    def shift(coeffs, rhs):
+        return int(scale * (rhs - sum(a * v for a, v in zip(coeffs, x0))))
+
+    rows = [(ints(a), shift(a, b), shift(a, b)) for a, b in eq]
+    rows += [(ints(a), None, shift(a, b)) for a, b in le]
+    bounds = [FREE] * len(x0) if box is None else [
+        (int(scale * (-box - v)), int(scale * (box - v))) for v in x0]
+    res = lp_max(c_ints, rows, bounds)
+    assert res.status == "optimal"
+    x = [v + y / scale for v, y in zip(x0, res.x)]
+    value = sum(c * v for c, v in zip(c_ints, x0)) + res.objective / scale
+    return res, x, value
+
+
+def assert_ray(objective, rows, bounds, res):
+    """The ray improves the objective and every row and bound admits it."""
+    assert res.status == "unbounded" and res.objective is None
+    assert sum(c * r for c, r in zip(objective, res.x)) > 0
+    limits = [(sum(a * r for a, r in zip(coeffs, res.x)), lo, hi)
+              for coeffs, lo, hi in rows]
+    limits += [(r, lo, hi) for r, (lo, hi) in zip(res.x, bounds)]
+    for value, lo, hi in limits:
+        assert hi is None or value <= 0
+        assert lo is None or value >= 0
 
 
 class TestTrivialPrograms:
     def test_single_bound(self):
-        lp = LinearProgram.maximize([1], le=[([1], 3)])
-        res = lp_max(lp)
+        res = lp_max([1], [([1], None, 3)], [FREE])
         assert res.status == "optimal"
         assert res.objective == 3
 
     def test_exact_third(self):
-        lp = LinearProgram.maximize(
-            [1], le=[([1], F(1, 3)), ([1], F(1, 2))]
-        )
-        res = lp_max(lp)
+        # x <= 1/3 and x <= 1/2, each row scaled to integers by the caller
+        res = lp_max([1], [([3], None, 1), ([2], None, 1)], [FREE])
         assert res.objective == F(1, 3)
 
-    def test_infeasible(self):
-        lp = LinearProgram.maximize([1], le=[([1], 0), ([-1], -1)])
-        assert lp_max(lp).status == "infeasible"
-
     def test_unbounded(self):
-        lp = LinearProgram.maximize([1], le=[([-1], 0)])
-        assert lp_max(lp).status == "unbounded"
+        rows, bounds = [([-1], None, 0)], [FREE]
+        res = lp_max([1], rows, bounds)
+        assert res.x == (1,)
+        assert_ray([1], rows, bounds, res)
+
+    def test_unbounded_ray_through_a_ranged_row(self):
+        # maximize x + y with -1 <= x - y <= 1 and y >= 0: the ray is (1, 1)
+        rows, bounds = [([1, -1], -1, 1)], [FREE, (0, None)]
+        res = lp_max([1, 1], rows, bounds)
+        assert res.x[0] == res.x[1] > 0
+        assert_ray([1, 1], rows, bounds, res)
 
     def test_equalities(self):
-        lp = LinearProgram.maximize(
-            [0, 1], eq=[([1, 1], 1), ([1, -1], 0)]
-        )
-        res = lp_max(lp)
-        assert res.objective == F(1, 2)
-        assert res.x == (F(1, 2), F(1, 2))
+        # x + y = 0 and -3 <= x - 2y <= 3: y = 1 at x = -1
+        res = lp_max([0, 1], [([1, 1], 0, 0), ([1, -2], -3, 3)], [FREE, FREE])
+        assert res.objective == 1
+        assert res.x == (-1, 1)
 
-    def test_inconsistent_equalities(self):
-        lp = LinearProgram.maximize([1], eq=[([1], 1), ([1], 2)])
-        assert lp_max(lp).status == "infeasible"
+    def test_ranged_equality_row(self):
+        # x - y in [0, 0], -1 <= x <= 2, y free: y = x = 2
+        res = lp_max([0, 1], [([1, -1], 0, 0)], [(-1, 2), FREE])
+        assert res.objective == 2
+        assert res.x == (2, 2)
 
-    def test_negative_rhs_inequalities(self):
-        # x >= 1, x >= 2, maximize -x  ->  x = 2
-        lp = LinearProgram.maximize([-1], le=[([-1], -1), ([-1], -2)])
-        res = lp_max(lp)
-        assert res.objective == -2
+    def test_ranged_row_both_sides(self):
+        # -1 <= x + y <= 1 and |y| <= 2: x = 3 at y = -2
+        res = lp_max([1, 0], [([1, 1], -1, 1)], [FREE, (-2, 2)])
+        assert res.objective == 3
+        assert res.x == (3, -2)
 
-    def test_free_variables_go_negative(self):
-        lp = LinearProgram.maximize([-1], le=[([-1], 4)])
-        res = lp_max(lp)
+    @pytest.mark.parametrize("row", [([-1], None, 4), ([1], -4, None)])
+    def test_free_variables_go_negative(self, row):
+        res = lp_max([-1], [row], [FREE])
         assert res.objective == 4
         assert res.x == (F(-4),)
 
 
+class TestBoundFlips:
+    def test_flips_need_no_pivot(self):
+        # no rows: each variable moves to its upper bound by a flip
+        res = lp_max([1, 1], [], [(0, 2), (0, 3)])
+        assert res.objective == 5
+        assert res.x == (2, 3)
+        assert res.pivots == 0
+
+    def test_flip_then_pivot(self):
+        # x flips to 1, then y enters and the row x + y <= 4 stops it at 3
+        res = lp_max([1, 1], [([1, 1], None, 4)], [(0, 1), (0, 5)])
+        assert res.objective == 4
+        assert res.x == (1, 3)
+        assert res.pivots == 1
+
+    def test_flip_to_lower_bound(self):
+        res = lp_max([-2, 1], [([1, 1], None, 1)], [(-3, 3), (0, None)])
+        assert res.objective == 10
+        assert res.x == (-3, 4)
+
+
 class TestDegeneracy:
     def test_beale_cycling_instance(self):
-        # the classic cycling example; Bland's rule must terminate
-        lp = LinearProgram.maximize(
-            [F(3, 4), -150, F(1, 50), -6],
-            le=[
-                ([F(1, 4), -60, F(-1, 25), 9], 0),
-                ([F(1, 2), -90, F(-1, 50), 3], 0),
-                ([0, 0, 1, 0], 1),
-                ([-1, 0, 0, 0], 0),
-                ([0, -1, 0, 0], 0),
-                ([0, 0, -1, 0], 0),
-                ([0, 0, 0, -1], 0),
+        # the classic cycling example, objective and rows scaled to
+        # integers (objective by 100); Bland's rule must terminate
+        nonneg = (0, None)
+        res = lp_max(
+            [75, -15000, 2, -600],
+            [
+                ([25, -6000, -4, 900], None, 0),
+                ([50, -9000, -2, 300], None, 0),
+                ([0, 0, 1, 0], None, 1),
             ],
+            [nonneg] * 4,
         )
-        res = lp_max(lp)
         assert res.status == "optimal"
-        assert res.objective == F(1, 20)
+        assert res.objective == 5
         assert res.x == (F(1, 25), F(0), F(1), F(0))
 
     def test_degenerate_vertex(self):
-        lp = LinearProgram.maximize(
+        res = lp_max(
             [1, 1],
-            le=[([1, 0], 1), ([0, 1], 1), ([1, 1], 2), ([1, -1], 0)],
+            [([1, 0], None, 1), ([0, 1], None, 1), ([1, 1], None, 2),
+             ([1, -1], None, 0)],
+            [FREE, FREE],
         )
-        res = lp_max(lp)
         assert res.objective == 2
 
 
 class TestAgainstBruteForce:
-    def test_random_inequality_programs(self):
+    """Every program is solved twice where it can be: as given, when the
+    origin is feasible (ValueError is asserted when it is not), and shifted
+    to the centroid of its feasible basic points, when it has any."""
+
+    @pytest.mark.parametrize("box_as_bounds", [False, True])
+    def test_random_inequality_programs(self, box_as_bounds):
         rng = random.Random(101)
-        statuses = {"optimal": 0, "infeasible": 0}
+        paths = {"optimal": 0, "origin infeasible": 0, "shifted": 0}
         for _ in range(40):
             n = rng.randint(2, 3)
             objective = [F(rng.randint(-4, 4)) for _ in range(n)]
-            le = boxed(n, [
+            le = [
                 (
                     tuple(F(rng.randint(-3, 3)) for _ in range(n)),
                     F(rng.randint(-4, 6)),
                 )
                 for _ in range(rng.randint(2, 5))
-            ])
-            res = lp_max(LinearProgram.maximize(objective, le=le))
+            ]
+            # the same |x_i| <= 5 box, given as rows or as variable bounds
+            box = 5 if box_as_bounds else None
+            given = le if box_as_bounds else boxed(n, le)
+            le = boxed(n, le)
             expected = brute_force_max(objective, [], le)
-            if expected is None:
-                assert res.status == "infeasible"
-            else:
+            rows = ranged([], given)
+            bounds = [(-5, 5) if box else FREE] * n
+            if origin_feasible([], le):
+                res = lp_max(ints(objective), rows, bounds)
+                assert res.status == "optimal"
                 assert res.objective == expected
-                assert_witness(objective, [], le, res)
-            statuses[res.status] += 1
-        assert statuses["optimal"] > 0  # the sample exercises both paths
+                assert_witness(objective, [], le, res.x, res.objective)
+                paths["optimal"] += 1
+            else:
+                with pytest.raises(ValueError, match="origin"):
+                    lp_max(ints(objective), rows, bounds)
+                paths["origin infeasible"] += 1
+            points = basic_points(n, [], le)
+            if points:
+                x0 = [sum(col) / len(points) for col in zip(*points)]
+                _, x, value = solve_shifted(ints(objective), [], given, x0,
+                                            box)
+                assert value == expected
+                assert_witness(objective, [], le, x, value)
+                paths["shifted"] += 1
+        assert min(paths.values()) > 0   # the sample exercises every path
 
     def test_random_mixed_programs(self):
         rng = random.Random(202)
-        seen_infeasible = False
+        paths = {"optimal": 0, "origin infeasible": 0, "shifted": 0,
+                 "infeasible": 0}
         for _ in range(30):
             n = rng.randint(2, 3)
             eq = []
@@ -206,124 +309,133 @@ class TestAgainstBruteForce:
                 )
                 for _ in range(rng.randint(1, 4))
             ])
-            res = lp_max(LinearProgram.maximize(objective, eq=eq, le=le))
+            # the objective in integers: scaled by the lcm of its
+            # denominators, which scales the optimum and not the maximizer
+            scale = lcm(*(c.denominator for c in objective))
+            c_ints = ints(c * scale for c in objective)
             expected = brute_force_max(objective, eq, le)
-            if expected is None:
-                assert res.status == "infeasible"
-                seen_infeasible = True
+            if origin_feasible(eq, le):
+                res = lp_max(c_ints, ranged(eq, le), [FREE] * n)
+                assert res.objective == scale * expected
+                assert_witness(objective, eq, le, res.x, expected)
+                paths["optimal"] += 1
             else:
-                assert res.status == "optimal", expected
-                assert res.objective == expected
-                assert_witness(objective, eq, le, res)
-        assert seen_infeasible
+                with pytest.raises(ValueError, match="origin"):
+                    lp_max(c_ints, ranged(eq, le), [FREE] * n)
+                paths["origin infeasible"] += 1
+            points = basic_points(n, eq, le)
+            if points:
+                x0 = [sum(col) / len(points) for col in zip(*points)]
+                _, x, value = solve_shifted(c_ints, eq, le, x0)
+                assert value == scale * expected
+                assert_witness(objective, eq, le, x, expected)
+                paths["shifted"] += 1
+            else:
+                paths["infeasible"] += 1
+        assert min(paths.values()) > 0
 
 
 class TestWitnesses:
     def test_exact_resubstitution(self):
-        objective = [F(2), F(-1, 3)]
-        eq = [([1, 1], F(5, 7))]
-        le = [([1, -1], 2), ([-1, 0], 0)]
-        res = lp_max(LinearProgram.maximize(objective, eq=eq, le=le))
-        assert_witness(objective, eq, le, res)
+        # maximize 6x - y with 0 <= 7x + 7y <= 5, x - y <= 2 and x >= 0
+        objective = [6, -1]
+        rows = [([7, 7], 0, 5), ([1, -1], None, 2)]
+        res = lp_max(objective, rows, [(0, None), FREE])
+        assert res.x == (F(19, 14), F(-9, 14))
+        assert 7 * res.x[0] + 7 * res.x[1] == 5
+        assert res.objective == 6 * res.x[0] - res.x[1]
 
     def test_determinism(self):
-        lp = LinearProgram.maximize(
+        args = (
             [1, 2, -1],
-            le=[([1, 1, 1], 4), ([1, -1, 0], 1), ([-1, 0, 2], 3)],
-            eq=[([1, 0, -1], 0)],
+            [([1, 1, 1], None, 4), ([1, -1, 0], None, 1),
+             ([-1, 0, 2], None, 3), ([1, 0, -1], 0, 0)],
+            [FREE] * 3,
         )
-        first = lp_max(lp)
-        second = lp_max(lp)
+        first = lp_max(*args)
+        second = lp_max(*args)
         assert first == second
 
     def test_rejects_empty_program(self):
         with pytest.raises(ValueError):
-            lp_max(LinearProgram.maximize([]))
+            lp_max([], [], [])
 
 
-class TestIntegerRows:
-    def test_mixed_denominators_scaled_by_lcm(self):
-        row = ([F(1, 2), F(1, 3)], F(5, 6))
-        programs = [
-            LinearProgram.maximize([0, 1], eq=[row], le=[row]),
-            LinearProgram(n_vars=2, objective=(0, 1), eq=(row,), le=(row,)),
-        ]
-        for lp in programs:
-            assert lp.eq == lp.le == (((3, 2), 5),)
-            ints, rhs = lp.le[0]
-            assert all(type(v) is int for v in ints + (rhs,))
-            assert lp.objective == (F(0), F(1))
+class TestInputs:
+    @pytest.mark.parametrize("args", [
+        ([1, 0.5], [], [FREE, FREE]),
+        ([1, F(1, 2)], [], [FREE, FREE]),
+        ([1, 1], [([0.5, 1], None, 1)], [FREE, FREE]),
+        ([1, 1], [([1, 1], None, F(1, 2))], [FREE, FREE]),
+        ([1, 1], [([1, 1], "0", 1)], [FREE, FREE]),
+        ([1, 1], [], [FREE, (0, 0.5)]),
+        ([1, 1], [], [FREE, (None, True)]),
+    ])
+    def test_non_int_entry_rejected(self, args):
+        with pytest.raises(TypeError, match="not an int"):
+            lp_max(*args)
 
-    def test_sign_and_mixed_inputs(self):
-        lp = LinearProgram.maximize(
-            [F(1, 2), 1], le=[(["-1/4", 1], F(-3, 2)), ((2, 4), 6)]
-        )
-        assert lp.le == (((-1, 4), -6), ((2, 4), 6))
-        assert lp.objective == (F(1, 2), F(1))   # not scaled
+    def test_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="row width 3 != 2"):
+            lp_max([1, 1], [([1, 1, 1], None, 1)], [FREE, FREE])
+        with pytest.raises(ValueError, match="1 bounds for 2 variables"):
+            lp_max([1, 1], [], [FREE])
 
-    def test_random_rows_are_lcm_multiples(self):
-        # each held row is the caller's row times the lcm of its
-        # denominators, computed here with Fraction arithmetic
-        rng = random.Random(303)
-        for _ in range(50):
-            n = rng.randint(1, 4)
-            rows = [
-                (tuple(F(rng.randint(-9, 9), rng.randint(1, 12))
-                       for _ in range(n)),
-                 F(rng.randint(-9, 9), rng.randint(1, 12)))
-                for _ in range(rng.randint(1, 3))
-            ]
-            lp = LinearProgram.maximize([0] * n, eq=rows, le=rows)
-            expected = []
-            for coeffs, rhs in rows:
-                lcm = math.lcm(*(v.denominator for v in coeffs + (rhs,)))
-                expected.append(
-                    (tuple(v * lcm for v in coeffs), rhs * lcm)
-                )
-            assert lp.eq == lp.le == tuple(expected)
+    @pytest.mark.parametrize("rows,bounds", [
+        ([([1], 1, 2)], [FREE]),             # the row excludes 0
+        ([([1], None, -1)], [FREE]),
+        ([([1], 0, 0), ([1], 1, 1)], [FREE]),
+        ([], [(1, None)]),                   # the bound excludes 0
+        ([], [(None, -1)]),
+    ])
+    def test_infeasible_origin_rejected(self, rows, bounds):
+        with pytest.raises(ValueError, match="origin is not feasible"):
+            lp_max([1], rows, bounds)
 
-    @pytest.mark.parametrize("kind", ["eq", "le"])
-    def test_float_entry_rejected(self, kind):
-        with pytest.raises(TypeError):
-            LinearProgram.maximize([1, 1], **{kind: [([0.5, 1], 1)]})
-        with pytest.raises(TypeError):
-            LinearProgram(n_vars=2, objective=(1, 1),
-                          **{kind: (((1, 1), 0.5),)})
-        with pytest.raises(TypeError):
-            LinearProgram.maximize([1, 0.5])
-
-    @pytest.mark.parametrize("kind", ["eq", "le"])
-    def test_width_mismatch_rejected(self, kind):
-        with pytest.raises(ValueError, match="constraint width 3 != 2"):
-            LinearProgram.maximize([1, 1], **{kind: [([1, 1, 1], 1)]})
-        with pytest.raises(ValueError, match="constraint width 1 != 2"):
-            LinearProgram(n_vars=2, objective=(1, 1), **{kind: (((1,), 1),)})
-        with pytest.raises(ValueError, match="objective width 1 != 2"):
-            LinearProgram(n_vars=2, objective=(1,))
+    def test_rows_may_be_any_iterable(self):
+        rows = (((v, 1), None, 3) for v in (1, 2))
+        res = lp_max([1, 1], rows, iter([FREE, (0, 1)]))
+        assert res.objective == 2 and res.x == (1, 1)
 
 
 class TestRecheck:
-    """The witness check runs on integer numerators over a denominator."""
+    """The result check runs on integer numerators over a denominator."""
 
-    # maximize x + 2y  s.t.  x + y = 3/2,  x - y <= 1/2,  -x <= 0
-    LP = LinearProgram.maximize(
-        [1, 2], eq=[([1, 1], F(3, 2))], le=[([1, -1], F(1, 2)), ([-1, 0], 0)]
-    )
+    # maximize x + 2y  s.t.  0 <= 2x + 2y <= 3,  2x - 2y <= 1,  x >= 0
+    ARGS = ([1, 2], [([2, 2], 0, 3), ([2, -2], None, 1)], [(0, None), FREE])
 
     def test_optimum_passes(self):
-        res = lp_max(self.LP)
+        res = lp_max(*self.ARGS)
         assert res.x == (0, F(3, 2)) and res.objective == 3
         # x = (0, 3) / 2, and c.x = 6 / 2
-        _recheck(self.LP, [0, 3], 2, [1, 2], 6)
-        _recheck(self.LP, [0, 6], 4, [1, 2], 12)
+        _recheck(*self.ARGS, [0, 3], 2, 6)
+        _recheck(*self.ARGS, [0, 6], 4, 12)
 
     @pytest.mark.parametrize("nums,den,optimum,message", [
-        ([1, 3], 2, 7, "equality violated"),
-        ([5, 1], 4, 7, "inequality violated"),
-        ([-1, 4], 2, 7, "inequality violated"),
+        ([1, 3], 2, 7, "row or bound violated"),
+        ([5, 1], 4, 7, "row or bound violated"),
+        ([-1, 4], 2, 7, "row or bound violated"),
         ([0, 3], 2, 5, "objective mismatch"),
         ([0, 3], 2, 7, "objective mismatch"),
     ])
     def test_each_violation_raises(self, nums, den, optimum, message):
         with pytest.raises(RuntimeError, match=message):
-            _recheck(self.LP, nums, den, [1, 2], optimum)
+            _recheck(*self.ARGS, nums, den, optimum)
+
+    # maximize x + y  s.t.  -1 <= x - y <= 1,  y >= 0: the ray (1, 1)
+    RAY = ([1, 1], [([1, -1], -1, 1)], [FREE, (0, None)])
+
+    def test_ray_passes(self):
+        res = lp_max(*self.RAY)
+        assert res.status == "unbounded"
+        _recheck(*self.RAY, [1, 1], 1, None)
+        _recheck(*self.RAY, [3, 3], 7, None)
+
+    @pytest.mark.parametrize("ray,message", [
+        ([1, 0], "ray leaves a row or bound"),
+        ([-1, -1], "ray leaves a row or bound"),
+        ([0, 0], "objective mismatch"),
+    ])
+    def test_each_ray_violation_raises(self, ray, message):
+        with pytest.raises(RuntimeError, match=message):
+            _recheck(*self.RAY, ray, 1, None)
