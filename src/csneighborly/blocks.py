@@ -20,7 +20,9 @@ counter, most significant position first).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from math import comb
 
 from .sampling import SplitMix64, block_sample_seed
@@ -75,26 +77,60 @@ def _supports_from(d: int, l: int, r: int):
         support[t + 1:] = range(d - l + t + 1, d)
 
 
+def _comb_table(d: int, l: int) -> tuple:
+    """(comb(d, l), rows): rows[t] = [-comb(d-1-s, l-t) for s < d], an
+    ascending list, for t < l."""
+    table = _COMB_TABLES.get((d, l))
+    if table is None:
+        rows = tuple([-comb(d - 1 - s, j) for s in range(d)]
+                     for j in range(l, 0, -1))
+        table = _COMB_TABLES[d, l] = (comb(d, l), rows)
+    return table
+
+
+_COMB_TABLES = {}
+
+
 def unrank_support(d: int, l: int, r: int) -> tuple:
-    """Support at position r of iter_supports(d, l)."""
-    if not 0 <= r < comb(d, l):
+    """Support at position r of iter_supports(d, l).
+
+    Writing each element s_t as c_t = d-1-s_t, the support's rank is
+    comb(c_1, l) + comb(c_2, l-1) + ... + comb(c_l, 1) with
+    c_1 > c_2 > ... > c_l (the combinatorial number system), so s_1 is the
+    least s with comb(d-1-s, l) <= r, and so on down, each after the one
+    before: one bisection per element in a table of binomials.
+    """
+    total, rows = _comb_table(d, l) if 0 <= l <= d else (0, ())
+    if not 0 <= r < total:
         raise ValueError(f"support rank {r} out of range for ({d},{l})")
     out = []
-    start = 0
-    while l > 0:
-        skip = comb(d - start - 1, l)  # supports avoiding position `start`
-        if r < skip:
-            start += 1
-        else:
-            out.append(start)
-            r -= skip
-            start += 1
-            l -= 1
+    s = 0
+    for row in rows:
+        s = bisect_left(row, -r, s)
+        r += row[s]
+        out.append(s)
+        s += 1
     return tuple(out)
 
 
 def _signs_from_bits(l: int, bits: int) -> tuple:
     return tuple(-1 if (bits >> (l - 1 - i)) & 1 else 1 for i in range(l))
+
+
+def _sign_patterns(l: int):
+    """The 2^l sign patterns of weight l, indexed by their bits: a table
+    kept per weight up to _SIGN_TABLE_WEIGHT, a fresh list above it."""
+    if l > _SIGN_TABLE_WEIGHT:
+        return [_signs_from_bits(l, b) for b in range(1 << l)]
+    table = _SIGN_TABLES.get(l)
+    if table is None:
+        table = _SIGN_TABLES[l] = tuple(
+            _signs_from_bits(l, b) for b in range(1 << l))
+    return table
+
+
+_SIGN_TABLE_WEIGHT = 12
+_SIGN_TABLES = {}
 
 
 def signed_row_count(d: int, l: int) -> int:
@@ -110,24 +146,34 @@ def iter_signed_rows(d: int, l: int):
 def iter_signed_rows_from(d: int, l: int, start: int):
     """iter_signed_rows(d, l) from position start on (nothing past its end),
     after one unrank_support."""
+    return (SignedSupportRow(d, support, signs)
+            for support, signs in iter_parts_from(d, l, start))
+
+
+def iter_parts_from(d: int, l: int, start: int):
+    """The (support, signs) pairs of iter_signed_rows_from(d, l, start)."""
     if not 0 <= l <= d:
         return
     support_rank, bits = divmod(start, 1 << l)
-    sign_rows = [_signs_from_bits(l, b) for b in range(1 << l)]
+    sign_rows = _sign_patterns(l)
     for support in _supports_from(d, l, support_rank):
-        for signs in sign_rows[bits:]:
-            yield SignedSupportRow(d, support, signs)
+        yield from zip(repeat(support), sign_rows[bits:])
         bits = 0
 
 
 def unrank_signed_row(d: int, l: int, r: int) -> SignedSupportRow:
     """Row at position r of iter_signed_rows(d, l)."""
+    return SignedSupportRow(d, *unrank_part(d, l, r))
+
+
+def unrank_part(d: int, l: int, r: int) -> tuple:
+    """(support, signs) of the row at position r of iter_signed_rows(d, l)."""
     if not 0 <= r < signed_row_count(d, l):
         raise ValueError(f"signed row rank {r} out of range for ({d},{l})")
-    if l == 0:
-        return SignedSupportRow(d, (), ())
-    support = unrank_support(d, l, r >> l)
-    return SignedSupportRow(d, support, _signs_from_bits(l, r & ((1 << l) - 1)))
+    bits = r & ((1 << l) - 1)
+    signs = (_sign_patterns(l)[bits] if l <= _SIGN_TABLE_WEIGHT
+             else _signs_from_bits(l, bits))
+    return unrank_support(d, l, r >> l), signs
 
 
 def signed_support_matrix(d: int, l: int) -> tuple:

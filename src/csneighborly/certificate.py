@@ -27,8 +27,28 @@ alpha*n_hat + (1/d) f G = f + alpha*n_hat, where the alpha*n_hat terms
 cancel, so it is f G == d*f; (c) re-sums, scaled by 2pqd, to that same
 comparison and needs eps = 1 - 2*(coefficient sum) >= 0, one per block.
 Each distinct part of a block is checked once, in integers, against the
-actual H and G (hadamard_gram), at O(k*d) per part: L + R checks for an
-exhaustive block of L*R rows.  Blocks above a row cap are checked on a
+actual H and G (hadamard_gram): L + R checks for an exhaustive block of L*R
+rows.
+
+A part is checked in packed fields.  A vector v with sign s packs into one
+int whose field j holds bias + s*v[j]: byte fields with hbias = max|H| for
+the rows and columns of H, and fields `width` = bits(2*k*gbias) wide with
+gbias = max(max|G|, d) for the rows of G (PackedHalves).  The signed sum of
+a part's w <= k vectors is then w int additions, and its field j holds
+w*bias plus the j-th entry of the signed sum, a value in [0, 2*w*bias],
+below 2^width: no field carries into or borrows from the next, so each
+field reads off one entry.  Byte fields need 2*k*hbias <= 255 and a matrix
+with larger entries is refused with ValueError.  For (a), max|n_hat| is the
+largest t such that a byte w*hbias + t or w*hbias - t occurs in the sum (a
+byte search each, from t = w*hbias down).  For (b), the packed sum of G's
+rows is compared with the packed target, whose field j holds
+w*gbias + d*f[j], in the same range as gbias >= d: two such ints are equal
+exactly when every field is, that is when f G == d*f.  A right table entry
+holds H's column in its low 8d bits and G's row less its share of the
+target above them, so one sum gives both: its low 8d bits are the column
+sum, and the rest is zero exactly when (b) holds.
+
+Blocks above a row cap are checked on a
 deterministic pseudorandom sample of rows, always with their first and last
 row, plus the structural identities that hold independently of the row
 count.  Rows are folded in sweep order from the parts' results, so a
@@ -40,27 +60,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby, islice, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import chain, groupby, islice
+from operator import itemgetter, mul
 
 from .blocks import (SignedSupportRow, block_row_count, block_rows,
-                     iter_signed_rows_from, signed_row_count, unrank_signed_row)
+                     iter_parts_from, signed_row_count, unrank_part)
 from .construction import Construction
 from .exact import Matrix, as_scalar
 from .hadamard import HadamardMatrix
 from .sampling import SplitMix64, block_sample_seed
 from .sweep import ordered_map
-
-
-# -- signed sums of rows ---------------------------------------------------------
-
-
-def _signed_column_sum(vectors, row: SignedSupportRow) -> list:
-    """Sum of sign-weighted vectors[i] over the row's support, as ints."""
-    out = repeat(0, len(vectors[0]))
-    for i, s in zip(row.support, row.signs):
-        out = map(add if s > 0 else sub, out, vectors[i])
-    return list(out)
 
 
 _GRAM_CACHE = [None, ()]    # [HadamardMatrix, its Gram matrix], the last asked
@@ -199,21 +208,106 @@ def expand_combination(
 # -- the half kernels ------------------------------------------------------------
 
 
-def _left_half(h_rows, p, q, e):
-    """(entry_ok, True, max|n_hat|) for a left part e, with n_hat = e H and
-    alpha = p/q: e enters condition (a) only."""
-    top = max(map(abs, _signed_column_sum(h_rows, e)))
+@dataclass(frozen=True)
+class PackedHalves:
+    """H's rows, and its columns with the rows of G = H^T H, packed into ints.
+
+    lefts and rights are indexed by a sign, [1] for + and [-1] for -, and
+    then by a support index; see the module docstring for the fields.
+    width is the width of G's fields, in bits.
+    """
+
+    d: int
+    hbias: int
+    width: int
+    lefts: tuple
+    rights: tuple
+
+
+def _packed_tables(h: HadamardMatrix, k: int) -> PackedHalves:
+    """The packed tables of H and G for parts of weight at most k.
+
+    The widths come from the actual entries: with hbias = max|H| and
+    gbias = max(max|G|, d), a sum of at most k parts keeps every field in
+    [0, 2*k*bias], so H's byte fields need 2*k*hbias <= 255 and G's fields
+    are (2*k*gbias).bit_length() bits wide.  Raises ValueError when H's
+    entries are too large for byte fields.
+    """
+    d = h.order
+    hbias = max(abs(v) for row in h.signs for v in row)
+    if 2 * k * hbias > 255:
+        raise ValueError(
+            f"H has entries up to {hbias} in absolute value: sums of {k} "
+            "of its rows do not fit in byte fields")
+    gram = hadamard_gram(h)
+    gbias = max(d, max(abs(v) for row in gram for v in row))
+    width = (2 * k * gbias).bit_length()
+
+    def pack_bytes(vector):
+        return int.from_bytes(bytes([hbias + v for v in vector]), "little")
+
+    def gram_less_target(i):
+        # the packed G_i less the target's share gbias*ones + d*e_i: the
+        # gbias terms cancel, leaving G_i - d*e_i in signed fields
+        fields = sum(v << (width * j) for j, v in enumerate(gram[i]))
+        return fields - (d << (width * i))
+
+    # sign -1 turns each byte field hbias + v into hbias - v, which is
+    # 2*hbias less it, and negates the G part
+    twice = int.from_bytes(bytes([2 * hbias]) * d, "little")
+
+    def by_sign(plus):
+        return (None, plus, tuple(twice - x for x in plus))
+
+    lefts = tuple(map(pack_bytes, h.signs))
+    rights = tuple(pack_bytes(col) + (gram_less_target(i) << 8 * d)
+                   for i, col in enumerate(h.columns))
+    return PackedHalves(d, hbias, width, by_sign(lefts), by_sign(rights))
+
+
+_PACKED_CACHE = [None, None, None]  # [HadamardMatrix, k, PackedHalves], last asked
+
+
+def packed_halves(h: HadamardMatrix, k: int) -> PackedHalves:
+    """_packed_tables(h, k), kept for the last (matrix, k) asked (by
+    identity, as hadamard_gram is): once per construction and worker."""
+    if _PACKED_CACHE[0] is not h or _PACKED_CACHE[1] != k:
+        _PACKED_CACHE[:] = [h, k, _packed_tables(h, k)]
+    return _PACKED_CACHE[2]
+
+
+def _packed_sum(table, part) -> int:
+    """Sum of table[s][i] over the (i, s) of a part (support, signs)."""
+    total = 0
+    for i, s in zip(*part):
+        total += table[s][i]
+    return total
+
+
+def _max_abs(fields: bytes, off: int) -> int:
+    """The largest t with a byte off + t or off - t in fields: max_j of
+    |field j - off|, searched from off down."""
+    for t in range(off, -1, -1):
+        if off + t in fields or off - t in fields:
+            return t
+
+
+def _left_half(packed, p, q, part):
+    """(entry_ok, True, max|n_hat|) for a left part (support, signs) of e,
+    with n_hat = e H and alpha = p/q: e enters condition (a) only."""
+    d, total = packed.d, _packed_sum(packed.lefts, part)
+    top = _max_abs(total.to_bytes(d, "little"), packed.hbias * len(part[0]))
     return 2 * p * top <= q, True, top
 
 
-def _right_half(h_cols, gram, d, p, q, f):
-    """(entry_ok, gram_ok, max|m_hat|) for a right part f, with m_hat = f H^T:
-    condition (a), beta*max|m_hat| <= 1/2, and (b), f G == d*f."""
-    top = max(map(abs, _signed_column_sum(h_cols, f)))
-    target = [0] * d
-    for i, s in zip(f.support, f.signs):
-        target[i] = d * s
-    return 2 * q * top <= p * d, _signed_column_sum(gram, f) == target, top
+def _right_half(packed, p, q, part):
+    """(entry_ok, gram_ok, max|m_hat|) for a right part (support, signs) of
+    f, with m_hat = f H^T: condition (a), beta*max|m_hat| <= 1/2, and (b),
+    f G == d*f."""
+    d, total = packed.d, _packed_sum(packed.rights, part)
+    low = total & ((1 << 8 * d) - 1)
+    top = _max_abs(low.to_bytes(d, "little"), packed.hbias * len(part[0]))
+    return 2 * q * top <= p * d, total == low, top
 
 
 def _row_flags(eps_ok, left, right):
@@ -345,19 +439,19 @@ HALVES_PER_TASK = 4096
 def _check_halves(con, task):
     """(l, [(entry_ok, gram_ok, max), ...]) for task = (l, side, ranks): the
     left (weight l) or right (weight k-l) parts of block l at positions
-    ranks, a range (streamed) or a list (each unranked)."""
+    ranks, a range (streamed) or a list (each unranked).  Equal results
+    share one tuple."""
     l, side, ranks = task
-    d, h, (p, q) = con.d, con.hadamard, con.params.alpha.as_integer_ratio()
-    if side == LEFT:
-        weight, kernel = l, partial(_left_half, h.signs, p, q)
-    else:
-        weight = con.k - l
-        kernel = partial(_right_half, h.columns, hadamard_gram(h), d, p, q)
+    d, k, (p, q) = con.d, con.k, con.params.alpha.as_integer_ratio()
+    kernel = partial(_left_half if side == LEFT else _right_half,
+                     packed_halves(con.hadamard, k), p, q)
+    weight = l if side == LEFT else k - l
     if isinstance(ranks, range):
-        rows = islice(iter_signed_rows_from(d, weight, ranks.start), len(ranks))
+        parts = islice(iter_parts_from(d, weight, ranks.start), len(ranks))
     else:
-        rows = (unrank_signed_row(d, weight, r) for r in ranks)
-    return l, list(map(kernel, rows))
+        parts = map(partial(unrank_part, d, weight), ranks)
+    intern = {}.setdefault
+    return l, [intern(result, result) for result in map(kernel, parts)]
 
 
 class _BlockSweep:

@@ -4,11 +4,13 @@ The package never multiplies, ranks or stacks Fraction matrices: its
 identities hold by construction or reduce to integer products.  Nor does it
 re-substitute a face witness into the vertices in Fractions: the face LP's
 integer recheck covers that, and it checks a certificate row as two halves
-in scaled integers.  These slow, obvious versions are what the tests check
-those shortcuts against.
+in packed integer fields.  It unranks supports from a table of binomials.
+These slow, obvious versions are what the tests check those shortcuts
+against.
 """
 
 from fractions import Fraction as F
+from math import comb
 
 from csneighborly.blocks import block_row_count, block_rows
 from csneighborly.certificate import (
@@ -81,6 +83,37 @@ def gauss_rank(m):
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         r += 1
     return r
+
+
+def literal_unrank_support(d, l, r):
+    """Support at position r of iter_supports(d, l), by walking the
+    positions in order: at each one, the supports that avoid it come first."""
+    out = []
+    start = 0
+    while l > 0:
+        skip = comb(d - start - 1, l)  # supports avoiding position `start`
+        if r < skip:
+            start += 1
+        else:
+            out.append(start)
+            r -= skip
+            start += 1
+            l -= 1
+    return tuple(out)
+
+
+def literal_halves(signs, left, right):
+    """(max|e H|, max|f H^T|, f G == d*f) for the row (e | f), by dense
+    integer sums over H = signs and a literal G = H^T H."""
+    d = len(signs)
+    e, f = left.dense(), right.dense()
+    n_hat = [sum(e[i] * signs[i][j] for i in range(d)) for j in range(d)]
+    m_hat = [sum(f[i] * signs[j][i] for i in range(d)) for j in range(d)]
+    g = [[sum(signs[t][i] * signs[t][j] for t in range(d)) for j in range(d)]
+         for i in range(d)]
+    f_g = [sum(f[i] * g[i][j] for i in range(d)) for j in range(d)]
+    return (max(map(abs, n_hat)), max(map(abs, m_hat)),
+            f_g == [d * x for x in f])
 
 
 def recheck_face(con, report):

@@ -1,4 +1,5 @@
-from itertools import product
+import random
+from itertools import islice, product
 from math import comb
 
 import pytest
@@ -11,13 +12,16 @@ from csneighborly import (
     total_row_count,
 )
 from csneighborly.blocks import (
+    iter_parts_from,
     iter_signed_rows,
+    iter_signed_rows_from,
     iter_supports,
     signed_row_count,
+    unrank_part,
     unrank_signed_row,
     unrank_support,
 )
-from literal import identity, naive_product, transpose
+from literal import identity, literal_unrank_support, naive_product, transpose
 
 
 def brute_force_weight_vectors(length, weight):
@@ -48,6 +52,34 @@ class TestSupports:
             assert listed == [unrank_support(d, l, r) for r in range(len(listed))]
 
 
+class TestUnrankAgainstLiteralWalk:
+    def test_every_rank_small_orders(self):
+        for d in range(13):
+            for l in range(d + 1):
+                assert [unrank_support(d, l, r) for r in range(comb(d, l))] == [
+                    literal_unrank_support(d, l, r) for r in range(comb(d, l))]
+
+    @pytest.mark.parametrize("d", [64, 256])
+    def test_random_and_end_ranks_large_orders(self, d):
+        rng = random.Random(d)
+        for l in (0, 1, 2, 3, 4, 5, 8, 13, d // 2, d - 1, d):
+            total = comb(d, l)
+            ranks = {0, total - 1} | {rng.randrange(total) for _ in range(200)}
+            for r in sorted(ranks):
+                assert unrank_support(d, l, r) == literal_unrank_support(d, l, r)
+
+    def test_out_of_range_ranks_rejected(self):
+        for d, l in ((6, 2), (64, 4), (5, 0)):
+            for r in (-1, comb(d, l)):
+                with pytest.raises(ValueError, match="out of range"):
+                    unrank_support(d, l, r)
+            for r in (-1, signed_row_count(d, l)):
+                with pytest.raises(ValueError, match="out of range"):
+                    unrank_signed_row(d, l, r)
+        with pytest.raises(ValueError, match="out of range"):
+            unrank_support(4, 5, 0)
+
+
 class TestSignedRows:
     def test_c21_frozen(self):
         rows = [r.dense() for r in iter_signed_rows(2, 1)]
@@ -67,6 +99,17 @@ class TestSignedRows:
             assert listed == [
                 unrank_signed_row(d, l, r) for r in range(signed_row_count(d, l))
             ]
+
+    @pytest.mark.parametrize("d,l", [(6, 3), (14, 13), (16, 0)])
+    def test_parts_agree_with_rows(self, d, l):
+        # (14, 13) has weight above the sign-pattern tables
+        count = signed_row_count(d, l)
+        for start in {0, 5 % count, count - 1}:
+            rows = list(islice(iter_signed_rows_from(d, l, start), 40))
+            parts = list(islice(iter_parts_from(d, l, start), 40))
+            assert parts == [(row.support, row.signs) for row in rows]
+            assert parts == [unrank_part(d, l, r)
+                             for r in range(start, start + len(parts))]
 
 
 class TestSignedSupportMatrix:

@@ -19,10 +19,17 @@ from csneighborly.certificate import (
     _row_flags,
     cube_combination,
     hadamard_gram,
+    packed_halves,
 )
 from csneighborly.construction import cs_transform_defect
 from csneighborly.hadamard import HadamardMatrix
-from literal import HALF, hadamard_rule, literal_conditions, literal_row_check
+from literal import (
+    HALF,
+    hadamard_rule,
+    literal_conditions,
+    literal_halves,
+    literal_row_check,
+)
 
 
 def half_row_check(con, left, right):
@@ -30,11 +37,12 @@ def half_row_check(con, left, right):
 
     Returns (entry_ok, eq_ok, cert_ok, max|f H^T|, max|e H|).
     """
-    h, d, k, l = con.hadamard, con.d, con.k, left.weight
+    h, k, l = con.hadamard, con.k, left.weight
     alpha, beta = con.params.alpha, con.params.beta
     p, q = alpha.numerator, alpha.denominator
-    left_result = _left_half(h.signs, p, q, left)
-    right_result = _right_half(h.columns, hadamard_gram(h), d, p, q, right)
+    packed = packed_halves(h, k)
+    left_result = _left_half(packed, p, q, (left.support, left.signs))
+    right_result = _right_half(packed, p, q, (right.support, right.signs))
     eps_ok = (k - l) * beta + l * alpha <= HALF
     return _row_flags(eps_ok, left_result, right_result) + (
         right_result[2], left_result[2])
@@ -66,11 +74,11 @@ def flipped_sylvester(e, i, j):
     return unvalidated_hadamard(rows)
 
 
-def random_sign_matrix(d, seed):
-    """An unvalidated d x d matrix of pseudorandom +-1 entries."""
+def random_sign_matrix(d, seed, entries=(1, -1)):
+    """An unvalidated d x d matrix of pseudorandom entries (+-1 by default)."""
     rng = random.Random(seed)
     return unvalidated_hadamard(
-        [[rng.choice((1, -1)) for _ in range(d)] for _ in range(d)])
+        [[rng.choice(entries) for _ in range(d)] for _ in range(d)])
 
 
 class TestRowCheckAgainstLiteralOracle:
@@ -179,6 +187,49 @@ class TestConditionsAgainstLiteralSweep:
         for case in SWEEP_CASES[3:]:
             rep = verify_conditions(case.values[0](), mode="exhaustive")
             assert not rep.passed and rep.failures
+
+
+class TestPackedHalves:
+    """The packed half kernels where G's fields are wider than 8 bits, and
+    the guard on H's byte fields."""
+
+    def test_sampled_rows_d64(self):
+        con = build(sylvester(6))
+        assert packed_halves(con.hadamard, con.k).width == 10
+        for l in range(con.k + 1):
+            for _, (left, right) in block_rows(64, 4, l).sample(3, seed=4):
+                assert assert_halves_match_literal(con, left, right) == (
+                    True, True, True)
+
+    @pytest.mark.parametrize("entries", [(1, -1, 2, -2, 3, -3), (63, -63, 1)])
+    def test_large_entries_match_dense_sums(self, entries):
+        # G's entries reach 16*max|H|^2, so its fields are 10 or more bits
+        h = random_sign_matrix(16, 5, entries)
+        con = build(h, verify=False)
+        packed = packed_halves(h, con.k)
+        assert packed.width > 8
+        p, q = con.params.alpha.as_integer_ratio()
+        gram_verdicts = set()
+        for l in range(con.k + 1):
+            for _, (left, right) in block_rows(16, 2, l).sample(60, seed=6):
+                n_top, m_top, gram_ok = literal_halves(h.signs, left, right)
+                assert _left_half(packed, p, q, (left.support, left.signs)) == (
+                    2 * p * n_top <= q, True, n_top)
+                assert _right_half(packed, p, q, (right.support, right.signs)) == (
+                    2 * q * m_top <= p * 16, gram_ok, m_top)
+                gram_verdicts.add(gram_ok)
+        assert gram_verdicts == {True, False}
+
+    def test_width_guard_raises(self):
+        # at d = 16 (k = 2) a byte field holds 2*k*max|H| <= 255: 63 fits,
+        # 64 does not
+        rows = [list(row) for row in sylvester(4).signs]
+        rows[3][7] = 63
+        packed_halves(unvalidated_hadamard(rows), 2)
+        rows[3][7] = 64
+        con = build(unvalidated_hadamard(rows), verify=False)
+        with pytest.raises(ValueError, match="byte fields"):
+            verify_conditions(con)
 
 
 class TestCertificateBlocks:

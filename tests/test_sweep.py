@@ -29,22 +29,22 @@ _real_right_half = certificate._right_half
 _real_is_face = oracle.is_face
 
 
-def _left_half_failing(h_rows, p, q, e):
+def _left_half_failing(packed, p, q, part):
     # fails the entry bound of the left part -e_5.  Only block 1 at d = 16
     # has weight-1 left parts (32 of them, supports {15}, {14}, ..., {0},
     # each with sign + then -), so -e_5 is left 2*10 + 1 = 21, and the first
     # row that reads it is 21 * 32 = 672
-    entry_ok, gram_ok, top = _real_left_half(h_rows, p, q, e)
-    if (e.support, e.signs) == ((5,), (-1,)):
+    entry_ok, gram_ok, top = _real_left_half(packed, p, q, part)
+    if part == ((5,), (-1,)):
         entry_ok = False
     return entry_ok, gram_ok, top
 
 
-def _right_half_failing(h_cols, gram, d, p, q, f):
+def _right_half_failing(packed, p, q, part):
     # fails the matrix equation f G == d*f of the right part +e_3: right
     # 2*12 = 24 of block 1 at d = 16, first read by row 24 (left 0)
-    entry_ok, gram_ok, top = _real_right_half(h_cols, gram, d, p, q, f)
-    if (f.support, f.signs) == ((3,), (1,)):
+    entry_ok, gram_ok, top = _real_right_half(packed, p, q, part)
+    if part == ((3,), (1,)):
         gram_ok = False
     return entry_ok, gram_ok, top
 
