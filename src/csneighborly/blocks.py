@@ -242,8 +242,11 @@ class BlockStream:
         """Deterministic sample of `count` rows (with replacement).
 
         Indices are drawn from SplitMix64 seeded with
-        block_sample_seed(seed, d, k, l); yields (index, (left, right)).
+        block_sample_seed(seed, d, k, l); yields (index, (left, right)),
+        and nothing for a block with no rows.
         """
+        if not self.count:
+            return
         gen = SplitMix64(block_sample_seed(seed, self.d, self.k, self.l))
         for _ in range(count):
             idx = gen.below(self.count)

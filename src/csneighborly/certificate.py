@@ -27,8 +27,8 @@ alpha*n_hat + (1/d) f G = f + alpha*n_hat, where the alpha*n_hat terms
 cancel, so it is f G == d*f; (c) re-sums, scaled by 2pqd, to that same
 comparison and needs eps = 1 - 2*(coefficient sum) >= 0, one per block.
 Each distinct part of a block is checked once, in integers, against the
-actual H and G (hadamard_gram): L + R checks for an exhaustive block of L*R
-rows.
+actual H and the G its validation formed (HadamardMatrix.gram): L + R checks
+for an exhaustive block of L*R rows.
 
 A part is checked in packed fields.  A vector v with sign s packs into one
 int whose field j holds bias + s*v[j]: byte fields with hbias = max|H| for
@@ -48,6 +48,9 @@ holds H's column in its low 8d bits and G's row less its share of the
 target above them, so one sum gives both: its low 8d bits are the column
 sum, and the rest is zero exactly when (b) holds.
 
+verify_conditions packs the tables once per run and hands them, with k, p
+and q, to every half task, in this process or on each pool worker.
+
 Blocks above a row cap are checked on a
 deterministic pseudorandom sample of rows, always with their first and last
 row, plus the structural identities that hold independently of the row
@@ -61,33 +64,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, islice
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .blocks import (SignedSupportRow, block_row_count, block_rows,
                      iter_parts_from, signed_row_count, unrank_part)
-from .construction import Construction
+from .construction import Construction, cs_transform_defect
 from .exact import Matrix, as_scalar
 from .hadamard import HadamardMatrix
 from .sampling import SplitMix64, block_sample_seed
 from .sweep import ordered_map
-
-
-_GRAM_CACHE = [None, ()]    # [HadamardMatrix, its Gram matrix], the last asked
-
-
-def hadamard_gram(h: HadamardMatrix) -> tuple:
-    """G = H^T H as a tuple of integer rows, by a literal integer product.
-
-    G is never replaced by d*I: the row check sums its actual rows, so a
-    matrix that is not Hadamard fails there too.  The last matrix's G is
-    kept (by identity), so a sweep, and each pool worker, computes it once
-    per construction.
-    """
-    if _GRAM_CACHE[0] is not h:
-        cols = h.columns
-        gram = tuple(tuple(sum(map(mul, ci, cj)) for cj in cols) for ci in cols)
-        _GRAM_CACHE[:] = [h, gram]
-    return _GRAM_CACHE[1]
 
 
 # -- combination certificates -------------------------------------------------
@@ -225,7 +210,7 @@ class PackedHalves:
 
 
 def _packed_tables(h: HadamardMatrix, k: int) -> PackedHalves:
-    """The packed tables of H and G for parts of weight at most k.
+    """The packed tables of H and G = h.gram for parts of weight at most k.
 
     The widths come from the actual entries: with hbias = max|H| and
     gbias = max(max|G|, d), a sum of at most k parts keeps every field in
@@ -239,7 +224,7 @@ def _packed_tables(h: HadamardMatrix, k: int) -> PackedHalves:
         raise ValueError(
             f"H has entries up to {hbias} in absolute value: sums of {k} "
             "of its rows do not fit in byte fields")
-    gram = hadamard_gram(h)
+    gram = h.gram
     gbias = max(d, max(abs(v) for row in gram for v in row))
     width = (2 * k * gbias).bit_length()
 
@@ -263,17 +248,6 @@ def _packed_tables(h: HadamardMatrix, k: int) -> PackedHalves:
     rights = tuple(pack_bytes(col) + (gram_less_target(i) << 8 * d)
                    for i, col in enumerate(h.columns))
     return PackedHalves(d, hbias, width, by_sign(lefts), by_sign(rights))
-
-
-_PACKED_CACHE = [None, None, None]  # [HadamardMatrix, k, PackedHalves], last asked
-
-
-def packed_halves(h: HadamardMatrix, k: int) -> PackedHalves:
-    """_packed_tables(h, k), kept for the last (matrix, k) asked (by
-    identity, as hadamard_gram is): once per construction and worker."""
-    if _PACKED_CACHE[0] is not h or _PACKED_CACHE[1] != k:
-        _PACKED_CACHE[:] = [h, k, _packed_tables(h, k)]
-    return _PACKED_CACHE[2]
 
 
 def _packed_sum(table, part) -> int:
@@ -335,14 +309,9 @@ def structural_identities(con: Construction) -> StructuralReport:
 
     Together these give left_correction @ A = f and right_correction = e @ A
     for every block row by plain algebra, whatever the block sizes.  H^T H
-    is the G the row checks use (hadamard_gram).
+    is the G the row checks use (HadamardMatrix.gram).
     """
-    d = con.d
-    gram_ok = all(
-        v == (d if i == j else 0)
-        for i, row in enumerate(hadamard_gram(con.hadamard))
-        for j, v in enumerate(row)
-    )
+    gram_ok = cs_transform_defect(con.hadamard.gram) is None
     product_ok = con.params.alpha * con.params.beta * con.d == 1
     return StructuralReport(
         hadamard_gram_ok=gram_ok, alpha_beta_product_ok=product_ok
@@ -436,15 +405,16 @@ LEFT, RIGHT = 0, 1
 HALVES_PER_TASK = 4096
 
 
-def _check_halves(con, task):
+def _check_halves(context, task):
     """(l, [(entry_ok, gram_ok, max), ...]) for task = (l, side, ranks): the
     left (weight l) or right (weight k-l) parts of block l at positions
-    ranks, a range (streamed) or a list (each unranked).  Equal results
-    share one tuple."""
+    ranks, a range (streamed) or a list (each unranked), with
+    context = (packed tables, k, p, q).  Equal results share one tuple."""
+    packed, k, p, q = context
     l, side, ranks = task
-    d, k, (p, q) = con.d, con.k, con.params.alpha.as_integer_ratio()
+    d = packed.d
     kernel = partial(_left_half if side == LEFT else _right_half,
-                     packed_halves(con.hadamard, k), p, q)
+                     packed, p, q)
     weight = l if side == LEFT else k - l
     if isinstance(ranks, range):
         parts = islice(iter_parts_from(d, weight, ranks.start), len(ranks))
@@ -580,8 +550,9 @@ def verify_conditions(
     # one map over every block's tasks; results come in task order, so they
     # group by block
     tasks = chain.from_iterable(sweep.tasks() for sweep in sweeps)
+    context = (_packed_tables(con.hadamard, k), k, p, q)
     block_reports = []
-    for l, group in groupby(ordered_map(_check_halves, con, tasks, jobs),
+    for l, group in groupby(ordered_map(_check_halves, context, tasks, jobs),
                             key=itemgetter(0)):
         sweep = sweeps[l]
         checked, (max_m, max_n), flags, first_failure = sweep.fold(group)

@@ -9,9 +9,10 @@ columns of T span the kernel of (I_d | A).
 
 The construction is the integer data (H, p, q) with alpha = p/q: A and X
 are tuples of row tuples whose entries are picked by the signs of H from
-shared Fractions, and T is built on demand.  Every identity checked here
-follows from H^T H = d*I.  X^T T = -A + A = 0 holds by construction, and
-``build`` verifies the full rank of [X | T] through an integer Gram identity
+shared Fractions, the LPs' integer rows p*h_j are kept with them, and T is
+built on demand.  Every identity checked here follows from H^T H = d*I.
+X^T T = -A + A = 0 holds by construction, and ``build`` verifies the full
+rank of [X | T] through an integer Gram identity on the matrix's own G
 (``cs_transform_defect``), never with Fraction matrix products.
 """
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from operator import mul
 
 from .exact import Matrix, as_scalar
 from .hadamard import HadamardMatrix
@@ -87,10 +87,12 @@ class Construction:
 
     A (d x n) and X (m x d, rows x_1..x_m) are tuples of row tuples of
     Fractions, and the 2m signed vertices are built once alongside them.
-    Everything is immutable after ``build`` and safe to share across workers.
+    scaled_columns holds x_{d+j} = (p/q) h_j, alpha = p/q, as the integer
+    rows p*h_j.  Everything is immutable after ``build`` and safe to share
+    across workers.
     """
 
-    __slots__ = ("params", "hadamard", "A", "X", "_signed")
+    __slots__ = ("params", "hadamard", "A", "X", "scaled_columns", "_signed")
 
     def __init__(self, params: ConstructionParams, h: HadamardMatrix,
                  a: Matrix, x: Matrix, minus_x: Matrix):
@@ -98,6 +100,9 @@ class Construction:
         self.hadamard = h
         self.A = a
         self.X = x
+        p = params.alpha.numerator
+        self.scaled_columns = tuple(
+            tuple(p * s for s in col) for col in h.columns)
         self._signed = (
             tuple(((i, 1), row) for i, row in enumerate(x))
             + tuple(((i, -1), row) for i, row in enumerate(minus_x))
@@ -139,25 +144,25 @@ def _identity(d: int, one: Fraction) -> Matrix:
     )
 
 
-def cs_transform_defect(signs) -> str | None:
-    """The first cs-transform identity that fails for the sign matrix H, or None.
+def cs_transform_defect(gram) -> str | None:
+    """The first cs-transform identity that fails for G = H^T H, or None.
 
     Scaled by q (alpha = p/q), qX = [qI; pH^T] and qT = [-pH; qI], so
     (qX)^T (qT) = -pqH + pqH = 0 holds by construction for any signs.  The
     Gram matrix of q[X | T] is block diagonal,
     [[q^2 I + p^2 H H^T, 0], [0, p^2 H^T H + q^2 I]], so
     [X | T]^T [X | T] = (1 + alpha^2 d) I_m, and with it rank [X | T] = m,
-    holds exactly when H H^T = d*I and H^T H = d*I.  A HadamardMatrix has
-    H^T H = d*I by validation, which for a square H implies H H^T = d*I;
-    H H^T is still computed here as a literal integer product (its upper
-    triangle: the product is symmetric), so an unvalidated H is caught too.
+    holds exactly when H H^T = d*I and H^T H = d*I.  For a square H the
+    first implies the second and back (H^T = d H^{-1}), so this reads the
+    actual G (its upper triangle: G is symmetric), never assumed to be d*I,
+    and an unvalidated H is caught.
     """
-    d = len(signs)
-    for i, row in enumerate(signs):
+    d = len(gram)
+    for i, row in enumerate(gram):
         for j in range(i, d):
-            if sum(map(mul, row, signs[j])) != (d if i == j else 0):
+            if row[j] != (d if i == j else 0):
                 return (
-                    f"H H^T != d*I at entry ({i}, {j}), so [X | T]^T [X | T] "
+                    f"H^T H != d*I at entry ({i}, {j}), so [X | T]^T [X | T] "
                     "!= (1 + alpha^2 d) I"
                 )
     return None
@@ -179,7 +184,7 @@ def build(h: HadamardMatrix, alpha=None, verify: bool = True) -> Construction:
     minus_x = _identity(d, Fraction(-1)) + tuple(zip(*minus_a))
 
     if verify:
-        defect = cs_transform_defect(h.signs)
+        defect = cs_transform_defect(h.gram)
         if defect is not None:
             raise ValueError(f"internal error: {defect}")
     return Construction(params, h, a, x, minus_x)

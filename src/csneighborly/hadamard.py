@@ -4,6 +4,11 @@ A Hadamard matrix of order d is a +-1 square matrix H with H^T H = d*I.  The
 construction downstream works for *any* Hadamard matrix, so besides the native
 Sylvester doubling (orders 2^e) arbitrary orders can be imported from a small
 text format (see ``load_hadamard``).
+
+Validation forms G = H^T H by a literal integer product (``gram_rows``) and
+a HadamardMatrix keeps it as ``gram``, which every later check reads.  G is
+never replaced by d*I, so a matrix that skipped validation is checked on
+its actual G.
 """
 
 from __future__ import annotations
@@ -15,16 +20,17 @@ DEFAULT_MAX_ORDER = 4096
 
 
 class HadamardMatrix:
-    """Validated +-1 matrix with mutually orthogonal columns (and rows)."""
+    """Validated +-1 matrix with mutually orthogonal columns (and rows).
 
-    __slots__ = ("order", "signs", "columns")
+    gram is G = H^T H as a tuple of integer rows, formed once by validation.
+    """
+
+    __slots__ = ("order", "signs", "columns", "gram")
 
     def __init__(self, signs):
-        signs = tuple(tuple(int(x) for x in row) for row in signs)
-        problem = malformed_reason(signs)
-        if problem is not None:
-            raise ValueError(f"malformed Hadamard input: {problem}")
-        pair = first_nonorthogonal_columns(signs)
+        signs = _sign_rows(signs)
+        columns = tuple(zip(*signs))
+        pair, gram = first_nonorthogonal_columns(columns)
         if pair is not None:
             raise ValueError(
                 f"not a Hadamard matrix: columns {pair[0]} and {pair[1]} "
@@ -32,7 +38,8 @@ class HadamardMatrix:
             )
         self.signs = signs
         self.order = len(signs)
-        self.columns = tuple(zip(*signs))
+        self.columns = columns
+        self.gram = gram
 
     def row_signs(self, i: int) -> tuple:
         return self.signs[i]
@@ -50,6 +57,15 @@ class HadamardMatrix:
         return f"HadamardMatrix(order={self.order})"
 
 
+def _sign_rows(signs) -> tuple:
+    """signs as a tuple of int row tuples; ValueError when malformed."""
+    signs = tuple(tuple(int(x) for x in row) for row in signs)
+    problem = malformed_reason(signs)
+    if problem is not None:
+        raise ValueError(f"malformed Hadamard input: {problem}")
+    return signs
+
+
 def malformed_reason(signs) -> str | None:
     """Reason a candidate is not even a +-1 square matrix, or None if fine."""
     n = len(signs)
@@ -64,16 +80,32 @@ def malformed_reason(signs) -> str | None:
     return None
 
 
-def first_nonorthogonal_columns(signs) -> tuple | None:
-    """First column pair (i, j), i < j, with nonzero inner product."""
-    cols = tuple(zip(*signs))
-    n = len(cols)
-    for i in range(n):
-        ci = cols[i]
-        for j in range(i + 1, n):
-            if sum(map(mul, ci, cols[j])):
-                return (i, j)
-    return None
+def gram_rows(columns):
+    """Yield the rows of G = H^T H for the columns of H, in order.
+
+    Entry (i, j) is the integer dot product of columns i and j for j >= i,
+    and is copied from row j for j < i (G is symmetric), so a reader that
+    stops after row i has formed no entry of a later row.
+    """
+    rows = []
+    for i, ci in enumerate(columns):
+        rows.append(tuple(r[i] for r in rows)
+                    + tuple(sum(map(mul, ci, cj)) for cj in columns[i:]))
+        yield rows[-1]
+
+
+def first_nonorthogonal_columns(columns) -> tuple:
+    """(pair, G): the first column pair (i, j), i < j in row-major order,
+    with nonzero inner product, and None, read from the rows of G = H^T H
+    (gram_rows) up to that pair's row; (None, G) when there is no such pair.
+    """
+    gram = []
+    for i, row in enumerate(gram_rows(columns)):
+        for j in range(i + 1, len(row)):
+            if row[j]:
+                return (i, j), None
+        gram.append(row)
+    return None, tuple(gram)
 
 
 def validate(signs) -> bool:
@@ -83,11 +115,8 @@ def validate(signs) -> bool:
     thereby kept distinct from a well-formed non-Hadamard matrix, which
     returns False.
     """
-    signs = tuple(tuple(int(x) for x in row) for row in signs)
-    problem = malformed_reason(signs)
-    if problem is not None:
-        raise ValueError(f"malformed Hadamard input: {problem}")
-    return first_nonorthogonal_columns(signs) is None
+    columns = tuple(zip(*_sign_rows(signs)))
+    return first_nonorthogonal_columns(columns)[0] is None
 
 
 def sylvester(e: int, max_order: int = DEFAULT_MAX_ORDER) -> HadamardMatrix:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
-from operator import mul
+from operator import index as as_index, mul
 
 from .blocks import (_signs_from_bits, block_rows, total_row_count,
                      unrank_support)
@@ -41,22 +41,6 @@ HALF = Fraction(1, 2)
 
 
 # -- face checks ---------------------------------------------------------------
-
-
-_ROWS_CACHE = [None, ()]    # [Construction, its vertex rows], the last asked
-
-
-def _hadamard_rows(con: Construction) -> tuple:
-    """The vertices x_{d+j} = (p/q) h_j, alpha = p/q, as integer rows p*h_j.
-
-    Built on a construction's first LP, not in ``build``, and kept for the
-    last construction (by identity), so each sweep or pool worker builds
-    them once."""
-    if _ROWS_CACHE[0] is not con:
-        p = con.params.alpha.numerator
-        rows = tuple(tuple(p * s for s in col) for col in con.hadamard.columns)
-        _ROWS_CACHE[:] = [con, rows]
-    return _ROWS_CACHE[1]
 
 
 @dataclass(frozen=True)
@@ -75,8 +59,9 @@ class FaceReport:
 def is_face(con: Construction, subset) -> FaceReport:
     """Decide whether the signed subset is the vertex set of a face.
 
-    Subset members are (index, sign) pairs over the m vertex representatives;
-    a subset containing an antipodal pair is rejected without solving.
+    Subset members are (index, sign) pairs of ints over the m vertex
+    representatives (a float raises TypeError); a subset containing an
+    antipodal pair is rejected without solving.
 
     The LP maximizes t with <c, s x_i> = 1 on the members and
     |<c, x_i>| <= 1 - t on the other vertex pairs.  In u = c/(1-t) and
@@ -85,7 +70,7 @@ def is_face(con: Construction, subset) -> FaceReport:
     t = 1 - 1/sigma and c = u/sigma; sigma* = 0 means no c attains 1 on the
     subset, and an unbounded sigma means t = 1, with c from the ray.
     """
-    members = tuple(sorted(set((int(i), int(s)) for i, s in subset)))
+    members = tuple(sorted(set((as_index(i), as_index(s)) for i, s in subset)))
     if not members:
         raise ValueError("subset must be non-empty")
     if len(members) > con.d:
@@ -98,7 +83,7 @@ def is_face(con: Construction, subset) -> FaceReport:
         return FaceReport(members, "antipodal-rejected", None, None)
 
     d, q = con.d, con.params.alpha.denominator
-    hrows = _hadamard_rows(con)
+    hrows = con.scaled_columns
     bounds = [(-1, 1)] * d + [(0, None)]
     rows = []
     for i, s in members:                         # s x_i.u - sigma in [0, 0]
@@ -247,7 +232,7 @@ def membership_margin(con: Construction, point) -> tuple:
     ints = [v.numerator * (scale // v.denominator) for v in w]
     head = ints[:d]
     rows = []
-    for j, hrow in enumerate(_hadamard_rows(con)):
+    for j, hrow in enumerate(con.scaled_columns):
         qb = q * ints[d + j] - sum(map(mul, hrow, head))    # scale*q*b_j
         if scale != 1:
             hrow = tuple(scale * v for v in hrow)
@@ -268,8 +253,10 @@ class DominanceReport:
 
 
 def is_dominant(con: Construction, indices) -> DominanceReport:
-    """Check one index subset of the cs-transform points for dominance."""
-    indices = tuple(sorted(set(int(i) for i in indices)))
+    """Check one index subset of the cs-transform points for dominance.
+
+    Indices are ints; a float raises TypeError."""
+    indices = tuple(sorted(set(map(as_index, indices))))
     if not indices:
         raise ValueError("index subset must be non-empty")
     if any(not 0 <= i < con.m for i in indices):

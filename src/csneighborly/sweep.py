@@ -8,8 +8,9 @@ order either way, so they are the same for every worker count.  The serial
 map is lazy: a sweep that stops reading at its first failure checks nothing
 after it.
 
-Each worker receives ``con`` as it is, not rebuilt, so a matrix built
-without validation is checked on the pool exactly as in this process.
+Each worker receives the check's context (con, or tables derived from it)
+as it is, not rebuilt, so a matrix built without validation is checked on
+the pool exactly as in this process.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from itertools import chain
 _NO_TASK = object()
 
 
-def ordered_map(check, con, tasks, jobs: int = 1):
-    """Yield check(con, task) for each task, in task order.
+def ordered_map(check, context, tasks, jobs: int = 1):
+    """Yield check(context, task) for each task, in task order.
 
     With jobs > 1 the tasks are listed and handed out in chunks of
     len(tasks) // (8 * jobs) (at least one) to `jobs` worker processes.
@@ -36,25 +37,25 @@ def ordered_map(check, con, tasks, jobs: int = 1):
         raise ValueError("the sweep has no tasks")
     tasks = chain((first,), tasks)
     if jobs == 1:
-        return map(partial(check, con), tasks)
-    return _pooled(check, con, list(tasks), jobs)
+        return map(partial(check, context), tasks)
+    return _pooled(check, context, list(tasks), jobs)
 
 
-def _pooled(check, con, tasks, jobs):
+def _pooled(check, context, tasks, jobs):
     chunk = max(1, len(tasks) // (jobs * 8))
     ctx = multiprocessing.get_context()
-    with ctx.Pool(jobs, _worker_init, (check, con)) as pool:
+    with ctx.Pool(jobs, _worker_init, (check, context)) as pool:
         yield from pool.imap(_worker_run, tasks, chunk)
 
 
-_WORKER = None                     # (check, construction) in a worker process
+_WORKER = None                     # (check, context) in a worker process
 
 
-def _worker_init(check, con):
+def _worker_init(check, context):
     global _WORKER
-    _WORKER = (check, con)
+    _WORKER = (check, context)
 
 
 def _worker_run(task):
-    check, con = _WORKER
-    return check(con, task)
+    check, context = _WORKER
+    return check(context, task)

@@ -17,12 +17,11 @@ from csneighborly.certificate import (
     _left_half,
     _right_half,
     _row_flags,
+    _packed_tables,
     cube_combination,
-    hadamard_gram,
-    packed_halves,
 )
 from csneighborly.construction import cs_transform_defect
-from csneighborly.hadamard import HadamardMatrix
+from csneighborly.hadamard import HadamardMatrix, gram_rows
 from literal import (
     HALF,
     hadamard_rule,
@@ -40,7 +39,7 @@ def half_row_check(con, left, right):
     h, k, l = con.hadamard, con.k, left.weight
     alpha, beta = con.params.alpha, con.params.beta
     p, q = alpha.numerator, alpha.denominator
-    packed = packed_halves(h, k)
+    packed = _packed_tables(h, k)
     left_result = _left_half(packed, p, q, (left.support, left.signs))
     right_result = _right_half(packed, p, q, (right.support, right.signs))
     eps_ok = (k - l) * beta + l * alpha <= HALF
@@ -59,11 +58,13 @@ def assert_halves_match_literal(con, left, right):
 
 
 def unvalidated_hadamard(signs):
-    """A HadamardMatrix holding `signs` without the orthogonality check."""
+    """A HadamardMatrix holding `signs` without the orthogonality check; its
+    gram is the package's own product H^T H, so it need not be d*I."""
     h = object.__new__(HadamardMatrix)
     h.signs = tuple(tuple(row) for row in signs)
     h.order = len(h.signs)
     h.columns = tuple(zip(*h.signs))
+    h.gram = tuple(gram_rows(h.columns))
     return h
 
 
@@ -111,7 +112,7 @@ class TestRowCheckAgainstLiteralOracle:
         # the dense Fraction oracle fails, with the same three verdicts
         h = flipped_sylvester(3, 2, 5)
         con = build(h, verify=False)
-        assert hadamard_gram(h) != tuple(
+        assert h.gram != tuple(
             tuple(8 if i == j else 0 for j in range(8)) for i in range(8))
         failing = 0
         for l in range(con.k + 1):
@@ -120,8 +121,8 @@ class TestRowCheckAgainstLiteralOracle:
                     assert_halves_match_literal(con, left, right))
         assert failing > 0
         # the integer build check rejects the same matrix
-        assert cs_transform_defect(h.signs) is not None
-        with pytest.raises(ValueError, match="H H\\^T != d\\*I"):
+        assert cs_transform_defect(h.gram) is not None
+        with pytest.raises(ValueError, match="H\\^T H != d\\*I at entry"):
             build(h)
 
     @pytest.mark.parametrize("con", [
@@ -195,7 +196,7 @@ class TestPackedHalves:
 
     def test_sampled_rows_d64(self):
         con = build(sylvester(6))
-        assert packed_halves(con.hadamard, con.k).width == 10
+        assert _packed_tables(con.hadamard, con.k).width == 10
         for l in range(con.k + 1):
             for _, (left, right) in block_rows(64, 4, l).sample(3, seed=4):
                 assert assert_halves_match_literal(con, left, right) == (
@@ -206,7 +207,7 @@ class TestPackedHalves:
         # G's entries reach 16*max|H|^2, so its fields are 10 or more bits
         h = random_sign_matrix(16, 5, entries)
         con = build(h, verify=False)
-        packed = packed_halves(h, con.k)
+        packed = _packed_tables(h, con.k)
         assert packed.width > 8
         p, q = con.params.alpha.as_integer_ratio()
         gram_verdicts = set()
@@ -225,7 +226,7 @@ class TestPackedHalves:
         # 64 does not
         rows = [list(row) for row in sylvester(4).signs]
         rows[3][7] = 63
-        packed_halves(unvalidated_hadamard(rows), 2)
+        _packed_tables(unvalidated_hadamard(rows), 2)
         rows[3][7] = 64
         con = build(unvalidated_hadamard(rows), verify=False)
         with pytest.raises(ValueError, match="byte fields"):

@@ -214,6 +214,16 @@ class TestVerify:
         assert doc["seed"] == 9
         assert doc["counts"]["vertices_checked"] == 15
 
+    def test_sampled_sweep_skips_empty_blocks(self, capsys):
+        # k = 5 > d = 4 empties blocks l = 0 (k - l > d) and l = 5 (l > d),
+        # as exhaustive mode does; l = 1..4 get 3 vertices each
+        code, out, _ = run(
+            capsys, "verify", "--d", "4", "--check", "containment", "--k", "5",
+            "--mode", "sample", "--samples", "3",
+        )
+        assert code == 0
+        assert json.loads(out)["counts"]["vertices_checked"] == 4 * 3
+
 
 class TestHadamard:
     def test_order_profile(self, capsys):

@@ -120,7 +120,7 @@ class TestBuild:
         # products must give the same verdict
         con = build(sylvester(e), alpha=alpha)
         t = cs_transform_points(con)
-        integer_ok = cs_transform_defect(con.hadamard.signs) is None
+        integer_ok = cs_transform_defect(con.hadamard.gram) is None
         literal_ok = (
             naive_product(transpose(con.X), t) == identity(con.d, 0)
             and gauss_rank(hstack(con.X, t)) == con.m

@@ -5,10 +5,9 @@ from itertools import combinations, permutations
 import pytest
 
 from csneighborly import build, cs_transform_points, sylvester
-from csneighborly.certificate import hadamard_gram
 from csneighborly.construction import cs_transform_defect
 from csneighborly.exact import as_scalar
-from csneighborly.hadamard import HadamardMatrix
+from csneighborly.hadamard import HadamardMatrix, gram_rows
 from literal import (
     gauss_rank, hstack, identity, kron, naive_product, transpose,
 )
@@ -48,13 +47,15 @@ def minors_rank(m):
 
 
 def unvalidated_signs(rng, order):
-    """A random +-1 square matrix wrapped as a HadamardMatrix, unchecked."""
+    """A random +-1 square matrix wrapped as a HadamardMatrix, unchecked;
+    its gram is the package's own product H^T H."""
     h = object.__new__(HadamardMatrix)
     h.signs = tuple(
         tuple(rng.choice((1, -1)) for _ in range(order)) for _ in range(order)
     )
     h.order = order
     h.columns = tuple(zip(*h.signs))
+    h.gram = tuple(gram_rows(h.columns))
     return h
 
 
@@ -100,19 +101,20 @@ class TestMatMul:
             naive_product(identity(2), identity(3))
 
     def test_against_naive_oracle(self):
-        # the package's integer products, G = H^T H and H H^T = d*I, agree
-        # with the literal product on random (mostly non-Hadamard) signs
+        # the package's integer product G = H^T H agrees with the literal
+        # product on random (mostly non-Hadamard) signs, and the build check
+        # on G agrees with H H^T = d*I (equivalent for a square H)
         rng = random.Random(11)
         for order in (1, 2, 3, 4, 4, 6, 8, 8):
             h = unvalidated_signs(rng, order)
-            assert hadamard_gram(h) == naive_product(transpose(h.signs), h.signs)
+            assert h.gram == naive_product(transpose(h.signs), h.signs)
             literal_ok = naive_product(h.signs, transpose(h.signs)) == identity(
                 order, order
             )
-            assert (cs_transform_defect(h.signs) is None) == literal_ok
+            assert (cs_transform_defect(h.gram) is None) == literal_ok
         h = sylvester(3)
-        assert hadamard_gram(h) == identity(8, 8)
-        assert cs_transform_defect(h.signs) is None
+        assert h.gram == identity(8, 8)
+        assert cs_transform_defect(h.gram) is None
 
     def test_associative_and_distributive(self):
         rng = random.Random(13)

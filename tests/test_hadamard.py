@@ -10,7 +10,7 @@ from csneighborly import (
     sylvester,
     validate,
 )
-from literal import kron
+from literal import kron, naive_product, transpose
 
 H4_ROWS = (
     (1, 1, 1, 1),
@@ -80,6 +80,28 @@ class TestValidate:
     def test_constructor_reports_offending_pair(self):
         with pytest.raises(ValueError, match="columns 0 and 1"):
             HadamardMatrix([[1, 1], [1, 1]])
+
+    def test_first_pair_in_row_major_order(self, tmp_path):
+        # sylvester(3) with columns 5, 6, 7 set to column 2, column 3 and
+        # -column 1: the pairs (1, 7), (2, 5) and (3, 6) are not orthogonal,
+        # and (1, 7) comes first in row-major order though (2, 5) has the
+        # smaller j
+        rows = [list(row) for row in sylvester(3).signs]
+        for row in rows:
+            row[5], row[6], row[7] = row[2], row[3], -row[1]
+        with pytest.raises(ValueError, match="columns 1 and 7 are not"):
+            HadamardMatrix(rows)
+        path = tmp_path / "pairs.txt"
+        path.write_text(
+            "8\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n")
+        with pytest.raises(ValueError, match="columns 1 and 7 are not"):
+            load_hadamard(path)
+        assert validate(rows) is False
+
+    def test_gram_is_the_literal_product(self):
+        for e in range(5):
+            h = sylvester(e)
+            assert h.gram == naive_product(transpose(h.signs), h.signs)
 
 
 class TestImport:

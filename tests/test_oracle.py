@@ -177,18 +177,59 @@ class TestFaceTableD4:
         assert digest == D4_FACE_DIGEST
 
 
+class TestIntegerArguments:
+    def test_is_face_rejects_float_members(self, con4):
+        for subset in ([(1.9, 1)], [(1, 1.0)]):
+            with pytest.raises(TypeError):
+                is_face(con4, subset)
+
+    def test_is_dominant_rejects_float_indices(self, con4):
+        with pytest.raises(TypeError):
+            is_dominant(con4, [0.5, 2.7])
+
+
 class TestVertexRows:
-    def test_built_once_per_construction_on_first_lp(self, con4):
+    def test_built_by_build_and_shared_across_lps(self, monkeypatch):
         fresh = build(sylvester(2))
-        assert oracle._ROWS_CACHE[0] is not fresh      # build does no LP work
-        is_face(fresh, [(4, 1)])
-        rows = oracle._ROWS_CACHE[1]
-        assert oracle._ROWS_CACHE[0] is fresh
-        membership_margin(fresh, [1] + [0] * 7)
-        is_face(fresh, [(5, -1), (1, 1)])
-        assert oracle._ROWS_CACHE[1] is rows           # reused, not rebuilt
+        rows = fresh.scaled_columns                   # there before any LP
         # x_{d+j} = (p/q) h_j with alpha = p/q = 1/2 at d = 4
         assert rows == tuple(tuple(col) for col in fresh.hadamard.columns)
+        programs = []
+        real_lp_max = oracle.lp_max
+
+        def recording_lp_max(objective, lp_rows, bounds):
+            programs.append(lp_rows)
+            return real_lp_max(objective, lp_rows, bounds)
+
+        monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
+        is_face(fresh, [(4, 1)])
+        membership_margin(fresh, [1] + [0] * 7)
+        is_face(fresh, [(5, -1), (1, 1)])
+        assert fresh.scaled_columns is rows           # read, not rebuilt
+        # each program's rows over the Hadamard vertices are those rows
+        face, member, face2 = ([tuple(c[:4]) for c, _, _ in lp_rows]
+                               for lp_rows in programs)
+        assert face == [rows[0]] + [rows[j] for j in (1, 2, 3)]
+        assert member == list(rows)
+        assert face2 == [(0, 1, 0, 0), tuple(-v for v in rows[1]),
+                         rows[0], rows[2], rows[3]]
+
+
+    def test_rows_scaled_by_p(self):
+        # alpha = p/q = 2/5 at d = 8: the rows are 2*h_j, and the LP optima
+        # hold on the Fraction vertices
+        con = build(sylvester(3), alpha=F(2, 5))
+        assert con.scaled_columns == tuple(
+            tuple(2 * s for s in col) for col in con.hadamard.columns)
+        for subset in [[(0, 1)], [(8, 1)], [(3, 1), (12, -1)]]:
+            rep = is_face(con, subset)
+            assert rep.status == "face" and recheck_face(con, rep) == []
+        rng = random.Random(9)
+        for _ in range(5):
+            point = [F(rng.randint(-3, 3), 4) for _ in range(con.m)]
+            margin, witness = membership_margin(con, point)
+            offsets = cube_offsets(con, point, witness)
+            assert max(abs(v) for v in offsets) == F(1, 2) - margin
 
 
 class TestVerifyKNeighborly:
