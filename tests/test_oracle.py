@@ -209,11 +209,9 @@ class TestVertexRows:
         # each program's rows over the Hadamard vertices are those rows
         face, member, face2 = ([tuple(c[:4]) for c, _, _ in lp_rows]
                                for lp_rows in programs)
-        assert face == [rows[0]] + [rows[j] for j in (1, 2, 3)]
-        assert member == list(rows)
+        assert face == member == list(rows)
         assert face2 == [(0, 1, 0, 0), tuple(-v for v in rows[1]),
                          rows[0], rows[2], rows[3]]
-
 
     def test_rows_scaled_by_p(self):
         # alpha = p/q = 2/5 at d = 8: the rows are 2*h_j, and the LP optima
