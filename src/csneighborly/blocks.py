@@ -10,7 +10,7 @@ Kronecker-structured pair
 where C_l lists all weight-l signed rows of length d in doubly-lexicographic
 order and n(l) = 2^l * binom(d, l).  Streams below never materialize a block;
 random access is provided by exact unranking so sampled sweeps can verify
-arbitrary rows of very large blocks.
+arbitrary rows of very large blocks, at the indices sample_indices draws.
 
 Ordering convention (frozen; golden files depend on it): supports are ordered
 lexicographically by their 0/1 indicator vector, and within one support the
@@ -24,8 +24,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from math import comb
+from operator import itemgetter
 
-from .sampling import SplitMix64, block_sample_seed
+from .sampling import block_sample_seed, draws
 
 
 @dataclass(frozen=True)
@@ -238,20 +239,6 @@ class BlockStream:
         right = unrank_signed_row(self.n, self.k - self.l, index % right_count)
         return (left, right)
 
-    def sample(self, count: int, seed: int):
-        """Deterministic sample of `count` rows (with replacement).
-
-        Indices are drawn from SplitMix64 seeded with
-        block_sample_seed(seed, d, k, l); yields (index, (left, right)),
-        and nothing for a block with no rows.
-        """
-        if not self.count:
-            return
-        gen = SplitMix64(block_sample_seed(seed, self.d, self.k, self.l))
-        for _ in range(count):
-            idx = gen.below(self.count)
-            yield (idx, self.row(idx))
-
     def __repr__(self) -> str:
         return (
             f"BlockStream(d={self.d}, k={self.k}, l={self.l}, n={self.n}, "
@@ -262,6 +249,18 @@ class BlockStream:
 def block_rows(d: int, k: int, l: int, n: int | None = None) -> BlockStream:
     """Stream over the rows of block l (left width d, right width n)."""
     return BlockStream(d, k, l, n)
+
+
+def sample_indices(d: int, k: int, l: int, count: int, seed: int,
+                   n: int | None = None):
+    """count row indices of block l drawn with replacement, in draw order,
+    from the block's seed word block_sample_seed(seed, d, k, l); nothing for
+    a block with no rows."""
+    total = block_row_count(d, k, l, n)
+    if not total:
+        return iter(())
+    return map(itemgetter(0),
+               draws(block_sample_seed(seed, d, k, l), (total,), count))
 
 
 # -- orthogonality of the Kronecker blocks -----------------------------------

@@ -67,11 +67,11 @@ from itertools import chain, groupby, islice
 from operator import itemgetter
 
 from .blocks import (SignedSupportRow, block_row_count, block_rows,
-                     iter_parts_from, signed_row_count, unrank_part)
+                     iter_parts_from, sample_indices, signed_row_count,
+                     unrank_part)
 from .construction import Construction, cs_transform_defect
 from .exact import Matrix, as_scalar
 from .hadamard import HadamardMatrix
-from .sampling import SplitMix64, block_sample_seed
 from .sweep import ordered_map
 
 
@@ -388,14 +388,13 @@ def block_sweep_tasks(d: int, k: int, l: int, sampled: bool, sample_rows: int,
     """The (l, row index) tasks a conditions sweep checks in block l.
 
     In sweep order: every row of the block, or, when sampled, its first and
-    last row followed by sample_rows draws from the block's SplitMix64
-    stream (block_sample_seed(seed, d, k, l)).
+    last row followed by the block's sample_rows drawn indices
+    (blocks.sample_indices).
     """
     total = block_row_count(d, k, l)
     if sampled:
-        gen = SplitMix64(block_sample_seed(seed, d, k, l))
         ends = (0, total - 1) if total > 1 else (0,)
-        indices = chain(ends, (gen.below(total) for _ in range(sample_rows)))
+        indices = chain(ends, sample_indices(d, k, l, sample_rows, seed))
     else:
         indices = range(total)
     return ((l, index) for index in indices)
@@ -695,7 +694,8 @@ def verify_general(
         rows = (
             enumerate(stream)
             if exhaustive
-            else stream.sample(sample_rows, seed)
+            else ((index, stream.row(index)) for index in
+                  sample_indices(d, k, l, sample_rows, seed, n))
         )
         # a block is empty when k - l exceeds n or l exceeds d
         results = (

@@ -122,14 +122,15 @@ def parse_vertices_json(text: str):
 # -- report plumbing -----------------------------------------------------------
 
 
-def _report_doc(command, con, check, mode, counts, min_margin, seed, failures,
-                duration):
+def _report_doc(command, con, k, check, mode, counts, min_margin, seed,
+                failures, duration):
+    """A report of a sweep of size or weight k over con."""
     return {
         "schema": SCHEMA,
         "command": command,
         "check": check,
         "d": con.d,
-        "k": con.k,
+        "k": k,
         "alpha": frac_str(con.params.alpha),
         "beta": frac_str(con.params.beta),
         "mode": mode,
@@ -249,6 +250,7 @@ def cmd_certify(args) -> int:
     doc = _report_doc(
         command=_command_line("certify", args),
         con=con,
+        k=report.k,
         check="certificate",
         mode=report.mode,
         counts=counts,
@@ -356,6 +358,7 @@ def cmd_verify(args) -> int:
     doc = _report_doc(
         command=_command_line("verify", args),
         con=con,
+        k=rep.k,
         check=args.check,
         mode=args.mode,
         counts=counts,

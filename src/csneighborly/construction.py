@@ -86,16 +86,16 @@ class Construction:
     """One built instance: parameters, Hadamard source, A and X.
 
     A (d x n) and X (m x d, rows x_1..x_m) are tuples of row tuples of
-    Fractions, and the 2m signed vertices are built once alongside them.
+    Fractions; a negated vertex is formed when it is asked for.
     scaled_columns holds x_{d+j} = (p/q) h_j, alpha = p/q, as the integer
     rows p*h_j.  Everything is immutable after ``build`` and safe to share
     across workers.
     """
 
-    __slots__ = ("params", "hadamard", "A", "X", "scaled_columns", "_signed")
+    __slots__ = ("params", "hadamard", "A", "X", "scaled_columns")
 
     def __init__(self, params: ConstructionParams, h: HadamardMatrix,
-                 a: Matrix, x: Matrix, minus_x: Matrix):
+                 a: Matrix, x: Matrix):
         self.params = params
         self.hadamard = h
         self.A = a
@@ -103,10 +103,6 @@ class Construction:
         p = params.alpha.numerator
         self.scaled_columns = tuple(
             tuple(p * s for s in col) for col in h.columns)
-        self._signed = (
-            tuple(((i, 1), row) for i, row in enumerate(x))
-            + tuple(((i, -1), row) for i, row in enumerate(minus_x))
-        )
 
     @property
     def d(self) -> int:
@@ -122,11 +118,13 @@ class Construction:
 
     def vertex_representative(self, index: int, sign: int = 1) -> tuple:
         """Vertex sign*x_index as an exact coordinate tuple."""
-        return self._signed[index if sign > 0 else self.params.m + index][1]
+        row = self.X[index]
+        return row if sign > 0 else tuple(-v for v in row)
 
     def signed_vertices(self) -> tuple:
         """All 2m vertices as ((index, sign), coordinates), representatives first."""
-        return self._signed
+        return tuple(((i, s), self.vertex_representative(i, s))
+                     for s in (1, -1) for i in range(self.m))
 
     def __repr__(self) -> str:
         return f"Construction(d={self.d}, k={self.k}, alpha={self.params.alpha})"
@@ -137,8 +135,8 @@ def _pick(signs, plus, minus) -> Matrix:
     return tuple(tuple(plus if s > 0 else minus for s in row) for row in signs)
 
 
-def _identity(d: int, one: Fraction) -> Matrix:
-    zero = Fraction(0)
+def _identity(d: int) -> Matrix:
+    one, zero = Fraction(1), Fraction(0)
     return tuple(
         tuple(one if i == j else zero for j in range(d)) for i in range(d)
     )
@@ -176,18 +174,14 @@ def build(h: HadamardMatrix, alpha=None, verify: bool = True) -> Construction:
     checked through the integer Gram identity (see cs_transform_defect).
     """
     params = parameters(h.order, alpha=alpha)
-    d = params.d
-    alpha, minus = params.alpha, -params.alpha
-    a = _pick(h.signs, alpha, minus)                  # d x n
-    x = _identity(d, Fraction(1)) + tuple(zip(*a))    # m x d, rows x_1..x_m
-    minus_a = _pick(h.signs, minus, alpha)
-    minus_x = _identity(d, Fraction(-1)) + tuple(zip(*minus_a))
+    a = _pick(h.signs, params.alpha, -params.alpha)   # d x n
+    x = _identity(params.d) + tuple(zip(*a))          # m x d, rows x_1..x_m
 
     if verify:
         defect = cs_transform_defect(h.gram)
         if defect is not None:
             raise ValueError(f"internal error: {defect}")
-    return Construction(params, h, a, x, minus_x)
+    return Construction(params, h, a, x)
 
 
 def cs_transform_points(con: Construction) -> Matrix:

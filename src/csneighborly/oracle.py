@@ -16,9 +16,11 @@ Three checks, each reduced to small exact linear programs:
     vertex of the weight-k section; containment holds iff the minimum margin
     is >= 0 (strict if > 0).
 
-Sweeps enumerate deterministically and run through sweep.ordered_map,
-serially or on worker processes, and aggregate results in task order, so
-reports do not depend on the worker count.
+Each sweep lists its tasks through one plan (_plan): every task in
+exhaustive mode, refused above a cap, or a seeded draw in sample mode
+(sampling.draws, with replacement).  The tasks run through
+sweep.ordered_map, serially or on worker processes, and results are
+aggregated in task order, so reports do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -29,15 +31,32 @@ from itertools import combinations
 from math import comb, lcm
 from operator import index as as_index, mul
 
-from .blocks import (_signs_from_bits, block_rows, total_row_count,
-                     unrank_support)
+from .blocks import (_signs_from_bits, block_row_count, block_rows,
+                     sample_indices, total_row_count, unrank_support)
 from .construction import Construction
 from .exact import as_scalar
-from .sampling import SplitMix64
+from .sampling import draws
 from .simplex import lp_max
 from .sweep import ordered_map
 
 HALF = Fraction(1, 2)
+
+
+def _plan(mode, total, cap, what, every, sampled, seed):
+    """(tasks, the seed the report echoes) of an oracle sweep.
+
+    Exhaustive mode lists every, refused when its total `what` exceed cap,
+    and echoes no seed; sample mode lists sampled and echoes seed.  Each
+    iterable is read only in its own mode.
+    """
+    if mode == "exhaustive":
+        if total > cap:
+            raise ValueError(f"{total} {what} exceed the exhaustive cap "
+                             f"{cap}; use sample mode")
+        return list(every), None
+    if mode == "sample":
+        return list(sampled), seed
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 # -- face checks ---------------------------------------------------------------
@@ -163,26 +182,12 @@ def verify_k_neighborly(
     if k < 1 or k > con.d:
         raise ValueError(f"subset size k={k} must be in 1..{con.d}")
     m = con.m
-    logical_total = (1 << k) * comb(m, k)
-    if mode == "exhaustive":
-        if logical_total > cap:
-            raise ValueError(
-                f"{logical_total} subsets exceed the exhaustive cap {cap}; "
-                "use sample mode"
-            )
-        tasks = list(canonical_subsets(m, k))
-        used_seed = None
-    elif mode == "sample":
-        gen = SplitMix64((seed << 20) ^ (m << 8) ^ k)
-        tasks = [
-            _unrank_canonical_subset(
-                m, k, gen.below(comb(m, k)), gen.below(1 << (k - 1))
-            )
-            for _ in range(samples)
-        ]
-        used_seed = seed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    tasks, used_seed = _plan(
+        mode, (1 << k) * comb(m, k), cap, "subsets", canonical_subsets(m, k),
+        (_unrank_canonical_subset(m, k, rank, bits) for rank, bits in
+         draws((seed << 20) ^ (m << 8) ^ k, (comb(m, k), 1 << (k - 1)),
+               samples)),
+        seed)
 
     reports = list(ordered_map(is_face, con, tasks, jobs))
 
@@ -309,23 +314,12 @@ def dominant_subset_sweep(
     m = con.m
     if k < 1 or k > m:
         raise ValueError(f"subset size k={k} must be in 1..{m}")
-    n_patterns = (1 << k) * comb(m, k)
-    if mode == "exhaustive":
-        if n_patterns > cap:
-            raise ValueError(
-                f"{n_patterns} sign patterns exceed the cap {cap}; "
-                "use sample mode"
-            )
-        subsets = list(combinations(range(m), k))
-        used_seed = None
-    elif mode == "sample":
-        gen = SplitMix64((seed << 20) ^ (m << 8) ^ k ^ 0x515)
-        subsets = [
-            unrank_support(m, k, gen.below(comb(m, k))) for _ in range(samples)
-        ]
-        used_seed = seed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    subsets, used_seed = _plan(
+        mode, (1 << k) * comb(m, k), cap, "sign patterns",
+        combinations(range(m), k),
+        (unrank_support(m, k, rank) for (rank,) in
+         draws((seed << 20) ^ (m << 8) ^ k ^ 0x515, (comb(m, k),), samples)),
+        seed)
 
     reports = list(ordered_map(is_dominant, con, subsets, jobs))
 
@@ -389,40 +383,29 @@ def projection_containment(
 
     Containment of the projected section in the projected cube holds iff the
     minimum margin is >= 0.  Sample mode draws `samples` rows from each
-    block with the deterministic per-block generator.
+    block (blocks.sample_indices); each vertex is built from its row as the
+    sweep reaches it.
     """
     k = con.k if k is None else k
     d = con.d
     if k < 1 or k > con.m:
         raise ValueError(f"weight k={k} must be in 1..{con.m}")
-    total = total_row_count(d, k)
-    tasks = []                     # ((l, row index), point)
-    if mode == "exhaustive":
-        if total > cap:
-            raise ValueError(
-                f"{total} vertices exceed the exhaustive cap {cap}; "
-                "use sample mode"
-            )
-        for l in range(k + 1):
-            for index, (left, right) in enumerate(block_rows(d, k, l)):
-                tasks.append(((l, index), left.dense() + right.dense()))
-        used_seed = None
-    elif mode == "sample":
-        for l in range(k + 1):
-            for index, (left, right) in block_rows(d, k, l).sample(samples, seed):
-                tasks.append(((l, index), left.dense() + right.dense()))
-        used_seed = seed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    margins = ordered_map(_vertex_margin, con, (pt for _, pt in tasks), jobs)
+    blocks = range(k + 1)
+    tasks, used_seed = _plan(     # (block l, row index)
+        mode, total_row_count(d, k), cap, "vertices",
+        ((l, index) for l in blocks for index in range(block_row_count(d, k, l))),
+        ((l, index) for l in blocks
+         for index in sample_indices(d, k, l, samples, seed)),
+        seed)
+    streams = tuple(block_rows(d, k, l) for l in blocks)
+    margins = ordered_map(_vertex_margin, (con, streams), tasks, jobs)
 
     best = None
     best_at = None
-    for (tag, _), margin in zip(tasks, margins):
+    for task, margin in zip(tasks, margins):
         if best is None or margin < best:
             best = margin
-            best_at = tag
+            best_at = task
     return ContainmentReport(
         d=d,
         k=k,
@@ -434,5 +417,10 @@ def projection_containment(
     )
 
 
-def _vertex_margin(con, point):
-    return membership_margin(con, point)[0]
+def _vertex_margin(context, task):
+    """Membership margin of the vertex at task = (l, row index), its row
+    read from block l's stream in context = (con, streams)."""
+    con, streams = context
+    l, index = task
+    left, right = streams[l].row(index)
+    return membership_margin(con, left.dense() + right.dense())[0]

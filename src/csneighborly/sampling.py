@@ -4,10 +4,14 @@ All sampled verification passes draw from SplitMix64, a tiny documented
 generator, so a (seed, parameters) pair reproduces the exact same sample on
 any platform and Python version.  Bounded draws use plain modulo reduction;
 the negligible bias is irrelevant for verification sampling and keeps the
-reduction trivially reproducible.
+reduction trivially reproducible.  ``draws`` is the one place a sweep's
+generator is made: each sweep derives its seed word from the user's seed
+and the sweep's shape, and reads its draws in generator order.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 _MASK = (1 << 64) - 1
 
@@ -32,6 +36,14 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
+
+
+def draws(word: int, bounds: tuple, count: int):
+    """count draws, with replacement, from SplitMix64(word): each a tuple
+    with one value from range(b) for each bound b.  zip takes its values
+    left to right, so they come in generator order, bound by bound."""
+    below = SplitMix64(word).below
+    return zip(*(map(below, repeat(bound, count)) for bound in bounds))
 
 
 def block_sample_seed(seed: int, d: int, k: int, l: int) -> int:

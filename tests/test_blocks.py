@@ -16,6 +16,7 @@ from csneighborly.blocks import (
     iter_signed_rows,
     iter_signed_rows_from,
     iter_supports,
+    sample_indices,
     signed_row_count,
     unrank_part,
     unrank_signed_row,
@@ -192,11 +193,15 @@ class TestBlockStreams:
             assert stream.row(i) == row
 
     def test_sample_deterministic(self):
-        stream = block_rows(16, 2, 1)
-        a = list(stream.sample(50, seed=0))
-        b = list(stream.sample(50, seed=0))
-        assert a == b
-        assert all(0 <= i < stream.count for i, _ in a)
+        a = list(sample_indices(16, 2, 1, 50, seed=0))
+        b = list(sample_indices(16, 2, 1, 50, seed=0))
+        assert a == b and len(a) == 50
+        assert all(0 <= i < block_row_count(16, 2, 1) for i in a)
+
+    def test_sample_of_empty_block(self):
+        # k - l = 3 exceeds the right width n = 2, so block 0 has no rows
+        assert block_row_count(2, 3, 0, n=2) == 0
+        assert list(sample_indices(2, 3, 0, 5, seed=0, n=2)) == []
 
     def test_rectangular_widths(self):
         # left width 2, right width 3

@@ -12,7 +12,7 @@ from csneighborly import (
     verify_conditions,
     verify_general,
 )
-from csneighborly.blocks import SignedSupportRow
+from csneighborly.blocks import SignedSupportRow, sample_indices
 from csneighborly.certificate import (
     _left_half,
     _right_half,
@@ -57,6 +57,13 @@ def assert_halves_match_literal(con, left, right):
     return fast[:3]
 
 
+def sampled_rows(d, k, l, count, seed):
+    """The (left, right) rows of block l at its drawn sample indices."""
+    stream = block_rows(d, k, l)
+    return (stream.row(index)
+            for index in sample_indices(d, k, l, count, seed))
+
+
 def unvalidated_hadamard(signs):
     """A HadamardMatrix holding `signs` without the orthogonality check; its
     gram is the package's own product H^T H, so it need not be d*I."""
@@ -95,7 +102,7 @@ class TestRowCheckAgainstLiteralOracle:
     def test_sampled_rows_d16(self):
         con = build(sylvester(4))
         for l in range(3):
-            for _, (left, right) in block_rows(16, 2, l).sample(40, seed=1):
+            for left, right in sampled_rows(16, 2, l, 40, seed=1):
                 assert assert_halves_match_literal(con, left, right) == (
                     True, True, True)
 
@@ -136,7 +143,7 @@ class TestRowCheckAgainstLiteralOracle:
         con = con()
         verdicts = set()
         for l in range(con.k + 1):
-            for _, (left, right) in block_rows(16, 2, l).sample(100, seed=2):
+            for left, right in sampled_rows(16, 2, l, 100, seed=2):
                 verdicts.add(assert_halves_match_literal(con, left, right))
         assert verdicts - {(True, True, True)}
 
@@ -198,7 +205,7 @@ class TestPackedHalves:
         con = build(sylvester(6))
         assert _packed_tables(con.hadamard, con.k).width == 10
         for l in range(con.k + 1):
-            for _, (left, right) in block_rows(64, 4, l).sample(3, seed=4):
+            for left, right in sampled_rows(64, 4, l, 3, seed=4):
                 assert assert_halves_match_literal(con, left, right) == (
                     True, True, True)
 
@@ -212,7 +219,7 @@ class TestPackedHalves:
         p, q = con.params.alpha.as_integer_ratio()
         gram_verdicts = set()
         for l in range(con.k + 1):
-            for _, (left, right) in block_rows(16, 2, l).sample(60, seed=6):
+            for left, right in sampled_rows(16, 2, l, 60, seed=6):
                 n_top, m_top, gram_ok = literal_halves(h.signs, left, right)
                 assert _left_half(packed, p, q, (left.support, left.signs)) == (
                     2 * p * n_top <= q, True, n_top)

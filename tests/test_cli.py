@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -214,6 +215,17 @@ class TestVerify:
         assert doc["seed"] == 9
         assert doc["counts"]["vertices_checked"] == 15
 
+    @pytest.mark.parametrize("check,k", [
+        ("faces", 2), ("dominant", 2), ("containment", 5),
+    ])
+    def test_report_k_is_the_swept_k(self, capsys, check, k):
+        # the construction's k is 1 at d = 4; the report gives the size or
+        # weight that was swept
+        code, out, _ = run(capsys, "verify", "--d", "4", "--check", check,
+                           "--k", str(k))
+        assert code == 0
+        assert json.loads(out)["k"] == k
+
     def test_sampled_sweep_skips_empty_blocks(self, capsys):
         # k = 5 > d = 4 empties blocks l = 0 (k - l > d) and l = 5 (l > d),
         # as exhaustive mode does; l = 1..4 get 3 vertices each
@@ -309,15 +321,18 @@ class TestReportReproducibility:
         assert doc == doc2
 
     def test_jobs_flag_does_not_change_report(self, capsys):
-        code1, out1, _ = run(capsys, "verify", "--d", "8", "--check", "faces")
-        code2, out2, _ = run(
-            capsys, "verify", "--d", "8", "--check", "faces", "--jobs", "2"
-        )
-        assert code1 == code2 == 0
-        d1, d2 = json.loads(out1), json.loads(out2)
-        d1.pop("duration_seconds")
-        d2.pop("duration_seconds")
-        assert d1 == d2
+        sampled = ("--d", "16", "--mode", "sample", "--samples", "12",
+                   "--seed", "5")
+        for argv in (("--d", "8", "--check", "faces"),
+                     ("--check", "containment") + sampled,
+                     ("--check", "dominant") + sampled):
+            code1, out1, _ = run(capsys, "verify", *argv)
+            code2, out2, _ = run(capsys, "verify", *argv, "--jobs", "2")
+            assert code1 == code2 == 0
+            d1, d2 = json.loads(out1), json.loads(out2)
+            d1.pop("duration_seconds")
+            d2.pop("duration_seconds")
+            assert d1 == d2
 
 
 class TestExitCodes:
@@ -466,3 +481,31 @@ class TestExitCodes:
         monkeypatch.setattr(cli.certificate, "verify_conditions", failing)
         code = main(["certify", "--d", "4", "--out", str(tmp_path / "r.json")])
         assert code == 3
+
+
+class TestPinnedReports:
+    """Reports pinned byte for byte: the sha256 of the report with its
+    duration_seconds line dropped (grep -v duration_seconds | sha256sum)."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify --d 16 --check faces --mode sample --samples 40 --seed 3",
+         "a5253b8798e9b053b86956f5859cfd1e4c6a9429d651a2bd9fb05556106d6d85"),
+        ("verify --d 16 --check dominant --mode sample --samples 25 --seed 4",
+         "57ac5efd27aa9912c3119bffff1baad8bd2fe4983231b554e6ddf8ec0249a312"),
+        ("verify --d 16 --check containment --mode sample --samples 30 "
+         "--seed 5",
+         "58f287004e372f81f7d2bd4ebbafd96aced5caf35a8054437ab6f0e5e8240f87"),
+        ("verify --d 8 --check dominant",
+         "1fc9a8f1e6bf4588dbf1e5b9297eecbaa89c2cf1398ca2d780e2ab786c96cb5c"),
+        ("verify --d 8 --check containment",
+         "c4476a3ef2fb2ec815d21638619a625ff347155f347048086bb21458efc4e856"),
+        ("certify --d 8 --sample 50 --seed 9",
+         "9798c6fea299efccd3e0a1faf3a3042dc31d8c3c4ee8a623b6ccecf08a9e85b7"),
+    ])
+    def test_report_digest(self, capsys, monkeypatch, argv, digest):
+        monkeypatch.delenv("NEIGHBORLY_MAX_ROWS", raising=False)
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        kept = "".join(line for line in out.splitlines(keepends=True)
+                       if "duration_seconds" not in line)
+        assert hashlib.sha256(kept.encode()).hexdigest() == digest

@@ -138,15 +138,16 @@ class TestBuild:
         seen = {coords for _, coords in con.signed_vertices()}
         assert len(seen) == 64  # all 4d points distinct, no accidental antipodes
 
-    def test_signed_vertices_built_once(self):
+    def test_signed_vertices_order_and_values(self):
+        # built when asked for: representatives first, then their negations
         con = build(sylvester(3))
         signed = con.signed_vertices()
-        assert con.signed_vertices() is signed
+        assert con.signed_vertices() == signed
         assert [key for key, _ in signed] == (
             [(i, 1) for i in range(con.m)] + [(i, -1) for i in range(con.m)]
         )
         for (i, s), coords in signed:
-            assert con.vertex_representative(i, s) is coords
+            assert con.vertex_representative(i, s) == coords
             assert coords == tuple(s * c for c in con.X[i])
 
     def test_propagates_parameter_errors(self):
