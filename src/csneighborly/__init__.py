@@ -14,7 +14,6 @@ from .blocks import (
     block_row_count,
     block_rows,
     orthogonality_check,
-    signed_support_matrix,
     total_row_count,
 )
 from .certificate import (
@@ -28,7 +27,6 @@ from .construction import (
     Construction,
     ConstructionParams,
     build,
-    cs_transform_points,
     parameters,
 )
 from .hadamard import (
@@ -70,7 +68,6 @@ __all__ = [
     "block_row_count",
     "block_rows",
     "build",
-    "cs_transform_points",
     "dominant_subset_sweep",
     "expand_combination",
     "is_dominant",
@@ -82,7 +79,6 @@ __all__ = [
     "projection_containment",
     "row_profile",
     "save_hadamard",
-    "signed_support_matrix",
     "structural_identities",
     "sylvester",
     "total_row_count",

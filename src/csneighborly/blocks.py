@@ -8,21 +8,22 @@ Kronecker-structured pair
     left  = C_l (x) ones(n(k-l)),      right = ones(n(l)) (x) C_{k-l},
 
 where C_l lists all weight-l signed rows of length d in doubly-lexicographic
-order and n(l) = 2^l * binom(d, l).  Streams below never materialize a block;
-random access is provided by exact unranking so sampled sweeps can verify
-arbitrary rows of very large blocks, at the indices sample_indices draws.
+order and n(l) = 2^l * binom(d, l).  Every row comes from iter_parts_from,
+which streams the (support, signs) pairs of C_l from any position, or from
+unrank_part.  No stream lists a block or a C_l, and sampled sweeps unrank the
+rows at the indices sample_indices draws.
 
 Ordering convention (frozen; golden files depend on it): supports are ordered
 lexicographically by their 0/1 indicator vector, and within one support the
 sign vectors are ordered lexicographically with +1 before -1 (a binary
-counter, most significant position first).
+counter, most significant position first, as product((1, -1), repeat=l)).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, product, repeat
 from math import comb
 from operator import itemgetter
 
@@ -36,10 +37,6 @@ class SignedSupportRow:
     length: int
     support: tuple
     signs: tuple
-
-    @property
-    def weight(self) -> int:
-        return len(self.support)
 
     def dense(self) -> tuple:
         row = [0] * self.length
@@ -119,14 +116,13 @@ def _signs_from_bits(l: int, bits: int) -> tuple:
 
 
 def _sign_patterns(l: int):
-    """The 2^l sign patterns of weight l, indexed by their bits: a table
-    kept per weight up to _SIGN_TABLE_WEIGHT, a fresh list above it."""
+    """The 2^l sign patterns of weight l in order: a table indexed by their
+    bits, kept per weight up to _SIGN_TABLE_WEIGHT, a stream above it."""
     if l > _SIGN_TABLE_WEIGHT:
-        return [_signs_from_bits(l, b) for b in range(1 << l)]
+        return product((1, -1), repeat=l)
     table = _SIGN_TABLES.get(l)
     if table is None:
-        table = _SIGN_TABLES[l] = tuple(
-            _signs_from_bits(l, b) for b in range(1 << l))
+        table = _SIGN_TABLES[l] = tuple(product((1, -1), repeat=l))
     return table
 
 
@@ -141,30 +137,21 @@ def signed_row_count(d: int, l: int) -> int:
 
 def iter_signed_rows(d: int, l: int):
     """All weight-l signed rows of length d in doubly-lexicographic order."""
-    return iter_signed_rows_from(d, l, 0)
-
-
-def iter_signed_rows_from(d: int, l: int, start: int):
-    """iter_signed_rows(d, l) from position start on (nothing past its end),
-    after one unrank_support."""
     return (SignedSupportRow(d, support, signs)
-            for support, signs in iter_parts_from(d, l, start))
+            for support, signs in iter_parts_from(d, l, 0))
 
 
 def iter_parts_from(d: int, l: int, start: int):
-    """The (support, signs) pairs of iter_signed_rows_from(d, l, start)."""
+    """The (support, signs) pairs of iter_signed_rows(d, l) from position
+    start on (nothing past its end), after one unrank_support."""
     if not 0 <= l <= d:
         return
     support_rank, bits = divmod(start, 1 << l)
-    sign_rows = _sign_patterns(l)
-    for support in _supports_from(d, l, support_rank):
-        yield from zip(repeat(support), sign_rows[bits:])
-        bits = 0
-
-
-def unrank_signed_row(d: int, l: int, r: int) -> SignedSupportRow:
-    """Row at position r of iter_signed_rows(d, l)."""
-    return SignedSupportRow(d, *unrank_part(d, l, r))
+    supports = _supports_from(d, l, support_rank)
+    for support in islice(supports, 1):      # from pattern `bits` on
+        yield from zip(repeat(support), islice(_sign_patterns(l), bits, None))
+    for support in supports:
+        yield from zip(repeat(support), _sign_patterns(l))
 
 
 def unrank_part(d: int, l: int, r: int) -> tuple:
@@ -175,12 +162,6 @@ def unrank_part(d: int, l: int, r: int) -> tuple:
     signs = (_sign_patterns(l)[bits] if l <= _SIGN_TABLE_WEIGHT
              else _signs_from_bits(l, bits))
     return unrank_support(d, l, r >> l), signs
-
-
-def signed_support_matrix(d: int, l: int) -> tuple:
-    """The n(l) x d matrix of weight-l signed rows (the C_l block), as dense
-    integer rows."""
-    return tuple(row.dense() for row in iter_signed_rows(d, l))
 
 
 # -- block streams -----------------------------------------------------------
@@ -202,9 +183,9 @@ class BlockStream:
     """Lazy, restartable stream over the rows (left | right) of one block.
 
     The left part runs over weight-l rows of width d, each repeated once per
-    right row; the right part cycles over weight-(k-l) rows of width n.
-    Iteration always restarts from the first row and yields an identical
-    sequence each time.
+    right row; the right part cycles over weight-(k-l) rows of width n,
+    streamed again for each left row.  Iteration always restarts from the
+    first row and yields an identical sequence each time.
     """
 
     def __init__(self, d: int, k: int, l: int, n: int | None = None):
@@ -217,27 +198,18 @@ class BlockStream:
         self.count = block_row_count(d, k, l, self.n)
 
     def __iter__(self):
-        right_rows = None
-        right_count = signed_row_count(self.n, self.k - self.l)
-        # Small right factors are cached; huge ones are re-streamed per left row.
-        if right_count <= 1 << 20:
-            right_rows = tuple(iter_signed_rows(self.n, self.k - self.l))
         for left in iter_signed_rows(self.d, self.l):
-            if right_rows is not None:
-                for right in right_rows:
-                    yield (left, right)
-            else:
-                for right in iter_signed_rows(self.n, self.k - self.l):
-                    yield (left, right)
+            for right in iter_signed_rows(self.n, self.k - self.l):
+                yield left, right
 
     def row(self, index: int) -> tuple:
         """Random access by row index, consistent with iteration order."""
         if not 0 <= index < self.count:
             raise ValueError(f"row index {index} out of range ({self.count})")
-        right_count = signed_row_count(self.n, self.k - self.l)
-        left = unrank_signed_row(self.d, self.l, index // right_count)
-        right = unrank_signed_row(self.n, self.k - self.l, index % right_count)
-        return (left, right)
+        i, j = divmod(index, signed_row_count(self.n, self.k - self.l))
+        left = unrank_part(self.d, self.l, i)
+        right = unrank_part(self.n, self.k - self.l, j)
+        return SignedSupportRow(self.d, *left), SignedSupportRow(self.n, *right)
 
     def __repr__(self) -> str:
         return (
@@ -287,10 +259,13 @@ def orthogonality_check(
     """Exactly verify the block Gram identities for n = d.
 
     Checks left^T left = 2^k binom(d-1, l-1) binom(d, k-l) I_d and
-    left^T right = 0, accumulating integer outer products row by row.  Blocks
-    larger than `cap` rows are refused; use sampled verification instead.
+    left^T right = 0, accumulating integer outer products row by row from
+    the rows' supports and signs.  A block with no rows is refused, and so
+    are blocks larger than `cap` rows; use sampled verification for those.
     """
     stream = block_rows(d, k, l)
+    if not stream.count:
+        raise ValueError(f"block l={l} of weight k={k} at d={d} has no rows")
     if stream.count > cap:
         raise ValueError(
             f"block has {stream.count} rows, above the cap {cap}; "
@@ -299,15 +274,12 @@ def orthogonality_check(
     gram = [[0] * d for _ in range(d)]
     cross = [[0] * d for _ in range(d)]
     for left, right in stream:
-        e = left.dense()
-        f = right.dense()
         for i, si in zip(left.support, left.signs):
             gi, ci = gram[i], cross[i]
-            for j in range(d):
-                if e[j]:
-                    gi[j] += si * e[j]
-                if f[j]:
-                    ci[j] += si * f[j]
+            for j, sj in zip(left.support, left.signs):
+                gi[j] += si * sj
+            for j, sj in zip(right.support, right.signs):
+                ci[j] += si * sj
     coeff = (1 << k) * (comb(d - 1, l - 1) if l >= 1 else 0) * comb(d, k - l)
     gram_ok = all(
         gram[i][j] == (coeff if i == j else 0) for i in range(d) for j in range(d)

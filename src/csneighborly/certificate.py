@@ -64,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, groupby, islice
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .blocks import (SignedSupportRow, block_row_count, block_rows,
                      iter_parts_from, sample_indices, signed_row_count,
@@ -137,6 +137,22 @@ class CombinationCertificate:
             raise ValueError("combination does not re-sum to its target row")
 
 
+def _assemble(block, e, f, mu_terms) -> CombinationCertificate:
+    """The certificate of the target row (1, e | f) from its expansion
+    ((mu, delta), ...): the multipliers are e plus the first d entries of
+    sum mu*delta, and the slack is 1 - 2*sum mu."""
+    d = len(e)
+    shift = [Fraction(0)] * d
+    for mu, delta in mu_terms:
+        for j in range(d):
+            shift[j] += mu * delta[j]
+    total = sum((mu for mu, _ in mu_terms), Fraction(0))
+    return CombinationCertificate(
+        block=block, target=(Fraction(1),) + tuple(e) + tuple(f),
+        mu_terms=tuple(mu_terms), nus=tuple(map(add, e, shift)),
+        eps=1 - 2 * total)
+
+
 def expand_combination(
     con: Construction, left: SignedSupportRow, right: SignedSupportRow
 ) -> CombinationCertificate:
@@ -150,14 +166,12 @@ def expand_combination(
     d, k = con.d, con.k
     if left.length != d or right.length != d:
         raise ValueError("row widths do not match the construction")
-    if left.weight + right.weight != k:
-        raise ValueError(
-            f"row weights {left.weight}+{right.weight} do not sum to k={k}"
-        )
+    l, r = len(left.support), len(right.support)
+    if l + r != k:
+        raise ValueError(f"row weights {l}+{r} do not sum to k={k}")
     for row in (left, right):
         if any(s not in (1, -1) for s in row.signs):
             raise ValueError("row signs must be +-1")
-    l = left.weight
     alpha, beta = con.params.alpha, con.params.beta
     h = con.hadamard
     ones = (1,) * d
@@ -165,27 +179,15 @@ def expand_combination(
 
     mu_terms = []
     for i, s in zip(right.support, right.signs):
-        col = tuple(s * x for x in h.column_signs(i))
+        col = tuple(s * x for x in h.columns[i])
         mu_terms.append((beta / 2, col + ones))
         mu_terms.append((beta / 2, col + neg_ones))
     for j, s in zip(left.support, left.signs):
-        row = tuple(s * x for x in h.row_signs(j))
+        row = tuple(s * x for x in h.signs[j])
         mu_terms.append((alpha / 2, ones + row))
         mu_terms.append((alpha / 2, neg_ones + row))
 
-    e_dense = left.dense()
-    shift_left = [Fraction(0)] * d
-    for mu, delta in mu_terms:
-        for j in range(d):
-            shift_left[j] += mu * delta[j]
-    nus = tuple(e_dense[j] + shift_left[j] for j in range(d))
-    total = sum((mu for mu, _ in mu_terms), Fraction(0))
-    eps = 1 - 2 * total
-    target = (Fraction(1),) + tuple(e_dense) + tuple(right.dense())
-
-    cert = CombinationCertificate(
-        block=l, target=target, mu_terms=tuple(mu_terms), nus=nus, eps=eps
-    )
+    cert = _assemble(l, left.dense(), right.dense(), mu_terms)
     cert.verify(con.A)
     return cert
 
@@ -676,7 +678,8 @@ def verify_general(
 
     A is an iterable of rows of exact entries (ints, 'p/q' strings or
     Fractions; floats raise TypeError); empty or ragged rows raise
-    ValueError.  The rule maps a block row (left, right) to exact correction
+    ValueError, and so does a k above d + n, where no row has weight k.
+    The rule maps a block row (left, right) to exact correction
     rows of widths (d, n).  Condition (c) uses the generic staircase expansion,
     whose coefficient sum is the max-norm of the correction row, so (c)
     holds exactly when (a) does; the certificate is still re-summed in full.
@@ -685,6 +688,8 @@ def verify_general(
         raise ValueError("k must be at least 1")
     a = _exact_rows(a)
     d, n = len(a), len(a[0])
+    if k > d + n:
+        raise ValueError(f"k={k} exceeds d + n = {d + n}: no row has weight k")
 
     reports = []
     for l in range(k + 1):
@@ -744,20 +749,8 @@ def _check_general_row(pair, task):
     eq_ok = all(lhs[c] == f_dense[c] + n_row[c] for c in range(n))
     cert_ok = bound_ok
     if bound_ok:
-        terms = cube_combination(tuple(m_row) + tuple(n_row))
-        shift = [Fraction(0)] * d
-        for mu, delta in terms:
-            for j in range(d):
-                shift[j] += mu * delta[j]
-        nus = tuple(e_dense[j] + shift[j] for j in range(d))
-        total_mu = sum((mu for mu, _ in terms), Fraction(0))
-        cert = CombinationCertificate(
-            block=left.weight,
-            target=(Fraction(1),) + tuple(e_dense) + tuple(f_dense),
-            mu_terms=tuple(terms),
-            nus=nus,
-            eps=1 - 2 * total_mu,
-        )
+        cert = _assemble(len(left.support), e_dense, f_dense,
+                         cube_combination(tuple(m_row) + tuple(n_row)))
         try:
             cert.verify(a)
         except ValueError:

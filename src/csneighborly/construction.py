@@ -9,8 +9,8 @@ columns of T span the kernel of (I_d | A).
 
 The construction is the integer data (H, p, q) with alpha = p/q: A and X
 are tuples of row tuples whose entries are picked by the signs of H from
-shared Fractions, the LPs' integer rows p*h_j are kept with them, and T is
-built on demand.  Every identity checked here follows from H^T H = d*I.
+shared Fractions, and the LPs' integer rows p*h_j are kept with them; T is
+never formed.  Every identity checked here follows from H^T H = d*I.
 X^T T = -A + A = 0 holds by construction, and ``build`` verifies the full
 rank of [X | T] through an integer Gram identity on the matrix's own G
 (``cs_transform_defect``), never with Fraction matrix products.
@@ -121,11 +121,6 @@ class Construction:
         row = self.X[index]
         return row if sign > 0 else tuple(-v for v in row)
 
-    def signed_vertices(self) -> tuple:
-        """All 2m vertices as ((index, sign), coordinates), representatives first."""
-        return tuple(((i, s), self.vertex_representative(i, s))
-                     for s in (1, -1) for i in range(self.m))
-
     def __repr__(self) -> str:
         return f"Construction(d={self.d}, k={self.k}, alpha={self.params.alpha})"
 
@@ -182,14 +177,3 @@ def build(h: HadamardMatrix, alpha=None, verify: bool = True) -> Construction:
         if defect is not None:
             raise ValueError(f"internal error: {defect}")
     return Construction(params, h, a, x)
-
-
-def cs_transform_points(con: Construction) -> Matrix:
-    """The m cs-transform points (rows of T = [-A; I_d]), in order.
-
-    The point set used by the dominance characterization is the centrally
-    symmetric closure {+-v_1, ..., +-v_m}; this returns one representative
-    per antipodal pair.
-    """
-    alpha = con.params.alpha
-    return _pick(con.hadamard.signs, -alpha, alpha) + con.X[:con.d]

@@ -41,12 +41,6 @@ class HadamardMatrix:
         self.columns = columns
         self.gram = gram
 
-    def row_signs(self, i: int) -> tuple:
-        return self.signs[i]
-
-    def column_signs(self, j: int) -> tuple:
-        return self.columns[j]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, HadamardMatrix) and self.signs == other.signs
 

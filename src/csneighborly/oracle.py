@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 from operator import index as as_index, mul
 
@@ -133,10 +133,9 @@ def canonical_subsets(m: int, k: int):
     binary counter with +1 before -1 and the first sign pinned to +1, which
     selects the lexicographically smaller of S and -S.
     """
-    half_patterns = 1 << (k - 1)
     for idxs in combinations(range(m), k):
-        for bits in range(half_patterns):
-            yield tuple(zip(idxs, (1,) + _signs_from_bits(k - 1, bits)))
+        for signs in product((1, -1), repeat=k - 1):
+            yield tuple(zip(idxs, (1,) + signs))
 
 
 def _unrank_canonical_subset(m: int, k: int, comb_rank: int, bits: int):
@@ -269,8 +268,7 @@ def is_dominant(con: Construction, indices) -> DominanceReport:
     size = len(indices)
     pattern_margins = []
     best = None
-    for bits in range(1 << size):
-        signs = _signs_from_bits(size, bits)
+    for signs in product((1, -1), repeat=size):
         point = [0] * con.m
         for i, s in zip(indices, signs):
             point[i] = s

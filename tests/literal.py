@@ -6,13 +6,14 @@ re-substitute a face witness into the vertices in Fractions: the face LP's
 integer recheck covers that, and it checks a certificate row as two halves
 in packed integer fields.  It unranks supports from a table of binomials.
 These slow, obvious versions are what the tests check those shortcuts
-against.
+against, together with the dense matrices (C_l, T) and the signed vertex
+list that only the tests form.
 """
 
 from fractions import Fraction as F
 from math import comb
 
-from csneighborly.blocks import block_row_count, block_rows
+from csneighborly.blocks import block_row_count, block_rows, iter_signed_rows
 from csneighborly.certificate import (
     BlockConditionReport,
     ConditionsReport,
@@ -85,6 +86,25 @@ def gauss_rank(m):
     return r
 
 
+def signed_support_matrix(d, l):
+    """The n(l) x d matrix C_l of weight-l signed rows, as dense integer
+    rows in stream order."""
+    return tuple(row.dense() for row in iter_signed_rows(d, l))
+
+
+def cs_transform_points(con):
+    """The m cs-transform points, the rows of T = [-A; I_d], in order: one
+    representative per antipodal pair of {+-v_1, ..., +-v_m}."""
+    return tuple(tuple(-v for v in row) for row in con.A) + con.X[:con.d]
+
+
+def signed_vertices(con):
+    """All 2m vertices as ((index, sign), coordinates), representatives
+    first."""
+    return tuple(((i, s), con.vertex_representative(i, s))
+                 for s in (1, -1) for i in range(con.m))
+
+
 def literal_unrank_support(d, l, r):
     """Support at position r of iter_supports(d, l), by walking the
     positions in order: at each one, the supports that avoid it come first."""
@@ -125,7 +145,7 @@ def recheck_face(con, report):
     """
     members = set(report.subset)
     bad = []
-    for key, coords in con.signed_vertices():
+    for key, coords in signed_vertices(con):
         value = sum((c * v for c, v in zip(report.witness, coords)), F(0))
         ok = value == 1 if key in members else value <= 1 - report.margin
         if not ok:
@@ -150,11 +170,11 @@ def literal_row_check(con, left, right):
     m_row = [F(0)] * d
     for i, s in zip(right.support, right.signs):
         for c in range(d):
-            m_row[c] += beta * s * h.column_signs(i)[c]
+            m_row[c] += beta * s * h.columns[i][c]
     n_row = [F(0)] * d
     for j, s in zip(left.support, left.signs):
         for c in range(d):
-            n_row[c] += alpha * s * h.row_signs(j)[c]
+            n_row[c] += alpha * s * h.signs[j][c]
 
     worst = max(
         max((abs(v) for v in m_row), default=F(0)),
@@ -174,11 +194,11 @@ def literal_row_check(con, left, right):
     ones = (1,) * d
     neg = (-1,) * d
     for i, s in zip(right.support, right.signs):
-        col = tuple(s * x for x in h.column_signs(i))
+        col = tuple(s * x for x in h.columns[i])
         terms.append((beta / 2, col + ones))
         terms.append((beta / 2, col + neg))
     for j, s in zip(left.support, left.signs):
-        row = tuple(s * x for x in h.row_signs(j))
+        row = tuple(s * x for x in h.signs[j])
         terms.append((alpha / 2, ones + row))
         terms.append((alpha / 2, neg + row))
     total = sum((mu for mu, _ in terms), F(0))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import islice, product
 from math import comb
 
@@ -8,21 +9,23 @@ from csneighborly import (
     block_row_count,
     block_rows,
     orthogonality_check,
-    signed_support_matrix,
     total_row_count,
 )
+from csneighborly import blocks
 from csneighborly.blocks import (
+    SignedSupportRow,
     iter_parts_from,
     iter_signed_rows,
-    iter_signed_rows_from,
     iter_supports,
     sample_indices,
     signed_row_count,
     unrank_part,
-    unrank_signed_row,
     unrank_support,
 )
-from literal import identity, literal_unrank_support, naive_product, transpose
+from literal import (
+    identity, literal_unrank_support, naive_product, signed_support_matrix,
+    transpose,
+)
 
 
 def brute_force_weight_vectors(length, weight):
@@ -76,7 +79,7 @@ class TestUnrankAgainstLiteralWalk:
                     unrank_support(d, l, r)
             for r in (-1, signed_row_count(d, l)):
                 with pytest.raises(ValueError, match="out of range"):
-                    unrank_signed_row(d, l, r)
+                    unrank_part(d, l, r)
         with pytest.raises(ValueError, match="out of range"):
             unrank_support(4, 5, 0)
 
@@ -96,9 +99,9 @@ class TestSignedRows:
 
     def test_unrank_agrees_with_stream(self):
         for d, l in ((4, 2), (5, 1), (3, 3)):
-            listed = list(iter_signed_rows(d, l))
+            listed = [(row.support, row.signs) for row in iter_signed_rows(d, l)]
             assert listed == [
-                unrank_signed_row(d, l, r) for r in range(signed_row_count(d, l))
+                unrank_part(d, l, r) for r in range(signed_row_count(d, l))
             ]
 
     @pytest.mark.parametrize("d,l", [(6, 3), (14, 13), (16, 0)])
@@ -106,11 +109,25 @@ class TestSignedRows:
         # (14, 13) has weight above the sign-pattern tables
         count = signed_row_count(d, l)
         for start in {0, 5 % count, count - 1}:
-            rows = list(islice(iter_signed_rows_from(d, l, start), 40))
+            rows = list(islice(iter_signed_rows(d, l), start, start + 40))
             parts = list(islice(iter_parts_from(d, l, start), 40))
             assert parts == [(row.support, row.signs) for row in rows]
             assert parts == [unrank_part(d, l, r)
                              for r in range(start, start + len(parts))]
+
+    @pytest.mark.parametrize("l", [13, 14])
+    def test_streamed_patterns_from_inside_a_support(self, l):
+        # above the sign-pattern tables the stream runs product((1, -1))
+        # and unrank_part reads the bits: starts in the middle of a support,
+        # and runs across the boundary into the next one
+        d, per_support = 16, 1 << l
+        for support_rank in (0, 3, comb(d, l) - 2):
+            first = support_rank * per_support
+            for start in (first + 1, first + per_support // 3 + 7,
+                          first + per_support - 20):
+                parts = list(islice(iter_parts_from(d, l, start), 40))
+                assert parts == [unrank_part(d, l, r)
+                                 for r in range(start, start + 40)]
 
 
 class TestSignedSupportMatrix:
@@ -128,6 +145,23 @@ class TestSignedSupportMatrix:
         for d, l in ((4, 1), (5, 2), (6, 3)):
             c = signed_support_matrix(d, l)
             assert all(sum(col) == 0 for col in zip(*c))
+
+
+class TestStreamsStartSmall:
+    """Starting a stream allocates nothing in proportion to its block."""
+
+    @pytest.mark.parametrize("rows", [
+        lambda: iter(block_rows(64, 4, 1)),    # right factor: 333312 rows
+        lambda: iter_signed_rows(64, 16),      # 2^16 patterns per support
+    ], ids=["block_rows(64,4,1)", "iter_signed_rows(64,16)"])
+    def test_first_row_peak_under_a_mebibyte(self, rows):
+        tracemalloc.start()
+        try:
+            next(rows())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBlockStreams:
@@ -231,3 +265,41 @@ class TestOrthogonality:
     def test_cap_exceeded(self):
         with pytest.raises(ValueError, match="sampled"):
             orthogonality_check(16, 2, 1, cap=100)
+
+    @pytest.mark.parametrize("d,k,l", [(4, 9, 2), (4, 5, 0), (4, 5, 5)])
+    def test_empty_block_rejected(self, d, k, l):
+        assert block_row_count(d, k, l) == 0
+        with pytest.raises(ValueError, match="no rows"):
+            orthogonality_check(d, k, l)
+
+    @pytest.mark.parametrize("k,l,weight,index,flags", [
+        # both factors read the flipped C_1: the cross product fails
+        (2, 1, 1, 3, (True, False)),
+        # only the left factor C_2 is flipped: the Gram identity fails
+        (3, 2, 2, 5, (False, True)),
+        # only the right factor C_2 is flipped, and the left factor's
+        # column sums vanish: both identities still hold
+        (3, 1, 2, 0, (True, True)),
+    ])
+    def test_flipped_sign_matches_dense_product(self, monkeypatch, k, l,
+                                                weight, index, flags):
+        # one sign flipped in row `index` of every C_weight stream
+        d, streamed = 4, blocks.iter_signed_rows
+
+        def flipped(width, w):
+            for r, row in enumerate(streamed(width, w)):
+                if (w, r) == (weight, index):
+                    row = SignedSupportRow(width, row.support,
+                                           (-row.signs[0],) + row.signs[1:])
+                yield row
+
+        monkeypatch.setattr(blocks, "iter_signed_rows", flipped)
+        rep = orthogonality_check(d, k, l)
+        left = [e.dense() for e, _ in block_rows(d, k, l)]
+        right = [f.dense() for _, f in block_rows(d, k, l)]
+        assert len(left) == rep.rows == block_row_count(d, k, l)
+        dense = (naive_product(transpose(left), left)
+                 == identity(d, rep.expected_diagonal),
+                 naive_product(transpose(left), right) == identity(d, 0))
+        assert (rep.gram_is_expected_multiple,
+                rep.cross_product_zero) == dense == flags

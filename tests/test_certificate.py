@@ -36,7 +36,7 @@ def half_row_check(con, left, right):
 
     Returns (entry_ok, eq_ok, cert_ok, max|f H^T|, max|e H|).
     """
-    h, k, l = con.hadamard, con.k, left.weight
+    h, k, l = con.hadamard, con.k, len(left.support)
     alpha, beta = con.params.alpha, con.params.beta
     p, q = alpha.numerator, alpha.denominator
     packed = _packed_tables(h, k)
@@ -251,7 +251,7 @@ class TestCertificateBlocks:
             # f is empty so the left correction vanishes
             assert all(v == 0 for v in m_row)
             j, s = left.support[0], left.signs[0]
-            expected = [HALF * s * x for x in con.hadamard.row_signs(j)]
+            expected = [HALF * s * x for x in con.hadamard.signs[j]]
             assert n_row == expected
             # the halves see the same maxima, unscaled
             _, _, _, max_m, max_n = half_row_check(con, left, right)
@@ -486,6 +486,22 @@ class TestVerifyGeneral:
                         for row in con.hadamard.signs]
         assert verify_general(half_strings, k=1, correction_rule=rule) == (
             reports[0])
+
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_weight_above_width_rejected(self, k):
+        # no row of length d + n = 4 has weight k: every block is empty
+        zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
+        with pytest.raises(ValueError, match=f"k={k} exceeds d \\+ n = 4"):
+            verify_general([[1, 0], [0, 1]], k=k, correction_rule=zero_rule)
+
+    def test_weight_equal_to_width_checks_rows(self):
+        # k = d + n leaves one block with rows.  With A = I and zero
+        # corrections a row passes when e = f: row 0, (1, 1 | 1, 1), does
+        # and row 1, (1, 1 | 1, -1), does not
+        zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
+        rep = verify_general([[1, 0], [0, 1]], k=4, correction_rule=zero_rule)
+        assert [b.rows_total for b in rep.blocks] == [0, 0, 16, 0, 0]
+        assert rep.failures == ((2, 1, "matrix equation failed"),)
 
     @pytest.mark.parametrize("a", [[], [[]], ()])
     def test_empty_rows_rejected(self, a):

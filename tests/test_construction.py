@@ -2,15 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from csneighborly import (
-    build,
-    cs_transform_points,
-    parameters,
-    sylvester,
-)
+from csneighborly import build, parameters, sylvester
 from csneighborly.construction import cs_transform_defect
 from csneighborly.hadamard import HadamardMatrix
-from literal import gauss_rank, hstack, identity, naive_product, transpose
+from literal import (
+    cs_transform_points, gauss_rank, hstack, identity, naive_product,
+    signed_vertices, transpose,
+)
 
 
 def row_negated_sylvester(e, i):
@@ -135,14 +133,13 @@ class TestBuild:
 
     def test_d16_signed_vertices_distinct(self):
         con = build(sylvester(4))
-        seen = {coords for _, coords in con.signed_vertices()}
+        seen = {coords for _, coords in signed_vertices(con)}
         assert len(seen) == 64  # all 4d points distinct, no accidental antipodes
 
     def test_signed_vertices_order_and_values(self):
-        # built when asked for: representatives first, then their negations
+        # representatives first, then their negations
         con = build(sylvester(3))
-        signed = con.signed_vertices()
-        assert con.signed_vertices() == signed
+        signed = signed_vertices(con)
         assert [key for key, _ in signed] == (
             [(i, 1) for i in range(con.m)] + [(i, -1) for i in range(con.m)]
         )

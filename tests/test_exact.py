@@ -4,12 +4,13 @@ from itertools import combinations, permutations
 
 import pytest
 
-from csneighborly import build, cs_transform_points, sylvester
+from csneighborly import build, sylvester
 from csneighborly.construction import cs_transform_defect
 from csneighborly.exact import as_scalar
 from csneighborly.hadamard import HadamardMatrix, gram_rows
 from literal import (
-    gauss_rank, hstack, identity, kron, naive_product, transpose,
+    cs_transform_points, gauss_rank, hstack, identity, kron, naive_product,
+    transpose,
 )
 
 

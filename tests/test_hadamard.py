@@ -170,5 +170,5 @@ class TestSignedColumnSums:
             total = [0] * 16
             for i, s in zip(idxs, signs):
                 for c in range(16):
-                    total[c] += s * h.column_signs(i)[c]
+                    total[c] += s * h.columns[i][c]
             assert max(abs(v) for v in total) <= l

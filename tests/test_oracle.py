@@ -18,7 +18,7 @@ from csneighborly import (
 )
 from csneighborly import oracle
 from csneighborly.oracle import canonical_subsets
-from literal import recheck_face
+from literal import recheck_face, signed_vertices
 
 
 # (status, margin) of each of the 848 canonical d = 4 subsets of sizes 1-4,
@@ -93,7 +93,7 @@ class TestIsFace:
     def test_witness_resubstitutes(self, con4):
         rep = is_face(con4, [(2, -1)])
         assert rep.status == "face"
-        for key, coords in con4.signed_vertices():
+        for key, coords in signed_vertices(con4):
             val = sum(c * v for c, v in zip(rep.witness, coords))
             if key == (2, -1):
                 assert val == 1
