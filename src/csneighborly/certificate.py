@@ -51,11 +51,14 @@ sum, and the rest is zero exactly when (b) holds.
 verify_conditions packs the tables once per run and hands them, with k, p
 and q, to every half task, in this process or on each pool worker.
 
-Blocks above a row cap are checked on a
-deterministic pseudorandom sample of rows, always with their first and last
-row, plus the structural identities that hold independently of the row
-count.  Rows are folded in sweep order from the parts' results, so a
-failure is reported at the row a row-by-row sweep would stop at.
+Blocks above a row cap are checked on a deterministic pseudorandom sample
+of rows, always with their first and last row, plus the structural
+identities that hold independently of the row count.  A row fails exactly
+when one of its parts fails or eps < 0, so a block's first failing row in
+sweep order is the first row that reads a failing part (row 0 when
+eps < 0), and the rows up to it read exactly the parts first read up to it.
+The fold needs each distinct part's result and the position of the first
+row that reads it, and walks no row.
 """
 
 from __future__ import annotations
@@ -172,6 +175,9 @@ def expand_combination(
     for row in (left, right):
         if any(s not in (1, -1) for s in row.signs):
             raise ValueError("row signs must be +-1")
+        if len(set(row.support) & set(range(row.length))) < len(row.support):
+            raise ValueError(f"support {row.support} must hold distinct "
+                             f"indices in 0..{row.length - 1}")
     alpha, beta = con.params.alpha, con.params.beta
     h = con.hadamard
     ones = (1,) * d
@@ -284,11 +290,6 @@ def _right_half(packed, p, q, part):
     low = total & ((1 << 8 * d) - 1)
     top = _max_abs(low.to_bytes(d, "little"), packed.hbias * len(part[0]))
     return 2 * q * top <= p * d, total == low, top
-
-
-def _row_flags(eps_ok, left, right):
-    """(entry_ok, eq_ok, cert_ok) of the row (e | f) from its halves' results."""
-    return left[0] and right[0], right[1], eps_ok and right[1]
 
 
 # -- structural identities ------------------------------------------------------
@@ -407,12 +408,12 @@ HALVES_PER_TASK = 4096
 
 
 def _check_halves(context, task):
-    """(l, [(entry_ok, gram_ok, max), ...]) for task = (l, side, ranks): the
-    left (weight l) or right (weight k-l) parts of block l at positions
-    ranks, a range (streamed) or a list (each unranked), with
-    context = (packed tables, k, p, q).  Equal results share one tuple."""
+    """(l, side, {result: position}) for task = (l, side, ranks, positions):
+    each distinct (entry_ok, gram_ok, max) of the left (weight l) or right
+    (weight k-l) parts of block l at ranks, a range (streamed) or a list
+    (each unranked), with its least position; context = (packed, k, p, q)."""
     packed, k, p, q = context
-    l, side, ranks = task
+    l, side, ranks, positions = task
     d = packed.d
     kernel = partial(_left_half if side == LEFT else _right_half,
                      packed, p, q)
@@ -421,71 +422,75 @@ def _check_halves(context, task):
         parts = islice(iter_parts_from(d, weight, ranks.start), len(ranks))
     else:
         parts = map(partial(unrank_part, d, weight), ranks)
-    intern = {}.setdefault
-    return l, [intern(result, result) for result in map(kernel, parts)]
+    results = list(map(kernel, parts))
+    # positions grow along ranks, so the first occurrence is the least
+    return l, side, dict(zip(reversed(results), reversed(positions)))
 
 
 class _BlockSweep:
-    """The half tasks of block l, and the fold of their results over its rows.
+    """The half tasks of block l, and the fold of their results.
 
     Row i*R + j is (left i | right j), for the L = n(l) left parts and the
-    R = n(k-l) right parts.  An exhaustive block hands out its parts as
-    ranges, in the order they first appear in its rows: left 0, rights
-    0..R-1, lefts 1..L-1.  A sampled block (sample: the row tasks of
-    block_sweep_tasks) hands out each distinct part of its rows once.
+    R = n(k-l) right parts.  A task carries, with its parts, the position of
+    the first row that reads each.  An exhaustive block hands out its parts
+    as ranges: left 0, rights 0..R-1 (right j at j), lefts 1..L-1 (left i
+    at i*R).  A sampled block (sample: a callable giving block_sweep_tasks)
+    hands out each distinct part of its rows once, lefts first.
     """
 
     def __init__(self, l, lefts, rights, sample, coefficient_sum):
         self.l, self.lefts, self.rights = l, lefts, rights
         self.sample, self.coefficient_sum = sample, coefficient_sum
-        self.done = False          # once folded, tasks() hands out no more
+        self.done = False          # set by fold(): tasks() hands out no more
 
     def tasks(self):
+        lefts, rights = self.lefts, self.rights
         if self.sample is None:
-            sides = [(LEFT, range(1)), (RIGHT, range(self.rights)),
-                     (LEFT, range(1, self.lefts))]
+            self.rows = lefts * rights
+            order = [(LEFT, range(1), range(1)),
+                     (RIGHT, range(rights), range(rights)),
+                     (LEFT, range(1, lefts), range(rights, self.rows, rights))]
         else:
-            # the distinct parts, in order; fold() fills in their results
-            self.indices = [index for _, index in self.sample]
-            self.found = (dict.fromkeys(i // self.rights for i in self.indices),
-                          dict.fromkeys(i % self.rights for i in self.indices))
-            sides = enumerate(map(list, self.found))
-        self.plan = [(side, ranks[a:a + HALVES_PER_TASK])
-                     for side, ranks in sides
-                     for a in range(0, len(ranks), HALVES_PER_TASK)]
-        for side, ranks in self.plan:
-            if self.done:
-                return
-            yield self.l, side, ranks
+            first = ({}, {})       # per side: part rank -> its first row
+            for position, (_, index) in enumerate(self.sample()):
+                first[LEFT].setdefault(index // rights, position)
+                first[RIGHT].setdefault(index % rights, position)
+            self.rows = position + 1
+            order = [(side, list(ranks), list(ranks.values()))
+                     for side, ranks in enumerate(first)]
+        for side, ranks, positions in order:
+            for a in range(0, len(ranks), HALVES_PER_TASK):
+                if self.done:
+                    return
+                b = a + HALVES_PER_TASK
+                yield self.l, side, ranks[a:b], positions[a:b]
 
     def fold(self, results):
-        """(rows_checked, maxima, flags, first_failure) as _fold_rows gives,
-        with maxima = (max|m_hat|, max|n_hat|), from the block's results."""
-        if self.sample is None:
-            # row (0, j) is the first to read right j and row (i, 0) the
-            # first to read left i: once the rows (0, j) have passed, a later
-            # row fails exactly when its left part does
-            halves = chain.from_iterable(map(itemgetter(1), results))
-            first_left, first_right = next(halves), next(halves)
-            rights = chain((first_right,), islice(halves, self.rights - 1))
-            rows = chain(((j, first_left, right) for j, right in enumerate(rights)),
-                         ((i * self.rights, left, first_right)
-                          for i, left in enumerate(halves, 1)))
-        else:
-            (lefts, rights), indices = self.found, self.indices
-            # zip reads no result past the block's own
-            for (side, ranks), (_, halves) in zip(self.plan, results):
-                (lefts, rights)[side].update(zip(ranks, halves))
-            self.found = self.indices = self.plan = None
-            rows = ((i, lefts[i // self.rights], rights[i % self.rights])
-                    for i in indices)
+        """(rows_checked, (max|m_hat|, max|n_hat|), flags, first_failure) of
+        the block from its results, by the rule of the module docstring."""
         eps_ok = self.coefficient_sum <= Fraction(1, 2)
-        checked, maxima, flags, failure = _fold_rows(
-            (index, _row_flags(eps_ok, left, right), (right[2], left[2]))
-            for index, left, right in rows)
-        if self.sample is None:
-            checked = failure[0] + 1 if failure else self.lefts * self.rights
-        return checked, maxima, flags, failure
+        failing = self.rows if eps_ok else 0       # self.rows: none fails
+        # per side: distinct result -> least position; a side's positions
+        # grow in task order, so the first one seen is the least
+        seen = ({}, {})
+        for _, side, firsts in results:
+            for result, position in firsts.items():
+                seen[side].setdefault(result, position)
+                if not (result[0] and result[1]):
+                    failing = min(failing, position)
+            # an exhaustive block's positions only grow in task order
+            self.done = self.sample is None and max(firsts.values()) > failing
+        end = min(failing, self.rows - 1)
+        maxima = tuple(max(result[2] for result, at in seen[side].items()
+                           if at <= end) for side in (RIGHT, LEFT))
+        row = [result for side in seen for result, at in side.items()
+               if at == end]
+        eq_ok = all(r[1] for r in row)
+        flags = all(r[0] for r in row), eq_ok, eq_ok and eps_ok
+        index = (end if self.sample is None or failing > end
+                 else next(islice(self.sample(), end, None))[1])
+        # the row at end, folded alone, gives the block's flags and failure
+        return (end + 1,) + _fold_rows([(index, flags, maxima)])[1:]
 
 
 def _fold_rows(rows):
@@ -543,7 +548,7 @@ def verify_conditions(
         sampled = mode == "sample" or (mode == "auto" and total > row_cap)
         # expansion weights times 4pqd: 4q^2 per right, 4p^2*d per left index
         musum = Fraction(4 * (k - l) * q * q + 4 * l * p * p * d, 4 * p * q * d)
-        sample = (block_sweep_tasks(d, k, l, True, sample_rows, seed)
+        sample = (partial(block_sweep_tasks, d, k, l, True, sample_rows, seed)
                   if sampled else None)
         sweeps.append(_BlockSweep(l, signed_row_count(d, l),
                                   signed_row_count(d, k - l), sample, musum))
@@ -557,7 +562,6 @@ def verify_conditions(
                             key=itemgetter(0)):
         sweep = sweeps[l]
         checked, (max_m, max_n), flags, first_failure = sweep.fold(group)
-        sweep.done = True          # a serial sweep skips the block's rest
         block_reports.append(
             BlockConditionReport(
                 l=l,
@@ -732,10 +736,7 @@ def _check_general_row(pair, task):
     m_row, n_row = rule(left, right)
     if len(m_row) != d or len(n_row) != n:
         raise ValueError("correction rule returned wrong widths")
-    worst = max(
-        max((abs(v) for v in m_row), default=Fraction(0)),
-        max((abs(v) for v in n_row), default=Fraction(0)),
-    )
+    worst = max(map(abs, chain(m_row, n_row)), default=Fraction(0))
     bound_ok = worst <= Fraction(1, 2)
     e_dense = left.dense()
     lhs = [Fraction(0)] * n

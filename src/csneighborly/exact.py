@@ -21,8 +21,6 @@ def as_scalar(value) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to an exact scalar."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"not an exact scalar: {value!r}")

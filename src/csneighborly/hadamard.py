@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-DEFAULT_MAX_ORDER = 4096
+MAX_ORDER = 4096               # sylvester refuses larger orders
 
 
 class HadamardMatrix:
@@ -113,19 +113,17 @@ def validate(signs) -> bool:
     return first_nonorthogonal_columns(columns)[0] is None
 
 
-def sylvester(e: int, max_order: int = DEFAULT_MAX_ORDER) -> HadamardMatrix:
+def sylvester(e: int) -> HadamardMatrix:
     """Hadamard matrix of order 2^e by Sylvester doubling.
 
-    H_1 = [1] and H_2n = [[H, H], [H, -H]].  Orders above ``max_order`` are
+    H_1 = [1] and H_2n = [[H, H], [H, -H]].  Orders above MAX_ORDER are
     refused to bound memory.
     """
     if e < 0:
         raise ValueError("exponent must be non-negative")
     order = 1 << e
-    if order > max_order:
-        raise ValueError(
-            f"order {order} exceeds the configured maximum {max_order}"
-        )
+    if order > MAX_ORDER:
+        raise ValueError(f"order {order} exceeds the maximum {MAX_ORDER}")
     rows = [[1]]
     for _ in range(e):
         rows = [row + row for row in rows] + [

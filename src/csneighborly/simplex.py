@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+MAX_PIVOTS = 200_000             # lp_max raises RuntimeError beyond it
+
 
 @dataclass(frozen=True)
 class LpResult:
@@ -50,7 +52,7 @@ def _ints(values, what: str, none_ok: bool = False) -> None:
             raise TypeError(f"{what} is not an int: {v!r}")
 
 
-def lp_max(objective, rows, bounds, max_pivots: int = 200_000) -> LpResult:
+def lp_max(objective, rows, bounds) -> LpResult:
     """Maximize objective . x subject to lo <= a.x <= hi for each row
     (a, lo, hi) and lo <= x_j <= hi for each bound (lo, hi).
 
@@ -138,7 +140,7 @@ def lp_max(objective, rows, bounds, max_pivots: int = 200_000) -> LpResult:
 
         # pivot: basic[r] leaves at the bound it reached, nonbasic[s] enters
         pivots += 1
-        if pivots > max_pivots:
+        if pivots > MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded")
         row_r = table[r]
         sign = 1 if row_r[s] > 0 else -1

@@ -16,7 +16,6 @@ from csneighborly.blocks import SignedSupportRow, sample_indices
 from csneighborly.certificate import (
     _left_half,
     _right_half,
-    _row_flags,
     _packed_tables,
     cube_combination,
 )
@@ -43,8 +42,9 @@ def half_row_check(con, left, right):
     left_result = _left_half(packed, p, q, (left.support, left.signs))
     right_result = _right_half(packed, p, q, (right.support, right.signs))
     eps_ok = (k - l) * beta + l * alpha <= HALF
-    return _row_flags(eps_ok, left_result, right_result) + (
-        right_result[2], left_result[2])
+    entry_ok, eq_ok = left_result[0] and right_result[0], right_result[1]
+    return (entry_ok, eq_ok, eps_ok and eq_ok,
+            right_result[2], left_result[2])
 
 
 def assert_halves_match_literal(con, left, right):
@@ -389,6 +389,17 @@ class TestExpandCombination:
                 SignedSupportRow(4, (0, 1), (1, 1)),
                 SignedSupportRow(4, (), ()),
             )
+
+    @pytest.mark.parametrize("e, support", [
+        (2, (-1,)),        # would wrap around to index 3
+        (2, (9,)),         # past the last column of H
+        (4, (1, 1)),       # one index twice
+    ])
+    def test_rejects_bad_support(self, e, support):
+        con = build(sylvester(e))
+        left = SignedSupportRow(con.d, support, (1,) * len(support))
+        with pytest.raises(ValueError, match="distinct indices"):
+            expand_combination(con, left, SignedSupportRow(con.d, (), ()))
 
     def test_every_certificate_reverifies(self):
         con = build(sylvester(3))

@@ -50,7 +50,7 @@ class TestSylvester:
 
     def test_max_order_guard(self):
         with pytest.raises(ValueError):
-            sylvester(13)  # 8192 > default cap 4096
+            sylvester(13)  # 8192 > MAX_ORDER = 4096
 
 
 class TestValidate:

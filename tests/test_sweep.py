@@ -20,6 +20,7 @@ from csneighborly import (
     verify_conditions,
     verify_k_neighborly,
 )
+from csneighborly.blocks import unrank_part
 from csneighborly.cli import main
 from csneighborly.oracle import FaceReport
 from csneighborly.sweep import ordered_map
@@ -47,6 +48,21 @@ def _right_half_failing(packed, p, q, part):
     if part == ((3,), (1,)):
         gram_ok = False
     return entry_ok, gram_ok, top
+
+
+_LISTED = {"left": (), "right": ()}   # parts the *_listed kernels fail
+
+
+def _left_half_listed(packed, p, q, part):
+    # fails the entry bound of each listed left part
+    entry_ok, gram_ok, top = _real_left_half(packed, p, q, part)
+    return entry_ok and part not in _LISTED["left"], gram_ok, top
+
+
+def _right_half_listed(packed, p, q, part):
+    # fails the matrix equation of each listed right part
+    entry_ok, gram_ok, top = _real_right_half(packed, p, q, part)
+    return entry_ok, gram_ok and part not in _LISTED["right"], top
 
 
 def _is_face_failing(con, subset):
@@ -155,6 +171,62 @@ class TestFailureReportsIndependentOfJobs:
         assert doc["failures"] == [
             {"block": 1, "row": 24, "reason": "matrix equation failed"}
         ]
+
+    @staticmethod
+    def _sampled_block_1(con16, monkeypatch, left, right, rows):
+        """Fail the weight-1 left ranks `left` and right ranks `right`, which
+        only block 1 reads at d = 16, and sweep d = 16 sampled for jobs 1, 2
+        and 4.  Returns the report, after checking that every job count gives
+        it, and the literal walk of block 1's sampled rows: (rows read up to
+        the first one reading a failing part, that row's index, its left and
+        right parts' ranks)."""
+        for side, ranks in (("left", left), ("right", right)):
+            monkeypatch.setitem(_LISTED, side,
+                                {unrank_part(16, 1, r) for r in ranks})
+        monkeypatch.setattr(certificate, "_left_half", _left_half_listed)
+        monkeypatch.setattr(certificate, "_right_half", _right_half_listed)
+        reports = [verify_conditions(con16, mode="sample", sample_rows=rows,
+                                     seed=7, jobs=jobs) for jobs in (1, 2, 4)]
+        assert reports[0] == reports[1] == reports[2]
+        for position, (_, index) in enumerate(
+                certificate.block_sweep_tasks(16, 2, 1, True, rows, 7)):
+            i, j = divmod(index, 32)
+            if i in left or j in right:
+                return reports[0], (position + 1, index, i, j)
+
+    def test_sampled_right_part_read_before_left(self, con16, monkeypatch):
+        # lefts are handed out first, so the fold sees the left part's failure
+        # first; the right part's first row comes earlier and is reported
+        rows, lefts, rights = 300, {}, {}      # rank -> first position
+        for position, (_, index) in enumerate(
+                certificate.block_sweep_tasks(16, 2, 1, True, rows, 7)):
+            lefts.setdefault(index // 32, position)
+            rights.setdefault(index % 32, position)
+        left = max(lefts, key=lefts.get)       # the left part read last
+        right = max((j for j in rights if 2 < rights[j] < lefts[left]),
+                    key=rights.get)
+        report, (checked, index, i, j) = self._sampled_block_1(
+            con16, monkeypatch, {left}, {right}, rows)
+        assert (checked, j) == (rights[right] + 1, right) and i != left
+        block = report.blocks[1]
+        assert block.sampled and block.rows_checked == checked
+        assert (block.entry_bound_ok, block.equation_ok,
+                block.certificate_ok) == (True, False, False)
+        assert report.failures == ((1, index, "matrix equation failed"),)
+        assert [b.rows_checked for b in report.blocks] == [rows + 2, checked,
+                                                          rows + 2]
+
+    def test_sampled_row_0_fails_in_both_parts(self, con16, monkeypatch):
+        # row 0 reads left 0 and right 0: the left part fails the entry bound
+        # and the right part the matrix equation, and the row fails both
+        report, (checked, index, i, j) = self._sampled_block_1(
+            con16, monkeypatch, {0}, {0}, 300)
+        assert (checked, index, i, j) == (1, 0, 0, 0)
+        block = report.blocks[1]
+        assert block.rows_checked == 1
+        assert (block.entry_bound_ok, block.equation_ok,
+                block.certificate_ok) == (False, False, False)
+        assert report.failures == ((1, 0, "entry bound exceeded"),)
 
     def test_faces_reports(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(oracle, "is_face", _is_face_failing)
