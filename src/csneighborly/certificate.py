@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import chain, compress, groupby, islice
 from operator import add, itemgetter
 
 from .blocks import (SignedSupportRow, block_row_count, block_rows,
@@ -227,13 +227,13 @@ def _packed_tables(h: HadamardMatrix, k: int) -> PackedHalves:
     entries are too large for byte fields.
     """
     d = h.order
-    hbias = max(abs(v) for row in h.signs for v in row)
+    hbias = max(max(map(abs, row)) for row in h.signs)
     if 2 * k * hbias > 255:
         raise ValueError(
             f"H has entries up to {hbias} in absolute value: sums of {k} "
             "of its rows do not fit in byte fields")
     gram = h.gram
-    gbias = max(d, max(abs(v) for row in gram for v in row))
+    gbias = max(d, max(max(map(abs, row)) for row in gram))
     width = (2 * k * gbias).bit_length()
 
     def pack_bytes(vector):
@@ -241,8 +241,10 @@ def _packed_tables(h: HadamardMatrix, k: int) -> PackedHalves:
 
     def gram_less_target(i):
         # the packed G_i less the target's share gbias*ones + d*e_i: the
-        # gbias terms cancel, leaving G_i - d*e_i in signed fields
-        fields = sum(v << (width * j) for j, v in enumerate(gram[i]))
+        # gbias terms cancel, leaving G_i - d*e_i in signed fields (a zero
+        # field adds nothing)
+        row = gram[i]
+        fields = sum(row[j] << (width * j) for j in compress(range(d), row))
         return fields - (d << (width * i))
 
     # sign -1 turns each byte field hbias + v into hbias - v, which is

@@ -5,18 +5,24 @@ construction downstream works for *any* Hadamard matrix, so besides the native
 Sylvester doubling (orders 2^e) arbitrary orders can be imported from a small
 text format (see ``load_hadamard``).
 
-Validation forms G = H^T H by a literal integer product (``gram_rows``) and
-a HadamardMatrix keeps it as ``gram``, which every later check reads.  G is
-never replaced by d*I, so a matrix that skipped validation is checked on
-its actual G.
+Validation forms G = H^T H from the columns (``gram_rows``) and a
+HadamardMatrix keeps it as ``gram``, which every later check reads.  For +-1
+columns c_i, c_j of length n that differ in t positions, c_i . c_j = n - 2t,
+and t is the popcount of m_i XOR m_j, where m_i is the bitmask of the -1
+positions of c_i: so G costs one mask per column and one XOR and popcount
+per entry, O(d^2) int operations on d-bit ints.  The identity is exact for
++-1 entries, which ``gram_rows`` checks; it never assumes d*I, so a matrix
+that skipped validation is checked on its actual G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import index, itemgetter
 
 MAX_ORDER = 4096               # sylvester refuses larger orders
+_SIGNS = frozenset((1, -1))
+_MASK_BIT = {1: "0", -1: "1"}  # a column's -1 positions as binary digits
 
 
 class HadamardMatrix:
@@ -52,8 +58,9 @@ class HadamardMatrix:
 
 
 def _sign_rows(signs) -> tuple:
-    """signs as a tuple of int row tuples; ValueError when malformed."""
-    signs = tuple(tuple(int(x) for x in row) for row in signs)
+    """signs as a tuple of int row tuples; TypeError on an entry that is not
+    an integer (a float is not truncated), ValueError when malformed."""
+    signs = tuple(tuple(map(index, row)) for row in signs)
     problem = malformed_reason(signs)
     if problem is not None:
         raise ValueError(f"malformed Hadamard input: {problem}")
@@ -68,23 +75,38 @@ def malformed_reason(signs) -> str | None:
     for i, row in enumerate(signs):
         if len(row) != n:
             return f"row {i} has length {len(row)}, expected {n}"
-        for j, x in enumerate(row):
-            if x not in (1, -1):
-                return f"entry ({i},{j}) is {x}, expected +1 or -1"
+        if not _SIGNS.issuperset(row):
+            j = next(j for j, x in enumerate(row) if x not in _SIGNS)
+            return f"entry ({i},{j}) is {row[j]}, expected +1 or -1"
     return None
 
 
 def gram_rows(columns):
-    """Yield the rows of G = H^T H for the columns of H, in order.
+    """Yield the rows of G = H^T H for the +-1 columns of H, in order.
 
-    Entry (i, j) is the integer dot product of columns i and j for j >= i,
-    and is copied from row j for j < i (G is symmetric), so a reader that
-    stops after row i has formed no entry of a later row.
+    Entry (i, j) for j >= i is n - 2*popcount(m_i ^ m_j), for columns of
+    one length n whose -1 positions are the set bits of m_i and m_j: n less
+    twice the number of positions where they differ, which is their integer
+    dot product exactly.  Entries j < i are copied from row j (G is
+    symmetric).  The masks are formed before the first row and raise
+    ValueError on an entry other than +-1; a reader that stops after row i
+    has formed no entry of a later row.
     """
+    n = len(columns[0]) if columns else 0
+    bit = _MASK_BIT.__getitem__
+    try:
+        masks = [int("".join(map(bit, column)), 2) for column in columns]
+    except KeyError:
+        i, j = next((i, j) for j, column in enumerate(columns)
+                    for i, x in enumerate(column) if x not in _SIGNS)
+        raise ValueError(
+            f"entry ({i},{j}) is {columns[j][i]}, expected +1 or -1"
+        ) from None
     rows = []
-    for i, ci in enumerate(columns):
-        rows.append(tuple(r[i] for r in rows)
-                    + tuple(sum(map(mul, ci, cj)) for cj in columns[i:]))
+    for i, mask in enumerate(masks):
+        rows.append(tuple(map(itemgetter(i), rows))
+                    + tuple([n - 2 * (mask ^ other).bit_count()
+                             for other in masks[i:]]))
         yield rows[-1]
 
 
@@ -95,9 +117,9 @@ def first_nonorthogonal_columns(columns) -> tuple:
     """
     gram = []
     for i, row in enumerate(gram_rows(columns)):
-        for j in range(i + 1, len(row)):
-            if row[j]:
-                return (i, j), None
+        if any(row[i + 1:]):
+            j = next(j for j in range(i + 1, len(row)) if row[j])
+            return (i, j), None
         gram.append(row)
     return None, tuple(gram)
 
@@ -107,7 +129,8 @@ def validate(signs) -> bool:
 
     Malformed input (non-square, entries outside +-1) raises ValueError and is
     thereby kept distinct from a well-formed non-Hadamard matrix, which
-    returns False.
+    returns False; an entry that is not an integer, such as a float, raises
+    TypeError.
     """
     columns = tuple(zip(*_sign_rows(signs)))
     return first_nonorthogonal_columns(columns)[0] is None

@@ -43,7 +43,8 @@ def identity(n, scale=1):
 
 
 def naive_product(a, b):
-    """Triple-loop Fraction product of two row sequences."""
+    """Triple-loop product of two row sequences, exact: int entries for
+    int factors, Fractions as soon as a factor holds one."""
     inner = len(b)
     if any(len(row) != inner for row in a):
         raise ValueError(f"shape mismatch for product: {len(a[0])} x {inner}")
@@ -51,7 +52,7 @@ def naive_product(a, b):
     for i in range(len(a)):
         row = []
         for j in range(len(b[0])):
-            acc = F(0)
+            acc = 0
             for t in range(inner):
                 acc += a[i][t] * b[t][j]
             row.append(acc)

@@ -20,13 +20,14 @@ from csneighborly.certificate import (
     cube_combination,
 )
 from csneighborly.construction import cs_transform_defect
-from csneighborly.hadamard import HadamardMatrix, gram_rows
+from csneighborly.hadamard import HadamardMatrix
 from literal import (
     HALF,
     hadamard_rule,
     literal_conditions,
     literal_halves,
     literal_row_check,
+    naive_product,
 )
 
 
@@ -66,12 +67,13 @@ def sampled_rows(d, k, l, count, seed):
 
 def unvalidated_hadamard(signs):
     """A HadamardMatrix holding `signs` without the orthogonality check; its
-    gram is the package's own product H^T H, so it need not be d*I."""
+    gram is the literal integer product H^T H, so it need not be d*I, and
+    entries other than +-1 (which the package's gram_rows refuses) work."""
     h = object.__new__(HadamardMatrix)
     h.signs = tuple(tuple(row) for row in signs)
     h.order = len(h.signs)
     h.columns = tuple(zip(*h.signs))
-    h.gram = tuple(gram_rows(h.columns))
+    h.gram = naive_product(h.columns, h.signs)
     return h
 
 

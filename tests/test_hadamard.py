@@ -10,6 +10,7 @@ from csneighborly import (
     sylvester,
     validate,
 )
+from csneighborly.hadamard import gram_rows
 from literal import kron, naive_product, transpose
 
 H4_ROWS = (
@@ -99,9 +100,36 @@ class TestValidate:
         assert validate(rows) is False
 
     def test_gram_is_the_literal_product(self):
-        for e in range(5):
+        for e in range(8):
             h = sylvester(e)
             assert h.gram == naive_product(transpose(h.signs), h.signs)
+
+    @pytest.mark.parametrize("order", [31, 32, 33, 63, 64, 65])
+    def test_gram_rows_random_signs(self, order):
+        # masks of these lengths end at, inside and just past CPython's
+        # 30-bit int digits
+        rng = random.Random(order)
+        rows = [[rng.choice((1, -1)) for _ in range(order)]
+                for _ in range(order)]
+        columns = tuple(zip(*rows))
+        assert tuple(gram_rows(columns)) == naive_product(columns, rows)
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_gram_rows_refuses_other_entries(self, bad):
+        rows = [list(row) for row in sylvester(2).signs]
+        rows[1][2] = bad
+        with pytest.raises(ValueError, match=f"entry \\(1,2\\) is {bad}"):
+            tuple(gram_rows(tuple(zip(*rows))))
+
+    def test_float_entries_are_not_truncated(self):
+        # int(1.7) == 1 and int(-1.9) == -1 would make this sylvester(1)
+        rows = [[1.7, 1], [1, -1.9]]
+        with pytest.raises(TypeError):
+            HadamardMatrix(rows)
+        with pytest.raises(TypeError):
+            validate(rows)
+        with pytest.raises(TypeError):
+            HadamardMatrix([[1.0, 1], [1, -1]])
 
 
 class TestImport:
