@@ -1,4 +1,4 @@
-"""The Hadamard construction: parameters, vertex matrix, cs-transform.
+"""The Hadamard construction: parameters, vertices, cs-transform check.
 
 Given a Hadamard matrix of order d, set k = floor(sqrt(d)/2), alpha = 1/(2k),
 beta = 1/(alpha*d) and A = alpha*H.  The polytope is conv{+-x_1, ..., +-x_m}
@@ -7,13 +7,13 @@ X = [I_d; A^T]: the standard basis vectors followed by the scaled Hadamard
 columns.  The cs-transform points v_i are the rows of T = [-A; I_d]; the
 columns of T span the kernel of (I_d | A).
 
-The construction is the integer data (H, p, q) with alpha = p/q: A and X
-are tuples of row tuples whose entries are picked by the signs of H from
-shared Fractions, and the LPs' integer rows p*h_j are kept with them; T is
-never formed.  Every identity checked here follows from H^T H = d*I.
-X^T T = -A + A = 0 holds by construction, and ``build`` verifies the full
-rank of [X | T] through an integer Gram identity on the matrix's own G
-(``cs_transform_defect``), never with Fraction matrix products.
+A built construction is its integer data, the parameters (alpha = p/q) and
+H: A, X and T are never stored, a vertex is formed from its column of H on
+request, and the LPs read H's +-1 columns with p in their bounds.  Every
+identity checked here follows from H^T H = d*I.  X^T T = -A + A = 0 holds
+by construction, and ``build`` verifies the full rank of [X | T] through an
+integer Gram identity on the matrix's own G (``cs_transform_defect``),
+never with Fraction matrix products.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exact import Matrix, as_scalar
+from .exact import as_scalar
 from .hadamard import HadamardMatrix
+
+_ZERO = Fraction(0)        # shared by every unit vertex
 
 
 @dataclass(frozen=True)
@@ -83,26 +85,15 @@ def parameters(d: int, alpha=None) -> ConstructionParams:
 
 
 class Construction:
-    """One built instance: parameters, Hadamard source, A and X.
+    """One built instance: its parameters and its Hadamard matrix, which are
+    the whole construction (A = alpha*H).  Immutable after ``build`` and
+    safe to share across workers."""
 
-    A (d x n) and X (m x d, rows x_1..x_m) are tuples of row tuples of
-    Fractions; a negated vertex is formed when it is asked for.
-    scaled_columns holds x_{d+j} = (p/q) h_j, alpha = p/q, as the integer
-    rows p*h_j.  Everything is immutable after ``build`` and safe to share
-    across workers.
-    """
+    __slots__ = ("params", "hadamard")
 
-    __slots__ = ("params", "hadamard", "A", "X", "scaled_columns")
-
-    def __init__(self, params: ConstructionParams, h: HadamardMatrix,
-                 a: Matrix, x: Matrix):
+    def __init__(self, params: ConstructionParams, h: HadamardMatrix):
         self.params = params
         self.hadamard = h
-        self.A = a
-        self.X = x
-        p = params.alpha.numerator
-        self.scaled_columns = tuple(
-            tuple(p * s for s in col) for col in h.columns)
 
     @property
     def d(self) -> int:
@@ -117,24 +108,24 @@ class Construction:
         return self.params.k
 
     def vertex_representative(self, index: int, sign: int = 1) -> tuple:
-        """Vertex sign*x_index as an exact coordinate tuple."""
-        row = self.X[index]
-        return row if sign > 0 else tuple(-v for v in row)
+        """Vertex sign*x_index as a tuple of Fractions.
+
+        x_i = e_i for i < d; x_{d+j} = alpha*h_j has the entries +-sign*alpha,
+        picked by the signs of column j of H.  Raises ValueError for an index
+        outside 0..m-1 or a sign other than +-1.
+        """
+        d = self.d
+        if not 0 <= index < self.m or sign not in (1, -1):
+            raise ValueError(f"bad vertex ({index}, {sign})")
+        if index < d:
+            return ((_ZERO,) * index + (Fraction(sign),)
+                    + (_ZERO,) * (d - 1 - index))
+        plus, minus = sign * self.params.alpha, -sign * self.params.alpha
+        return tuple(plus if s > 0 else minus
+                     for s in self.hadamard.columns[index - d])
 
     def __repr__(self) -> str:
         return f"Construction(d={self.d}, k={self.k}, alpha={self.params.alpha})"
-
-
-def _pick(signs, plus, minus) -> Matrix:
-    """Rows holding the shared object plus at each +1 sign, minus at each -1."""
-    return tuple(tuple(plus if s > 0 else minus for s in row) for row in signs)
-
-
-def _identity(d: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(d)) for i in range(d)
-    )
 
 
 def cs_transform_defect(gram) -> str | None:
@@ -169,11 +160,8 @@ def build(h: HadamardMatrix, alpha=None, verify: bool = True) -> Construction:
     checked through the integer Gram identity (see cs_transform_defect).
     """
     params = parameters(h.order, alpha=alpha)
-    a = _pick(h.signs, params.alpha, -params.alpha)   # d x n
-    x = _identity(params.d) + tuple(zip(*a))          # m x d, rows x_1..x_m
-
     if verify:
         defect = cs_transform_defect(h.gram)
         if defect is not None:
             raise ValueError(f"internal error: {defect}")
-    return Construction(params, h, a, x)
+    return Construction(params, h)

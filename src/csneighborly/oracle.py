@@ -88,6 +88,12 @@ def is_face(con: Construction, subset) -> FaceReport:
     and |x_i.u| <= 1 on the other pairs (for i < d, a bound on u_i).  Then
     t = 1 - 1/sigma and c = u/sigma; sigma* = 0 means no c attains 1 on the
     subset, and an unbounded sigma means t = 1, with c from the ray.
+
+    Solved in u' = p*u (alpha = p/q), the rows are H's +-1 columns:
+    |u'_i| <= p, s*u'_i = p*sigma or s*h_j.u' = q*sigma on the members,
+    |h_j.u'| <= q on the others, and c = u'/(p*sigma).  A positive rescaling
+    of u keeps the sign of every reduced cost and the order of every ratio
+    test, so Bland's rule makes the same pivots and finds the same witness.
     """
     members = tuple(sorted(set((as_index(i), as_index(s)) for i, s in subset)))
     if not members:
@@ -101,19 +107,19 @@ def is_face(con: Construction, subset) -> FaceReport:
     if len(set(indices)) < len(indices):
         return FaceReport(members, "antipodal-rejected", None, None)
 
-    d, q = con.d, con.params.alpha.denominator
-    hrows = con.scaled_columns
-    bounds = [(-1, 1)] * d + [(0, None)]
+    d, columns = con.d, con.hadamard.columns
+    p, q = con.params.alpha.as_integer_ratio()
+    bounds = [(-p, p)] * d + [(0, None)]
     rows = []
-    for i, s in members:                         # s x_i.u - sigma in [0, 0]
+    for i, s in members:                         # s x_i.u' - p*sigma in [0, 0]
         if i < d:
             coeffs = [0] * (d + 1)
-            coeffs[i], coeffs[d] = s, -1
+            coeffs[i], coeffs[d] = s, -p
             bounds[i] = (None, None)
         else:
-            coeffs = [s * v for v in hrows[i - d]] + [-q]
+            coeffs = [s * v for v in columns[i - d]] + [-q]
         rows.append((coeffs, 0, 0))
-    rows += [(hrows[j] + (0,), -q, q)             # |p h_j.u| <= q
+    rows += [(columns[j] + (0,), -q, q)           # |h_j.u'| <= q
              for j in range(d) if d + j not in indices]
 
     result = lp_max((0,) * d + (1,), rows, bounds)
@@ -122,8 +128,9 @@ def is_face(con: Construction, subset) -> FaceReport:
         return FaceReport(members, "not-face", None, None)
     margin = 1 - 1 / sigma if result.status == "optimal" else Fraction(1)
     status = "face" if margin > 0 else "not-face"
-    return FaceReport(members, status, tuple(c / sigma for c in result.x[:d]),
-                      margin)
+    p_sigma = p * sigma
+    return FaceReport(members, status,
+                      tuple(c / p_sigma for c in result.x[:d]), margin)
 
 
 def canonical_subsets(m: int, k: int):
@@ -225,10 +232,12 @@ def membership_margin(con: Construction, point) -> tuple:
     In u = (w_{1..d} + y)/(1/2 - t) and sigma = 1/(1/2 - t): maximize
     sigma >= 0 with |u_i| <= 1 and |x_{d+j}.u + b_j sigma| <= 1, where
     b_j = w_{d+j} - x_{d+j}.w_{1..d}.  Then t = 1/2 - 1/sigma (1/2 when
-    sigma is unbounded) and y = u/sigma - w_{1..d}.  The rows are scaled by
-    q times the lcm of w's denominators: for an integer w, by q alone.
+    sigma is unbounded) and y = u/sigma - w_{1..d}.  As in is_face it is
+    solved in u' = p*u: |u'_i| <= p and |h_j.u' + q b_j sigma| <= q, rows
+    scaled by the lcm of w's denominators, and y = u'/(p*sigma) - w_{1..d}.
     """
-    d, m, q = con.d, con.m, con.params.alpha.denominator
+    d, m = con.d, con.m
+    p, q = con.params.alpha.as_integer_ratio()
     if len(point) != m:
         raise ValueError(f"point must have length {m}")
     w = [as_scalar(v) for v in point]
@@ -236,16 +245,17 @@ def membership_margin(con: Construction, point) -> tuple:
     ints = [v.numerator * (scale // v.denominator) for v in w]
     head = ints[:d]
     rows = []
-    for j, hrow in enumerate(con.scaled_columns):
-        qb = q * ints[d + j] - sum(map(mul, hrow, head))    # scale*q*b_j
+    for j, col in enumerate(con.hadamard.columns):
+        qb = q * ints[d + j] - p * sum(map(mul, col, head))   # scale*q*b_j
         if scale != 1:
-            hrow = tuple(scale * v for v in hrow)
-        rows.append((hrow + (qb,), -scale * q, scale * q))
+            col = tuple(scale * v for v in col)
+        rows.append((col + (qb,), -scale * q, scale * q))
 
-    result = lp_max((0,) * d + (1,), rows, [(-1, 1)] * d + [(0, None)])
+    result = lp_max((0,) * d + (1,), rows, [(-p, p)] * d + [(0, None)])
     sigma = result.x[d]
     margin = HALF - 1 / sigma if result.status == "optimal" else HALF
-    return margin, tuple(u / sigma - v for u, v in zip(result.x[:d], w))
+    p_sigma = p * sigma
+    return margin, tuple(u / p_sigma - v for u, v in zip(result.x[:d], w))
 
 
 @dataclass(frozen=True)

@@ -93,10 +93,22 @@ def signed_support_matrix(d, l):
     return tuple(row.dense() for row in iter_signed_rows(d, l))
 
 
+def alpha_matrix(con):
+    """A = alpha*H as rows of Fractions, from H's signs and alpha."""
+    alpha = con.params.alpha
+    return tuple(tuple(alpha * s for s in row) for row in con.hadamard.signs)
+
+
+def vertex_matrix(con):
+    """X = [I_d; A^T]: the m vertex representatives x_i as rows."""
+    return identity(con.d) + transpose(alpha_matrix(con))
+
+
 def cs_transform_points(con):
     """The m cs-transform points, the rows of T = [-A; I_d], in order: one
     representative per antipodal pair of {+-v_1, ..., +-v_m}."""
-    return tuple(tuple(-v for v in row) for row in con.A) + con.X[:con.d]
+    return (tuple(tuple(-v for v in row) for row in alpha_matrix(con))
+            + identity(con.d))
 
 
 def signed_vertices(con):
@@ -165,6 +177,7 @@ def literal_row_check(con, left, right):
     d = con.d
     alpha, beta = con.params.alpha, con.params.beta
     h = con.hadamard
+    a = alpha_matrix(con)
     e = left.dense()
     f = right.dense()
 
@@ -187,7 +200,7 @@ def literal_row_check(con, left, right):
     for j in range(d):
         coeff = e[j] + m_row[j]
         for c in range(d):
-            lhs[c] += coeff * con.A[j][c]
+            lhs[c] += coeff * a[j][c]
     eq_ok = all(lhs[c] == f[c] + n_row[c] for c in range(d))
 
     # the explicit expansion and its literal re-summation
@@ -217,7 +230,7 @@ def literal_row_check(con, left, right):
     for j, nu in enumerate(nus):
         acc[1 + j] += nu
         for c in range(d):
-            acc[1 + d + c] += nu * con.A[j][c]
+            acc[1 + d + c] += nu * a[j][c]
     acc[0] += eps
     target = (F(1),) + tuple(e) + tuple(f)
     cert_ok = eps >= 0 and total <= HALF and tuple(acc) == target

@@ -23,6 +23,7 @@ from csneighborly.construction import cs_transform_defect
 from csneighborly.hadamard import HadamardMatrix
 from literal import (
     HALF,
+    alpha_matrix,
     hadamard_rule,
     literal_conditions,
     literal_halves,
@@ -279,12 +280,13 @@ class TestCertificateBlocks:
     def test_correction_times_a_equals_f(self):
         # left_correction @ A == f for every row of a small block
         con = build(sylvester(3))
+        a = alpha_matrix(con)
         for left, right in block_rows(con.d, con.k, 0):
             m_row = literal_row_check(con, left, right)[5]
             prod = [F(0)] * con.d
             for j in range(con.d):
                 for c in range(con.d):
-                    prod[c] += m_row[j] * con.A[j][c]
+                    prod[c] += m_row[j] * a[j][c]
             assert tuple(prod) == right.dense()
 
 
@@ -404,12 +406,20 @@ class TestExpandCombination:
             expand_combination(con, left, SignedSupportRow(con.d, (), ()))
 
     def test_every_certificate_reverifies(self):
-        con = build(sylvester(3))
-        for l in range(con.k + 1):
-            for left, right in block_rows(con.d, con.k, l):
-                cert = expand_combination(con, left, right)
-                cert.verify(con.A)  # must not raise
-                assert cert.coefficient_sum <= HALF
+        # sylvester(3) with row 1 negated is not symmetric: A must be alpha*H,
+        # not alpha*H^T
+        signs = sylvester(3).signs
+        negated = HadamardMatrix(
+            tuple(-v for v in row) if r == 1 else row
+            for r, row in enumerate(signs))
+        for h in (sylvester(3), negated):
+            con = build(h)
+            a = alpha_matrix(con)
+            for l in range(con.k + 1):
+                for left, right in block_rows(con.d, con.k, l):
+                    cert = expand_combination(con, left, right)
+                    cert.verify(a)  # must not raise
+                    assert cert.coefficient_sum <= HALF
 
 
 class TestCubeCombination:
@@ -437,17 +447,18 @@ class TestCubeCombination:
 
 class TestVerifyGeneral:
     def test_hadamard_rule_passes(self):
-        con = build(sylvester(2))
-        rep = verify_general(con.A, k=1, correction_rule=hadamard_rule(con.A))
+        a = alpha_matrix(build(sylvester(2)))
+        rep = verify_general(a, k=1, correction_rule=hadamard_rule(a))
         assert rep.passed
 
     def test_rule_is_required(self):
         with pytest.raises(TypeError):
-            verify_general(build(sylvester(2)).A, k=1)
+            verify_general(alpha_matrix(build(sylvester(2))), k=1)
 
     def test_matches_verify_conditions(self):
         con = build(sylvester(3))
-        rep = verify_general(con.A, k=con.k, correction_rule=hadamard_rule(con.A))
+        a = alpha_matrix(con)
+        rep = verify_general(a, k=con.k, correction_rule=hadamard_rule(a))
         assert rep.passed == verify_conditions(con).passed
 
     def test_zero_pair_fails_equation(self):
@@ -487,11 +498,12 @@ class TestVerifyGeneral:
 
     def test_accepts_list_tuple_and_generator_rows(self):
         con = build(sylvester(2))
-        rule = hadamard_rule(con.A)
-        as_lists = [list(row) for row in con.A]
+        rows = alpha_matrix(con)
+        rule = hadamard_rule(rows)
+        as_lists = [list(row) for row in rows]
         reports = [
             verify_general(a, k=1, correction_rule=rule)
-            for a in (con.A, as_lists, (tuple(row) for row in as_lists))
+            for a in (rows, as_lists, (tuple(row) for row in as_lists))
         ]
         assert reports[0].passed and reports[0] == reports[1] == reports[2]
         # ints and 'p/q' strings are exact too

@@ -501,6 +501,17 @@ class TestPinnedReports:
          "c4476a3ef2fb2ec815d21638619a625ff347155f347048086bb21458efc4e856"),
         ("certify --d 8 --sample 50 --seed 9",
          "9798c6fea299efccd3e0a1faf3a3042dc31d8c3c4ee8a623b6ccecf08a9e85b7"),
+        # alpha = p/q with p != 1, where the LPs' bounds carry p
+        ("verify --d 32 --alpha 3/16 --check faces --mode sample --samples 20 "
+         "--seed 6",
+         "54d9f1e41eb2c55fb8053924e8bdce586dffe39f60a29210c91ae6dc1711b19c"),
+        ("verify --d 32 --alpha 3/16 --check containment --mode sample "
+         "--samples 10 --seed 7",
+         "867276fb2114d5a16bd387eb73617362c296b5bfa64dd858f2594c1183baad82"),
+        ("verify --d 8 --alpha 2/5 --check dominant",
+         "1b85b8942b6ffe2e8a6cf6e11d6852e6981a6e279ce6f815050a4f91499b5a20"),
+        ("generate --d 8 --alpha 2/5 --format json",
+         "f049f89399507db12920ba13739ec9e8fc277c9d758f91fcfbdbb6c1a3daf744"),
     ])
     def test_report_digest(self, capsys, monkeypatch, argv, digest):
         monkeypatch.delenv("NEIGHBORLY_MAX_ROWS", raising=False)

@@ -6,8 +6,8 @@ from csneighborly import build, parameters, sylvester
 from csneighborly.construction import cs_transform_defect
 from csneighborly.hadamard import HadamardMatrix
 from literal import (
-    cs_transform_points, gauss_rank, hstack, identity, naive_product,
-    signed_vertices, transpose,
+    alpha_matrix, cs_transform_points, gauss_rank, hstack, identity,
+    naive_product, signed_vertices, transpose, vertex_matrix,
 )
 
 
@@ -91,23 +91,25 @@ class TestBuild:
             expected += [
                 tuple(alpha * signs[r][j] for r in range(d)) for j in range(d)
             ]
-            assert list(con.X) == expected
+            assert list(vertex_matrix(con)) == expected
             for i, x in enumerate(expected):
                 assert con.vertex_representative(i) == x
                 assert con.vertex_representative(i, -1) == tuple(-c for c in x)
-            assert con.A == tuple(
+            assert alpha_matrix(con) == tuple(
                 tuple(alpha * s for s in row) for row in signs
             )
 
     def test_d4_orthogonality(self):
         con = build(sylvester(2))
-        prod = naive_product(transpose(con.X), cs_transform_points(con))
+        prod = naive_product(transpose(vertex_matrix(con)),
+                             cs_transform_points(con))
         assert prod == identity(4, 0)
 
     def test_full_rank_certificate(self):
         for e in (2, 3, 4):
             con = build(sylvester(e))
-            assert gauss_rank(hstack(con.X, cs_transform_points(con))) == con.m
+            stacked = hstack(vertex_matrix(con), cs_transform_points(con))
+            assert gauss_rank(stacked) == con.m
 
     @pytest.mark.parametrize("e, alpha", [
         (2, None), (3, None), (4, None), (3, F(2, 5)),
@@ -117,19 +119,20 @@ class TestBuild:
         # takes X^T T = 0 from the construction; the literal Fraction
         # products must give the same verdict
         con = build(sylvester(e), alpha=alpha)
-        t = cs_transform_points(con)
+        x, t = vertex_matrix(con), cs_transform_points(con)
         integer_ok = cs_transform_defect(con.hadamard.gram) is None
         literal_ok = (
-            naive_product(transpose(con.X), t) == identity(con.d, 0)
-            and gauss_rank(hstack(con.X, t)) == con.m
+            naive_product(transpose(x), t) == identity(con.d, 0)
+            and gauss_rank(hstack(x, t)) == con.m
         )
         assert integer_ok and literal_ok
 
     def test_entry_bounds(self):
         con = build(sylvester(3))
         alpha = con.params.alpha
-        assert all(abs(v) == alpha for row in con.A for v in row)
-        assert all(abs(v) <= 1 for row in con.X for v in row)
+        assert all(abs(v) == alpha for row in alpha_matrix(con) for v in row)
+        vertices = [con.vertex_representative(i) for i in range(con.m)]
+        assert all(abs(v) <= 1 for row in vertices for v in row)
 
     def test_d16_signed_vertices_distinct(self):
         con = build(sylvester(4))
@@ -140,12 +143,19 @@ class TestBuild:
         # representatives first, then their negations
         con = build(sylvester(3))
         signed = signed_vertices(con)
+        x = vertex_matrix(con)
         assert [key for key, _ in signed] == (
             [(i, 1) for i in range(con.m)] + [(i, -1) for i in range(con.m)]
         )
         for (i, s), coords in signed:
             assert con.vertex_representative(i, s) == coords
-            assert coords == tuple(s * c for c in con.X[i])
+            assert coords == tuple(s * c for c in x[i])
+
+    def test_vertex_representative_rejects_bad_arguments(self):
+        con = build(sylvester(2))
+        for index, sign in [(-1, 1), (con.m, 1), (0, 0), (con.d, 0), (1, 2)]:
+            with pytest.raises(ValueError, match="bad vertex"):
+                con.vertex_representative(index, sign)
 
     def test_propagates_parameter_errors(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from csneighborly.exact import as_scalar
 from csneighborly.hadamard import HadamardMatrix, gram_rows
 from literal import (
     cs_transform_points, gauss_rank, hstack, identity, kron, naive_product,
-    transpose,
+    transpose, vertex_matrix,
 )
 
 
@@ -175,7 +175,7 @@ class TestRank:
 
     def test_construction_stack_full_rank(self):
         con = build(sylvester(2))
-        stacked = hstack(con.X, cs_transform_points(con))
+        stacked = hstack(vertex_matrix(con), cs_transform_points(con))
         assert gauss_rank(stacked) == 8 == con.m
 
     def test_against_gauss_oracle(self):

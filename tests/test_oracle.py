@@ -18,7 +18,7 @@ from csneighborly import (
 )
 from csneighborly import oracle
 from csneighborly.oracle import canonical_subsets
-from literal import recheck_face, signed_vertices
+from literal import recheck_face, signed_vertices, vertex_matrix
 
 
 # (status, margin) of each of the 848 canonical d = 4 subsets of sizes 1-4,
@@ -48,7 +48,7 @@ D8_RATIONAL_MARGINS = (
 def cube_offsets(con, point, y):
     """point + X y, in the caller's coordinates."""
     return [w + sum(c * v for c, v in zip(row, y))
-            for w, row in zip(point, con.X)]
+            for w, row in zip(point, vertex_matrix(con))]
 
 
 @pytest.fixture(scope="module")
@@ -189,36 +189,46 @@ class TestIntegerArguments:
 
 
 class TestVertexRows:
-    def test_built_by_build_and_shared_across_lps(self, monkeypatch):
-        fresh = build(sylvester(2))
-        rows = fresh.scaled_columns                   # there before any LP
-        # x_{d+j} = (p/q) h_j with alpha = p/q = 1/2 at d = 4
-        assert rows == tuple(tuple(col) for col in fresh.hadamard.columns)
+    """The LPs read H's +-1 columns, with alpha's numerator p moved from
+    the rows into the bounds (u' = p*u)."""
+
+    @staticmethod
+    def recorded_programs(monkeypatch):
         programs = []
         real_lp_max = oracle.lp_max
 
         def recording_lp_max(objective, lp_rows, bounds):
-            programs.append(lp_rows)
+            programs.append(([(tuple(c), low, high) for c, low, high in lp_rows],
+                             list(bounds)))
             return real_lp_max(objective, lp_rows, bounds)
 
         monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
-        is_face(fresh, [(4, 1)])
-        membership_margin(fresh, [1] + [0] * 7)
-        is_face(fresh, [(5, -1), (1, 1)])
-        assert fresh.scaled_columns is rows           # read, not rebuilt
-        # each program's rows over the Hadamard vertices are those rows
-        face, member, face2 = ([tuple(c[:4]) for c, _, _ in lp_rows]
-                               for lp_rows in programs)
-        assert face == member == list(rows)
-        assert face2 == [(0, 1, 0, 0), tuple(-v for v in rows[1]),
-                         rows[0], rows[2], rows[3]]
+        return programs
 
-    def test_rows_scaled_by_p(self):
-        # alpha = p/q = 2/5 at d = 8: the rows are 2*h_j, and the LP optima
-        # hold on the Fraction vertices
+    def test_rows_are_hadamard_columns(self, monkeypatch):
+        con = build(sylvester(2))                     # alpha = p/q = 1/2
+        cols = con.hadamard.columns
+        programs = self.recorded_programs(monkeypatch)
+        is_face(con, [(4, 1)])
+        membership_margin(con, [1] + [0] * 7)
+        is_face(con, [(5, -1), (1, 1)])
+        face, member, face2 = ([tuple(c[:4]) for c, _, _ in lp_rows]
+                               for lp_rows, _ in programs)
+        assert face == member == list(cols)
+        assert face2 == [(0, 1, 0, 0), tuple(-v for v in cols[1]),
+                         cols[0], cols[2], cols[3]]
+        bounds = [b for _, b in programs]
+        assert bounds[0] == bounds[1] == [(-1, 1)] * 4 + [(0, None)]
+        assert bounds[2] == [(-1, 1), (None, None), (-1, 1), (-1, 1),
+                             (0, None)]
+
+    def test_p_moves_into_the_bounds(self, monkeypatch):
+        # alpha = p/q = 2/5 at d = 8: the rows stay H's +-1 columns, u' = 2u
+        # is bounded by +-2, and the LP optima hold on the Fraction vertices
         con = build(sylvester(3), alpha=F(2, 5))
-        assert con.scaled_columns == tuple(
-            tuple(2 * s for s in col) for col in con.hadamard.columns)
+        d, cols = con.d, con.hadamard.columns
+        free = (None, None)
+        programs = self.recorded_programs(monkeypatch)
         for subset in [[(0, 1)], [(8, 1)], [(3, 1), (12, -1)]]:
             rep = is_face(con, subset)
             assert rep.status == "face" and recheck_face(con, rep) == []
@@ -228,6 +238,25 @@ class TestVertexRows:
             margin, witness = membership_margin(con, point)
             offsets = cube_offsets(con, point, witness)
             assert max(abs(v) for v in offsets) == F(1, 2) - margin
+
+        (rows0, bounds0), (rows1, bounds1), (rows2, bounds2) = programs[:3]
+        unit0 = (1,) + (0,) * (d - 1)
+        assert rows0 == [(unit0 + (-2,), 0, 0)] + [
+            (col + (0,), -5, 5) for col in cols]
+        assert bounds0 == [free] + [(-2, 2)] * (d - 1) + [(0, None)]
+        assert rows1 == [(cols[0] + (-5,), 0, 0)] + [
+            (col + (0,), -5, 5) for col in cols[1:]]
+        assert bounds1 == [(-2, 2)] * d + [(0, None)]
+        assert [c[:d] for c, _, _ in rows2[:2]] == [
+            tuple(int(j == 3) for j in range(d)),
+            tuple(-v for v in cols[4])]
+        assert bounds2[3] == free
+        for lp_rows, bounds in programs[3:]:           # membership LPs
+            assert bounds == [(-2, 2)] * d + [(0, None)]
+            for (c, low, high), col in zip(lp_rows, cols):
+                # scaled by the lcm of the point's denominators, high / 5
+                assert low == -high and high % 5 == 0
+                assert tuple(c[:d]) == tuple(high // 5 * v for v in col)
 
 
 class TestVerifyKNeighborly:
