@@ -21,7 +21,6 @@ from .certificate import (
     expand_combination,
     structural_identities,
     verify_conditions,
-    verify_general,
 )
 from .construction import (
     Construction,
@@ -84,6 +83,5 @@ __all__ = [
     "total_row_count",
     "validate",
     "verify_conditions",
-    "verify_general",
     "verify_k_neighborly",
 ]

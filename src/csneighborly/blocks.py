@@ -167,68 +167,64 @@ def unrank_part(d: int, l: int, r: int) -> tuple:
 # -- block streams -----------------------------------------------------------
 
 
-def block_row_count(d: int, k: int, l: int, n: int | None = None) -> int:
-    """Rows in block l: 2^k * binom(d, l) * binom(n, k-l)."""
-    n = d if n is None else n
-    return signed_row_count(d, l) * signed_row_count(n, k - l)
+def block_row_count(d: int, k: int, l: int) -> int:
+    """Rows in block l: 2^k * binom(d, l) * binom(d, k-l)."""
+    return signed_row_count(d, l) * signed_row_count(d, k - l)
 
 
-def total_row_count(d: int, k: int, n: int | None = None) -> int:
-    """Rows over all blocks; equals 2^k * binom(d+n, k) by Vandermonde."""
-    n = d if n is None else n
-    return sum(block_row_count(d, k, l, n) for l in range(k + 1))
+def total_row_count(d: int, k: int) -> int:
+    """Rows over all blocks; equals 2^k * binom(2d, k) by Vandermonde."""
+    return sum(block_row_count(d, k, l) for l in range(k + 1))
 
 
 class BlockStream:
     """Lazy, restartable stream over the rows (left | right) of one block.
 
     The left part runs over weight-l rows of width d, each repeated once per
-    right row; the right part cycles over weight-(k-l) rows of width n,
+    right row; the right part cycles over weight-(k-l) rows of width d,
     streamed again for each left row.  Iteration always restarts from the
     first row and yields an identical sequence each time.
     """
 
-    def __init__(self, d: int, k: int, l: int, n: int | None = None):
+    def __init__(self, d: int, k: int, l: int):
         if not 0 <= l <= k:
             raise ValueError(f"block index l={l} outside 0..{k}")
         self.d = d
         self.k = k
         self.l = l
-        self.n = d if n is None else n
-        self.count = block_row_count(d, k, l, self.n)
+        self.count = block_row_count(d, k, l)
 
     def __iter__(self):
         for left in iter_signed_rows(self.d, self.l):
-            for right in iter_signed_rows(self.n, self.k - self.l):
+            for right in iter_signed_rows(self.d, self.k - self.l):
                 yield left, right
 
     def row(self, index: int) -> tuple:
         """Random access by row index, consistent with iteration order."""
         if not 0 <= index < self.count:
             raise ValueError(f"row index {index} out of range ({self.count})")
-        i, j = divmod(index, signed_row_count(self.n, self.k - self.l))
+        i, j = divmod(index, signed_row_count(self.d, self.k - self.l))
         left = unrank_part(self.d, self.l, i)
-        right = unrank_part(self.n, self.k - self.l, j)
-        return SignedSupportRow(self.d, *left), SignedSupportRow(self.n, *right)
+        right = unrank_part(self.d, self.k - self.l, j)
+        return SignedSupportRow(self.d, *left), SignedSupportRow(self.d, *right)
 
     def __repr__(self) -> str:
         return (
-            f"BlockStream(d={self.d}, k={self.k}, l={self.l}, n={self.n}, "
+            f"BlockStream(d={self.d}, k={self.k}, l={self.l}, "
             f"count={self.count})"
         )
 
 
-def block_rows(d: int, k: int, l: int, n: int | None = None) -> BlockStream:
-    """Stream over the rows of block l (left width d, right width n)."""
-    return BlockStream(d, k, l, n)
+def block_rows(d: int, k: int, l: int) -> BlockStream:
+    """Stream over the rows of block l (both parts of width d)."""
+    return BlockStream(d, k, l)
 
 
-def sample_indices(d: int, k: int, l: int, count: int, seed: int,
-                   n: int | None = None):
+def sample_indices(d: int, k: int, l: int, count: int, seed: int):
     """count row indices of block l drawn with replacement, in draw order,
     from the block's seed word block_sample_seed(seed, d, k, l); nothing for
     a block with no rows."""
-    total = block_row_count(d, k, l, n)
+    total = block_row_count(d, k, l)
     if not total:
         return iter(())
     return map(itemgetter(0),
@@ -256,7 +252,7 @@ class OrthogonalityReport:
 def orthogonality_check(
     d: int, k: int, l: int, cap: int = 500_000
 ) -> OrthogonalityReport:
-    """Exactly verify the block Gram identities for n = d.
+    """Exactly verify the block Gram identities.
 
     Checks left^T left = 2^k binom(d-1, l-1) binom(d, k-l) I_d and
     left^T right = 0, accumulating integer outer products row by row from

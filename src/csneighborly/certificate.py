@@ -69,11 +69,9 @@ from functools import partial
 from itertools import chain, compress, groupby, islice
 from operator import add, itemgetter
 
-from .blocks import (SignedSupportRow, block_row_count, block_rows,
-                     iter_parts_from, sample_indices, signed_row_count,
-                     unrank_part)
+from .blocks import (SignedSupportRow, block_row_count, iter_parts_from,
+                     sample_indices, signed_row_count, unrank_part)
 from .construction import Construction, cs_transform_defect
-from .exact import Matrix, as_scalar
 from .hadamard import HadamardMatrix
 from .sweep import ordered_map
 
@@ -140,22 +138,6 @@ class CombinationCertificate:
             raise ValueError("combination does not re-sum to its target row")
 
 
-def _assemble(block, e, f, mu_terms) -> CombinationCertificate:
-    """The certificate of the target row (1, e | f) from its expansion
-    ((mu, delta), ...): the multipliers are e plus the first d entries of
-    sum mu*delta, and the slack is 1 - 2*sum mu."""
-    d = len(e)
-    shift = [Fraction(0)] * d
-    for mu, delta in mu_terms:
-        for j in range(d):
-            shift[j] += mu * delta[j]
-    total = sum((mu for mu, _ in mu_terms), Fraction(0))
-    return CombinationCertificate(
-        block=block, target=(Fraction(1),) + tuple(e) + tuple(f),
-        mu_terms=tuple(mu_terms), nus=tuple(map(add, e, shift)),
-        eps=1 - 2 * total)
-
-
 def expand_combination(
     con: Construction, left: SignedSupportRow, right: SignedSupportRow
 ) -> CombinationCertificate:
@@ -193,7 +175,15 @@ def expand_combination(
         mu_terms.append((alpha / 2, ones + row))
         mu_terms.append((alpha / 2, neg_ones + row))
 
-    cert = _assemble(l, left.dense(), right.dense(), mu_terms)
+    # the multipliers are e plus the first d entries of sum mu*delta, and
+    # the slack is 1 - 2*sum mu
+    e, f = left.dense(), right.dense()
+    shift = [sum((mu * delta[j] for mu, delta in mu_terms), Fraction(0))
+             for j in range(d)]
+    cert = CombinationCertificate(
+        block=l, target=(Fraction(1),) + e + f, mu_terms=tuple(mu_terms),
+        nus=tuple(map(add, e, shift)),
+        eps=1 - 2 * sum((mu for mu, _ in mu_terms), Fraction(0)))
     minus = -alpha                               # A = alpha*H, by its signs
     cert.verify([[alpha if s > 0 else minus for s in row] for row in h.signs])
     return cert
@@ -492,26 +482,17 @@ class _BlockSweep:
         flags = all(r[0] for r in row), eq_ok, eq_ok and eps_ok
         index = (end if self.sample is None or failing > end
                  else next(islice(self.sample(), end, None))[1])
-        # the row at end, folded alone, gives the block's flags and failure
-        return (end + 1,) + _fold_rows([(index, flags, maxima)])[1:]
+        # the row at end gives the block's flags and failure
+        failure = None if all(flags) else (index, _reason(flags))
+        return end + 1, maxima, flags, failure
 
 
-def _fold_rows(rows):
-    """Fold (row index, (entry_ok, eq_ok, cert_ok), maxima) rows, in sweep
-    order, up to the first failing one: (rows folded, entrywise maximum of
-    their maxima or None, its flags or all True, (index, reason) or None)."""
-    checked, maxima = 0, None
-    for checked, (index, flags, row_maxima) in enumerate(rows, 1):
-        maxima = row_maxima if maxima is None else tuple(
-            map(max, maxima, row_maxima))
-        if not all(flags):
-            reason = (
-                "entry bound exceeded" if not flags[0]
-                else "matrix equation failed" if not flags[1]
-                else "combination certificate failed"
-            )
-            return checked, maxima, flags, (index, reason)
-    return checked, maxima, (True, True, True), None
+def _reason(flags) -> str:
+    """Why a row with flags (entry_ok, eq_ok, cert_ok) fails: its first
+    failing condition."""
+    return ("entry bound exceeded" if not flags[0]
+            else "matrix equation failed" if not flags[1]
+            else "combination certificate failed")
 
 
 def verify_conditions(
@@ -594,169 +575,3 @@ def verify_conditions(
         structural=structural_identities(con),
     )
 
-
-# -- general pairs (A, correction rule) -----------------------------------------
-
-
-def cube_combination(x) -> list:
-    """Write x (|entries| <= some s) as sum of mu_i * delta_i, delta in {+-1}^m.
-
-    Staircase decomposition: sorting |x| in decreasing order a_1 >= ... >= a_m
-    and letting u_p flip the signs of the tail positions gives weights
-    (a_p - a_{p+1})/2 and (a_1 + a_m)/2, so the weights sum to exactly
-    ||x||_inf.  Returns [] for the zero vector.
-    """
-    m = len(x)
-    x = [Fraction(v) for v in x]
-    if all(v == 0 for v in x):
-        return []
-    order = sorted(range(m), key=lambda j: (-abs(x[j]), j))
-    mags = [abs(x[j]) for j in order]
-    signs = [1 if x[j] >= 0 else -1 for j in order]
-    terms = []
-    for p in range(m):
-        lam = (mags[p] - mags[p + 1]) / 2 if p < m - 1 else (mags[0] + mags[-1]) / 2
-        if lam == 0:
-            continue
-        vertex = [0] * m
-        for q, j in enumerate(order):
-            vertex[j] = signs[q] if q <= p else -signs[q]
-        terms.append((lam, tuple(vertex)))
-    return terms
-
-
-@dataclass(frozen=True)
-class GeneralBlockReport:
-    l: int
-    rows_total: int
-    rows_checked: int
-    sampled: bool
-    max_abs_entry: Fraction
-    entry_bound_ok: bool
-    equation_ok: bool
-    certificate_ok: bool
-    first_failure: tuple | None
-
-
-@dataclass(frozen=True)
-class GeneralReport:
-    d: int
-    n: int
-    k: int
-    blocks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            b.entry_bound_ok and b.equation_ok and b.certificate_ok
-            for b in self.blocks
-        )
-
-    @property
-    def failures(self) -> tuple:
-        return tuple(
-            (b.l,) + b.first_failure for b in self.blocks if b.first_failure
-        )
-
-
-def _exact_rows(a) -> Matrix:
-    """Rows of a user-supplied A as a tuple of exact tuples.
-
-    Accepts any iterable of rows; raises ValueError when A is empty or
-    ragged and TypeError (from as_scalar) on an inexact entry.
-    """
-    rows = tuple(tuple(as_scalar(v) for v in row) for row in a)
-    if not rows or not rows[0]:
-        raise ValueError("matrix must have at least one row and one column")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged rows in matrix input")
-    return rows
-
-
-def verify_general(
-    a,
-    k: int,
-    correction_rule,
-    row_cap: int = 20_000,
-    sample_rows: int = 1_000,
-    seed: int = 0,
-) -> GeneralReport:
-    """Check conditions (a), (b), (c) for a user-supplied pair (A, rule).
-
-    A is an iterable of rows of exact entries (ints, 'p/q' strings or
-    Fractions; floats raise TypeError); empty or ragged rows raise
-    ValueError, and so does a k above d + n, where no row has weight k.
-    The rule maps a block row (left, right) to exact correction
-    rows of widths (d, n).  Condition (c) uses the generic staircase expansion,
-    whose coefficient sum is the max-norm of the correction row, so (c)
-    holds exactly when (a) does; the certificate is still re-summed in full.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    a = _exact_rows(a)
-    d, n = len(a), len(a[0])
-    if k > d + n:
-        raise ValueError(f"k={k} exceeds d + n = {d + n}: no row has weight k")
-
-    reports = []
-    for l in range(k + 1):
-        stream = block_rows(d, k, l, n=n)
-        total = stream.count
-        exhaustive = total <= row_cap
-        rows = (
-            enumerate(stream)
-            if exhaustive
-            else ((index, stream.row(index)) for index in
-                  sample_indices(d, k, l, sample_rows, seed, n))
-        )
-        # a block is empty when k - l exceeds n or l exceeds d
-        results = (
-            ordered_map(_check_general_row, (a, correction_rule), rows)
-            if total else ()
-        )
-        checked, maxima, flags, first_failure = _fold_rows(results)
-        reports.append(
-            GeneralBlockReport(
-                l=l,
-                rows_total=total,
-                rows_checked=checked,
-                sampled=not exhaustive,
-                max_abs_entry=maxima[0] if maxima else Fraction(0),
-                entry_bound_ok=flags[0],
-                equation_ok=flags[1],
-                certificate_ok=flags[2],
-                first_failure=first_failure,
-            )
-        )
-    return GeneralReport(d=d, n=n, k=k, blocks=tuple(reports))
-
-
-def _check_general_row(pair, task):
-    """Sweep check of one row against (A, rule), in plain Fractions."""
-    a, rule = pair
-    index, (left, right) = task
-    d, n = len(a), len(a[0])
-    m_row, n_row = rule(left, right)
-    if len(m_row) != d or len(n_row) != n:
-        raise ValueError("correction rule returned wrong widths")
-    worst = max(map(abs, chain(m_row, n_row)), default=Fraction(0))
-    bound_ok = worst <= Fraction(1, 2)
-    e_dense = left.dense()
-    lhs = [Fraction(0)] * n
-    for j in range(d):
-        coeff = e_dense[j] + m_row[j]
-        if coeff:
-            arow = a[j]
-            for c in range(n):
-                lhs[c] += coeff * arow[c]
-    f_dense = right.dense()
-    eq_ok = all(lhs[c] == f_dense[c] + n_row[c] for c in range(n))
-    cert_ok = bound_ok
-    if bound_ok:
-        cert = _assemble(len(left.support), e_dense, f_dense,
-                         cube_combination(tuple(m_row) + tuple(n_row)))
-        try:
-            cert.verify(a)
-        except ValueError:
-            cert_ok = False
-    return index, (bound_ok, eq_ok, cert_ok), (worst,)

@@ -174,12 +174,10 @@ def _row_cap(args) -> int:
 
 
 def _load_construction(args):
-    if getattr(args, "hadamard", None):
+    if args.hadamard is not None:
         h = load_hadamard(args.hadamard)
     else:
         d = args.d
-        if d is None:
-            raise ValueError("one of --d or --hadamard is required")
         if d < 1 or d & (d - 1):
             raise ValueError(
                 f"no Hadamard source for order {d}: native generation is "
@@ -187,7 +185,7 @@ def _load_construction(args):
             )
         h = sylvester(d.bit_length() - 1)
     try:
-        alpha = Fraction(args.alpha) if getattr(args, "alpha", None) else None
+        alpha = Fraction(args.alpha) if args.alpha else None
     except ZeroDivisionError:
         raise ValueError(f"--alpha {args.alpha}: zero denominator") from None
     return construction.build(h, alpha=alpha)
@@ -373,8 +371,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_hadamard(args) -> int:
-    if args.order is None and not getattr(args, "import_path", None):
-        raise ValueError("one of --order or --import is required")
     if args.order is not None:
         order = args.order
         if order < 1 or order & (order - 1):
@@ -398,11 +394,11 @@ def cmd_hadamard(args) -> int:
 
 def _command_line(name, args) -> str:
     parts = ["csneighborly", name]
-    if getattr(args, "hadamard", None):
-        parts += ["--hadamard", str(args.hadamard)]
-    elif getattr(args, "d", None) is not None:
+    if args.hadamard is not None:
+        parts += ["--hadamard", args.hadamard]
+    else:
         parts += ["--d", str(args.d)]
-    if getattr(args, "alpha", None):
+    if args.alpha:
         parts += ["--alpha", args.alpha]
     if name == "verify":
         parts += ["--check", args.check, "--mode", args.mode]
@@ -438,8 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_source(p):
-        p.add_argument("--d", type=int, help="dimension (power of two >= 4)")
-        p.add_argument("--hadamard", help="Hadamard matrix file to import")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--d", type=int,
+                            help="dimension (power of two >= 4)")
+        source.add_argument("--hadamard", help="Hadamard matrix file to import")
         p.add_argument("--alpha", help="override the scale alpha (rational p/q)")
 
     p_gen = sub.add_parser("generate", help="write the 4d vertices")
@@ -482,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_had = sub.add_parser("hadamard", help="generate or import a Hadamard matrix")
-    p_had.add_argument("--order", type=int, default=None)
-    p_had.add_argument("--import", dest="import_path", default=None)
+    had_source = p_had.add_mutually_exclusive_group(required=True)
+    had_source.add_argument("--order", type=int)
+    had_source.add_argument("--import", dest="import_path")
     p_had.add_argument("--profile", action="store_true")
     p_had.set_defaults(func=cmd_hadamard)
 

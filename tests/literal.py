@@ -290,25 +290,3 @@ def literal_conditions(con, mode="auto", row_cap=1_000_000,
         ),
     )
 
-
-def hadamard_rule(a):
-    """The Hadamard correction rule of A = alpha*H, for verify_general.
-
-    The left correction beta * f H^T is f A^T / (alpha^2 d) and the right
-    correction alpha * e H is e A, both as literal Fraction products, with
-    alpha = |A[0][0]|.  Any A gives corrections of the widths verify_general
-    expects; only a Hadamard A makes them pass.
-    """
-    a = tuple(tuple(F(v) for v in row) for row in a)
-    d, n = len(a), len(a[0])
-    scale = 1 / (abs(a[0][0]) ** 2 * d)
-
-    def rule(left, right):
-        e, f = left.dense(), right.dense()
-        m_row = tuple(scale * sum((f[c] * a[j][c] for c in range(n)), F(0))
-                      for j in range(d))
-        n_row = tuple(sum((e[j] * a[j][c] for j in range(d)), F(0))
-                      for c in range(n))
-        return m_row, n_row
-
-    return rule

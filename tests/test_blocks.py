@@ -233,17 +233,9 @@ class TestBlockStreams:
         assert all(0 <= i < block_row_count(16, 2, 1) for i in a)
 
     def test_sample_of_empty_block(self):
-        # k - l = 3 exceeds the right width n = 2, so block 0 has no rows
-        assert block_row_count(2, 3, 0, n=2) == 0
-        assert list(sample_indices(2, 3, 0, 5, seed=0, n=2)) == []
-
-    def test_rectangular_widths(self):
-        # left width 2, right width 3
-        assert block_row_count(2, 1, 0, n=3) == 6
-        assert block_row_count(2, 1, 1, n=3) == 4
-        assert total_row_count(2, 1, n=3) == 10 == 2 * comb(5, 1)
-        rows = [(e.dense(), f.dense()) for e, f in block_rows(2, 1, 0, n=3)]
-        assert all(len(e) == 2 and len(f) == 3 for e, f in rows)
+        # k - l = 3 exceeds the width d = 2, so block 0 has no rows
+        assert block_row_count(2, 3, 0) == 0
+        assert list(sample_indices(2, 3, 0, 5, seed=0)) == []
 
 
 class TestOrthogonality:

@@ -10,21 +10,18 @@ from csneighborly import (
     structural_identities,
     sylvester,
     verify_conditions,
-    verify_general,
 )
 from csneighborly.blocks import SignedSupportRow, sample_indices
 from csneighborly.certificate import (
     _left_half,
     _right_half,
     _packed_tables,
-    cube_combination,
 )
 from csneighborly.construction import cs_transform_defect
 from csneighborly.hadamard import HadamardMatrix
 from literal import (
     HALF,
     alpha_matrix,
-    hadamard_rule,
     literal_conditions,
     literal_halves,
     literal_row_check,
@@ -421,141 +418,3 @@ class TestExpandCombination:
                     cert.verify(a)  # must not raise
                     assert cert.coefficient_sum <= HALF
 
-
-class TestCubeCombination:
-    def test_zero(self):
-        assert cube_combination((F(0), F(0))) == []
-
-    def test_reconstructs_and_sums_to_max_norm(self):
-        import random
-
-        rng = random.Random(9)
-        for _ in range(50):
-            m = rng.randint(1, 6)
-            x = [F(rng.randint(-4, 4), rng.randint(1, 8)) for _ in range(m)]
-            terms = cube_combination(x)
-            acc = [F(0)] * m
-            for mu, delta in terms:
-                assert mu > 0
-                assert all(v in (1, -1) for v in delta)
-                for j in range(m):
-                    acc[j] += mu * delta[j]
-            assert acc == x
-            total = sum((mu for mu, _ in terms), F(0))
-            assert total == max((abs(v) for v in x), default=F(0))
-
-
-class TestVerifyGeneral:
-    def test_hadamard_rule_passes(self):
-        a = alpha_matrix(build(sylvester(2)))
-        rep = verify_general(a, k=1, correction_rule=hadamard_rule(a))
-        assert rep.passed
-
-    def test_rule_is_required(self):
-        with pytest.raises(TypeError):
-            verify_general(alpha_matrix(build(sylvester(2))), k=1)
-
-    def test_matches_verify_conditions(self):
-        con = build(sylvester(3))
-        a = alpha_matrix(con)
-        rep = verify_general(a, k=con.k, correction_rule=hadamard_rule(a))
-        assert rep.passed == verify_conditions(con).passed
-
-    def test_zero_pair_fails_equation(self):
-        d = 4
-        a = [[0] * d for _ in range(d)]
-        zero_rule = lambda left, right: ((F(0),) * d, (F(0),) * d)
-        rep = verify_general(a, k=1, correction_rule=zero_rule)
-        assert not rep.passed
-        # rows with a nonzero right part cannot satisfy the equation
-        assert any(
-            reason == "matrix equation failed" for _, _, reason in rep.failures
-        )
-
-    def test_unscaled_hadamard_fails_bound(self):
-        a = sylvester(2).signs  # alpha = 1 violates the window
-        rep = verify_general(a, k=1, correction_rule=hadamard_rule(a))
-        assert not rep.passed
-        assert any(
-            reason == "entry bound exceeded" for _, _, reason in rep.failures
-        )
-
-    def test_custom_rectangular_rule(self):
-        # d = n = 1, A = [1]: corrections -e/2 and e/2 balance the equation
-        a = [[1]]
-        rule = lambda left, right: (
-            (F(-1, 2) * sum(left.dense()) + F(1, 2) * sum(right.dense()),),
-            (F(1, 2) * sum(left.dense()) - F(1, 2) * sum(right.dense()),),
-        )
-        rep = verify_general(a, k=1, correction_rule=rule)
-        assert rep.passed
-
-    def test_rule_width_checked(self):
-        a = ((1, 0), (0, 1))
-        bad_rule = lambda left, right: ((F(0),), (F(0),))
-        with pytest.raises(ValueError, match="width"):
-            verify_general(a, k=1, correction_rule=bad_rule)
-
-    def test_accepts_list_tuple_and_generator_rows(self):
-        con = build(sylvester(2))
-        rows = alpha_matrix(con)
-        rule = hadamard_rule(rows)
-        as_lists = [list(row) for row in rows]
-        reports = [
-            verify_general(a, k=1, correction_rule=rule)
-            for a in (rows, as_lists, (tuple(row) for row in as_lists))
-        ]
-        assert reports[0].passed and reports[0] == reports[1] == reports[2]
-        # ints and 'p/q' strings are exact too
-        half_strings = [["1/2" if v > 0 else "-1/2" for v in row]
-                        for row in con.hadamard.signs]
-        assert verify_general(half_strings, k=1, correction_rule=rule) == (
-            reports[0])
-
-    @pytest.mark.parametrize("k", [5, 9])
-    def test_weight_above_width_rejected(self, k):
-        # no row of length d + n = 4 has weight k: every block is empty
-        zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
-        with pytest.raises(ValueError, match=f"k={k} exceeds d \\+ n = 4"):
-            verify_general([[1, 0], [0, 1]], k=k, correction_rule=zero_rule)
-
-    def test_weight_equal_to_width_checks_rows(self):
-        # k = d + n leaves one block with rows.  With A = I and zero
-        # corrections a row passes when e = f: row 0, (1, 1 | 1, 1), does
-        # and row 1, (1, 1 | 1, -1), does not
-        zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
-        rep = verify_general([[1, 0], [0, 1]], k=4, correction_rule=zero_rule)
-        assert [b.rows_total for b in rep.blocks] == [0, 0, 16, 0, 0]
-        assert rep.failures == ((2, 1, "matrix equation failed"),)
-
-    @pytest.mark.parametrize("a", [[], [[]], ()])
-    def test_empty_rows_rejected(self, a):
-        zero_rule = lambda left, right: ((F(0),), (F(0),))
-        with pytest.raises(ValueError, match="at least one row"):
-            verify_general(a, k=1, correction_rule=zero_rule)
-
-    def test_ragged_rows_rejected(self):
-        zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
-        for a in ([[1, 2], [3]], ((F(1, 2), F(1, 2)), (F(1, 2),))):
-            with pytest.raises(ValueError, match="ragged"):
-                verify_general(a, k=1, correction_rule=zero_rule)
-
-    def test_float_entry_rejected(self):
-        a = [[F(1, 2), F(1, 2)], [F(1, 2), -0.5]]
-        zero_rule = lambda left, right: ((F(0),) * 2, (F(0),) * 2)
-        with pytest.raises(TypeError, match="not an exact scalar"):
-            verify_general(a, k=1, correction_rule=zero_rule)
-        with pytest.raises(TypeError, match="not an exact scalar"):
-            verify_general(iter(a), k=1, correction_rule=zero_rule)
-
-    def test_non_square_rejected(self):
-        # the Hadamard rule of a 2 x 4 A has the right widths, but the
-        # pair fails the conditions
-        a = [[F(1, 2)] * 4, [F(1, 2), F(-1, 2)] * 2]
-        rep = verify_general(a, k=1, correction_rule=hadamard_rule(a))
-        assert not rep.passed and rep.failures
-
-    def test_non_hadamard_sign_pattern_rejected(self):
-        for a in ([[F(1, 2)] * 4] * 4, [[1, 1], [1, 1]], [[1, 2], [2, -1]]):
-            rep = verify_general(a, k=1, correction_rule=hadamard_rule(a))
-            assert not rep.passed and rep.failures

@@ -434,6 +434,30 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and str(path) in err
 
+    @pytest.mark.parametrize("command", [
+        ["generate", "--d", "8", "--hadamard"],
+        ["certify", "--d", "8", "--hadamard"],
+        ["verify", "--check", "faces", "--d", "8", "--hadamard"],
+        ["hadamard", "--order", "8", "--import"],
+    ])
+    def test_conflicting_sources_exit_2(self, capsys, tmp_path, command):
+        # a file of another order, so that neither source may win silently
+        path = tmp_path / "h4.txt"
+        save_hadamard(sylvester(2), path)
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("command", [
+        ["generate"], ["certify"], ["verify", "--check", "faces"],
+    ])
+    def test_missing_source_exits_2(self, capsys, command):
+        code, out, err = run(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert "is required" in err
+
     def test_verification_failure_exits_3(self, capsys, monkeypatch):
         # the shipped constructions always pass, so force a failing sweep to
         # pin the exit-code contract
@@ -520,3 +544,19 @@ class TestPinnedReports:
         kept = "".join(line for line in out.splitlines(keepends=True)
                        if "duration_seconds" not in line)
         assert hashlib.sha256(kept.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("certify --d 16 --sample 5 --seed 1",
+         "1e34189dc89be4b246d26af693b7ad6ee529a664fcf047735b93a6f5964fd664"),
+        ("certify --d 8 --alpha 2/5",
+         "ece7c97ea43bfa32e914336c5dc016dc49638bb2b68c1ade3ad3a501ffdf46ac"),
+    ])
+    def test_certificate_dump_digest(self, capsys, monkeypatch, tmp_path,
+                                     argv, digest):
+        # the whole --emit-certificates file, which has no timing field
+        monkeypatch.delenv("NEIGHBORLY_MAX_ROWS", raising=False)
+        path = tmp_path / "certificates.json"
+        code, _, _ = run(capsys, *argv.split(),
+                         "--emit-certificates", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
