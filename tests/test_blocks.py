@@ -237,6 +237,30 @@ class TestBlockStreams:
         assert block_row_count(2, 3, 0) == 0
         assert list(sample_indices(2, 3, 0, 5, seed=0)) == []
 
+    @pytest.mark.parametrize("d, k", [(2, 1), (3, 2), (4, 2)])
+    def test_square_widths(self, d, k):
+        # both parts of every row have width d; block l holds the
+        # 2^k C(d, l) C(d, k-l) rows of left weight l
+        for l in range(k + 1):
+            rows = [(e.dense(), f.dense()) for e, f in block_rows(d, k, l)]
+            assert len(rows) == block_row_count(d, k, l) == (
+                (1 << k) * comb(d, l) * comb(d, k - l))
+            for e, f in rows:
+                assert len(e) == len(f) == d
+                assert sum(map(abs, e)) == l and sum(map(abs, f)) == k - l
+
+    @pytest.mark.parametrize("l", [-1, 3])
+    def test_block_index_outside_range_rejected(self, l):
+        with pytest.raises(ValueError, match=f"l={l} outside 0..2"):
+            block_rows(4, 2, l)
+
+    @pytest.mark.parametrize("index", [-1, 64])
+    def test_row_index_out_of_range_rejected(self, index):
+        stream = block_rows(4, 2, 1)
+        assert stream.count == 64
+        with pytest.raises(ValueError, match="out of range \\(64\\)"):
+            stream.row(index)
+
 
 class TestOrthogonality:
     def test_d4_k2_l1(self):

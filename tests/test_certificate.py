@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -146,6 +147,19 @@ class TestRowCheckAgainstLiteralOracle:
             for left, right in sampled_rows(16, 2, l, 100, seed=2):
                 verdicts.add(assert_halves_match_literal(con, left, right))
         assert verdicts - {(True, True, True)}
+
+    def test_scaled_hadamard_fails_entry_bound(self):
+        # 3H: every correction row is three times too large, so the first
+        # failing row of each block fails condition (a) first
+        con = build(unvalidated_hadamard(
+            [[3 * v for v in row] for row in sylvester(2).signs]),
+            verify=False)
+        rep = verify_conditions(con)
+        assert not rep.condition_a
+        assert rep.failures
+        assert {reason for _, _, reason in rep.failures} == {
+            "entry bound exceeded"}
+        assert rep == literal_conditions(con)
 
     def test_non_hadamard_fails_the_sweep(self):
         con = build(flipped_sylvester(3, 2, 5), verify=False)
@@ -418,3 +432,77 @@ class TestExpandCombination:
                     cert.verify(a)  # must not raise
                     assert cert.coefficient_sum <= HALF
 
+    def test_rejects_wrong_width(self):
+        con = build(sylvester(2))
+        with pytest.raises(ValueError, match="row widths"):
+            expand_combination(
+                con,
+                SignedSupportRow(8, (0,), (1,)),
+                SignedSupportRow(4, (), ()),
+            )
+
+    def test_rejects_non_unit_sign(self):
+        con = build(sylvester(2))
+        with pytest.raises(ValueError, match="row signs must be"):
+            expand_combination(
+                con,
+                SignedSupportRow(4, (), ()),
+                SignedSupportRow(4, (1,), (2,)),
+            )
+
+
+def d4_certificate():
+    """The certificate of the d = 4 row (e_0 | 0): two weight-1/4 terms."""
+    con = build(sylvester(2))
+    cert = expand_combination(con, SignedSupportRow(4, (0,), (1,)),
+                              SignedSupportRow(4, (), ()))
+    return con, cert
+
+
+def _flip_first_delta(cert, delta):
+    (mu, _), rest = cert.mu_terms[0], cert.mu_terms[1:]
+    return replace(cert, mu_terms=((mu, delta),) + rest)
+
+
+CERTIFICATE_DEFECTS = [
+    pytest.param(lambda c: replace(c, target=(F(2),) + c.target[1:]),
+                 "target must be", id="target-lead"),
+    pytest.param(lambda c: replace(c, target=c.target[:-1]),
+                 "target must be", id="target-short"),
+    pytest.param(lambda c: replace(c, nus=c.nus[:-1]),
+                 "expected 4 subspace multipliers", id="nus-short"),
+    pytest.param(lambda c: replace(c, mu_terms=c.mu_terms + c.mu_terms[:1]),
+                 "coefficient sum 3/4 exceeds 1/2", id="sum-above-half"),
+    pytest.param(lambda c: replace(c, eps=F(-1)),
+                 "slack -1 is negative", id="negative-slack"),
+    pytest.param(lambda c: replace(c, mu_terms=(
+        (-c.mu_terms[0][0], c.mu_terms[0][1]),) + c.mu_terms[1:]),
+                 "negative combination weight -1/4", id="negative-weight"),
+    pytest.param(lambda c: _flip_first_delta(
+        c, (0,) + c.mu_terms[0][1][1:]), "delta rows", id="zero-in-delta"),
+    pytest.param(lambda c: _flip_first_delta(c, c.mu_terms[0][1][:-1]),
+                 "delta rows", id="short-delta"),
+    pytest.param(lambda c: replace(c, nus=(c.nus[0] + 1,) + c.nus[1:]),
+                 "multiplier 0 is", id="multiplier-off"),
+    pytest.param(lambda c: replace(c, eps=F(1, 4)),
+                 "does not re-sum", id="slack-off"),
+]
+
+
+class TestCertificateVerifyRejects:
+    """Each defect of a certificate is refused by its exact re-summation."""
+
+    @pytest.mark.parametrize("corrupt, message", CERTIFICATE_DEFECTS)
+    def test_defect_rejected(self, corrupt, message):
+        con, cert = d4_certificate()
+        a = alpha_matrix(con)
+        cert.verify(a)  # the uncorrupted certificate holds
+        with pytest.raises(ValueError, match=message):
+            corrupt(cert).verify(a)
+
+    def test_another_matrix_rejected(self):
+        # the multipliers do not depend on A, so only the re-sum can fail
+        con, cert = d4_certificate()
+        negated = [[-v for v in row] for row in alpha_matrix(con)]
+        with pytest.raises(ValueError, match="does not re-sum"):
+            cert.verify(negated)

@@ -78,6 +78,18 @@ class TestValidate:
         with pytest.raises(ValueError, match="malformed"):
             validate([[1, 0], [1, 1]])
 
+    @pytest.mark.parametrize("signs, reason", [
+        ((), "empty matrix"),
+        ([], "empty matrix"),
+        ([[]], "row 0 has length 0, expected 1"),
+        ([[1, -1], [1]], "row 1 has length 1, expected 2"),
+    ])
+    def test_malformed_shape_reason(self, signs, reason):
+        with pytest.raises(ValueError, match=reason):
+            HadamardMatrix(signs)
+        with pytest.raises(ValueError, match=reason):
+            validate(signs)
+
     def test_constructor_reports_offending_pair(self):
         with pytest.raises(ValueError, match="columns 0 and 1"):
             HadamardMatrix([[1, 1], [1, 1]])
