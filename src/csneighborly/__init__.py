@@ -72,6 +72,7 @@ __all__ = [
     "is_dominant",
     "is_face",
     "load_hadamard",
+    "lp_max",
     "membership_margin",
     "orthogonality_check",
     "parameters",

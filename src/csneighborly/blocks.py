@@ -10,8 +10,10 @@ Kronecker-structured pair
 where C_l lists all weight-l signed rows of length d in doubly-lexicographic
 order and n(l) = 2^l * binom(d, l).  Every row comes from iter_parts_from,
 which streams the (support, signs) pairs of C_l from any position, or from
-unrank_part.  No stream lists a block or a C_l, and sampled sweeps unrank the
-rows at the indices sample_indices draws.
+unrank_part.  The certificate sweep forms no row: part_sums reads the rows
+of C_l at a range or a list of positions (the indices sample_indices draws)
+straight into their sums over a packed table.  No stream lists a block or a
+C_l.
 
 Ordering convention (frozen; golden files depend on it): supports are ordered
 lexicographically by their 0/1 indicator vector, and within one support the
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from math import comb
 from operator import itemgetter
 
@@ -162,6 +164,55 @@ def unrank_part(d: int, l: int, r: int) -> tuple:
     signs = (_sign_patterns(l)[bits] if l <= _SIGN_TABLE_WEIGHT
              else _signs_from_bits(l, bits))
     return unrank_support(d, l, r >> l), signs
+
+
+def part_sums(d: int, l: int, ranks, plus, minus) -> list:
+    """The sum of each part at ranks of iter_signed_rows(d, l) over a table:
+    plus[s] for each support index s with sign +1, minus[s] for each with
+    sign -1.  No (support, signs) tuple is formed.
+
+    A range of ranks (step 1) is streamed support by support, each support
+    giving the sums of its 2^l sign patterns at once (_pattern_sums).  Any
+    other iterable is unranked rank by rank: the bisections of
+    unrank_support find each support index, and its sign is the rank's bit
+    for that position, the most significant first, as in _sign_patterns.
+    """
+    total, rows = _comb_table(d, l) if 0 <= l <= d else (0, ())
+    count = total << l
+    if isinstance(ranks, range) and ranks.step == 1:
+        if not ranks:
+            return []
+        if not (0 <= ranks[0] and ranks[-1] < count):
+            raise ValueError(
+                f"signed row ranks {ranks} out of range for ({d},{l})")
+        support_rank, bits = divmod(ranks.start, 1 << l)
+        sums = chain.from_iterable(
+            _pattern_sums(support, plus, minus)
+            for support in _supports_from(d, l, support_rank))
+        return list(islice(sums, bits, bits + len(ranks)))
+    steps = tuple(zip(rows, [1 << t for t in reversed(range(l))]))
+    out = []
+    for r in ranks:
+        if not 0 <= r < count:
+            raise ValueError(f"signed row rank {r} out of range for ({d},{l})")
+        c, s, acc = r >> l, 0, 0
+        for row, bit in steps:
+            s = bisect_left(row, -c, s)
+            c += row[s]
+            acc += minus[s] if r & bit else plus[s]
+            s += 1
+        out.append(acc)
+    return out
+
+
+def _pattern_sums(support, plus, minus) -> list:
+    """The sums of support's 2^l sign patterns in _sign_patterns order: each
+    position splits every sum so far into its + and its - continuation."""
+    sums = [0]
+    for s in support:
+        a, b = plus[s], minus[s]
+        sums = [x + y for x in sums for y in (a, b)]
+    return sums
 
 
 # -- block streams -----------------------------------------------------------

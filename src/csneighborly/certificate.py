@@ -38,7 +38,11 @@ a part's w <= k vectors is then w int additions, and its field j holds
 w*bias plus the j-th entry of the signed sum, a value in [0, 2*w*bias],
 below 2^width: no field carries into or borrows from the next, so each
 field reads off one entry.  Byte fields need 2*k*hbias <= 255 and a matrix
-with larger entries is refused with ValueError.  For (a), max|n_hat| is the
+with larger entries is refused with ValueError.  blocks.part_sums reads
+each part's sum straight from the tables, with no (support, signs) tuple:
+a sampled part's support indices come from the bisections that unrank its
+rank and their signs from its bits, and an exhaustive block's parts stream
+support by support, 2^w sign patterns at once.  For (a), max|n_hat| is the
 largest t such that a byte w*hbias + t or w*hbias - t occurs in the sum (a
 byte search each, from t = w*hbias down).  For (b), the packed sum of G's
 rows is compared with the packed target, whose field j holds
@@ -69,8 +73,8 @@ from functools import partial
 from itertools import chain, compress, groupby, islice
 from operator import add, itemgetter
 
-from .blocks import (SignedSupportRow, block_row_count, iter_parts_from,
-                     sample_indices, signed_row_count, unrank_part)
+from .blocks import (SignedSupportRow, block_row_count, part_sums,
+                     sample_indices, signed_row_count)
 from .construction import Construction, cs_transform_defect
 from .hadamard import HadamardMatrix
 from .sweep import ordered_map
@@ -251,14 +255,6 @@ def _packed_tables(h: HadamardMatrix, k: int) -> PackedHalves:
     return PackedHalves(d, hbias, width, by_sign(lefts), by_sign(rights))
 
 
-def _packed_sum(table, part) -> int:
-    """Sum of table[s][i] over the (i, s) of a part (support, signs)."""
-    total = 0
-    for i, s in zip(*part):
-        total += table[s][i]
-    return total
-
-
 def _max_abs(fields: bytes, off: int) -> int:
     """The largest t with a byte off + t or off - t in fields: max_j of
     |field j - off|, searched from off down."""
@@ -267,21 +263,21 @@ def _max_abs(fields: bytes, off: int) -> int:
             return t
 
 
-def _left_half(packed, p, q, part):
-    """(entry_ok, True, max|n_hat|) for a left part (support, signs) of e,
-    with n_hat = e H and alpha = p/q: e enters condition (a) only."""
-    d, total = packed.d, _packed_sum(packed.lefts, part)
-    top = _max_abs(total.to_bytes(d, "little"), packed.hbias * len(part[0]))
+def _left_half(packed, p, q, weight, total):
+    """(entry_ok, True, max|n_hat|) for a left part of e of the given weight,
+    from its packed sum total over packed.lefts, with n_hat = e H and
+    alpha = p/q: e enters condition (a) only."""
+    top = _max_abs(total.to_bytes(packed.d, "little"), packed.hbias * weight)
     return 2 * p * top <= q, True, top
 
 
-def _right_half(packed, p, q, part):
-    """(entry_ok, gram_ok, max|m_hat|) for a right part (support, signs) of
-    f, with m_hat = f H^T: condition (a), beta*max|m_hat| <= 1/2, and (b),
-    f G == d*f."""
-    d, total = packed.d, _packed_sum(packed.rights, part)
+def _right_half(packed, p, q, weight, total):
+    """(entry_ok, gram_ok, max|m_hat|) for a right part of f of the given
+    weight, from its packed sum total over packed.rights, with m_hat = f H^T:
+    condition (a), beta*max|m_hat| <= 1/2, and (b), f G == d*f."""
+    d = packed.d
     low = total & ((1 << 8 * d) - 1)
-    top = _max_abs(low.to_bytes(d, "little"), packed.hbias * len(part[0]))
+    top = _max_abs(low.to_bytes(d, "little"), packed.hbias * weight)
     return 2 * q * top <= p * d, total == low, top
 
 
@@ -407,15 +403,12 @@ def _check_halves(context, task):
     (each unranked), with its least position; context = (packed, k, p, q)."""
     packed, k, p, q = context
     l, side, ranks, positions = task
-    d = packed.d
-    kernel = partial(_left_half if side == LEFT else _right_half,
-                     packed, p, q)
-    weight = l if side == LEFT else k - l
-    if isinstance(ranks, range):
-        parts = islice(iter_parts_from(d, weight, ranks.start), len(ranks))
+    if side == LEFT:
+        kernel, weight, table = _left_half, l, packed.lefts
     else:
-        parts = map(partial(unrank_part, d, weight), ranks)
-    results = list(map(kernel, parts))
+        kernel, weight, table = _right_half, k - l, packed.rights
+    totals = part_sums(packed.d, weight, ranks, table[1], table[-1])
+    results = list(map(partial(kernel, packed, p, q, weight), totals))
     # positions grow along ranks, so the first occurrence is the least
     return l, side, dict(zip(reversed(results), reversed(positions)))
 

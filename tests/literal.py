@@ -149,6 +149,12 @@ def literal_halves(signs, left, right):
             f_g == [d * x for x in f])
 
 
+def literal_part_sum(table, support, signs):
+    """Sum of table[s][i] over the (i, s) of a part (support, signs), for a
+    table indexed by sign and then by support index (PackedHalves)."""
+    return sum(table[s][i] for i, s in zip(support, signs))
+
+
 def recheck_face(con, report):
     """Signed vertices at which a FaceReport's witness fails, in Fractions.
 

@@ -12,7 +12,8 @@ from csneighborly import (
     sylvester,
     verify_conditions,
 )
-from csneighborly.blocks import SignedSupportRow, sample_indices
+from csneighborly.blocks import (SignedSupportRow, part_sums, sample_indices,
+                                 signed_row_count, unrank_part)
 from csneighborly.certificate import (
     _left_half,
     _right_half,
@@ -25,6 +26,7 @@ from literal import (
     alpha_matrix,
     literal_conditions,
     literal_halves,
+    literal_part_sum,
     literal_row_check,
     naive_product,
 )
@@ -39,8 +41,10 @@ def half_row_check(con, left, right):
     alpha, beta = con.params.alpha, con.params.beta
     p, q = alpha.numerator, alpha.denominator
     packed = _packed_tables(h, k)
-    left_result = _left_half(packed, p, q, (left.support, left.signs))
-    right_result = _right_half(packed, p, q, (right.support, right.signs))
+    left_result = _left_half(packed, p, q, l, literal_part_sum(
+        packed.lefts, left.support, left.signs))
+    right_result = _right_half(packed, p, q, k - l, literal_part_sum(
+        packed.rights, right.support, right.signs))
     eps_ok = (k - l) * beta + l * alpha <= HALF
     entry_ok, eq_ok = left_result[0] and right_result[0], right_result[1]
     return (entry_ok, eq_ok, eps_ok and eq_ok,
@@ -235,9 +239,13 @@ class TestPackedHalves:
         for l in range(con.k + 1):
             for left, right in sampled_rows(16, 2, l, 60, seed=6):
                 n_top, m_top, gram_ok = literal_halves(h.signs, left, right)
-                assert _left_half(packed, p, q, (left.support, left.signs)) == (
+                left_sum = literal_part_sum(packed.lefts, left.support,
+                                            left.signs)
+                right_sum = literal_part_sum(packed.rights, right.support,
+                                             right.signs)
+                assert _left_half(packed, p, q, l, left_sum) == (
                     2 * p * n_top <= q, True, n_top)
-                assert _right_half(packed, p, q, (right.support, right.signs)) == (
+                assert _right_half(packed, p, q, 2 - l, right_sum) == (
                     2 * q * m_top <= p * 16, gram_ok, m_top)
                 gram_verdicts.add(gram_ok)
         assert gram_verdicts == {True, False}
@@ -252,6 +260,67 @@ class TestPackedHalves:
         con = build(unvalidated_hadamard(rows), verify=False)
         with pytest.raises(ValueError, match="byte fields"):
             verify_conditions(con)
+
+
+def assert_part_sums_literal(packed, d, l, ranks):
+    """part_sums at ranks, as given and as a list, equals the literal sum
+    over each part unrank_part gives, for both packed tables."""
+    for table in (packed.lefts, packed.rights):
+        want = [literal_part_sum(table, *unrank_part(d, l, r)) for r in ranks]
+        assert part_sums(d, l, ranks, table[1], table[-1]) == want
+        assert part_sums(d, l, list(ranks), table[1], table[-1]) == want
+
+
+class TestPartSumsAgainstLiteralSum:
+    """The fused unrank-and-sum kernel, streamed (a range) and unranked (a
+    list), against the sum of table[s][i] over the parts of unrank_part."""
+
+    @pytest.mark.parametrize("hadamard", [
+        pytest.param(lambda: sylvester(2), id="d4"),
+        pytest.param(lambda: sylvester(3), id="d8"),
+        pytest.param(lambda: sylvester(4), id="d16"),
+        pytest.param(lambda: random_sign_matrix(16, 5, (1, -1, 2, -2, 3, -3)),
+                     id="d16-wide-gram"),
+    ])
+    def test_every_rank_small_orders(self, hadamard):
+        h = hadamard()
+        con = build(h, verify=False)
+        d, k = con.d, con.k
+        packed = _packed_tables(h, k)
+        rng = random.Random(d)
+        for l in range(k + 1):                 # weight 0 included
+            n = signed_row_count(d, l)
+            assert_part_sums_literal(packed, d, l, range(n))
+            assert_part_sums_literal(packed, d, l, rng.sample(range(n), n))
+            # ranges that start and end inside a support's sign patterns
+            for start in range(0, n, 5):
+                assert_part_sums_literal(packed, d, l,
+                                         range(start, min(n, start + 7)))
+
+    def test_seeded_ranks_d64(self):
+        con = build(sylvester(6))
+        packed = _packed_tables(con.hadamard, con.k)
+        for l in range(con.k + 1):
+            n = signed_row_count(64, l)
+            rng = random.Random(64 + l)
+            ranks = [rng.randrange(n) for _ in range(2000)] + [0, n - 1]
+            assert_part_sums_literal(packed, 64, l, ranks)
+            for start in ranks[:20] + [max(0, n - 40)]:
+                assert_part_sums_literal(packed, 64, l,
+                                         range(start, min(n, start + 40)))
+
+    def test_out_of_range_ranks_rejected(self):
+        con = build(sylvester(3))
+        packed = _packed_tables(con.hadamard, con.k)
+        plus, minus = packed.lefts[1], packed.lefts[-1]
+        n = signed_row_count(8, 1)
+        for ranks in ([-1], [n], [0, n], range(-1, 2), range(n - 1, n + 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                part_sums(8, 1, ranks, plus, minus)
+        with pytest.raises(ValueError, match="out of range"):
+            part_sums(8, 9, [0], plus, minus)
+        assert part_sums(8, 1, range(3, 3), plus, minus) == []
+        assert part_sums(8, 1, [], plus, minus) == []
 
 
 class TestCertificateBlocks:

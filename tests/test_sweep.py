@@ -4,6 +4,10 @@ Failures are injected by replacing a function the sweep calls (a half
 kernel of the certificate sweep, or the face check) with a function of this
 file.  The worker processes fork after the replacement, so serial and pooled
 runs see the same failing halves and subsets.
+
+A half kernel gets a part as its weight and its packed sum (the sum
+blocks.part_sums forms).  Within one weight the sum determines the part, as
+H is invertible, so a (weight, sum) key fails exactly one part.
 """
 
 import json
@@ -21,48 +25,52 @@ from csneighborly import (
     verify_k_neighborly,
 )
 from csneighborly.blocks import unrank_part
+from csneighborly.certificate import _packed_tables
 from csneighborly.cli import main
 from csneighborly.oracle import FaceReport
 from csneighborly.sweep import ordered_map
+from literal import literal_part_sum
 
 _real_left_half = certificate._left_half
 _real_right_half = certificate._right_half
 _real_is_face = oracle.is_face
 
 
-def _left_half_failing(packed, p, q, part):
-    # fails the entry bound of the left part -e_5.  Only block 1 at d = 16
-    # has weight-1 left parts (32 of them, supports {15}, {14}, ..., {0},
-    # each with sign + then -), so -e_5 is left 2*10 + 1 = 21, and the first
-    # row that reads it is 21 * 32 = 672
-    entry_ok, gram_ok, top = _real_left_half(packed, p, q, part)
-    if part == ((5,), (-1,)):
+def _left_half_failing(packed, p, q, weight, total):
+    # fails the entry bound of the left part -e_5, the weight-1 part whose
+    # sum is minus's entry 5.  Only block 1 at d = 16 has weight-1 left
+    # parts (32 of them, supports {15}, {14}, ..., {0}, each with sign +
+    # then -), so -e_5 is left 2*10 + 1 = 21, and the first row that reads
+    # it is 21 * 32 = 672
+    entry_ok, gram_ok, top = _real_left_half(packed, p, q, weight, total)
+    if (weight, total) == (1, packed.lefts[-1][5]):
         entry_ok = False
     return entry_ok, gram_ok, top
 
 
-def _right_half_failing(packed, p, q, part):
+def _right_half_failing(packed, p, q, weight, total):
     # fails the matrix equation f G == d*f of the right part +e_3: right
     # 2*12 = 24 of block 1 at d = 16, first read by row 24 (left 0)
-    entry_ok, gram_ok, top = _real_right_half(packed, p, q, part)
-    if part == ((3,), (1,)):
+    entry_ok, gram_ok, top = _real_right_half(packed, p, q, weight, total)
+    if (weight, total) == (1, packed.rights[1][3]):
         gram_ok = False
     return entry_ok, gram_ok, top
 
 
-_LISTED = {"left": (), "right": ()}   # parts the *_listed kernels fail
+_LISTED = {"left": (), "right": ()}   # (weight, sum) keys of failing parts
 
 
-def _left_half_listed(packed, p, q, part):
+def _left_half_listed(packed, p, q, weight, total):
     # fails the entry bound of each listed left part
-    entry_ok, gram_ok, top = _real_left_half(packed, p, q, part)
-    return entry_ok and part not in _LISTED["left"], gram_ok, top
+    entry_ok, gram_ok, top = _real_left_half(packed, p, q, weight, total)
+    return entry_ok and (weight, total) not in _LISTED["left"], gram_ok, top
 
 
-def _right_half_listed(packed, p, q, part):
+def _right_half_listed(packed, p, q, weight, total):
     # fails the matrix equation of each listed right part
-    entry_ok, gram_ok, top = _real_right_half(packed, p, q, part)
-    return entry_ok, gram_ok and part not in _LISTED["right"], top
+    entry_ok, gram_ok, top = _real_right_half(packed, p, q, weight, total)
+    return (entry_ok, gram_ok and (weight, total) not in _LISTED["right"],
+            top)
 
 
 def _is_face_failing(con, subset):
@@ -180,9 +188,13 @@ class TestFailureReportsIndependentOfJobs:
         it, and the literal walk of block 1's sampled rows: (rows read up to
         the first one reading a failing part, that row's index, its left and
         right parts' ranks)."""
-        for side, ranks in (("left", left), ("right", right)):
-            monkeypatch.setitem(_LISTED, side,
-                                {unrank_part(16, 1, r) for r in ranks})
+        packed = _packed_tables(con16.hadamard, con16.k)
+        for side, table, ranks in (("left", packed.lefts, left),
+                                   ("right", packed.rights, right)):
+            sums = [literal_part_sum(table, *unrank_part(16, 1, r))
+                    for r in range(32)]
+            assert len(set(sums)) == 32        # each key fails one part
+            monkeypatch.setitem(_LISTED, side, {(1, sums[r]) for r in ranks})
         monkeypatch.setattr(certificate, "_left_half", _left_half_listed)
         monkeypatch.setattr(certificate, "_right_half", _right_half_listed)
         reports = [verify_conditions(con16, mode="sample", sample_rows=rows,
