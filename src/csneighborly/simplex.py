@@ -1,4 +1,5 @@
-"""Exact linear programming on an integer dictionary with bounded variables.
+"""Exact linear programming on a packed integer dictionary with bounded
+variables.
 
 ``lp_max`` maximizes c.x over rational x subject to ranged rows
 lo <= a.x <= hi and per-variable bounds lo <= x_j <= hi, all data integers,
@@ -24,15 +25,57 @@ Entering and leaving variables are chosen by Bland's smallest-index rule over
 fixed variable indices (structural 0..n-1, then one logical per row), so
 identical inputs give identical pivot sequences and outputs.
 
-The result is re-substituted once into the caller's rows, in integers,
-before it is returned (``_recheck``).
+Each row, and the objective row (D times the reduced costs, then D * c.x),
+is one Python int of n + 1 fields of W bits: X = sum_j x_j * 2**(W*j), the
+entry of nonbasic column j in field j and the value in field n, each a
+signed value.  The exchange is linear in the rows, and each field of its
+numerator X * p - f * P (p = T[r][s] made positive, f = T[i][s], P the
+pivot row of the same sign) is divisible by D; so the whole packed numerator
+is, and its quotient is exactly the packed new row.  Whatever the fields of
+the numerator hold, a row update is two products, a difference and one
+exact division of ints.  Field s of the quotient is 0, and the exchange
+then puts sign * f there and adds sign * f * beta to the value (beta the
+bound the leaving variable reached); both are folded into P once per
+pivot.  A bound flip by delta adds T[i][s] * delta to each value field.
+Fields are read, by adding one bias of 2**(W-1) per field and shifting and
+masking, only where the algorithm reads entries: column s and the values in
+the ratio test, the reduced costs when pricing, and the final point.
+
+The width W is fixed once per program (``_field_width``).  Every tableau
+entry, D, and D times a reduced cost is, up to sign, a minor of order at
+most m + 1 of [[c, 0], [A, I]], so Hadamard's inequality bounds it by
+E = isqrt(product of the m + 1 largest squared column norms of [c; A], each
+at least 1) + 1.  Each value is a sum of entries times nonbasic values at
+their bounds, at most E * (1 + sum of the finite |bounds|), and W is the
+bit length of that plus 2, so every field read holds its signed entry with
+a bit to spare.  A field whose entry outgrew it would wrap around (the
+value field, read without a mask, cannot).  Pricing and the ratio test
+raise RuntimeError("internal error: field overflow") when a reduced cost or
+an entry of column s reaches 2**(W-2) in size, as a wrapped field does at
+random, so fields too narrow stop the solver rather than steer it.
+
+Neither check of the result reads the packed tableau.  The point is
+re-substituted once into the caller's rows, in integers (``_recheck``),
+and an optimum is certified by the final reduced costs in the style of
+Applegate, Cook, Dash and Espinoza, "Exact solutions to linear programming
+problems" (Oper. Res. Lett. 2007) (``_check_dual``): with one multiplier
+per variable, D times its reduced cost when nonbasic and 0 when basic,
+D * c equals sum_i y_i a_i + z (y for the rows' logicals, z for the
+structurals), each nonzero multiplier selects a finite bound, hi when
+positive and lo when negative, and the sum of multiplier * bound equals
+D * c.x.  By weak duality no feasible point then exceeds c.x; the sum also
+forces each nonzero multiplier's variable to sit at the bound it selects.
+A fault in the tableau, or fields too narrow for its entries, can therefore
+raise RuntimeError("internal error: ...") but cannot return an infeasible
+point, a value short of the optimum or a false ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import isqrt, prod
+from operator import add, lshift, mul
 
 MAX_PIVOTS = 200_000             # lp_max raises RuntimeError beyond it
 
@@ -76,36 +119,41 @@ def lp_max(objective, rows, bounds) -> LpResult:
         _ints((low, high), "bound", none_ok=True)
         lo.append(low)
         hi.append(high)
-    table = []
     for coeffs, low, high in rows:
         if len(coeffs) != n:
             raise ValueError(f"row width {len(coeffs)} != {n} variables")
         _ints(coeffs, "coefficient")
         _ints((low, high), "row limit", none_ok=True)
-        table.append(list(coeffs) + [0])          # the value D * x_B is last
         lo.append(low)
         hi.append(high)
     for low, high in zip(lo, hi):
         if (low is not None and low > 0) or (high is not None and high < 0):
             raise ValueError("the origin is not feasible")
 
+    width = _field_width(objective, rows, bounds)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    shifts = range(0, width * n, width)           # field j of column j
+    top = width * n                               # the value field
+    bias = sum(half << sh for sh in shifts)       # read: (x + bias) >> ...
+    overflow = 1 << (width - 2)                   # no entry reaches it
+    table = [sum(map(lshift, coeffs, shifts))
+             for coeffs, _, _ in rows]            # values D * x_B = 0
+    obj = sum(map(lshift, objective, shifts))
+
     basic = list(range(n, n + len(table)))        # variable index per row
     nonbasic = list(range(n))                     # variable index per column
     at = [0] * n                                  # value of each nonbasic
-    obj = list(objective) + [0]                   # D * reduced costs, D * c.x
     den, pivots = 1, 0
     while True:
-        # entering: the smallest-index nonbasic that improves and can move
-        s = -1
-        for j, var in enumerate(nonbasic):
-            cost = obj[j]
-            if ((cost > 0 and (hi[var] is None or at[j] < hi[var]))
-                    or (cost < 0 and (lo[var] is None or at[j] > lo[var]))):
-                if s < 0 or var < nonbasic[s]:
-                    s = j
+        y = obj + bias
+        costs = [((y >> sh) & mask) - half for sh in shifts]
+        if max(costs) >= overflow or min(costs) <= -overflow:
+            raise RuntimeError("internal error: field overflow")
+        s = _entering(costs, nonbasic, at, lo, hi)
         if s < 0:
             break
-        up = obj[s] > 0
+        cost = costs[s]
+        up = cost > 0
 
         # leaving: the smallest step theta = num / dnm, ties to the smallest
         # variable index; r = -1 is the entering variable's own bound
@@ -114,86 +162,110 @@ def lp_max(objective, rows, bounds) -> LpResult:
         r, leave, num, dnm = -2, -1, 0, 1
         if limit is not None:
             r, leave, num = -1, var, abs(limit - at[s])
-        for i, row in enumerate(table):
-            t = row[s]
+        sh = shifts[s]
+        col = []                                  # column s, T[i][s]
+        for i, x in enumerate(table):
+            x += bias
+            t = ((x >> sh) & mask) - half
+            col.append(t)
             if not t:
                 continue
             b = hi[basic[i]] if (t > 0) == up else lo[basic[i]]
             if b is None:
                 continue
-            step = abs(b * den - row[-1])
+            step = abs(b * den - (x >> top))
             t = abs(t)
             cmp = step * dnm - num * t
             if r == -2 or cmp < 0 or (cmp == 0 and basic[i] < leave):
                 r, leave, num, dnm = i, basic[i], step, t
+        if max(col, default=0) >= overflow or min(col, default=0) <= -overflow:
+            raise RuntimeError("internal error: field overflow")
         if r == -2:
             break                                 # nothing stops it: a ray
         if r == -1:
             # bound flip: the entering variable moves to its other bound
             delta = num if up else -num
             at[s] += delta
-            for row in table:
-                if row[s]:
-                    row[-1] += row[s] * delta
-            obj[-1] += obj[s] * delta
+            moved = delta << top
+            for i, t in enumerate(col):
+                if t:
+                    table[i] += t * moved
+            obj += cost * moved
             continue
 
         # pivot: basic[r] leaves at the bound it reached, nonbasic[s] enters
         pivots += 1
         if pivots > MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded")
-        row_r = table[r]
-        sign = 1 if row_r[s] > 0 else -1
-        piv = row_r if sign > 0 else [-v for v in row_r]
-        p = piv[s]
-        beta = hi[leave] if (row_r[s] > 0) == up else lo[leave]
-        for i, row in enumerate(table):
-            if i != r:
-                table[i] = _exchange(row, piv, s, p, den, sign, beta)
-        obj[:] = _exchange(obj, piv, s, p, den, sign, beta)
-        new_r = [-v for v in piv]
-        new_r[s] = sign * den
-        new_r[-1] += sign * den * beta + p * at[s]
-        table[r] = new_r
+        t = col[r]
+        sign = 1 if t > 0 else -1
+        piv = table[r] if sign > 0 else -table[r]
+        p = abs(t)
+        beta = hi[leave] if (t > 0) == up else lo[leave]
+        # (x * p - f * fold) / den is the exchange with sign * f put in
+        # field s and sign * f * beta added to the value
+        fold = piv - sign * den * ((1 << sh) + (beta << top))
+        for i, f in enumerate(col):
+            if f:
+                table[i] = (table[i] * p - f * fold) // den
+            elif p != den:
+                table[i] = table[i] * p // den
+        obj = (obj * p - cost * fold) // den
+        table[r] = (((sign * den + p) << sh)
+                    + ((sign * den * beta + p * at[s]) << top) - piv)
         basic[r], nonbasic[s] = var, leave
         at[s] = beta
         den = p
 
-    # x = nums / den is the optimum, with c.x = obj[-1] / den, or the ray
+    # x = nums / den is the optimum, with c.x = obj's value / den, or the ray
     # along which nonbasic[s] grows: D * x_B moves at T_B[s] per unit of it
     ray = s >= 0
     if ray:
         sign = 1 if up else -1
         values = [sign * den if j == s else 0 for j in range(n)]
-        values += [sign * row[s] for row in table]
+        values += [sign * t for t in col]
     else:
-        values = [v * den for v in at] + [row[-1] for row in table]
+        values = [v * den for v in at] + [(x + bias) >> top for x in table]
     nums = [0] * n
     for var, v in zip(nonbasic + basic, values):
         if var < n:
             nums[var] = v
-    optimum = None if ray else obj[-1]
+    optimum = None if ray else (obj + bias) >> top
     _recheck(objective, rows, bounds, nums, den, optimum)
     x = tuple(Fraction(v, den) for v in nums)
     if ray:
         return LpResult("unbounded", None, x, pivots)
+    multipliers = [0] * len(lo)                   # by variable index
+    for var, cost in zip(nonbasic, costs):
+        multipliers[var] = cost
+    _check_dual(objective, rows, bounds, multipliers, den, optimum)
     return LpResult("optimal", Fraction(optimum, den), x, pivots)
 
 
-def _exchange(row, piv, s, p, den, sign, beta):
-    """One row of the integer exchange on pivot column s, pivot p > 0."""
-    f = row[s]
-    if not f:
-        if p == den:
-            return row
-        return [v * p // den for v in row]
-    if den == 1:
-        new = [a * p - f * b for a, b in zip(row, piv)]
-    else:
-        new = [(a * p - f * b) // den for a, b in zip(row, piv)]
-    new[s] = sign * f
-    new[-1] += sign * f * beta
-    return new
+def _field_width(objective, rows, bounds) -> int:
+    """Bits per packed field, from Hadamard's inequality (module docstring):
+    the bit length of E * (1 + sum of the finite |bounds| and |row limits|),
+    plus 2."""
+    columns = zip(objective, *(coeffs for coeffs, _, _ in rows))
+    squares = sorted((max(1, sum(map(mul, col, col))) for col in columns),
+                     reverse=True)
+    entry = isqrt(prod(squares[:len(rows) + 1])) + 1
+    limits = [(low, high) for _, low, high in rows] + list(bounds)
+    total = sum(abs(v) for pair in limits for v in pair if v is not None)
+    return (entry * (1 + total)).bit_length() + 2
+
+
+def _entering(costs, nonbasic, at, lo, hi) -> int:
+    """Bland's rule: the column of the smallest-index nonbasic variable whose
+    reduced cost improves and whose bound lets it move; -1 when none can."""
+    s = -1
+    for j, cost in enumerate(costs):
+        var = nonbasic[j]
+        if ((cost > 0 and (hi[var] is None or at[j] < hi[var]))
+                or (cost < 0 and (lo[var] is None or at[j] > lo[var]))):
+            if s < 0 or var < nonbasic[s]:
+                s = j
+    return s
 
 
 def _recheck(objective, rows, bounds, nums, den: int, optimum) -> None:
@@ -215,3 +287,33 @@ def _recheck(objective, rows, bounds, nums, den: int, optimum) -> None:
     value = sum(map(mul, objective, nums))
     if (value <= 0) if ray else (value != optimum):
         raise RuntimeError("internal error: objective mismatch")
+
+
+def _check_dual(objective, rows, bounds, multipliers, den: int,
+                optimum: int) -> None:
+    """Check that multipliers certify den * c.x <= optimum on every feasible
+    x, in the caller's integer rows and bounds.
+
+    multipliers has one entry per variable: the n structurals (z), then
+    one per row (y).  Requires den * c == sum_i y_i a_i + z, a finite bound
+    selected by each nonzero multiplier (hi when positive, lo when
+    negative), and the sum of multiplier * bound equal to optimum.
+    """
+    n = len(objective)
+    total = list(multipliers[:n])
+    value = 0
+    limits = list(bounds) + [(low, high) for _, low, high in rows]
+    for var, y in enumerate(multipliers):
+        if not y:
+            continue
+        low, high = limits[var]
+        bound = high if y > 0 else low
+        if bound is None:
+            raise RuntimeError("internal error: a multiplier selects no bound")
+        value += y * bound
+        if var >= n:
+            total = list(map(add, total, (y * a for a in rows[var - n][0])))
+    if total != [den * c for c in objective]:
+        raise RuntimeError("internal error: multipliers not stationary")
+    if value != optimum:
+        raise RuntimeError("internal error: dual bound mismatch")

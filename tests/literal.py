@@ -5,9 +5,11 @@ identities hold by construction or reduce to integer products.  Nor does it
 re-substitute a face witness into the vertices in Fractions: the face LP's
 integer recheck covers that, and it checks a certificate row as two halves
 in packed integer fields.  It unranks supports from a table of binomials.
-These slow, obvious versions are what the tests check those shortcuts
-against, together with the dense matrices (C_l, T) and the signed vertex
-list that only the tests form.
+It solves its LPs on a dictionary of packed integer rows, and certifies
+each optimum from the integer reduced costs.  These slow, obvious versions
+(a Fraction simplex dictionary and a Fraction dual check among them) are
+what the tests check those shortcuts against, together with the dense
+matrices (C_l, T) and the signed vertex list that only the tests form.
 """
 
 from fractions import Fraction as F
@@ -20,6 +22,7 @@ from csneighborly.certificate import (
     StructuralReport,
     block_sweep_tasks,
 )
+from csneighborly.simplex import LpResult
 
 HALF = F(1, 2)
 
@@ -296,3 +299,134 @@ def literal_conditions(con, mode="auto", row_cap=1_000_000,
         ),
     )
 
+
+
+def literal_lp_max(objective, rows, bounds, entries=None):
+    """lp_max on a Fraction dictionary, as the textbook writes it.
+
+    Each basic variable is x_B = sum_j T[i][j] x_N[j] over the nonbasic
+    variables, and c.x = sum_j red[j] x_N[j]; basic values are summed afresh
+    from the nonbasic ones whenever they are read.  Bland's rule picks the
+    smallest-index improving nonbasic that can move, and the ratio test the
+    least (step, variable index), the entering variable's own bound
+    competing as its own index; a bound reached first is a flip, not a
+    pivot.  Returns an LpResult.
+
+    With a list entries, appends at each dictionary met the largest |value|
+    among D times every entry, basic value, reduced cost and c.x, and D
+    itself, where D is the product of the |pivots| (the determinant that
+    the integer dictionary divides out).
+    """
+    n = len(objective)
+    table = [[F(a) for a in coeffs] for coeffs, _, _ in rows]
+    lo = [low for low, _ in bounds] + [low for _, low, _ in rows]
+    hi = [high for _, high in bounds] + [high for _, _, high in rows]
+    red = [F(c) for c in objective]
+    basic = list(range(n, n + len(table)))
+    nonbasic = list(range(n))
+    at = [F(0)] * n
+    den, pivots = F(1), 0
+
+    def value(row):
+        return sum((t * v for t, v in zip(row, at)), F(0))
+
+    while True:
+        if entries is not None:
+            seen = [den, den * value(red)] + [den * v for v in red]
+            for row in table:
+                seen += [den * value(row)] + [den * t for t in row]
+            entries.append(max(abs(v) for v in seen))
+        s = -1
+        for j, var in enumerate(nonbasic):
+            if ((red[j] > 0 and (hi[var] is None or at[j] < hi[var]))
+                    or (red[j] < 0 and (lo[var] is None or at[j] > lo[var]))):
+                if s < 0 or var < nonbasic[s]:
+                    s = j
+        if s < 0:
+            break
+        up = red[s] > 0
+        var = nonbasic[s]
+        limit = hi[var] if up else lo[var]
+        best = None                    # (step, leaving variable, row or -1)
+        if limit is not None:
+            best = (abs(limit - at[s]), var, -1)
+        for i, row in enumerate(table):
+            t = row[s]
+            if t == 0:
+                continue
+            b = hi[basic[i]] if (t > 0) == up else lo[basic[i]]
+            if b is None:
+                continue
+            step = abs(b - value(row)) / abs(t)
+            if best is None or (step, basic[i]) < best[:2]:
+                best = (step, basic[i], i)
+        if best is None:
+            break
+        _, leave, r = best
+        if r < 0:
+            at[s] = limit
+            continue
+        pivots += 1
+        t = table[r][s]
+        beta = hi[leave] if (t > 0) == up else lo[leave]
+        # x_N[s] = (x_leave - sum_{j != s} T[r][j] x_N[j]) / T[r][s]
+        solved = [-v / t for v in table[r]]
+        solved[s] = 1 / t
+        for i, row in enumerate(table):
+            if i != r:
+                table[i] = _substitute(row, solved, s)
+        red = _substitute(red, solved, s)
+        table[r] = solved
+        basic[r], nonbasic[s] = var, leave
+        at[s] = beta
+        den *= abs(t)
+
+    x = [F(0)] * n
+    if s >= 0:                         # the ray along which nonbasic[s] grows
+        sign = 1 if up else -1
+        moves = [F(sign) if j == s else F(0) for j in range(n)]
+        moves += [sign * row[s] for row in table]
+    else:
+        moves = list(at) + [value(row) for row in table]
+    for var, v in zip(nonbasic + basic, moves):
+        if var < n:
+            x[var] = v
+    if s >= 0:
+        return LpResult("unbounded", None, tuple(x), pivots)
+    optimum = sum((F(c) * v for c, v in zip(objective, x)), F(0))
+    return LpResult("optimal", optimum, tuple(x), pivots)
+
+
+def _substitute(row, solved, s):
+    """row with x_N[s] replaced by solved . (x_N with x_leave at s)."""
+    f = row[s]
+    out = [a + f * b for a, b in zip(row, solved)]
+    out[s] = f * solved[s]
+    return out
+
+
+def literal_dual_failures(objective, rows, bounds, multipliers, optimum):
+    """The dual conditions that Fraction multipliers fail, as names.
+
+    multipliers has one entry per variable (the structurals, then one per
+    row).  The conditions: c = sum_i y_i a_i + z ("stationary"); each
+    nonzero multiplier has a finite bound on its side, hi when positive and
+    lo when negative ("bounded"); the sum of multiplier * bound equals
+    optimum ("tight").  All three bound c.x by optimum on the feasible set.
+    """
+    n = len(objective)
+    limits = list(bounds) + [(low, high) for _, low, high in rows]
+    combined = [F(z) for z in multipliers[:n]]
+    for (coeffs, _, _), y in zip(rows, multipliers[n:]):
+        for j, a in enumerate(coeffs):
+            combined[j] += y * a
+    failures = []
+    if combined != [F(c) for c in objective]:
+        failures.append("stationary")
+    chosen = [(y, high if y > 0 else low)
+              for y, (low, high) in zip(multipliers, limits) if y != 0]
+    if any(bound is None for _, bound in chosen):
+        failures.append("bounded")
+    elif sum((y * bound for y, bound in chosen), F(0)) != optimum:
+        failures.append("tight")
+    return failures

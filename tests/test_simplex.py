@@ -1,12 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import lcm
 
 import pytest
 
-from csneighborly import lp_max
-from csneighborly.simplex import _recheck
+from csneighborly import lp_max, oracle, simplex
+from csneighborly.cli import main
+from csneighborly.construction import build
+from csneighborly.hadamard import sylvester
+from csneighborly.simplex import _check_dual, _field_width, _recheck
+from literal import literal_dual_failures, literal_lp_max
 
 FREE = (None, None)
 
@@ -124,6 +129,7 @@ def solve_shifted(c_ints, eq, le, x0, box=None):
         (int(scale * (-box - v)), int(scale * (box - v))) for v in x0]
     res = lp_max(c_ints, rows, bounds)
     assert res.status == "optimal"
+    assert res == literal_lp_max(c_ints, rows, bounds)
     x = [v + y / scale for v, y in zip(x0, res.x)]
     value = sum(c * v for c, v in zip(c_ints, x0)) + res.objective / scale
     return res, x, value
@@ -268,6 +274,7 @@ class TestAgainstBruteForce:
             if origin_feasible([], le):
                 res = lp_max(ints(objective), rows, bounds)
                 assert res.status == "optimal"
+                assert res == literal_lp_max(ints(objective), rows, bounds)
                 assert res.objective == expected
                 assert_witness(objective, [], le, res.x, res.objective)
                 paths["optimal"] += 1
@@ -315,7 +322,9 @@ class TestAgainstBruteForce:
             c_ints = ints(c * scale for c in objective)
             expected = brute_force_max(objective, eq, le)
             if origin_feasible(eq, le):
-                res = lp_max(c_ints, ranged(eq, le), [FREE] * n)
+                program = (c_ints, ranged(eq, le), [FREE] * n)
+                res = lp_max(*program)
+                assert res == literal_lp_max(*program)
                 assert res.objective == scale * expected
                 assert_witness(objective, eq, le, res.x, expected)
                 paths["optimal"] += 1
@@ -439,3 +448,207 @@ class TestRecheck:
     def test_each_ray_violation_raises(self, ray, message):
         with pytest.raises(RuntimeError, match=message):
             _recheck(*self.RAY, ray, 1, None)
+
+
+def programs_of(sweep, *args, **kwargs):
+    """(objective, rows, bounds) of every LP that an oracle sweep solves."""
+    programs = []
+    solve = oracle.lp_max
+
+    def recording(objective, rows, bounds):
+        program = (tuple(objective),
+                   tuple((tuple(a), low, high) for a, low, high in rows),
+                   tuple(bounds))
+        programs.append(program)
+        return solve(*program)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "lp_max", recording)
+        sweep(*args, **kwargs)
+    return programs
+
+
+@pytest.fixture(scope="module")
+def d8_programs():
+    """Every face, containment and dominance LP of the d = 8 sweeps."""
+    con = build(sylvester(3))
+    return [program for sweep in (oracle.verify_k_neighborly,
+                                  oracle.projection_containment,
+                                  oracle.dominant_subset_sweep)
+            for program in programs_of(sweep, con)]
+
+
+@pytest.fixture(scope="module")
+def d16_face_programs():
+    """Every face LP of the exhaustive d = 16 sweep: 992 subsets."""
+    return programs_of(oracle.verify_k_neighborly, build(sylvester(4)))
+
+
+@pytest.fixture(scope="module")
+def d32_membership_programs():
+    """Membership LPs of a seeded d = 32 containment sample, 2 per block."""
+    return programs_of(oracle.projection_containment, build(sylvester(5)),
+                       mode="sample", samples=2, seed=3)
+
+
+def literal_runs(programs):
+    """(program, literal result, largest integer entry per dictionary)."""
+    runs = []
+    for program in programs:
+        entries = []
+        runs.append((program, literal_lp_max(*program, entries=entries),
+                     entries))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def sampled_literal_runs(d16_face_programs, d32_membership_programs):
+    """The literal oracle on 8 seeded d = 16 face LPs and on the d = 32
+    membership sample."""
+    faces = random.Random(16).sample(d16_face_programs, 8)
+    return literal_runs(faces + d32_membership_programs)
+
+
+SMALL_PROGRAMS = [
+    ([1], [([1], None, 3)], [FREE]),
+    ([1], [([3], None, 1), ([2], None, 1)], [FREE]),
+    ([1], [([-1], None, 0)], [FREE]),
+    ([1, 1], [([1, -1], -1, 1)], [FREE, (0, None)]),
+    ([0, 1], [([1, 1], 0, 0), ([1, -2], -3, 3)], [FREE, FREE]),
+    ([1, 0], [([1, 1], -1, 1)], [FREE, (-2, 2)]),
+    ([1, 1], [], [(0, 2), (0, 3)]),
+    ([1, 1], [([1, 1], None, 4)], [(0, 1), (0, 5)]),
+    ([-2, 1], [([1, 1], None, 1)], [(-3, 3), (0, None)]),
+    ([75, -15000, 2, -600],
+     [([25, -6000, -4, 900], None, 0), ([50, -9000, -2, 300], None, 0),
+      ([0, 0, 1, 0], None, 1)],
+     [(0, None)] * 4),
+    ([6, -1], [([7, 7], 0, 5), ([1, -1], None, 2)], [(0, None), FREE]),
+]
+
+
+class TestAgainstLiteralOracle:
+    """lp_max's result (status, objective, x and pivots) equals that of the
+    Fraction dictionary in tests/literal.py, which makes the same choices."""
+
+    @pytest.mark.parametrize("program", SMALL_PROGRAMS)
+    def test_small_programs(self, program):
+        assert lp_max(*program) == literal_lp_max(*program)
+
+    def test_every_d8_program(self, d8_programs):
+        assert len(d8_programs) == 80
+        for program in d8_programs:
+            assert lp_max(*program) == literal_lp_max(*program)
+
+    def test_sampled_d16_face_and_d32_membership_programs(
+            self, sampled_literal_runs):
+        statuses = Counter()
+        for program, expected, _ in sampled_literal_runs:
+            assert lp_max(*program) == expected
+            statuses[expected.status] += 1
+        assert statuses["optimal"] > 0
+
+
+class TestDualCertificate:
+    """Every optimum is certified by its multipliers before it is returned."""
+
+    # maximize x + 2y  s.t.  0 <= 2x + 2y <= 3,  2x - 2y <= 1,  x >= 0; at
+    # the optimum (0, 3/2), den = 2, x sits at lo (z = -2) and the first row
+    # at hi (y = 2): 2 * (1, 2) = (-2, 0) + 2 * (2, 2), and -2*0 + 2*3 = 6
+    ARGS = TestRecheck.ARGS
+    CERTIFICATE = ([-2, 0, 2, 0], 2, 6)
+
+    def test_optimum_passes(self):
+        _check_dual(*self.ARGS, *self.CERTIFICATE)
+        multipliers, den, optimum = self.CERTIFICATE
+        fractions = [F(v, den) for v in multipliers]
+        assert literal_dual_failures(
+            *self.ARGS, fractions, F(optimum, den)) == []
+
+    @pytest.mark.parametrize("multipliers,den,optimum,message,failure", [
+        ([-2, 0, 2, 2], 2, 6, "multipliers not stationary", "stationary"),
+        ([3, 0, 0, -1], 1, 3, "a multiplier selects no bound", "bounded"),
+        ([-2, 0, 2, 0], 2, 7, "dual bound mismatch", "tight"),
+    ])
+    def test_each_violation_raises(self, multipliers, den, optimum, message,
+                                   failure):
+        with pytest.raises(RuntimeError, match=f"internal error: {message}"):
+            _check_dual(*self.ARGS, multipliers, den, optimum)
+        assert failure in literal_dual_failures(
+            *self.ARGS, [F(v, den) for v in multipliers], F(optimum, den))
+
+    def test_every_certificate_passes_the_literal_check(self, monkeypatch,
+                                                        d8_programs):
+        certificates = []
+        check = simplex._check_dual
+
+        def recording(objective, rows, bounds, multipliers, den, optimum):
+            certificates.append((list(multipliers), den))
+            check(objective, rows, bounds, multipliers, den, optimum)
+
+        monkeypatch.setattr(simplex, "_check_dual", recording)
+        optima = 0
+        for program in SMALL_PROGRAMS + d8_programs:
+            res = lp_max(*program)
+            if res.status != "optimal":
+                continue
+            optima += 1
+            multipliers, den = certificates.pop()
+            fractions = [F(v, den) for v in multipliers]
+            assert literal_dual_failures(
+                *program, fractions, res.objective) == []
+        assert not certificates and optima > 80
+
+    @staticmethod
+    def stop_early(monkeypatch, after):
+        """Make lp_max stop pricing, as if optimal, after `after` steps."""
+        calls = []
+        entering = simplex._entering
+
+        def stopping(*args):
+            calls.append(None)
+            return -1 if len(calls) > after else entering(*args)
+
+        monkeypatch.setattr(simplex, "_entering", stopping)
+
+    def test_early_stop_is_an_internal_error(self, monkeypatch, d8_programs):
+        program = d8_programs[0]
+        assert lp_max(*program).pivots > 3
+        self.stop_early(monkeypatch, 3)
+        # the point is feasible and its value the dictionary's, so _recheck
+        # passes it; the multipliers show it is not optimal
+        with pytest.raises(RuntimeError, match="internal error: dual bound"):
+            lp_max(*program)
+
+    def test_early_stop_exits_1(self, monkeypatch, capsys):
+        self.stop_early(monkeypatch, 3)
+        assert main(["verify", "--d", "8", "--check", "faces"]) == 1
+        assert "internal error: dual bound" in capsys.readouterr().err
+
+
+class TestFieldWidth:
+    def test_width_holds_every_entry(self, sampled_literal_runs):
+        """Each dictionary's largest entry (D times every entry, value and
+        reduced cost, and D) fits in the width less its 2 spare bits."""
+        for program, _, entries in sampled_literal_runs:
+            width = _field_width(*program)
+            assert all(v.denominator == 1 for v in entries)
+            assert max(entries).numerator.bit_length() <= width - 2
+
+    def test_narrow_fields_raise_or_agree(self, monkeypatch, d16_face_programs,
+                                          d32_membership_programs):
+        """Fields too narrow for their entries make lp_max raise an internal
+        error or, where no entry outgrows them, return the literal result;
+        never another result."""
+        monkeypatch.setattr(simplex, "_field_width", lambda *program: 8)
+        outcomes = Counter()
+        for program in d16_face_programs + d32_membership_programs:
+            try:
+                res = lp_max(*program)
+            except RuntimeError as exc:
+                assert str(exc).startswith("internal error: ")
+                outcomes["internal error"] += 1
+            else:
+                assert res == literal_lp_max(*program)
+                outcomes["agrees"] += 1
+        assert outcomes["internal error"] > 0 and outcomes["agrees"] > 0
