@@ -21,25 +21,67 @@ exhaustive mode, refused above a cap, or a seeded draw in sample mode
 (sampling.draws, with replacement).  The tasks run through
 sweep.ordered_map, serially or on worker processes, and results are
 aggregated in task order, so reports do not depend on the worker count.
+
+Every LP row is a column of H, signed and scaled, with a sigma coefficient
+(or a unit row on a member vertex).  Once per sweep, _PackedColumns
+type-checks H's entries and sums its column norms; the first time a
+program needs field width W (in this process, or in each pool worker, from
+the sweep context), it packs the d columns of H into W-bit fields, as
+simplex.lp_max would pack them.  Per LP the oracle then forms the caller's
+integer rows (which lp_max's checks of the result read), the column norms
+of [c; A] in closed form for _field_width, and each packed row with one
+product and one shift: s * scale * packed[j] + (sigma coefficient << W*d),
+exact because packing is linear.  lp_max still checks each LP's sigma
+column, row limits and bounds.  The sweeps keep only margins and verdicts,
+so they form no face witness c and no cube witness y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import comb, lcm
-from operator import index as as_index, mul
+from operator import index as as_index, lshift
 
 from .blocks import (_signs_from_bits, block_row_count, block_rows,
                      sample_indices, total_row_count, unrank_support)
 from .construction import Construction
 from .exact import as_scalar
 from .sampling import draws
-from .simplex import lp_max
+from .simplex import PackedRows, _field_width, _ints, lp_max
 from .sweep import ordered_map
 
 HALF = Fraction(1, 2)
+
+
+class _PackedColumns:
+    """H's columns for the face and membership LPs of one sweep: checked
+    once, packed once per field width (module docstring).
+
+    rows[i] is row i of H, and norms[i] its squared norm: that of LP column
+    i < d over the d rows h_j.
+    """
+
+    def __init__(self, con: Construction):
+        self.con = con
+        self.d = con.d
+        self.p, self.q = con.params.alpha.as_integer_ratio()
+        self.columns = con.hadamard.columns
+        self.rows = tuple(zip(*self.columns))     # row i of H
+        _ints(chain.from_iterable(self.columns), "coefficient")
+        self.norms = [sum(h * h for h in row) for row in self.rows]
+        self._by_width = {}
+
+    def packed(self, width: int) -> tuple:
+        """Column j of H as sum_i h_ij * 2**(width*i), for each j."""
+        packed = self._by_width.get(width)
+        if packed is None:
+            shifts = range(0, width * self.d, width)
+            packed = tuple(sum(map(lshift, col, shifts))
+                           for col in self.columns)
+            self._by_width[width] = packed
+        return packed
 
 
 def _plan(mode, total, cap, what, every, sampled, seed):
@@ -95,6 +137,26 @@ def is_face(con: Construction, subset) -> FaceReport:
     of u keeps the sign of every reduced cost and the order of every ratio
     test, so Bland's rule makes the same pivots and finds the same witness.
     """
+    columns = _PackedColumns(con)
+    members, status, margin, result = _face(columns, subset)
+    if margin is None:
+        return FaceReport(members, status, None, None)
+    d = con.d
+    p_sigma = columns.p * result.x[d]
+    return FaceReport(members, status,
+                      tuple(c / p_sigma for c in result.x[:d]), margin)
+
+
+def _face_check(columns: _PackedColumns, subset) -> tuple:
+    """is_face's (subset, status, margin), without its witness: one task of
+    verify_k_neighborly."""
+    return _face(columns, subset)[:3]
+
+
+def _face(columns: _PackedColumns, subset) -> tuple:
+    """(members, status, margin, LP result) of is_face; no result for an
+    antipodal subset."""
+    con = columns.con
     members = tuple(sorted(set((as_index(i), as_index(s)) for i, s in subset)))
     if not members:
         raise ValueError("subset must be non-empty")
@@ -105,32 +167,45 @@ def is_face(con: Construction, subset) -> FaceReport:
             raise ValueError(f"bad subset member ({i}, {s})")
     indices = [i for i, _ in members]
     if len(set(indices)) < len(indices):
-        return FaceReport(members, "antipodal-rejected", None, None)
+        return members, "antipodal-rejected", None, None
 
-    d, columns = con.d, con.hadamard.columns
-    p, q = con.params.alpha.as_integer_ratio()
+    result = _face_lp(columns, members)
+    sigma = result.x[con.d]
+    if not sigma:
+        return members, "not-face", None, result
+    margin = 1 - 1 / sigma if result.status == "optimal" else Fraction(1)
+    return members, "face" if margin > 0 else "not-face", margin, result
+
+
+def _face_lp(columns: _PackedColumns, members):
+    """The face LP of is_face over antipode-free members, its rows packed
+    from the sweep's columns of H."""
+    d, p, q, cols = columns.d, columns.p, columns.q, columns.columns
     bounds = [(-p, p)] * d + [(0, None)]
-    rows = []
+    squares = columns.norms + [1]                 # columns of [c; A]
+    rows, used = [], set()
     for i, s in members:                         # s x_i.u' - p*sigma in [0, 0]
         if i < d:
             coeffs = [0] * (d + 1)
             coeffs[i], coeffs[d] = s, -p
             bounds[i] = (None, None)
+            squares[i] += 1
+            squares[d] += p * p
         else:
-            coeffs = [s * v for v in columns[i - d]] + [-q]
+            coeffs = [s * v for v in cols[i - d]] + [-q]
+            used.add(i - d)
+            squares[d] += q * q
         rows.append((coeffs, 0, 0))
-    rows += [(columns[j] + (0,), -q, q)           # |h_j.u'| <= q
-             for j in range(d) if d + j not in indices]
+    others = [j for j in range(d) if j not in used]
+    rows += [(cols[j] + (0,), -q, q) for j in others]    # |h_j.u'| <= q
 
-    result = lp_max((0,) * d + (1,), rows, bounds)
-    sigma = result.x[d]
-    if not sigma:
-        return FaceReport(members, "not-face", None, None)
-    margin = 1 - 1 / sigma if result.status == "optimal" else Fraction(1)
-    status = "face" if margin > 0 else "not-face"
-    p_sigma = p * sigma
-    return FaceReport(members, status,
-                      tuple(c / p_sigma for c in result.x[:d]), margin)
+    objective = (0,) * d + (1,)
+    width = _field_width(objective, rows, bounds, squares)
+    packed, top = columns.packed(width), width * d
+    table = [(s << width * i) - (p << top) if i < d
+             else s * packed[i - d] - (q << top) for i, s in members]
+    table += [packed[j] for j in others]
+    return lp_max(objective, PackedRows(rows, width, table, d), bounds)
 
 
 def canonical_subsets(m: int, k: int):
@@ -195,15 +270,12 @@ def verify_k_neighborly(
                samples)),
         seed)
 
-    reports = list(ordered_map(is_face, con, tasks, jobs))
+    outcomes = list(ordered_map(_face_check, _PackedColumns(con), tasks,
+                                jobs))
 
-    passed = sum(1 for r in reports if r.status == "face")
-    failures = tuple(
-        (r.subset, r.status, r.margin)
-        for r in reports
-        if r.status != "face"
-    )[:20]
-    margins = [r.margin for r in reports if r.margin is not None]
+    passed = sum(1 for _, status, _ in outcomes if status == "face")
+    failures = tuple(o for o in outcomes if o[1] != "face")[:20]
+    margins = [margin for _, _, margin in outcomes if margin is not None]
     return NeighborlinessReport(
         d=con.d,
         k=k,
@@ -236,26 +308,51 @@ def membership_margin(con: Construction, point) -> tuple:
     solved in u' = p*u: |u'_i| <= p and |h_j.u' + q b_j sigma| <= q, rows
     scaled by the lcm of w's denominators, and y = u'/(p*sigma) - w_{1..d}.
     """
-    d, m = con.d, con.m
-    p, q = con.params.alpha.as_integer_ratio()
-    if len(point) != m:
-        raise ValueError(f"point must have length {m}")
-    w = [as_scalar(v) for v in point]
+    columns = _PackedColumns(con)
+    w = _exact_point(con, point)
+    margin, result = _margin(columns, w)
+    d = con.d
+    p_sigma = columns.p * result.x[d]
+    return margin, tuple(u / p_sigma - v for u, v in zip(result.x[:d], w))
+
+
+def _exact_point(con: Construction, point) -> list:
+    """point's entries as exact scalars, ints left as they are (the sweeps'
+    points are ints); ValueError unless it has length m."""
+    if len(point) != con.m:
+        raise ValueError(f"point must have length {con.m}")
+    return [v if type(v) is int else as_scalar(v) for v in point]
+
+
+def _margin(columns: _PackedColumns, w) -> tuple:
+    """(membership margin, LP result) of the exact point w, its rows packed
+    from the sweep's columns of H."""
+    d, p, q, cols = columns.d, columns.p, columns.q, columns.columns
     scale = lcm(*(v.denominator for v in w))
     ints = [v.numerator * (scale // v.denominator) for v in w]
-    head = ints[:d]
-    rows = []
-    for j, col in enumerate(con.hadamard.columns):
-        qb = q * ints[d + j] - p * sum(map(mul, col, head))   # scale*q*b_j
-        if scale != 1:
-            col = tuple(scale * v for v in col)
-        rows.append((col + (qb,), -scale * q, scale * q))
+    # scale*q*b_j = q*w'_{d+j} - p*h_j.w'_{1..d} (w' = scale*w), the dot
+    # products summed over the rows of H at w's nonzeros
+    qbs = [q * v for v in ints[d:]]
+    for v, row in zip(ints[:d], columns.rows):
+        if v:
+            pv = p * v
+            qbs = [qb - pv * h for qb, h in zip(qbs, row)]
+    if scale != 1:
+        cols = [tuple(scale * v for v in col) for col in cols]
+    limit = scale * q
+    rows = [(col + (qb,), -limit, limit) for col, qb in zip(cols, qbs)]
+    bounds = [(-p, p)] * d + [(0, None)]
+    squares = [v * scale * scale for v in columns.norms]   # of [c; A]
+    squares.append(1 + sum(qb * qb for qb in qbs))
 
-    result = lp_max((0,) * d + (1,), rows, [(-p, p)] * d + [(0, None)])
+    objective = (0,) * d + (1,)
+    width = _field_width(objective, rows, bounds, squares)
+    packed, top = columns.packed(width), width * d
+    table = [scale * x + (qb << top) for x, qb in zip(packed, qbs)]
+    result = lp_max(objective, PackedRows(rows, width, table, d), bounds)
     sigma = result.x[d]
     margin = HALF - 1 / sigma if result.status == "optimal" else HALF
-    p_sigma = p * sigma
-    return margin, tuple(u / p_sigma - v for u, v in zip(result.x[:d], w))
+    return margin, result
 
 
 @dataclass(frozen=True)
@@ -270,6 +367,13 @@ def is_dominant(con: Construction, indices) -> DominanceReport:
     """Check one index subset of the cs-transform points for dominance.
 
     Indices are ints; a float raises TypeError."""
+    return _dominance(_PackedColumns(con), indices)
+
+
+def _dominance(columns: _PackedColumns, indices) -> DominanceReport:
+    """is_dominant on the sweep's columns of H: one task of
+    dominant_subset_sweep."""
+    con = columns.con
     indices = tuple(sorted(set(map(as_index, indices))))
     if not indices:
         raise ValueError("index subset must be non-empty")
@@ -282,7 +386,7 @@ def is_dominant(con: Construction, indices) -> DominanceReport:
         point = [0] * con.m
         for i, s in zip(indices, signs):
             point[i] = s
-        margin, _ = membership_margin(con, point)
+        margin, _ = _margin(columns, _exact_point(con, point))
         pattern_margins.append((signs, margin))
         if best is None or margin < best:
             best = margin
@@ -329,7 +433,8 @@ def dominant_subset_sweep(
          draws((seed << 20) ^ (m << 8) ^ k ^ 0x515, (comb(m, k),), samples)),
         seed)
 
-    reports = list(ordered_map(is_dominant, con, subsets, jobs))
+    reports = list(ordered_map(_dominance, _PackedColumns(con), subsets,
+                               jobs))
 
     dominant_found = 0
     first = None
@@ -406,7 +511,8 @@ def projection_containment(
          for index in sample_indices(d, k, l, samples, seed)),
         seed)
     streams = tuple(block_rows(d, k, l) for l in blocks)
-    margins = ordered_map(_vertex_margin, (con, streams), tasks, jobs)
+    margins = ordered_map(_vertex_margin, (_PackedColumns(con), streams),
+                          tasks, jobs)
 
     best = None
     best_at = None
@@ -427,8 +533,9 @@ def projection_containment(
 
 def _vertex_margin(context, task):
     """Membership margin of the vertex at task = (l, row index), its row
-    read from block l's stream in context = (con, streams)."""
-    con, streams = context
+    read from block l's stream in context = (packed columns, streams)."""
+    columns, streams = context
     l, index = task
     left, right = streams[l].row(index)
-    return membership_margin(con, left.dense() + right.dense())[0]
+    point = _exact_point(columns.con, left.dense() + right.dense())
+    return _margin(columns, point)[0]

@@ -54,6 +54,18 @@ raise RuntimeError("internal error: field overflow") when a reduced cost or
 an entry of column s reaches 2**(W-2) in size, as a wrapped field does at
 random, so fields too narrow stop the solver rather than steer it.
 
+Packing.  lp_max type-checks every entry, sizes the fields with
+``_field_width`` and packs each row once per program, unless the rows come
+as PackedRows, already packed by the caller.  The oracle's sweeps pass them
+so: each of their rows is a signed, scaled column of one matrix H plus one
+coefficient, sigma's, so a sweep checks H's entries once, packs its
+columns once per width W, and forms each packed row as
+s * scale * packed_j + (sigma coefficient << W*d), which is exact because
+packing is linear.  W stays _field_width's, given the column norms of
+[c; A] in closed form.  Per program, lp_max then checks only the
+coefficients after the caller's checked ones (sigma's), the row limits and
+the bounds, and runs the same pivot loop.
+
 Neither check of the result reads the packed tableau.  The point is
 re-substituted once into the caller's rows, in integers (``_recheck``),
 and an optimum is certified by the final reduced costs in the style of
@@ -95,6 +107,26 @@ def _ints(values, what: str, none_ok: bool = False) -> None:
             raise TypeError(f"{what} is not an int: {v!r}")
 
 
+class PackedRows(tuple):
+    """A program's rows (coeffs, lo, hi) with the packing lp_max would give
+    them: table[i] is row i's coefficients in fields of `width` bits,
+    sum_j a_j * 2**(width*j).
+
+    The first `checked` coefficients of every row are ints that the caller
+    has type-checked already, once for many programs (the sweeps' columns
+    of H); lp_max checks the other coefficients, the row limits and the
+    bounds as for any rows, and reads the rows themselves, not the table,
+    in its checks of the result.  With the width of ``_field_width`` the
+    result is lp_max's on the plain rows; fields too narrow can only make
+    it raise an internal error.
+    """
+
+    def __new__(cls, rows, width: int, table, checked: int):
+        self = super().__new__(cls, rows)
+        self.width, self.table, self.checked = width, table, checked
+        return self
+
+
 def lp_max(objective, rows, bounds) -> LpResult:
     """Maximize objective . x subject to lo <= a.x <= hi for each row
     (a, lo, hi) and lo <= x_j <= hi for each bound (lo, hi).
@@ -103,11 +135,14 @@ def lp_max(objective, rows, bounds) -> LpResult:
     on any other entry, and ValueError on a width mismatch or when the
     origin is infeasible.  An "optimal" result has x = nums / den, an
     "unbounded" one has x = a ray r (c.r > 0) that every row and bound
-    admits.
+    admits.  Rows given as PackedRows are solved from their table as it is.
     """
     objective = tuple(objective)
-    rows = tuple((tuple(a), low, high) for a, low, high in rows)
     bounds = tuple(bounds)
+    packed = isinstance(rows, PackedRows)
+    if not packed:
+        rows = tuple((tuple(a), low, high) for a, low, high in rows)
+    checked = rows.checked if packed else 0
     n = len(objective)
     if n == 0:
         raise ValueError("the program needs at least one variable")
@@ -122,7 +157,7 @@ def lp_max(objective, rows, bounds) -> LpResult:
     for coeffs, low, high in rows:
         if len(coeffs) != n:
             raise ValueError(f"row width {len(coeffs)} != {n} variables")
-        _ints(coeffs, "coefficient")
+        _ints(coeffs[checked:], "coefficient")
         _ints((low, high), "row limit", none_ok=True)
         lo.append(low)
         hi.append(high)
@@ -130,14 +165,19 @@ def lp_max(objective, rows, bounds) -> LpResult:
         if (low is not None and low > 0) or (high is not None and high < 0):
             raise ValueError("the origin is not feasible")
 
-    width = _field_width(objective, rows, bounds)
+    width = rows.width if packed else _field_width(objective, rows, bounds)
     mask, half = (1 << width) - 1, 1 << (width - 1)
     shifts = range(0, width * n, width)           # field j of column j
     top = width * n                               # the value field
     bias = sum(half << sh for sh in shifts)       # read: (x + bias) >> ...
     overflow = 1 << (width - 2)                   # no entry reaches it
-    table = [sum(map(lshift, coeffs, shifts))
-             for coeffs, _, _ in rows]            # values D * x_B = 0
+    if packed:
+        table = list(rows.table)
+        if len(table) != len(rows):
+            raise ValueError(f"{len(table)} packed rows for {len(rows)} rows")
+    else:
+        table = [sum(map(lshift, coeffs, shifts))
+                 for coeffs, _, _ in rows]        # values D * x_B = 0
     obj = sum(map(lshift, objective, shifts))
 
     basic = list(range(n, n + len(table)))        # variable index per row
@@ -242,13 +282,19 @@ def lp_max(objective, rows, bounds) -> LpResult:
     return LpResult("optimal", Fraction(optimum, den), x, pivots)
 
 
-def _field_width(objective, rows, bounds) -> int:
+def _field_width(objective, rows, bounds, squares=None) -> int:
     """Bits per packed field, from Hadamard's inequality (module docstring):
     the bit length of E * (1 + sum of the finite |bounds| and |row limits|),
-    plus 2."""
-    columns = zip(objective, *(coeffs for coeffs, _, _ in rows))
-    squares = sorted((max(1, sum(map(mul, col, col))) for col in columns),
-                     reverse=True)
+    plus 2.
+
+    squares, when given, are the squared norms of the columns of [c; A], as
+    a caller that knows them in closed form passes them; otherwise they are
+    summed from the rows.
+    """
+    if squares is None:
+        columns = zip(objective, *(coeffs for coeffs, _, _ in rows))
+        squares = [sum(map(mul, col, col)) for col in columns]
+    squares = sorted((max(1, v) for v in squares), reverse=True)
     entry = isqrt(prod(squares[:len(rows) + 1])) + 1
     limits = [(low, high) for _, low, high in rows] + list(bounds)
     total = sum(abs(v) for pair in limits for v in pair if v is not None)

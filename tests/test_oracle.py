@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 from collections import Counter
@@ -17,7 +18,9 @@ from csneighborly import (
     verify_k_neighborly,
 )
 from csneighborly import oracle
+from csneighborly.construction import Construction
 from csneighborly.oracle import canonical_subsets
+from csneighborly.simplex import _field_width
 from literal import recheck_face, signed_vertices, vertex_matrix
 
 
@@ -123,17 +126,22 @@ class TestIsFace:
 
 class TestFaceWitnessLiteral:
     def test_sweep_witnesses_resubstitute(self, con16, monkeypatch):
-        # every report of seeded d = 16 sweeps at sizes 1-4, including the
+        # every subset of seeded d = 16 sweeps at sizes 1-4, including the
         # failure path: k = 4, seed 2 fails 6 subsets (3 canonical LPs and
-        # their negations), all with margin 0
+        # their negations), all with margin 0.  The sweep forms no witness,
+        # so is_face solves each subset again for it, and must find the
+        # sweep's verdict and margin
         reports = []
+        check = oracle._face_check
 
-        def recorded(con, subset):
-            rep = is_face(con, subset)
+        def recorded(columns, subset):
+            outcome = check(columns, subset)
+            rep = is_face(con16, subset)
+            assert (rep.subset, rep.status, rep.margin) == outcome
             reports.append(rep)
-            return rep
+            return outcome
 
-        monkeypatch.setattr(oracle, "is_face", recorded)
+        monkeypatch.setattr(oracle, "_face_check", recorded)
         sweeps = ((1, 10, 1), (2, 12, 1), (3, 12, 1), (4, 40, 2))
         for k, samples, seed in sweeps:
             rep = verify_k_neighborly(con16, k, mode="sample", samples=samples,
@@ -178,6 +186,24 @@ class TestFaceTableD4:
 
 
 class TestIntegerArguments:
+    def test_sweeps_check_the_entries_of_h_once(self, con4, monkeypatch):
+        # an H entry that is not an int stops a sweep before its first LP,
+        # with lp_max's TypeError
+        columns = list(con4.hadamard.columns)
+        columns[2] = (1.0,) + columns[2][1:]
+        bad = copy.copy(con4.hadamard)
+        bad.columns = tuple(columns)
+        con = Construction(con4.params, bad)
+
+        def no_lp(*program):
+            raise AssertionError("an LP was solved")
+
+        monkeypatch.setattr(oracle, "lp_max", no_lp)
+        for sweep in (verify_k_neighborly, dominant_subset_sweep,
+                      projection_containment):
+            with pytest.raises(TypeError, match="coefficient is not an int"):
+                sweep(con, 1)
+
     def test_is_face_rejects_float_members(self, con4):
         for subset in ([(1.9, 1)], [(1, 1.0)]):
             with pytest.raises(TypeError):
@@ -194,12 +220,19 @@ class TestVertexRows:
 
     @staticmethod
     def recorded_programs(monkeypatch):
+        """(rows, bounds) of each LP solved, as lp_max gets them; each LP's
+        packed table is checked to be lp_max's own packing of its rows."""
         programs = []
         real_lp_max = oracle.lp_max
 
         def recording_lp_max(objective, lp_rows, bounds):
-            programs.append(([(tuple(c), low, high) for c, low, high in lp_rows],
-                             list(bounds)))
+            rows = [(tuple(c), low, high) for c, low, high in lp_rows]
+            width = _field_width(objective, rows, bounds)
+            shifts = range(0, width * len(objective), width)
+            assert lp_rows.width == width
+            assert list(lp_rows.table) == [
+                sum(a << sh for a, sh in zip(c, shifts)) for c, _, _ in rows]
+            programs.append((rows, list(bounds)))
             return real_lp_max(objective, lp_rows, bounds)
 
         monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
@@ -221,6 +254,20 @@ class TestVertexRows:
         assert bounds[0] == bounds[1] == [(-1, 1)] * 4 + [(0, None)]
         assert bounds[2] == [(-1, 1), (None, None), (-1, 1), (-1, 1),
                              (0, None)]
+
+        # the sweeps' LPs: each row is a signed column of H or, in a face
+        # LP, a unit row of a member vertex
+        del programs[:]
+        verify_k_neighborly(con, 2)
+        dominant_subset_sweep(con, 1)
+        projection_containment(con, 1)
+        assert len(programs) == 56 + 16 + 16
+        signed = set(cols) | {tuple(-v for v in col) for col in cols}
+        units = {tuple(int(i == j) * s for j in range(4))
+                 for i in range(4) for s in (1, -1)}
+        for lp_rows, _ in programs:
+            heads = [c[:4] for c, _, _ in lp_rows]
+            assert len(heads) >= 4 and set(heads) <= signed | units
 
     def test_p_moves_into_the_bounds(self, monkeypatch):
         # alpha = p/q = 2/5 at d = 8: the rows stay H's +-1 columns, u' = 2u
@@ -289,13 +336,24 @@ class TestVerifyKNeighborly:
         assert rep.checked == 20
         assert rep.passed + rep.failed == 20
 
-    def test_jobs_match_serial(self, con16):
+    def test_jobs_match_serial(self, con8, con16):
         subs = list(canonical_subsets(con16.m, 2))[:30]
         serial = [is_face(con16, s) for s in subs]
         from csneighborly.sweep import ordered_map
 
         parallel = list(ordered_map(is_face, con16, subs, jobs=2))
         assert serial == parallel
+
+        # every sweep hands its packed columns of H to the workers as its
+        # context: exhaustive at d = 8, sampled at d = 16
+        for sweep in (verify_k_neighborly, projection_containment,
+                      dominant_subset_sweep):
+            for con, options in ((con8, {}),
+                                 (con16, {"mode": "sample", "samples": 12,
+                                          "seed": 3})):
+                reports = [sweep(con, jobs=jobs, **options)
+                           for jobs in (1, 2, 4)]
+                assert reports[0] == reports[1] == reports[2]
 
 
 class TestMembership:

@@ -10,7 +10,8 @@ from csneighborly import lp_max, oracle, simplex
 from csneighborly.cli import main
 from csneighborly.construction import build
 from csneighborly.hadamard import sylvester
-from csneighborly.simplex import _check_dual, _field_width, _recheck
+from csneighborly.simplex import (PackedRows, _check_dual, _field_width,
+                                  _recheck)
 from literal import literal_dual_failures, literal_lp_max
 
 FREE = (None, None)
@@ -401,6 +402,37 @@ class TestInputs:
         with pytest.raises(ValueError, match="origin is not feasible"):
             lp_max([1], rows, bounds)
 
+    # x + y <= 3 and x - y in [-1, 1], packed in 8-bit fields; the first
+    # column counts as checked by the caller
+    PACKED = [((1, 1), None, 3), ((1, -1), -1, 1)]
+
+    @staticmethod
+    def packed(rows, table=None):
+        shifts = (0, 8)
+        if table is None:
+            table = [sum(int(a) << sh for a, sh in zip(c, shifts))
+                     for c, _, _ in rows]
+        return PackedRows(rows, 8, table, 1)
+
+    def test_packed_rows_give_lp_max_result(self):
+        rows = self.PACKED
+        res = lp_max([1, 2], self.packed(rows), [FREE, FREE])
+        assert res == lp_max([1, 2], rows, [FREE, FREE])
+        assert res.objective == 5
+
+    @pytest.mark.parametrize("rows,bounds", [
+        ([((1, 1.0), None, 3), ((1, -1), -1, 1)], [FREE, FREE]),
+        ([((1, 1), None, 3.0), ((1, -1), -1, 1)], [FREE, FREE]),
+        (PACKED, [FREE, (None, F(1))]),
+    ])
+    def test_packed_rows_check_the_rest(self, rows, bounds):
+        with pytest.raises(TypeError, match="not an int"):
+            lp_max([1, 2], self.packed(rows), bounds)
+
+    def test_packed_rows_need_one_int_per_row(self):
+        with pytest.raises(ValueError, match="1 packed rows for 2 rows"):
+            lp_max([1, 2], self.packed(self.PACKED, [0]), [FREE, FREE])
+
     def test_rows_may_be_any_iterable(self):
         rows = (((v, 1), None, 3) for v in (1, 2))
         res = lp_max([1, 1], rows, iter([FREE, (0, 1)]))
@@ -450,45 +482,80 @@ class TestRecheck:
             _recheck(*self.RAY, ray, 1, None)
 
 
-def programs_of(sweep, *args, **kwargs):
-    """(objective, rows, bounds) of every LP that an oracle sweep solves."""
-    programs = []
+def solves_of(sweep, *args, **kwargs):
+    """(program, rows as given, result) of every LP that an oracle call
+    solves: program is (objective, rows, bounds) with plain tuple rows, and
+    rows as given are the PackedRows that the oracle passed to lp_max."""
+    solves = []
     solve = oracle.lp_max
 
     def recording(objective, rows, bounds):
         program = (tuple(objective),
                    tuple((tuple(a), low, high) for a, low, high in rows),
                    tuple(bounds))
-        programs.append(program)
-        return solve(*program)
+        result = solve(objective, rows, bounds)
+        solves.append((program, rows, result))
+        return result
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "lp_max", recording)
         sweep(*args, **kwargs)
-    return programs
+    return solves
+
+
+def programs_of(solves):
+    return [program for program, _, _ in solves]
 
 
 @pytest.fixture(scope="module")
-def d8_programs():
+def d8_solves():
     """Every face, containment and dominance LP of the d = 8 sweeps."""
     con = build(sylvester(3))
-    return [program for sweep in (oracle.verify_k_neighborly,
-                                  oracle.projection_containment,
-                                  oracle.dominant_subset_sweep)
-            for program in programs_of(sweep, con)]
+    return [solve for sweep in (oracle.verify_k_neighborly,
+                                oracle.projection_containment,
+                                oracle.dominant_subset_sweep)
+            for solve in solves_of(sweep, con)]
 
 
 @pytest.fixture(scope="module")
-def d16_face_programs():
+def d8_programs(d8_solves):
+    return programs_of(d8_solves)
+
+
+@pytest.fixture(scope="module")
+def d16_face_solves():
     """Every face LP of the exhaustive d = 16 sweep: 992 subsets."""
-    return programs_of(oracle.verify_k_neighborly, build(sylvester(4)))
+    return solves_of(oracle.verify_k_neighborly, build(sylvester(4)))
 
 
 @pytest.fixture(scope="module")
-def d32_membership_programs():
+def d16_face_programs(d16_face_solves):
+    return programs_of(d16_face_solves)
+
+
+@pytest.fixture(scope="module")
+def d32_membership_solves():
     """Membership LPs of a seeded d = 32 containment sample, 2 per block."""
-    return programs_of(oracle.projection_containment, build(sylvester(5)),
-                       mode="sample", samples=2, seed=3)
+    return solves_of(oracle.projection_containment, build(sylvester(5)),
+                     mode="sample", samples=2, seed=3)
+
+
+@pytest.fixture(scope="module")
+def d32_membership_programs(d32_membership_solves):
+    return programs_of(d32_membership_solves)
+
+
+@pytest.fixture(scope="module")
+def literal_of():
+    """literal_lp_max(*program), each program solved once per module."""
+    results = {}
+
+    def literal(program):
+        if program not in results:
+            results[program] = literal_lp_max(*program)
+        return results[program]
+
+    return literal
 
 
 def literal_runs(programs):
@@ -547,6 +614,78 @@ class TestAgainstLiteralOracle:
             assert lp_max(*program) == expected
             statuses[expected.status] += 1
         assert statuses["optimal"] > 0
+
+
+def lp_max_packing(program, width):
+    """The rows of a program packed as lp_max packs them, in width-bit
+    fields."""
+    objective, rows, _ = program
+    shifts = range(0, width * len(objective), width)
+    return [sum(a << sh for a, sh in zip(coeffs, shifts))
+            for coeffs, _, _ in rows]
+
+
+def assert_packed_as_lp_max(solves):
+    """Each oracle LP got PackedRows with _field_width's width and lp_max's
+    own packing of its rows, all but the sigma column checked once per
+    sweep, and returned lp_max's result on the plain rows."""
+    for program, rows, result in solves:
+        assert isinstance(rows, PackedRows)
+        assert rows.checked == len(program[0]) - 1
+        width = _field_width(*program)
+        assert rows.width == width
+        assert list(rows.table) == lp_max_packing(program, width)
+        assert result == lp_max(*program)
+
+
+class TestPackedColumns:
+    """The oracle packs H's columns once per sweep and each LP's rows from
+    them: every LP gets the result (status, objective, x and pivots) that
+    lp_max and the literal oracle give on its plain rows."""
+
+    def test_every_d8_lp(self, d8_solves):
+        assert len(d8_solves) == 80
+        assert_packed_as_lp_max(d8_solves)
+        for program, _, result in d8_solves:
+            assert result == literal_lp_max(*program)
+
+    def test_sampled_d16_face_and_d32_membership_lps(
+            self, d16_face_solves, d32_membership_solves,
+            sampled_literal_runs):
+        solves = d16_face_solves + d32_membership_solves
+        assert_packed_as_lp_max(solves)
+        expected = {program: result
+                    for program, result, _ in sampled_literal_runs}
+        got = {program: result for program, _, result in solves
+               if program in expected}
+        assert got == expected
+
+    def test_alpha_3_16_at_d32(self):
+        con = build(sylvester(5), alpha=F(3, 16))
+        solves = solves_of(oracle.verify_k_neighborly, con, mode="sample",
+                           samples=2, seed=1)
+        solves += solves_of(oracle.projection_containment, con,
+                            mode="sample", samples=1, seed=1)
+        assert len(solves) == 5
+        assert_packed_as_lp_max(solves)
+        for program, _, result in solves:
+            assert result == literal_lp_max(*program)
+
+    @pytest.mark.parametrize("order,alpha", [(3, None), (3, F(2, 5)),
+                                             (4, None)])
+    def test_fractional_membership_point(self, order, alpha):
+        # the rows are H's columns times the lcm of the denominators
+        con = build(sylvester(order), alpha=alpha)
+        rng = random.Random(order)
+        point = [F(rng.randint(-3, 3), rng.randint(2, 7))
+                 for _ in range(con.m)]
+        scale = lcm(*(v.denominator for v in point))
+        solves = solves_of(oracle.membership_margin, con, point)
+        (program, _, result), = solves
+        q = con.params.alpha.denominator
+        assert scale > 1 and program[1][0][2] == scale * q
+        assert_packed_as_lp_max(solves)
+        assert result == literal_lp_max(*program)
 
 
 class TestDualCertificate:
@@ -636,7 +775,7 @@ class TestFieldWidth:
             assert max(entries).numerator.bit_length() <= width - 2
 
     def test_narrow_fields_raise_or_agree(self, monkeypatch, d16_face_programs,
-                                          d32_membership_programs):
+                                          d32_membership_programs, literal_of):
         """Fields too narrow for their entries make lp_max raise an internal
         error or, where no entry outgrows them, return the literal result;
         never another result."""
@@ -649,6 +788,37 @@ class TestFieldWidth:
                 assert str(exc).startswith("internal error: ")
                 outcomes["internal error"] += 1
             else:
-                assert res == literal_lp_max(*program)
+                assert res == literal_of(program)
                 outcomes["agrees"] += 1
+        assert outcomes["internal error"] > 0 and outcomes["agrees"] > 0
+
+    def test_narrow_fields_in_a_sweep(self, monkeypatch, literal_of):
+        """The same through verify_k_neighborly at d = 16, every LP's rows
+        packed from 8-bit columns of H.  Each internal error is answered
+        with lp_max on the plain rows, so the sweep's report stays that of
+        the full-width sweep."""
+        con = build(sylvester(4))
+        expected = oracle.verify_k_neighborly(con)
+        solve = oracle.lp_max
+        outcomes = Counter()
+
+        def narrow(objective, rows, bounds):
+            assert rows.width == 8
+            try:
+                res = solve(objective, rows, bounds)
+            except RuntimeError as exc:
+                assert str(exc).startswith("internal error: ")
+                outcomes["internal error"] += 1
+                return solve(objective, tuple(rows), bounds)
+            program = (tuple(objective),
+                       tuple((tuple(a), low, high) for a, low, high in rows),
+                       tuple(bounds))
+            assert res == literal_of(program)
+            outcomes["agrees"] += 1
+            return res
+
+        monkeypatch.setattr(oracle, "_field_width", lambda *program: 8)
+        monkeypatch.setattr(oracle, "lp_max", narrow)
+        assert oracle.verify_k_neighborly(con) == expected
+        assert sum(outcomes.values()) == 992
         assert outcomes["internal error"] > 0 and outcomes["agrees"] > 0

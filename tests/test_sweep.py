@@ -27,13 +27,12 @@ from csneighborly import (
 from csneighborly.blocks import unrank_part
 from csneighborly.certificate import _packed_tables
 from csneighborly.cli import main
-from csneighborly.oracle import FaceReport
 from csneighborly.sweep import ordered_map
 from literal import literal_part_sum
 
 _real_left_half = certificate._left_half
 _real_right_half = certificate._right_half
-_real_is_face = oracle.is_face
+_real_face_check = oracle._face_check
 
 
 def _left_half_failing(packed, p, q, weight, total):
@@ -73,11 +72,11 @@ def _right_half_listed(packed, p, q, weight, total):
             top)
 
 
-def _is_face_failing(con, subset):
-    report = _real_is_face(con, subset)
+def _face_check_failing(columns, subset):
+    members, status, margin = _real_face_check(columns, subset)
     if min(i for i, _ in subset) % 7 == 3:
-        return FaceReport(report.subset, "not-face", None, None)
-    return report
+        return members, "not-face", None
+    return members, status, margin
 
 
 _SQUARED = []                      # arguments _square saw in this process
@@ -241,7 +240,7 @@ class TestFailureReportsIndependentOfJobs:
         assert report.failures == ((1, 0, "entry bound exceeded"),)
 
     def test_faces_reports(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(oracle, "is_face", _is_face_failing)
+        monkeypatch.setattr(oracle, "_face_check", _face_check_failing)
         texts = []
         for jobs in ("1", "2", "4"):
             path = tmp_path / f"faces-{jobs}.json"
