@@ -33,13 +33,20 @@ numerator X * p - f * P (p = T[r][s] made positive, f = T[i][s], P the
 pivot row of the same sign) is divisible by D; so the whole packed numerator
 is, and its quotient is exactly the packed new row.  Whatever the fields of
 the numerator hold, a row update is two products, a difference and one
-exact division of ints.  Field s of the quotient is 0, and the exchange
-then puts sign * f there and adds sign * f * beta to the value (beta the
-bound the leaving variable reached); both are folded into P once per
-pivot.  A bound flip by delta adds T[i][s] * delta to each value field.
-Fields are read, by adding one bias of 2**(W-1) per field and shifting and
-masking, only where the algorithm reads entries: column s and the values in
-the ratio test, the reduced costs when pricing, and the final point.
+exact division of ints.  The division is by D = odd * 2**twos, split once
+per pivot: each numerator is shifted right by twos, then floor-divided by
+odd unless odd is 1.  As (N >> t) // o == N // (o << t) for every int N
+and o > 0, the quotient is that of one division by D, bit for bit, exact
+or not.  For +-1 matrices D is mostly a power of two with a small odd part,
+so where D spans several 30-bit digits (up to 76 bits at d = 32) a long
+division becomes a shift and at most one division by a one-digit int.
+Field s of the quotient is 0, and the exchange then puts sign * f there
+and adds sign * f * beta to the value (beta the bound the leaving variable
+reached); both are folded into P once per pivot.  A bound flip by delta
+adds T[i][s] * delta to each value field.  Fields are read, by adding one
+bias of 2**(W-1) per field and shifting and masking, only where the
+algorithm reads entries: column s and the values in the ratio test, the
+reduced costs when pricing, and the final point.
 
 The width W is fixed once per program (``_field_width``).  Every tableau
 entry, D, and D times a reduced cost is, up to sign, a minor of order at
@@ -87,7 +94,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, prod
-from operator import add, lshift, mul
+from operator import lshift, mul
 
 MAX_PIVOTS = 200_000             # lp_max raises RuntimeError beyond it
 
@@ -245,12 +252,21 @@ def lp_max(objective, rows, bounds) -> LpResult:
         # (x * p - f * fold) / den is the exchange with sign * f put in
         # field s and sign * f * beta added to the value
         fold = piv - sign * den * ((1 << sh) + (beta << top))
+        # divide by den = odd << twos as a shift, then by the odd part where
+        # it is not 1: (N >> t) // o == N // (o << t) for every int N
+        twos = (den & -den).bit_length() - 1
+        odd = den >> twos
         for i, f in enumerate(col):
             if f:
-                table[i] = (table[i] * p - f * fold) // den
+                x = (table[i] * p - f * fold) >> twos
             elif p != den:
-                table[i] = table[i] * p // den
-        obj = (obj * p - cost * fold) // den
+                x = table[i] * p >> twos
+            else:
+                continue
+            table[i] = x if odd == 1 else x // odd
+        obj = (obj * p - cost * fold) >> twos
+        if odd != 1:
+            obj //= odd
         table[r] = (((sign * den + p) << sh)
                     + ((sign * den * beta + p * at[s]) << top) - piv)
         basic[r], nonbasic[s] = var, leave
@@ -346,8 +362,8 @@ def _check_dual(objective, rows, bounds, multipliers, den: int,
     negative), and the sum of multiplier * bound equal to optimum.
     """
     n = len(objective)
-    total = list(multipliers[:n])
     value = 0
+    ys, picked = [], []                           # nonzero y_i and their a_i
     limits = list(bounds) + [(low, high) for _, low, high in rows]
     for var, y in enumerate(multipliers):
         if not y:
@@ -358,7 +374,12 @@ def _check_dual(objective, rows, bounds, multipliers, den: int,
             raise RuntimeError("internal error: a multiplier selects no bound")
         value += y * bound
         if var >= n:
-            total = list(map(add, total, (y * a for a in rows[var - n][0])))
+            ys.append(y)
+            picked.append(rows[var - n][0])
+    total = multipliers[:n]                       # z, plus y_i a_i by columns
+    if picked:
+        total = [z + sum(map(mul, ys, col))
+                 for z, col in zip(total, zip(*picked))]
     if total != [den * c for c in objective]:
         raise RuntimeError("internal error: multipliers not stationary")
     if value != optimum:

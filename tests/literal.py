@@ -301,7 +301,7 @@ def literal_conditions(con, mode="auto", row_cap=1_000_000,
 
 
 
-def literal_lp_max(objective, rows, bounds, entries=None):
+def literal_lp_max(objective, rows, bounds, entries=None, dens=None):
     """lp_max on a Fraction dictionary, as the textbook writes it.
 
     Each basic variable is x_B = sum_j T[i][j] x_N[j] over the nonbasic
@@ -315,7 +315,8 @@ def literal_lp_max(objective, rows, bounds, entries=None):
     With a list entries, appends at each dictionary met the largest |value|
     among D times every entry, basic value, reduced cost and c.x, and D
     itself, where D is the product of the |pivots| (the determinant that
-    the integer dictionary divides out).
+    the integer dictionary divides out).  With a list dens, appends D after
+    each pivot.
     """
     n = len(objective)
     table = [[F(a) for a in coeffs] for coeffs, _, _ in rows]
@@ -380,6 +381,8 @@ def literal_lp_max(objective, rows, bounds, entries=None):
         basic[r], nonbasic[s] = var, leave
         at[s] = beta
         den *= abs(t)
+        if dens is not None:
+            dens.append(den)
 
     x = [F(0)] * n
     if s >= 0:                         # the ray along which nonbasic[s] grows

@@ -616,6 +616,84 @@ class TestAgainstLiteralOracle:
         assert statuses["optimal"] > 0
 
 
+def wide_entry(rng):
+    """0, +-1, +-2, +-4, or a signed int of 2 to 40 bits."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    sign = rng.choice((1, -1))
+    if kind == 1:
+        return sign << rng.randrange(3)
+    return sign * rng.getrandbits(rng.randrange(2, 41))
+
+
+def wide_program(rng):
+    """A program with the origin feasible and entries of up to 40 bits."""
+    n = rng.randint(2, 4)
+    objective = [wide_entry(rng) for _ in range(n)]
+    rows = [([wide_entry(rng) for _ in range(n)],
+             -rng.getrandbits(40), rng.getrandbits(40))
+            for _ in range(rng.randint(2, 5))]
+    bounds = [(-rng.getrandbits(20), rng.getrandbits(20))
+              if rng.random() < 0.5 else FREE for _ in range(n)]
+    return objective, rows, bounds
+
+
+def split(den):
+    """den as (twos, odd) with den == odd << twos."""
+    twos = (den & -den).bit_length() - 1
+    return twos, den >> twos
+
+
+class TestDivisionSplit:
+    """Each pivot divides its rows by den = odd << twos as a shift, then by
+    the odd part where it is not 1."""
+
+    def test_shift_then_odd_part_floors_as_one_division(self):
+        """(N >> twos) // odd (N >> twos when odd == 1) is N // den for
+        every signed N, exact or not, so a faulty dictionary floors as
+        before."""
+        rng = random.Random(19)
+        odds = {1, 3, 13, 93, (1 << 29) + 1}              # one digit
+        odds |= {rng.getrandbits(90) | 1 for _ in range(4)}
+        inexact = 0
+        for odd in sorted(odds):
+            for twos in (0, 1, 7, 30, 31, 64, 81):
+                den = odd << twos
+                assert split(den) == (twos, odd)
+                for _ in range(40):
+                    n = rng.choice((1, -1)) * rng.getrandbits(
+                        rng.randrange(1, 3300))
+                    if rng.random() < 0.5:
+                        n *= den                          # exact
+                    inexact += n % den != 0
+                    quotient = n >> twos
+                    if odd != 1:
+                        quotient //= odd
+                    assert quotient == n // den
+        assert inexact > 100
+
+    def test_wide_programs_against_literal_oracle(self):
+        """On seeded programs with entries up to 2**40, lp_max equals the
+        literal Fraction dictionary, whose determinants D cover a power of
+        two above 1, a one-digit odd part and a wider odd part."""
+        rng = random.Random(40)
+        kinds = Counter()
+        for _ in range(200):
+            program = wide_program(rng)
+            dens = []
+            assert lp_max(*program) == literal_lp_max(*program, dens=dens)
+            for den in dens:
+                assert den.denominator == 1
+                odd = split(den.numerator)[1]
+                kinds["power of two" if odd == 1 and den > 1
+                      else "odd part <= 2**30" if 2 <= odd <= 1 << 30
+                      else "odd part > 2**30" if odd > 1 << 30
+                      else "1"] += 1
+        assert kinds["power of two"] and kinds["odd part <= 2**30"]
+        assert kinds["odd part > 2**30"]
+
+
 def lp_max_packing(program, width):
     """The rows of a program packed as lp_max packs them, in width-bit
     fields."""
@@ -706,6 +784,7 @@ class TestDualCertificate:
 
     @pytest.mark.parametrize("multipliers,den,optimum,message,failure", [
         ([-2, 0, 2, 2], 2, 6, "multipliers not stationary", "stationary"),
+        ([-2, 0, 0, 0], 2, 0, "multipliers not stationary", "stationary"),
         ([3, 0, 0, -1], 1, 3, "a multiplier selects no bound", "bounded"),
         ([-2, 0, 2, 0], 2, 7, "dual bound mismatch", "tight"),
     ])
