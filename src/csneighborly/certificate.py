@@ -52,6 +52,13 @@ holds H's column in its low 8d bits and G's row less its share of the
 target above them, so one sum gives both: its low 8d bits are the column
 sum, and the rest is zero exactly when (b) holds.
 
+A half task holds up to HALVES_PER_TASK parts of one side of one block, and
+checks them in one call: part_sums forms their packed sums, and the batch
+kernel _left_halves or _right_halves turns each sum into its result.  Per
+part that is one to_bytes and the byte search's first step, t = w*hbias,
+where most parts stop (_max_abs runs the rest of the search only when it
+misses); parts with the same result share one tuple, built once per call.
+
 verify_conditions packs the tables once per run and hands them, with k, p
 and q, to every half task, in this process or on each pool worker.
 
@@ -263,22 +270,48 @@ def _max_abs(fields: bytes, off: int) -> int:
             return t
 
 
-def _left_half(packed, p, q, weight, total):
-    """(entry_ok, True, max|n_hat|) for a left part of e of the given weight,
-    from its packed sum total over packed.lefts, with n_hat = e H and
-    alpha = p/q: e enters condition (a) only."""
-    top = _max_abs(total.to_bytes(packed.d, "little"), packed.hbias * weight)
-    return 2 * p * top <= q, True, top
+def _left_halves(packed, p, q, weight, totals):
+    """One (entry_ok, True, max|n_hat|) per left part of e of the given
+    weight, from its packed sum in totals over packed.lefts, with n_hat = e H
+    and alpha = p/q: e enters condition (a) only.  Parts with the same max
+    share one result."""
+    d, off = packed.d, packed.hbias * weight
+    extreme = off + off
+    known = {}                     # max -> its result
+    out = []
+    for total in totals:
+        fields = total.to_bytes(d, "little")
+        # _max_abs's first step, the largest max: most parts stop there
+        top = (off if extreme in fields or 0 in fields
+               else _max_abs(fields, off))
+        result = known.get(top)
+        if result is None:
+            result = known[top] = (2 * p * top <= q, True, top)
+        out.append(result)
+    return out
 
 
-def _right_half(packed, p, q, weight, total):
-    """(entry_ok, gram_ok, max|m_hat|) for a right part of f of the given
-    weight, from its packed sum total over packed.rights, with m_hat = f H^T:
-    condition (a), beta*max|m_hat| <= 1/2, and (b), f G == d*f."""
-    d = packed.d
-    low = total & ((1 << 8 * d) - 1)
-    top = _max_abs(low.to_bytes(d, "little"), packed.hbias * weight)
-    return 2 * q * top <= p * d, total == low, top
+def _right_halves(packed, p, q, weight, totals):
+    """One (entry_ok, gram_ok, max|m_hat|) per right part of f of the given
+    weight, from its packed sum in totals over packed.rights, with
+    m_hat = f H^T: condition (a), beta*max|m_hat| <= 1/2, and (b),
+    f G == d*f.  Parts with the same max and gram_ok share one result."""
+    d, off = packed.d, packed.hbias * weight
+    extreme, mask, bound = off + off, (1 << 8 * d) - 1, p * d
+    known = ({}, {})               # by gram_ok: max -> its result
+    out = []
+    for total in totals:
+        low = total & mask
+        fields = low.to_bytes(d, "little")
+        top = (off if extreme in fields or 0 in fields
+               else _max_abs(fields, off))
+        gram_ok = total == low
+        results = known[gram_ok]
+        result = results.get(top)
+        if result is None:
+            result = results[top] = (2 * q * top <= bound, gram_ok, top)
+        out.append(result)
+    return out
 
 
 # -- structural identities ------------------------------------------------------
@@ -404,11 +437,11 @@ def _check_halves(context, task):
     packed, k, p, q = context
     l, side, ranks, positions = task
     if side == LEFT:
-        kernel, weight, table = _left_half, l, packed.lefts
+        kernel, weight, table = _left_halves, l, packed.lefts
     else:
-        kernel, weight, table = _right_half, k - l, packed.rights
+        kernel, weight, table = _right_halves, k - l, packed.rights
     totals = part_sums(packed.d, weight, ranks, table[1], table[-1])
-    results = list(map(partial(kernel, packed, p, q, weight), totals))
+    results = kernel(packed, p, q, weight, totals)
     # positions grow along ranks, so the first occurrence is the least
     return l, side, dict(zip(reversed(results), reversed(positions)))
 

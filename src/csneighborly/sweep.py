@@ -8,14 +8,13 @@ order either way, so they are the same for every worker count.  The serial
 map is lazy: a sweep that stops reading at its first failure checks nothing
 after it.
 
-Each worker receives the check's context (con, or tables derived from it)
-as it is, not rebuilt, so a matrix built without validation is checked on
-the pool exactly as in this process.
+Only a pooled run imports multiprocessing.  Each worker receives the check's
+context (con, or tables derived from it) as it is, not rebuilt, so a matrix
+built without validation is checked on the pool exactly as in this process.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from functools import partial
 from itertools import chain
 
@@ -42,6 +41,9 @@ def ordered_map(check, context, tasks, jobs: int = 1):
 
 
 def _pooled(check, context, tasks, jobs):
+    # imported here, so a serial run never loads the pool's modules
+    import multiprocessing
+
     chunk = max(1, len(tasks) // (jobs * 8))
     ctx = multiprocessing.get_context()
     with ctx.Pool(jobs, _worker_init, (check, context)) as pool:

@@ -15,9 +15,9 @@ from csneighborly import (
 from csneighborly.blocks import (SignedSupportRow, part_sums, sample_indices,
                                  signed_row_count, unrank_part)
 from csneighborly.certificate import (
-    _left_half,
-    _right_half,
+    _left_halves,
     _packed_tables,
+    _right_halves,
 )
 from csneighborly.construction import cs_transform_defect
 from csneighborly.hadamard import HadamardMatrix
@@ -41,10 +41,10 @@ def half_row_check(con, left, right):
     alpha, beta = con.params.alpha, con.params.beta
     p, q = alpha.numerator, alpha.denominator
     packed = _packed_tables(h, k)
-    left_result = _left_half(packed, p, q, l, literal_part_sum(
-        packed.lefts, left.support, left.signs))
-    right_result = _right_half(packed, p, q, k - l, literal_part_sum(
-        packed.rights, right.support, right.signs))
+    [left_result] = _left_halves(packed, p, q, l, [literal_part_sum(
+        packed.lefts, left.support, left.signs)])
+    [right_result] = _right_halves(packed, p, q, k - l, [literal_part_sum(
+        packed.rights, right.support, right.signs)])
     eps_ok = (k - l) * beta + l * alpha <= HALF
     entry_ok, eq_ok = left_result[0] and right_result[0], right_result[1]
     return (entry_ok, eq_ok, eps_ok and eq_ok,
@@ -243,10 +243,10 @@ class TestPackedHalves:
                                             left.signs)
                 right_sum = literal_part_sum(packed.rights, right.support,
                                              right.signs)
-                assert _left_half(packed, p, q, l, left_sum) == (
-                    2 * p * n_top <= q, True, n_top)
-                assert _right_half(packed, p, q, 2 - l, right_sum) == (
-                    2 * q * m_top <= p * 16, gram_ok, m_top)
+                assert _left_halves(packed, p, q, l, [left_sum]) == [
+                    (2 * p * n_top <= q, True, n_top)]
+                assert _right_halves(packed, p, q, 2 - l, [right_sum]) == [
+                    (2 * q * m_top <= p * 16, gram_ok, m_top)]
                 gram_verdicts.add(gram_ok)
         assert gram_verdicts == {True, False}
 
@@ -260,6 +260,91 @@ class TestPackedHalves:
         con = build(unvalidated_hadamard(rows), verify=False)
         with pytest.raises(ValueError, match="byte fields"):
             verify_conditions(con)
+
+
+def skewed_sylvester16():
+    """sylvester(4) with column 5 tripled and column 3 copied into column 9.
+    G_55 = 9d, so G's fields are wider than 8 bits.  The right parts that
+    read column 5, 3 or 9 fail f G == d*f and the others pass."""
+    rows = [list(row) for row in sylvester(4).signs]
+    for row in rows:
+        row[5] *= 3
+        row[9] = row[3]
+    return unvalidated_hadamard(rows)
+
+
+class TestBatchHalvesAgainstLiteral:
+    """The batch half kernels on mixed batches.  Each batch holds every part
+    of one weight, shuffled, with repeats: every result must equal the
+    literal verdict on its own part, so a result that equal parts share
+    leaks to no other part."""
+
+    @staticmethod
+    def check_batches(h, weight, seed):
+        """Run both batch kernels on one mixed batch of the parts of the
+        given weight at d = 16 and compare each result with literal_halves.
+        Returns the set of (side, entry_ok, gram_ok, slow) over the batch,
+        slow meaning the max is below weight*hbias."""
+        con = build(h, verify=False)
+        packed = _packed_tables(h, con.k)
+        p, q = con.params.alpha.as_integer_ratio()
+        ranks = list(range(signed_row_count(16, weight)))
+        rng = random.Random(seed)
+        rng.shuffle(ranks)
+        ranks += ranks[:5]
+        parts = [SignedSupportRow(16, *unrank_part(16, weight, r))
+                 for r in ranks]
+        want = ([], [])
+        for part in parts:
+            n_top, m_top, gram_ok = literal_halves(h.signs, part, part)
+            want[0].append((2 * p * n_top <= q, True, n_top))
+            want[1].append((2 * q * m_top <= p * 16, gram_ok, m_top))
+        seen = set()
+        for side, kernel, table in ((0, _left_halves, packed.lefts),
+                                    (1, _right_halves, packed.rights)):
+            totals = [literal_part_sum(table, part.support, part.signs)
+                      for part in parts]
+            got = kernel(packed, p, q, weight, totals)
+            assert got == want[side]
+            seen.update((side, ok, gram_ok, top < packed.hbias * weight)
+                        for ok, gram_ok, top in got)
+        return seen
+
+    def test_one_batch_holds_every_verdict(self):
+        # at weight 1 a right part reads one column of H: column 5 gives max
+        # 3 and fails the entry bound, the others max 1 < 3 (the slow path
+        # of the byte search), and columns 3 and 9 fail f G == d*f with the
+        # max of a passing part.  A left part of weight 2 passes, on the
+        # slow path, when its two rows' entries in column 5 cancel, and
+        # fails at the search's first step when they add
+        h = skewed_sylvester16()
+        assert _packed_tables(h, 2).width > 8
+        seen = self.check_batches(h, 1, seed=1)
+        assert {s for s in seen if s[0] == 1} == {
+            (1, True, True, True), (1, True, False, True),
+            (1, False, False, False)}
+        seen = self.check_batches(h, 2, seed=2)
+        assert {s for s in seen if s[0] == 0} == {
+            (0, True, True, True), (0, False, True, False)}
+        assert {s[1:3] for s in seen if s[0] == 1} == {
+            (True, True), (True, False), (False, False)}
+
+    @pytest.mark.parametrize("entries", [(1, -1, 2, -2, 3, -3), (63, -63, 1)])
+    def test_wide_gram_batches(self, entries):
+        # the matrices of test_large_entries_match_dense_sums; only the
+        # empty part passes f G == d*f there
+        h = random_sign_matrix(16, 5, entries)
+        seen = set()
+        for weight in range(3):
+            seen |= self.check_batches(h, weight, seed=weight)
+        assert {s[2] for s in seen if s[0] == 1} == {True, False}
+        assert {s[1] for s in seen} == {True, False}
+        assert {s[3] for s in seen} == {True, False}
+
+    def test_empty_batch(self):
+        packed = _packed_tables(sylvester(4), 2)
+        assert _left_halves(packed, 1, 4, 2, []) == []
+        assert _right_halves(packed, 1, 4, 2, []) == []
 
 
 def assert_part_sums_literal(packed, d, l, ranks):

@@ -1,19 +1,24 @@
 """ordered_map, and reports that do not depend on the worker count.
 
-Failures are injected by replacing a function the sweep calls (a half
-kernel of the certificate sweep, or the face check) with a function of this
-file.  The worker processes fork after the replacement, so serial and pooled
-runs see the same failing halves and subsets.
+Failures are injected by replacing a function the sweep calls (a batch
+half kernel of the certificate sweep, or the face check) with a function of
+this file.  The worker processes fork after the replacement, so serial and
+pooled runs see the same failing halves and subsets.
 
-A half kernel gets a part as its weight and its packed sum (the sum
-blocks.part_sums forms).  Within one weight the sum determines the part, as
-H is invertible, so a (weight, sum) key fails exactly one part.
+A batch half kernel gets a task's parts as their weight and their packed
+sums (the sums blocks.part_sums forms), and returns one result per sum.
+Within one weight the sum determines the part, as H is invertible, so a
+(weight, sum) key fails exactly one part.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import csneighborly
 from csneighborly import (
     build,
     certificate,
@@ -30,46 +35,50 @@ from csneighborly.cli import main
 from csneighborly.sweep import ordered_map
 from literal import literal_part_sum
 
-_real_left_half = certificate._left_half
-_real_right_half = certificate._right_half
+_real_left_halves = certificate._left_halves
+_real_right_halves = certificate._right_halves
 _real_face_check = oracle._face_check
 
 
-def _left_half_failing(packed, p, q, weight, total):
+def _failed(results, weight, totals, keys, flag):
+    """results, one per part of weight with its sum in totals, with field
+    flag (0: entry_ok, 1: gram_ok) set false for each part whose
+    (weight, sum) is in keys."""
+    return [result[:flag] + (False,) + result[flag + 1:]
+            if (weight, total) in keys else result
+            for total, result in zip(totals, results, strict=True)]
+
+
+def _left_halves_failing(packed, p, q, weight, totals):
     # fails the entry bound of the left part -e_5, the weight-1 part whose
     # sum is minus's entry 5.  Only block 1 at d = 16 has weight-1 left
     # parts (32 of them, supports {15}, {14}, ..., {0}, each with sign +
     # then -), so -e_5 is left 2*10 + 1 = 21, and the first row that reads
     # it is 21 * 32 = 672
-    entry_ok, gram_ok, top = _real_left_half(packed, p, q, weight, total)
-    if (weight, total) == (1, packed.lefts[-1][5]):
-        entry_ok = False
-    return entry_ok, gram_ok, top
+    results = _real_left_halves(packed, p, q, weight, totals)
+    return _failed(results, weight, totals, {(1, packed.lefts[-1][5])}, 0)
 
 
-def _right_half_failing(packed, p, q, weight, total):
+def _right_halves_failing(packed, p, q, weight, totals):
     # fails the matrix equation f G == d*f of the right part +e_3: right
     # 2*12 = 24 of block 1 at d = 16, first read by row 24 (left 0)
-    entry_ok, gram_ok, top = _real_right_half(packed, p, q, weight, total)
-    if (weight, total) == (1, packed.rights[1][3]):
-        gram_ok = False
-    return entry_ok, gram_ok, top
+    results = _real_right_halves(packed, p, q, weight, totals)
+    return _failed(results, weight, totals, {(1, packed.rights[1][3])}, 1)
 
 
 _LISTED = {"left": (), "right": ()}   # (weight, sum) keys of failing parts
 
 
-def _left_half_listed(packed, p, q, weight, total):
+def _left_halves_listed(packed, p, q, weight, totals):
     # fails the entry bound of each listed left part
-    entry_ok, gram_ok, top = _real_left_half(packed, p, q, weight, total)
-    return entry_ok and (weight, total) not in _LISTED["left"], gram_ok, top
+    results = _real_left_halves(packed, p, q, weight, totals)
+    return _failed(results, weight, totals, _LISTED["left"], 0)
 
 
-def _right_half_listed(packed, p, q, weight, total):
+def _right_halves_listed(packed, p, q, weight, totals):
     # fails the matrix equation of each listed right part
-    entry_ok, gram_ok, top = _real_right_half(packed, p, q, weight, total)
-    return (entry_ok, gram_ok and (weight, total) not in _LISTED["right"],
-            top)
+    results = _real_right_halves(packed, p, q, weight, totals)
+    return _failed(results, weight, totals, _LISTED["right"], 1)
 
 
 def _face_check_failing(columns, subset):
@@ -124,6 +133,23 @@ class TestOrderedMap:
         with pytest.raises(ValueError, match="jobs"):
             ordered_map(_square, con16, range(3), jobs=0)
 
+    def test_serial_sweep_never_imports_multiprocessing(self):
+        # only a pool needs multiprocessing (and the pickle, socket and
+        # selectors modules it brings): a jobs=1 sweep in a fresh
+        # interpreter loads none of it
+        code = ("import sys\n"
+                "from csneighborly import build, sylvester, "
+                "verify_conditions\n"
+                "assert verify_conditions(build(sylvester(3)), jobs=1).passed\n"
+                "print(sorted({'multiprocessing', 'pickle', 'socket'}"
+                " & set(sys.modules)))\n")
+        src = os.path.dirname(os.path.dirname(csneighborly.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
 
 class TestEmptySweepsRejected:
     def test_faces_zero_samples(self, con16):
@@ -141,7 +167,7 @@ class TestEmptySweepsRejected:
 
 class TestFailureReportsIndependentOfJobs:
     def test_verify_conditions(self, con16, monkeypatch):
-        monkeypatch.setattr(certificate, "_left_half", _left_half_failing)
+        monkeypatch.setattr(certificate, "_left_halves", _left_halves_failing)
         reports = [verify_conditions(con16, jobs=jobs) for jobs in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
         block = reports[0].blocks[1]
@@ -152,7 +178,7 @@ class TestFailureReportsIndependentOfJobs:
         assert [b.rows_checked for b in reports[0].blocks] == [480, 673, 480]
 
     def test_verify_conditions_right_half(self, con16, monkeypatch):
-        monkeypatch.setattr(certificate, "_right_half", _right_half_failing)
+        monkeypatch.setattr(certificate, "_right_halves", _right_halves_failing)
         reports = [verify_conditions(con16, jobs=jobs) for jobs in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
         block = reports[0].blocks[1]
@@ -163,7 +189,7 @@ class TestFailureReportsIndependentOfJobs:
         assert [b.rows_checked for b in reports[0].blocks] == [480, 25, 480]
 
     def test_certify_reports(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(certificate, "_right_half", _right_half_failing)
+        monkeypatch.setattr(certificate, "_right_halves", _right_halves_failing)
         texts = []
         for jobs in ("1", "2", "4"):
             path = tmp_path / f"report-{jobs}.json"
@@ -194,8 +220,8 @@ class TestFailureReportsIndependentOfJobs:
                     for r in range(32)]
             assert len(set(sums)) == 32        # each key fails one part
             monkeypatch.setitem(_LISTED, side, {(1, sums[r]) for r in ranks})
-        monkeypatch.setattr(certificate, "_left_half", _left_half_listed)
-        monkeypatch.setattr(certificate, "_right_half", _right_half_listed)
+        monkeypatch.setattr(certificate, "_left_halves", _left_halves_listed)
+        monkeypatch.setattr(certificate, "_right_halves", _right_halves_listed)
         reports = [verify_conditions(con16, mode="sample", sample_rows=rows,
                                      seed=7, jobs=jobs) for jobs in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
