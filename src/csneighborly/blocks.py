@@ -8,12 +8,13 @@ Kronecker-structured pair
     left  = C_l (x) ones(n(k-l)),      right = ones(n(l)) (x) C_{k-l},
 
 where C_l lists all weight-l signed rows of length d in doubly-lexicographic
-order and n(l) = 2^l * binom(d, l).  Every row comes from iter_parts_from,
-which streams the (support, signs) pairs of C_l from any position, or from
-unrank_part.  The certificate sweep forms no row: part_sums reads the rows
-of C_l at a range or a list of positions (the indices sample_indices draws)
-straight into their sums over a packed table.  No stream lists a block or a
-C_l.
+order and n(l) = 2^l * binom(d, l).  Row i*n(k-l) + j of block l is
+(left part i | right part j) (block_row_parts), each a (support, signs) pair
+streamed by iter_signed_rows or unranked by unrank_part; dense_parts writes
+parts side by side as one 0/+-1 row.  The certificate sweep forms no row:
+part_sums reads the rows of C_l at a range or a list of positions (the
+indices sample_indices draws) straight into their sums over a packed table.
+No stream lists a block or a C_l.
 
 Ordering convention (frozen; golden files depend on it): supports are ordered
 lexicographically by their 0/1 indicator vector, and within one support the
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, islice, product, repeat
+from itertools import chain, islice, product
 from math import comb
 from operator import itemgetter
 
@@ -41,10 +42,17 @@ class SignedSupportRow:
     signs: tuple
 
     def dense(self) -> tuple:
-        row = [0] * self.length
-        for i, s in zip(self.support, self.signs):
-            row[i] = s
-        return tuple(row)
+        return dense_parts(self.length, (self.support, self.signs))
+
+
+def dense_parts(d: int, *parts) -> tuple:
+    """The 0/+-1 row of the (support, signs) parts side by side, each d
+    wide: dense_parts(d, e, f) is the block row (e | f)."""
+    row = [0] * (d * len(parts))
+    for offset, (support, signs) in zip(range(0, len(row), d), parts):
+        for i, s in zip(support, signs):
+            row[offset + i] = s
+    return tuple(row)
 
 
 # -- supports in indicator-lex order ----------------------------------------
@@ -138,22 +146,11 @@ def signed_row_count(d: int, l: int) -> int:
 
 
 def iter_signed_rows(d: int, l: int):
-    """All weight-l signed rows of length d in doubly-lexicographic order."""
+    """All weight-l signed rows of length d in doubly-lexicographic order
+    (one _sign_patterns call per support: above the tables, a stream)."""
     return (SignedSupportRow(d, support, signs)
-            for support, signs in iter_parts_from(d, l, 0))
-
-
-def iter_parts_from(d: int, l: int, start: int):
-    """The (support, signs) pairs of iter_signed_rows(d, l) from position
-    start on (nothing past its end), after one unrank_support."""
-    if not 0 <= l <= d:
-        return
-    support_rank, bits = divmod(start, 1 << l)
-    supports = _supports_from(d, l, support_rank)
-    for support in islice(supports, 1):      # from pattern `bits` on
-        yield from zip(repeat(support), islice(_sign_patterns(l), bits, None))
-    for support in supports:
-        yield from zip(repeat(support), _sign_patterns(l))
+            for support in iter_supports(d, l)
+            for signs in _sign_patterns(l))
 
 
 def unrank_part(d: int, l: int, r: int) -> tuple:
@@ -250,20 +247,13 @@ class BlockStream:
             for right in iter_signed_rows(self.d, self.k - self.l):
                 yield left, right
 
-    def row(self, index: int) -> tuple:
-        """Random access by row index, consistent with iteration order."""
-        if not 0 <= index < self.count:
-            raise ValueError(f"row index {index} out of range ({self.count})")
-        i, j = divmod(index, signed_row_count(self.d, self.k - self.l))
-        left = unrank_part(self.d, self.l, i)
-        right = unrank_part(self.d, self.k - self.l, j)
-        return SignedSupportRow(self.d, *left), SignedSupportRow(self.d, *right)
 
-    def __repr__(self) -> str:
-        return (
-            f"BlockStream(d={self.d}, k={self.k}, l={self.l}, "
-            f"count={self.count})"
-        )
+def block_row_parts(d: int, k: int, l: int, index: int) -> tuple:
+    """The (support, signs) parts (left, right) of row index of block l:
+    left part index // n(k-l) and right part index % n(k-l)."""
+    rights = signed_row_count(d, k - l)
+    return (unrank_part(d, l, index // rights),
+            unrank_part(d, k - l, index % rights))
 
 
 def block_rows(d: int, k: int, l: int) -> BlockStream:

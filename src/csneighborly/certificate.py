@@ -80,8 +80,8 @@ from functools import partial
 from itertools import chain, compress, groupby, islice
 from operator import add, itemgetter
 
-from .blocks import (SignedSupportRow, block_row_count, part_sums,
-                     sample_indices, signed_row_count)
+from .blocks import (block_row_count, block_row_parts, dense_parts,
+                     part_sums, sample_indices, signed_row_count)
 from .construction import Construction, cs_transform_defect
 from .hadamard import HadamardMatrix
 from .sweep import ordered_map
@@ -149,51 +149,47 @@ class CombinationCertificate:
             raise ValueError("combination does not re-sum to its target row")
 
 
-def expand_combination(
-    con: Construction, left: SignedSupportRow, right: SignedSupportRow
-) -> CombinationCertificate:
-    """Expand one block row into its explicit combination certificate.
+def expand_combination(con: Construction, l: int,
+                       index: int) -> CombinationCertificate:
+    """Expand row index of block l, (e | f), into its combination certificate.
 
-    Each support index i of the right part contributes the two cube vertices
-    (tau_i v_i | +-1) with weight beta/2; each support index j of the left
-    part contributes (+-1 | sigma_j w_j) with weight alpha/2.  The resulting
+    The parts e (weight l) and f (weight k-l) come from
+    blocks.block_row_parts.  Each support index i of f contributes the two
+    cube vertices (tau_i v_i | +-1) with weight beta/2; each support index j
+    of e contributes (+-1 | sigma_j w_j) with weight alpha/2.  The resulting
     certificate is verified by exact re-summation before it is returned.
+    Raises ValueError for l outside 0..k or an index outside the block.
     """
     d, k = con.d, con.k
-    if left.length != d or right.length != d:
-        raise ValueError("row widths do not match the construction")
-    l, r = len(left.support), len(right.support)
-    if l + r != k:
-        raise ValueError(f"row weights {l}+{r} do not sum to k={k}")
-    for row in (left, right):
-        if any(s not in (1, -1) for s in row.signs):
-            raise ValueError("row signs must be +-1")
-        if len(set(row.support) & set(range(row.length))) < len(row.support):
-            raise ValueError(f"support {row.support} must hold distinct "
-                             f"indices in 0..{row.length - 1}")
+    if not 0 <= l <= k:
+        raise ValueError(f"block index l={l} outside 0..{k}")
+    count = block_row_count(d, k, l)
+    if not 0 <= index < count:
+        raise ValueError(f"row index {index} out of range ({count})")
+    left, right = block_row_parts(d, k, l, index)
     alpha, beta = con.params.alpha, con.params.beta
     h = con.hadamard
     ones = (1,) * d
     neg_ones = (-1,) * d
 
     mu_terms = []
-    for i, s in zip(right.support, right.signs):
+    for i, s in zip(*right):
         col = tuple(s * x for x in h.columns[i])
         mu_terms.append((beta / 2, col + ones))
         mu_terms.append((beta / 2, col + neg_ones))
-    for j, s in zip(left.support, left.signs):
+    for j, s in zip(*left):
         row = tuple(s * x for x in h.signs[j])
         mu_terms.append((alpha / 2, ones + row))
         mu_terms.append((alpha / 2, neg_ones + row))
 
     # the multipliers are e plus the first d entries of sum mu*delta, and
     # the slack is 1 - 2*sum mu
-    e, f = left.dense(), right.dense()
+    target = dense_parts(d, left, right)
     shift = [sum((mu * delta[j] for mu, delta in mu_terms), Fraction(0))
              for j in range(d)]
     cert = CombinationCertificate(
-        block=l, target=(Fraction(1),) + e + f, mu_terms=tuple(mu_terms),
-        nus=tuple(map(add, e, shift)),
+        block=l, target=(Fraction(1),) + target, mu_terms=tuple(mu_terms),
+        nus=tuple(map(add, target[:d], shift)),
         eps=1 - 2 * sum((mu for mu, _ in mu_terms), Fraction(0)))
     minus = -alpha                               # A = alpha*H, by its signs
     cert.verify([[alpha if s > 0 else minus for s in row] for row in h.signs])

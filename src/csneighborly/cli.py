@@ -1,4 +1,4 @@
-"""Command-line interface and all on-disk formats.
+"""Command-line interface and the on-disk formats it writes.
 
 Commands:
 
@@ -27,7 +27,6 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from . import certificate, construction, oracle
-from .blocks import block_rows
 from .hadamard import load_hadamard, row_profile, sylvester
 from .sweep import ordered_map
 
@@ -39,25 +38,6 @@ def frac_str(x) -> str:
     return str(Fraction(x))
 
 
-def _exact_token(tok) -> Fraction:
-    """An int or 'p/q' coordinate; anything else raises ValueError."""
-    try:
-        if type(tok) in (str, int):
-            return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise ValueError(f"coordinate {tok!r} is not an exact number")
-
-
-def _parse_points_tokens(tokens, width):
-    points = []
-    for line in tokens:
-        if len(line) != width:
-            raise ValueError(f"vertex line has {len(line)} fields, expected {width}")
-        points.append(tuple(_exact_token(tok) for tok in line))
-    return points
-
-
 def write_ext(points, dim, fh) -> None:
     """cdd-style V-representation: homogenizing 1 plus exact coordinates."""
     fh.write("V-representation\n")
@@ -66,30 +46,6 @@ def write_ext(points, dim, fh) -> None:
     for p in points:
         fh.write(" 1 " + " ".join(frac_str(c) for c in p) + "\n")
     fh.write("end\n")
-
-
-def parse_ext(text: str):
-    """Parse write_ext's vertex file; malformed text raises ValueError."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "V-representation":
-        raise ValueError("missing V-representation header")
-    if lines[1:2] != ["begin"]:
-        raise ValueError("missing begin line")
-    size = lines[2].split() if len(lines) > 2 else []
-    if len(size) != 3:
-        raise ValueError("missing size line 'count width rational'")
-    count_s, width_s, kind = size
-    if kind != "rational":
-        raise ValueError(f"unsupported number type {kind!r}")
-    count, width = int(count_s), int(width_s)
-    body = lines[3 : 3 + count]
-    if len(body) != count or lines[3 + count : 4 + count] != ["end"]:
-        raise ValueError("vertex count does not match body")
-    points = _parse_points_tokens([ln.split() for ln in body], width)
-    for p in points:
-        if p[0] != 1:
-            raise ValueError("vertex lines must start with 1")
-    return [p[1:] for p in points]
 
 
 def write_vertices_json(con, points, fh) -> None:
@@ -105,18 +61,6 @@ def write_vertices_json(con, points, fh) -> None:
     }
     json.dump(doc, fh, indent=2, sort_keys=True)
     fh.write("\n")
-
-
-def parse_vertices_json(text: str):
-    """Parse write_vertices_json's document; malformed text raises ValueError."""
-    doc = json.loads(text)
-    if type(doc) is not dict or (doc.get("schema"), doc.get("kind")) != (
-            SCHEMA, "vertices"):
-        raise ValueError("not a vertices document")
-    points = doc.get("points")
-    if type(points) is not list or any(type(p) is not list for p in points):
-        raise ValueError("points must be a list of coordinate lists")
-    return [tuple(_exact_token(tok) for tok in p) for p in points]
 
 
 # -- report plumbing -----------------------------------------------------------
@@ -286,8 +230,7 @@ def _dump_certificates(con, report, args) -> None:
 
 def _certificate_doc(con, task) -> dict:
     l, index = task
-    left, right = block_rows(con.d, con.k, l).row(index)
-    cert = certificate.expand_combination(con, left, right)
+    cert = certificate.expand_combination(con, l, index)
     return {
         "block": cert.block,
         "row": index,

@@ -50,16 +50,11 @@ class ConstructionParams:
             raise ValueError("alpha and beta must be positive")
         if self.beta != Fraction(1) / (self.alpha * self.d):
             raise ValueError("beta must equal 1/(alpha*d)")
+        # the window 2k/d <= alpha <= 1/(2k), as beta = 1/(alpha*d)
         if self.alpha * self.k > Fraction(1, 2):
             raise ValueError(f"alpha*k = {self.alpha * self.k} exceeds 1/2")
         if self.beta * self.k > Fraction(1, 2):
             raise ValueError(f"beta*k = {self.beta * self.k} exceeds 1/2")
-        # window 2k/d <= alpha <= 1/(2k); both ends coincide when d = 4k^2
-        if not Fraction(2 * self.k, self.d) <= self.alpha <= Fraction(1, 2 * self.k):
-            raise ValueError(
-                f"alpha = {self.alpha} outside the window "
-                f"[{Fraction(2 * self.k, self.d)}, {Fraction(1, 2 * self.k)}]"
-            )
 
 
 def neighborliness_target(d: int) -> int:

@@ -44,8 +44,9 @@ from itertools import chain, combinations, product
 from math import comb, lcm
 from operator import index as as_index, lshift
 
-from .blocks import (_signs_from_bits, block_row_count, block_rows,
-                     sample_indices, total_row_count, unrank_support)
+from .blocks import (_signs_from_bits, block_row_count, block_row_parts,
+                     dense_parts, sample_indices, total_row_count,
+                     unrank_support)
 from .construction import Construction
 from .exact import as_scalar
 from .sampling import draws
@@ -308,25 +309,19 @@ def membership_margin(con: Construction, point) -> tuple:
     solved in u' = p*u: |u'_i| <= p and |h_j.u' + q b_j sigma| <= q, rows
     scaled by the lcm of w's denominators, and y = u'/(p*sigma) - w_{1..d}.
     """
+    if len(point) != con.m:
+        raise ValueError(f"point must have length {con.m}")
+    w = [v if type(v) is int else as_scalar(v) for v in point]
     columns = _PackedColumns(con)
-    w = _exact_point(con, point)
     margin, result = _margin(columns, w)
     d = con.d
     p_sigma = columns.p * result.x[d]
     return margin, tuple(u / p_sigma - v for u, v in zip(result.x[:d], w))
 
 
-def _exact_point(con: Construction, point) -> list:
-    """point's entries as exact scalars, ints left as they are (the sweeps'
-    points are ints); ValueError unless it has length m."""
-    if len(point) != con.m:
-        raise ValueError(f"point must have length {con.m}")
-    return [v if type(v) is int else as_scalar(v) for v in point]
-
-
 def _margin(columns: _PackedColumns, w) -> tuple:
-    """(membership margin, LP result) of the exact point w, its rows packed
-    from the sweep's columns of H."""
+    """(membership margin, LP result) of the point w (ints or Fractions),
+    its rows packed from the sweep's columns of H."""
     d, p, q, cols = columns.d, columns.p, columns.q, columns.columns
     scale = lcm(*(v.denominator for v in w))
     ints = [v.numerator * (scale // v.denominator) for v in w]
@@ -383,10 +378,7 @@ def _dominance(columns: _PackedColumns, indices) -> DominanceReport:
     pattern_margins = []
     best = None
     for signs in product((1, -1), repeat=size):
-        point = [0] * con.m
-        for i, s in zip(indices, signs):
-            point[i] = s
-        margin, _ = _margin(columns, _exact_point(con, point))
+        margin, _ = _margin(columns, dense_parts(con.m, (indices, signs)))
         pattern_margins.append((signs, margin))
         if best is None or margin < best:
             best = margin
@@ -496,8 +488,8 @@ def projection_containment(
 
     Containment of the projected section in the projected cube holds iff the
     minimum margin is >= 0.  Sample mode draws `samples` rows from each
-    block (blocks.sample_indices); each vertex is built from its row as the
-    sweep reaches it.
+    block (blocks.sample_indices); each vertex is unranked from its
+    (block, row index) as the sweep reaches it.
     """
     k = con.k if k is None else k
     d = con.d
@@ -510,9 +502,8 @@ def projection_containment(
         ((l, index) for l in blocks
          for index in sample_indices(d, k, l, samples, seed)),
         seed)
-    streams = tuple(block_rows(d, k, l) for l in blocks)
-    margins = ordered_map(_vertex_margin, (_PackedColumns(con), streams),
-                          tasks, jobs)
+    margins = ordered_map(_vertex_margin, (_PackedColumns(con), k), tasks,
+                          jobs)
 
     best = None
     best_at = None
@@ -532,10 +523,8 @@ def projection_containment(
 
 
 def _vertex_margin(context, task):
-    """Membership margin of the vertex at task = (l, row index), its row
-    read from block l's stream in context = (packed columns, streams)."""
-    columns, streams = context
-    l, index = task
-    left, right = streams[l].row(index)
-    point = _exact_point(columns.con, left.dense() + right.dense())
+    """Membership margin of the vertex at task = (l, row index) of the
+    weight-k section; context = (packed columns, k), k the sweep's."""
+    columns, k = context
+    point = dense_parts(columns.d, *block_row_parts(columns.d, k, *task))
     return _margin(columns, point)[0]

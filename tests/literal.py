@@ -9,19 +9,25 @@ It solves its LPs on a dictionary of packed integer rows, and certifies
 each optimum from the integer reduced costs.  These slow, obvious versions
 (a Fraction simplex dictionary and a Fraction dual check among them) are
 what the tests check those shortcuts against, together with the dense
-matrices (C_l, T) and the signed vertex list that only the tests form.
+matrices (C_l, T) and the signed vertex list that only the tests form.  The
+package writes vertex files and reads none: their parsers are here, where
+the tests read `generate`'s output back.
 """
 
+import json
 from fractions import Fraction as F
 from math import comb
 
-from csneighborly.blocks import block_row_count, block_rows, iter_signed_rows
+from csneighborly.blocks import (SignedSupportRow, block_row_count,
+                                 iter_signed_rows, signed_row_count,
+                                 unrank_part)
 from csneighborly.certificate import (
     BlockConditionReport,
     ConditionsReport,
     StructuralReport,
     block_sweep_tasks,
 )
+from csneighborly.cli import SCHEMA
 from csneighborly.simplex import LpResult
 
 HALF = F(1, 2)
@@ -94,6 +100,14 @@ def signed_support_matrix(d, l):
     """The n(l) x d matrix C_l of weight-l signed rows, as dense integer
     rows in stream order."""
     return tuple(row.dense() for row in iter_signed_rows(d, l))
+
+
+def block_row(d, k, l, index):
+    """Row index of block l as a pair of SignedSupportRows, each part
+    unranked on its own: left index // n(k-l), right index % n(k-l)."""
+    rights = signed_row_count(d, k - l)
+    return (SignedSupportRow(d, *unrank_part(d, l, index // rights)),
+            SignedSupportRow(d, *unrank_part(d, k - l, index % rights)))
 
 
 def alpha_matrix(con):
@@ -262,11 +276,10 @@ def literal_conditions(con, mode="auto", row_cap=1_000_000,
         if mode == "exhaustive" and total > row_cap:
             raise ValueError(f"block l={l} has {total} rows, above the cap")
         sampled = mode == "sample" or (mode == "auto" and total > row_cap)
-        stream = block_rows(d, k, l)
         checked, max_left, max_right = 0, F(0), F(0)
         flags, failure = (True, True, True), None
         for _, index in block_sweep_tasks(d, k, l, sampled, sample_rows, seed):
-            left, right = stream.row(index)
+            left, right = block_row(d, k, l, index)
             *row_flags, musum, _, m_row, n_row = literal_row_check(
                 con, left, right)
             checked += 1
@@ -433,3 +446,64 @@ def literal_dual_failures(objective, rows, bounds, multipliers, optimum):
     elif sum((y * bound for y, bound in chosen), F(0)) != optimum:
         failures.append("tight")
     return failures
+
+
+# -- the vertex files that `generate` writes ----------------------------------
+
+
+def _exact_token(tok):
+    """An int or 'p/q' coordinate; anything else raises ValueError."""
+    try:
+        if type(tok) in (str, int):
+            return F(tok)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"coordinate {tok!r} is not an exact number")
+
+
+def _parse_points_tokens(tokens, width):
+    points = []
+    for line in tokens:
+        if len(line) != width:
+            raise ValueError(
+                f"vertex line has {len(line)} fields, expected {width}")
+        points.append(tuple(_exact_token(tok) for tok in line))
+    return points
+
+
+def parse_ext(text):
+    """Parse a cdd-style V-representation written by `generate --format
+    ext`; malformed text raises ValueError."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != "V-representation":
+        raise ValueError("missing V-representation header")
+    if lines[1:2] != ["begin"]:
+        raise ValueError("missing begin line")
+    size = lines[2].split() if len(lines) > 2 else []
+    if len(size) != 3:
+        raise ValueError("missing size line 'count width rational'")
+    count_s, width_s, kind = size
+    if kind != "rational":
+        raise ValueError(f"unsupported number type {kind!r}")
+    count, width = int(count_s), int(width_s)
+    body = lines[3 : 3 + count]
+    if len(body) != count or lines[3 + count : 4 + count] != ["end"]:
+        raise ValueError("vertex count does not match body")
+    points = _parse_points_tokens([ln.split() for ln in body], width)
+    for p in points:
+        if p[0] != 1:
+            raise ValueError("vertex lines must start with 1")
+    return [p[1:] for p in points]
+
+
+def parse_vertices_json(text):
+    """Parse the document `generate --format json` writes; malformed text
+    raises ValueError."""
+    doc = json.loads(text)
+    if type(doc) is not dict or (doc.get("schema"), doc.get("kind")) != (
+            SCHEMA, "vertices"):
+        raise ValueError("not a vertices document")
+    points = doc.get("points")
+    if type(points) is not list or any(type(p) is not list for p in points):
+        raise ValueError("points must be a list of coordinate lists")
+    return [tuple(_exact_token(tok) for tok in p) for p in points]

@@ -27,9 +27,10 @@ from csneighborly import (
     verify_conditions,
     verify_k_neighborly,
 )
-from csneighborly.cli import main, parse_ext, parse_vertices_json
+from csneighborly.cli import main
 from csneighborly.oracle import is_face
 from csneighborly.simplex import lp_max
+from literal import parse_ext, parse_vertices_json
 
 HALF = F(1, 2)
 

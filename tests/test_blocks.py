@@ -14,7 +14,7 @@ from csneighborly import (
 from csneighborly import blocks
 from csneighborly.blocks import (
     SignedSupportRow,
-    iter_parts_from,
+    dense_parts,
     iter_signed_rows,
     iter_supports,
     sample_indices,
@@ -106,28 +106,32 @@ class TestSignedRows:
 
     @pytest.mark.parametrize("d,l", [(6, 3), (14, 13), (16, 0)])
     def test_parts_agree_with_rows(self, d, l):
-        # (14, 13) has weight above the sign-pattern tables
-        count = signed_row_count(d, l)
-        for start in {0, 5 % count, count - 1}:
-            rows = list(islice(iter_signed_rows(d, l), start, start + 40))
-            parts = list(islice(iter_parts_from(d, l, start), 40))
-            assert parts == [(row.support, row.signs) for row in rows]
-            assert parts == [unrank_part(d, l, r)
-                             for r in range(start, start + len(parts))]
+        # (14, 13) has weight above the sign-pattern tables: the stream runs
+        # product((1, -1)) once per support, and unrank_part reads the bits;
+        # the window runs across the first support boundary
+        per_support = 1 << l
+        start = max(0, per_support - 20)
+        rows = islice(iter_signed_rows(d, l), start, start + 40)
+        parts = [(row.support, row.signs) for row in rows]
+        assert parts == [unrank_part(d, l, r)
+                         for r in range(start, start + len(parts))]
+        assert len(parts) == min(40, signed_row_count(d, l) - start)
 
-    @pytest.mark.parametrize("l", [13, 14])
-    def test_streamed_patterns_from_inside_a_support(self, l):
-        # above the sign-pattern tables the stream runs product((1, -1))
-        # and unrank_part reads the bits: starts in the middle of a support,
-        # and runs across the boundary into the next one
-        d, per_support = 16, 1 << l
-        for support_rank in (0, 3, comb(d, l) - 2):
-            first = support_rank * per_support
-            for start in (first + 1, first + per_support // 3 + 7,
-                          first + per_support - 20):
-                parts = list(islice(iter_parts_from(d, l, start), 40))
-                assert parts == [unrank_part(d, l, r)
-                                 for r in range(start, start + 40)]
+
+class TestDenseParts:
+    def test_parts_side_by_side(self):
+        assert dense_parts(4, ((3,), (-1,)), ((0, 2), (1, -1))) == (
+            0, 0, 0, -1, 1, 0, -1, 0)
+        assert dense_parts(3, ((), ())) == (0, 0, 0)
+        assert dense_parts(3) == ()
+
+    def test_matches_signed_support_rows(self):
+        for d, l in ((5, 2), (4, 4), (6, 0)):
+            for row in iter_signed_rows(d, l):
+                dense = row.dense()
+                assert dense_parts(d, (row.support, row.signs)) == dense
+                assert dense_parts(d, (row.support, row.signs),
+                                   ((), ())) == dense + (0,) * d
 
 
 class TestSignedSupportMatrix:
@@ -222,9 +226,14 @@ class TestBlockStreams:
         assert len(seen) == total_row_count(4, 2)
 
     def test_unrank_agrees_with_stream(self):
-        stream = block_rows(4, 2, 1)
-        for i, row in enumerate(stream):
-            assert stream.row(i) == row
+        # row i*R + j of a block is (left part i | right part j), R = n(k-l)
+        for d, k, l in ((4, 2, 1), (5, 3, 2), (4, 3, 0)):
+            rights = signed_row_count(d, k - l)
+            for index, (e, f) in enumerate(block_rows(d, k, l)):
+                assert (e.support, e.signs) == unrank_part(
+                    d, l, index // rights)
+                assert (f.support, f.signs) == unrank_part(
+                    d, k - l, index % rights)
 
     def test_sample_deterministic(self):
         a = list(sample_indices(16, 2, 1, 50, seed=0))
@@ -253,13 +262,6 @@ class TestBlockStreams:
     def test_block_index_outside_range_rejected(self, l):
         with pytest.raises(ValueError, match=f"l={l} outside 0..2"):
             block_rows(4, 2, l)
-
-    @pytest.mark.parametrize("index", [-1, 64])
-    def test_row_index_out_of_range_rejected(self, index):
-        stream = block_rows(4, 2, 1)
-        assert stream.count == 64
-        with pytest.raises(ValueError, match="out of range \\(64\\)"):
-            stream.row(index)
 
 
 class TestOrthogonality:

@@ -12,8 +12,9 @@ from csneighborly import (
     sylvester,
     verify_conditions,
 )
-from csneighborly.blocks import (SignedSupportRow, part_sums, sample_indices,
-                                 signed_row_count, unrank_part)
+from csneighborly.blocks import (SignedSupportRow, block_row_count,
+                                 part_sums, sample_indices, signed_row_count,
+                                 unrank_part)
 from csneighborly.certificate import (
     _left_halves,
     _packed_tables,
@@ -24,6 +25,7 @@ from csneighborly.hadamard import HadamardMatrix
 from literal import (
     HALF,
     alpha_matrix,
+    block_row,
     literal_conditions,
     literal_halves,
     literal_part_sum,
@@ -63,8 +65,7 @@ def assert_halves_match_literal(con, left, right):
 
 def sampled_rows(d, k, l, count, seed):
     """The (left, right) rows of block l at its drawn sample indices."""
-    stream = block_rows(d, k, l)
-    return (stream.row(index)
+    return (block_row(d, k, l, index)
             for index in sample_indices(d, k, l, count, seed))
 
 
@@ -512,21 +513,25 @@ class TestVerifyConditions:
 
 
 class TestExpandCombination:
+    """Certificates of block rows named by (block l, row index)."""
+
     def test_d4_left_singleton(self):
+        # row 0 of block 1 is (e_3 | 0): two weight-alpha/2 terms
         con = build(sylvester(2))
-        left = SignedSupportRow(4, (0,), (1,))
-        right = SignedSupportRow(4, (), ())
-        cert = expand_combination(con, left, right)
+        cert = expand_combination(con, 1, 0)
+        assert cert.block == 1
+        assert cert.target == (1, 0, 0, 0, 1, 0, 0, 0, 0)
         assert len(cert.mu_terms) == 2
         assert all(mu == F(1, 4) for mu, _ in cert.mu_terms)
         assert cert.coefficient_sum == HALF
         assert cert.eps == 0
 
     def test_d4_right_singleton(self):
+        # row 5 of block 0 is (0 | -e_1): two weight-beta/2 terms
         con = build(sylvester(2))
-        left = SignedSupportRow(4, (), ())
-        right = SignedSupportRow(4, (2,), (-1,))
-        cert = expand_combination(con, left, right)
+        cert = expand_combination(con, 0, 5)
+        assert cert.block == 0
+        assert cert.target == (1, 0, 0, 0, 0, 0, -1, 0, 0)
         assert len(cert.mu_terms) == 2
         assert all(mu == F(1, 4) for mu, _ in cert.mu_terms)
         assert cert.coefficient_sum == HALF
@@ -535,40 +540,32 @@ class TestExpandCombination:
     def test_d8_l1_row(self):
         # alpha = 1/2: the two weight-alpha/2 terms sum to 1/2, eps = 0
         con = build(sylvester(3))
-        left = SignedSupportRow(8, (5,), (1,))
-        right = SignedSupportRow(8, (), ())
-        cert = expand_combination(con, left, right)
+        cert = expand_combination(con, 1, 4)          # (e_5 | 0)
+        assert cert.target[1:9] == (0, 0, 0, 0, 0, 1, 0, 0)
         assert cert.coefficient_sum == HALF
         assert cert.eps == 0
 
     def test_d8_l0_row(self):
         # beta = 1/4: two weight-1/8 terms, eps = 1/2
         con = build(sylvester(3))
-        left = SignedSupportRow(8, (), ())
-        right = SignedSupportRow(8, (3,), (1,))
-        cert = expand_combination(con, left, right)
+        cert = expand_combination(con, 0, 8)          # (0 | e_3)
+        assert cert.target[9:] == (0, 0, 0, 1, 0, 0, 0, 0)
         assert cert.coefficient_sum == F(1, 4)
         assert cert.eps == HALF
 
-    def test_rejects_wrong_weight(self):
-        con = build(sylvester(2))
-        with pytest.raises(ValueError, match="sum to k"):
-            expand_combination(
-                con,
-                SignedSupportRow(4, (0, 1), (1, 1)),
-                SignedSupportRow(4, (), ()),
-            )
+    @pytest.mark.parametrize("l", [-1, 2, 5])
+    def test_rejects_block_outside_range(self, l):
+        con = build(sylvester(3))                     # k = 1
+        with pytest.raises(ValueError, match=f"l={l} outside 0..1"):
+            expand_combination(con, l, 0)
 
-    @pytest.mark.parametrize("e, support", [
-        (2, (-1,)),        # would wrap around to index 3
-        (2, (9,)),         # past the last column of H
-        (4, (1, 1)),       # one index twice
-    ])
-    def test_rejects_bad_support(self, e, support):
-        con = build(sylvester(e))
-        left = SignedSupportRow(con.d, support, (1,) * len(support))
-        with pytest.raises(ValueError, match="distinct indices"):
-            expand_combination(con, left, SignedSupportRow(con.d, (), ()))
+    @pytest.mark.parametrize("l, index", [(0, -1), (0, 16), (1, 16), (2, 480)])
+    def test_rejects_index_outside_block(self, l, index):
+        con = build(sylvester(4)) if l == 2 else build(sylvester(3))
+        count = block_row_count(con.d, con.k, l)
+        assert index in (-1, count)
+        with pytest.raises(ValueError, match=f"out of range \\({count}\\)"):
+            expand_combination(con, l, index)
 
     def test_every_certificate_reverifies(self):
         # sylvester(3) with row 1 negated is not symmetric: A must be alpha*H,
@@ -581,36 +578,30 @@ class TestExpandCombination:
             con = build(h)
             a = alpha_matrix(con)
             for l in range(con.k + 1):
-                for left, right in block_rows(con.d, con.k, l):
-                    cert = expand_combination(con, left, right)
+                for index in range(block_row_count(con.d, con.k, l)):
+                    cert = expand_combination(con, l, index)
                     cert.verify(a)  # must not raise
                     assert cert.coefficient_sum <= HALF
 
-    def test_rejects_wrong_width(self):
-        con = build(sylvester(2))
-        with pytest.raises(ValueError, match="row widths"):
-            expand_combination(
-                con,
-                SignedSupportRow(8, (0,), (1,)),
-                SignedSupportRow(4, (), ()),
-            )
-
-    def test_rejects_non_unit_sign(self):
-        con = build(sylvester(2))
-        with pytest.raises(ValueError, match="row signs must be"):
-            expand_combination(
-                con,
-                SignedSupportRow(4, (), ()),
-                SignedSupportRow(4, (1,), (2,)),
-            )
+    def test_targets_follow_the_block_stream_d8(self):
+        # (l, index) names the index-th row that block_rows streams; the
+        # containment sweep's points are checked the same way in
+        # test_oracle.py
+        con = build(sylvester(3))
+        for l in range(con.k + 1):
+            stream = block_rows(con.d, con.k, l)
+            for index, (left, right) in enumerate(stream):
+                cert = expand_combination(con, l, index)
+                assert cert.block == l
+                assert cert.target == (1,) + left.dense() + right.dense()
+            assert index + 1 == block_row_count(con.d, con.k, l)
 
 
 def d4_certificate():
-    """The certificate of the d = 4 row (e_0 | 0): two weight-1/4 terms."""
+    """The certificate of the d = 4 row (e_3 | 0), row 0 of block 1: two
+    weight-1/4 terms."""
     con = build(sylvester(2))
-    cert = expand_combination(con, SignedSupportRow(4, (0,), (1,)),
-                              SignedSupportRow(4, (), ()))
-    return con, cert
+    return con, expand_combination(con, 1, 0)
 
 
 def _flip_first_delta(cert, delta):

@@ -1,11 +1,13 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
-from csneighborly import build, save_hadamard, sylvester
-from csneighborly.cli import main, parse_ext, parse_vertices_json
+from csneighborly import block_rows, build, save_hadamard, sylvester
+from csneighborly.cli import main
+from literal import parse_ext, parse_vertices_json
 
 
 def run(capsys, *argv):
@@ -55,28 +57,6 @@ class TestGenerate:
             expected = [con.vertex_representative(i, 1) for i in range(16)]
             expected += [con.vertex_representative(i, -1) for i in range(16)]
             assert parse(out) == expected
-
-    @pytest.mark.parametrize("parse,text", [
-        (parse_ext, ""),
-        (parse_ext, "V-representation"),
-        (parse_ext, "V-representation\nbegin"),
-        (parse_ext, "V-representation\nbegin\n 1 3\nend"),
-        (parse_ext, "V-representation\nbegin\n x 3 rational\n 1 0 0\nend"),
-        (parse_ext, "V-representation\nbegin\n 1 3 rational\n 1 0 0"),
-        (parse_ext, "V-representation\nbegin\n 1 3 rational\n 1 0 1/0\nend"),
-        (parse_ext, "V-representation\nbegin\n 1 3 rational\n 2 0 0\nend"),
-        (parse_vertices_json, "[]"),
-        (parse_vertices_json, "not json"),
-        (parse_vertices_json, '{"schema": 1, "kind": "vertices"}'),
-        (parse_vertices_json, '{"schema": 1, "kind": "vertices", "points": 5}'),
-        (parse_vertices_json,
-         '{"schema": 1, "kind": "vertices", "points": [[0.5]]}'),
-        (parse_vertices_json,
-         '{"schema": 1, "kind": "vertices", "points": [["1/0"]]}'),
-    ])
-    def test_malformed_vertex_text_raises_value_error(self, parse, text):
-        with pytest.raises(ValueError, match=r"\w"):
-            parse(text)
 
     def test_no_hadamard_source(self, capsys):
         code, _, err = run(capsys, "generate", "--d", "6")
@@ -146,6 +126,24 @@ class TestCertify:
             # the sweep checks the first and the last row, then the draws
             assert len(rows) == block["rows_checked"] == 7
             assert rows[:2] == [0, block["rows_total"] - 1]
+
+    def test_emit_certificates_targets_are_the_named_rows(self, capsys,
+                                                           tmp_path):
+        # each item's (block, row) names the row that block_rows streams at
+        # that index, and its target is (1, e | f) of that row
+        path = tmp_path / "certs.json"
+        code, _, _ = run(
+            capsys, "certify", "--d", "16", "--sample", "5", "--seed", "3",
+            "--emit-certificates", str(path),
+        )
+        assert code == 0
+        items = json.loads(path.read_text())["items"]
+        assert len(items) == 21
+        for item in items:
+            e, f = next(islice(block_rows(16, 2, item["block"]), item["row"],
+                               None))
+            assert [F(v) for v in item["target"]] == [1, *e.dense(),
+                                                      *f.dense()]
 
     def test_sampled_run(self, capsys):
         code, out, _ = run(

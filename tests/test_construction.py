@@ -63,6 +63,19 @@ class TestParameters:
             assert p.alpha * p.k <= F(1, 2)
             assert p.beta * p.k <= F(1, 2)
 
+    @pytest.mark.parametrize("d", [8, 16, 32, 64])
+    def test_window_ends_are_the_two_bounds(self, d):
+        # beta = 1/(alpha*d), so alpha*k <= 1/2 is the window's top end
+        # 1/(2k) and beta*k <= 1/2 its bottom end 2k/d
+        k = parameters(d).k
+        low, high = F(2 * k, d), F(1, 2 * k)
+        assert parameters(d, alpha=low).beta * k == F(1, 2)
+        assert parameters(d, alpha=high).alpha * k == F(1, 2)
+        with pytest.raises(ValueError, match=r"alpha\*k = .* exceeds 1/2"):
+            parameters(d, alpha=high + F(1, 1000))
+        with pytest.raises(ValueError, match=r"beta\*k = .* exceeds 1/2"):
+            parameters(d, alpha=low - F(1, 1000))
+
     def test_alpha_override(self):
         # d = 8 has a proper window [1/4, 1/2]; at d = 4k^2 it degenerates
         p = parameters(8, alpha=F(1, 3))

@@ -3,11 +3,13 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
 from csneighborly import (
     FaceReport,
+    block_rows,
     build,
     dominant_subset_sweep,
     is_dominant,
@@ -441,6 +443,40 @@ class TestContainment:
         rep = projection_containment(con16, 2, mode="sample", samples=15, seed=2)
         assert rep.vertices_checked == 45  # 15 per block
         assert rep.seed == 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_points_follow_the_block_stream_d8(self, con8, k, monkeypatch):
+        # the sweep's k sizes the blocks, not con.k (1 at d = 8): the point
+        # of task (l, index) is the index-th row block_rows(8, k, l) streams
+        points = []
+        real_margin = oracle._margin
+
+        def recording_margin(columns, w):
+            points.append(tuple(w))
+            return real_margin(columns, w)
+
+        monkeypatch.setattr(oracle, "_margin", recording_margin)
+        rep = projection_containment(con8, k)
+        streamed = [e.dense() + f.dense() for l in range(k + 1)
+                    for e, f in block_rows(8, k, l)]
+        assert points == streamed
+        assert rep.vertices_checked == len(streamed) == (1 << k) * (
+            16 if k == 1 else 120)
+
+    def test_min_at_names_a_least_margin_vertex_d8(self, con8):
+        rep = projection_containment(con8, 2)
+        l, index = rep.min_at
+        e, f = next(islice(block_rows(8, 2, l), index, None))
+        margin, _ = membership_margin(con8, e.dense() + f.dense())
+        assert margin == rep.min_margin
+
+    def test_sampled_min_at_names_a_least_margin_vertex_d16(self, con16):
+        rep = projection_containment(con16, 2, mode="sample", samples=6,
+                                     seed=4)
+        l, index = rep.min_at
+        e, f = next(islice(block_rows(16, 2, l), index, None))
+        margin, _ = membership_margin(con16, e.dense() + f.dense())
+        assert margin == rep.min_margin
 
     def test_agreement_d8(self, con8):
         faces = verify_k_neighborly(con8, 1)
