@@ -125,42 +125,24 @@ def _signs_from_bits(l: int, bits: int) -> tuple:
     return tuple(-1 if (bits >> (l - 1 - i)) & 1 else 1 for i in range(l))
 
 
-def _sign_patterns(l: int):
-    """The 2^l sign patterns of weight l in order: a table indexed by their
-    bits, kept per weight up to _SIGN_TABLE_WEIGHT, a stream above it."""
-    if l > _SIGN_TABLE_WEIGHT:
-        return product((1, -1), repeat=l)
-    table = _SIGN_TABLES.get(l)
-    if table is None:
-        table = _SIGN_TABLES[l] = tuple(product((1, -1), repeat=l))
-    return table
-
-
-_SIGN_TABLE_WEIGHT = 12
-_SIGN_TABLES = {}
-
-
 def signed_row_count(d: int, l: int) -> int:
     """n(l) = 2^l * binom(d, l)."""
     return (1 << l) * comb(d, l)
 
 
 def iter_signed_rows(d: int, l: int):
-    """All weight-l signed rows of length d in doubly-lexicographic order
-    (one _sign_patterns call per support: above the tables, a stream)."""
+    """All weight-l signed rows of length d in doubly-lexicographic order."""
     return (SignedSupportRow(d, support, signs)
             for support in iter_supports(d, l)
-            for signs in _sign_patterns(l))
+            for signs in product((1, -1), repeat=l))
 
 
 def unrank_part(d: int, l: int, r: int) -> tuple:
     """(support, signs) of the row at position r of iter_signed_rows(d, l)."""
     if not 0 <= r < signed_row_count(d, l):
         raise ValueError(f"signed row rank {r} out of range for ({d},{l})")
-    bits = r & ((1 << l) - 1)
-    signs = (_sign_patterns(l)[bits] if l <= _SIGN_TABLE_WEIGHT
-             else _signs_from_bits(l, bits))
-    return unrank_support(d, l, r >> l), signs
+    return (unrank_support(d, l, r >> l),
+            _signs_from_bits(l, r & ((1 << l) - 1)))
 
 
 def part_sums(d: int, l: int, ranks, plus, minus) -> list:
@@ -172,7 +154,8 @@ def part_sums(d: int, l: int, ranks, plus, minus) -> list:
     giving the sums of its 2^l sign patterns at once (_pattern_sums).  Any
     other iterable is unranked rank by rank: the bisections of
     unrank_support find each support index, and its sign is the rank's bit
-    for that position, the most significant first, as in _sign_patterns.
+    for that position, the most significant first, as in
+    product((1, -1), repeat=l).
     """
     total, rows = _comb_table(d, l) if 0 <= l <= d else (0, ())
     count = total << l
@@ -203,7 +186,7 @@ def part_sums(d: int, l: int, ranks, plus, minus) -> list:
 
 
 def _pattern_sums(support, plus, minus) -> list:
-    """The sums of support's 2^l sign patterns in _sign_patterns order: each
+    """The sums of support's 2^l sign patterns in product((1, -1)) order: each
     position splits every sum so far into its + and its - continuation."""
     sums = [0]
     for s in support:

@@ -54,10 +54,13 @@ sum, and the rest is zero exactly when (b) holds.
 
 A half task holds up to HALVES_PER_TASK parts of one side of one block, and
 checks them in one call: part_sums forms their packed sums, and the batch
-kernel _left_halves or _right_halves turns each sum into its result.  Per
-part that is one to_bytes and the byte search's first step, t = w*hbias,
-where most parts stop (_max_abs runs the rest of the search only when it
-misses); parts with the same result share one tuple, built once per call.
+kernel _halves turns each sum into its result.  One kernel serves both
+sides: a left sum has no bits above the low 8d, so its (b) reads true, and
+(a) is 2*num*max <= den with (num, den) = (p, q) on the left and (q, p*d)
+on the right.  Per part that is one to_bytes and the byte search's first
+step, t = w*hbias, where most parts stop (_max_abs runs the rest of the
+search only when it misses); parts with the same result share one tuple,
+built once per call.
 
 verify_conditions packs the tables once per run and hands them, with k, p
 and q, to every half task, in this process or on each pool worker.
@@ -196,7 +199,7 @@ def expand_combination(con: Construction, l: int,
     return cert
 
 
-# -- the half kernels ------------------------------------------------------------
+# -- the half kernel -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -266,46 +269,28 @@ def _max_abs(fields: bytes, off: int) -> int:
             return t
 
 
-def _left_halves(packed, p, q, weight, totals):
-    """One (entry_ok, True, max|n_hat|) per left part of e of the given
-    weight, from its packed sum in totals over packed.lefts, with n_hat = e H
-    and alpha = p/q: e enters condition (a) only.  Parts with the same max
-    share one result."""
+def _halves(packed, num, den, weight, totals):
+    """One (entry_ok, gram_ok, max) per part of the given weight, from its
+    packed sum in totals: (a) as 2*num*max <= den and (b) as f G == d*f, for
+    left parts e (over packed.lefts, (num, den) = (p, q), max|e H|) or right
+    parts f (over packed.rights, (q, p*d), max|f H^T|); a left sum has no
+    bits above H's 8d, so its gram_ok reads True.  Parts with the same max
+    and gram_ok share one result."""
     d, off = packed.d, packed.hbias * weight
-    extreme = off + off
-    known = {}                     # max -> its result
-    out = []
-    for total in totals:
-        fields = total.to_bytes(d, "little")
-        # _max_abs's first step, the largest max: most parts stop there
-        top = (off if extreme in fields or 0 in fields
-               else _max_abs(fields, off))
-        result = known.get(top)
-        if result is None:
-            result = known[top] = (2 * p * top <= q, True, top)
-        out.append(result)
-    return out
-
-
-def _right_halves(packed, p, q, weight, totals):
-    """One (entry_ok, gram_ok, max|m_hat|) per right part of f of the given
-    weight, from its packed sum in totals over packed.rights, with
-    m_hat = f H^T: condition (a), beta*max|m_hat| <= 1/2, and (b),
-    f G == d*f.  Parts with the same max and gram_ok share one result."""
-    d, off = packed.d, packed.hbias * weight
-    extreme, mask, bound = off + off, (1 << 8 * d) - 1, p * d
+    extreme, mask = off + off, (1 << 8 * d) - 1
     known = ({}, {})               # by gram_ok: max -> its result
     out = []
     for total in totals:
         low = total & mask
         fields = low.to_bytes(d, "little")
+        # _max_abs's first step, the largest max: most parts stop there
         top = (off if extreme in fields or 0 in fields
                else _max_abs(fields, off))
         gram_ok = total == low
         results = known[gram_ok]
         result = results.get(top)
         if result is None:
-            result = results[top] = (2 * q * top <= bound, gram_ok, top)
+            result = results[top] = (2 * num * top <= den, gram_ok, top)
         out.append(result)
     return out
 
@@ -404,21 +389,19 @@ class ConditionsReport:
         )
 
 
-def block_sweep_tasks(d: int, k: int, l: int, sampled: bool, sample_rows: int,
-                      seed: int):
-    """The (l, row index) tasks a conditions sweep checks in block l.
+def block_sweep_indices(d: int, k: int, l: int, sampled: bool,
+                        sample_rows: int, seed: int):
+    """The row indices a conditions sweep checks in block l.
 
     In sweep order: every row of the block, or, when sampled, its first and
     last row followed by the block's sample_rows drawn indices
     (blocks.sample_indices).
     """
     total = block_row_count(d, k, l)
-    if sampled:
-        ends = (0, total - 1) if total > 1 else (0,)
-        indices = chain(ends, sample_indices(d, k, l, sample_rows, seed))
-    else:
-        indices = range(total)
-    return ((l, index) for index in indices)
+    if not sampled:
+        return range(total)
+    ends = (0, total - 1) if total > 1 else (0,)
+    return chain(ends, sample_indices(d, k, l, sample_rows, seed))
 
 
 LEFT, RIGHT = 0, 1
@@ -433,11 +416,11 @@ def _check_halves(context, task):
     packed, k, p, q = context
     l, side, ranks, positions = task
     if side == LEFT:
-        kernel, weight, table = _left_halves, l, packed.lefts
+        weight, table, num, den = l, packed.lefts, p, q
     else:
-        kernel, weight, table = _right_halves, k - l, packed.rights
+        weight, table, num, den = k - l, packed.rights, q, p * packed.d
     totals = part_sums(packed.d, weight, ranks, table[1], table[-1])
-    results = kernel(packed, p, q, weight, totals)
+    results = _halves(packed, num, den, weight, totals)
     # positions grow along ranks, so the first occurrence is the least
     return l, side, dict(zip(reversed(results), reversed(positions)))
 
@@ -449,8 +432,9 @@ class _BlockSweep:
     R = n(k-l) right parts.  A task carries, with its parts, the position of
     the first row that reads each.  An exhaustive block hands out its parts
     as ranges: left 0, rights 0..R-1 (right j at j), lefts 1..L-1 (left i
-    at i*R).  A sampled block (sample: a callable giving block_sweep_tasks)
-    hands out each distinct part of its rows once, lefts first.
+    at i*R).  A sampled block (sample: a callable giving its row indices,
+    block_sweep_indices) hands out each distinct part of its rows once,
+    lefts first; left i and right j of row index are divmod(index, R).
     """
 
     def __init__(self, l, lefts, rights, sample, coefficient_sum):
@@ -467,7 +451,7 @@ class _BlockSweep:
                      (LEFT, range(1, lefts), range(rights, self.rows, rights))]
         else:
             first = ({}, {})       # per side: part rank -> its first row
-            for position, (_, index) in enumerate(self.sample()):
+            for position, index in enumerate(self.sample()):
                 first[LEFT].setdefault(index // rights, position)
                 first[RIGHT].setdefault(index % rights, position)
             self.rows = position + 1
@@ -503,7 +487,7 @@ class _BlockSweep:
         eq_ok = all(r[1] for r in row)
         flags = all(r[0] for r in row), eq_ok, eq_ok and eps_ok
         index = (end if self.sample is None or failing > end
-                 else next(islice(self.sample(), end, None))[1])
+                 else next(islice(self.sample(), end, None)))
         # the row at end gives the block's flags and failure
         failure = None if all(flags) else (index, _reason(flags))
         return end + 1, maxima, flags, failure
@@ -528,16 +512,15 @@ def verify_conditions(
     """Check conditions (a), (b), (c) block by block.
 
     mode "auto" runs each block exhaustively when it has at most row_cap rows
-    and on a sample of sample_rows rows otherwise; "exhaustive" and "sample"
-    force one behavior for every block (exhaustive raises if a block exceeds
-    the cap).  A sampled block always also checks its first and last row, and
+    and on a sample of sample_rows rows otherwise; "sample" samples every
+    block.  A sampled block always also checks its first and last row, and
     the sweep stops a block at its first failing row in sweep order, which is
     reported with its index and counted in rows_checked.  Rows are checked
     as their left and right halves (see the module docstring); with jobs > 1
     the halves of every block are checked on one pool of worker processes.
     The report is the same for every job count.
     """
-    if mode not in ("auto", "exhaustive", "sample"):
+    if mode not in ("auto", "sample"):
         raise ValueError(f"unknown mode {mode!r}")
     d, k = con.d, con.k
     alpha, beta = con.params.alpha, con.params.beta
@@ -545,17 +528,11 @@ def verify_conditions(
 
     sweeps = []
     for l in range(k + 1):
-        total = block_row_count(d, k, l)
-        if mode == "exhaustive" and total > row_cap:
-            raise ValueError(
-                f"block l={l} has {total} rows, above the cap {row_cap}; "
-                "run in sampled mode"
-            )
-        sampled = mode == "sample" or (mode == "auto" and total > row_cap)
+        sampled = mode == "sample" or block_row_count(d, k, l) > row_cap
         # expansion weights times 4pqd: 4q^2 per right, 4p^2*d per left index
         musum = Fraction(4 * (k - l) * q * q + 4 * l * p * p * d, 4 * p * q * d)
-        sample = (partial(block_sweep_tasks, d, k, l, True, sample_rows, seed)
-                  if sampled else None)
+        sample = (partial(block_sweep_indices, d, k, l, True, sample_rows,
+                          seed) if sampled else None)
         sweeps.append(_BlockSweep(l, signed_row_count(d, l),
                                   signed_row_count(d, k - l), sample, musum))
 

@@ -24,7 +24,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from . import certificate, construction, oracle
 from .hadamard import load_hadamard, row_profile, sylvester
@@ -214,11 +214,12 @@ def _dump_certificates(con, report, args) -> None:
     Per block, the first min(--emit-limit, rows_checked) rows in sweep order.
     """
     tasks = chain.from_iterable(
-        islice(
-            certificate.block_sweep_tasks(con.d, con.k, block.l, block.sampled,
-                                          report.sample_rows, report.seed),
+        zip(repeat(block.l), islice(
+            certificate.block_sweep_indices(
+                con.d, con.k, block.l, block.sampled, report.sample_rows,
+                report.seed),
             min(args.emit_limit, block.rows_checked),
-        )
+        ))
         for block in report.blocks
     )
     docs = list(ordered_map(_certificate_doc, con, tasks, args.jobs))

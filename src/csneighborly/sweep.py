@@ -8,9 +8,12 @@ order either way, so they are the same for every worker count.  The serial
 map is lazy: a sweep that stops reading at its first failure checks nothing
 after it.
 
-Only a pooled run imports multiprocessing.  Each worker receives the check's
-context (con, or tables derived from it) as it is, not rebuilt, so a matrix
-built without validation is checked on the pool exactly as in this process.
+Only a pooled run imports the process pool (and with it multiprocessing).
+Each worker receives the check's context (con, or tables derived from it) as
+it is, not rebuilt, so a matrix built without validation is checked on the
+pool exactly as in this process.  A worker that dies ends the sweep with
+concurrent.futures.process.BrokenProcessPool instead of a wait for its
+lost results.
 """
 
 from __future__ import annotations
@@ -25,7 +28,9 @@ def ordered_map(check, context, tasks, jobs: int = 1):
     """Yield check(context, task) for each task, in task order.
 
     With jobs > 1 the tasks are listed and handed out in chunks of
-    len(tasks) // (8 * jobs) (at least one) to `jobs` worker processes.
+    len(tasks) // (8 * jobs) (at least one) to `jobs` worker processes;
+    closing the returned iterator early cancels the chunks not yet handed
+    out and waits for the rest.
     Raises ValueError when jobs < 1 or there are no tasks.
     """
     if jobs < 1:
@@ -42,12 +47,15 @@ def ordered_map(check, context, tasks, jobs: int = 1):
 
 def _pooled(check, context, tasks, jobs):
     # imported here, so a serial run never loads the pool's modules
-    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     chunk = max(1, len(tasks) // (jobs * 8))
-    ctx = multiprocessing.get_context()
-    with ctx.Pool(jobs, _worker_init, (check, context)) as pool:
-        yield from pool.imap(_worker_run, tasks, chunk)
+    pool = ProcessPoolExecutor(jobs, initializer=_worker_init,
+                               initargs=(check, context))
+    try:
+        yield from pool.map(_worker_run, tasks, chunksize=chunk)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 _WORKER = None                     # (check, context) in a worker process

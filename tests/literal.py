@@ -25,7 +25,7 @@ from csneighborly.certificate import (
     BlockConditionReport,
     ConditionsReport,
     StructuralReport,
-    block_sweep_tasks,
+    block_sweep_indices,
 )
 from csneighborly.cli import SCHEMA
 from csneighborly.simplex import LpResult
@@ -264,7 +264,7 @@ def literal_conditions(con, mode="auto", row_cap=1_000_000,
                        sample_rows=100_000, seed=0):
     """Row-by-row reference for verify_conditions.
 
-    Folds literal_row_check over the rows of block_sweep_tasks, in sweep
+    Folds literal_row_check over the rows of block_sweep_indices, in sweep
     order, and stops each block at its first failing row.  The structural
     identities are checked with a literal Fraction product H^T H.
     """
@@ -273,12 +273,11 @@ def literal_conditions(con, mode="auto", row_cap=1_000_000,
     blocks = []
     for l in range(k + 1):
         total = block_row_count(d, k, l)
-        if mode == "exhaustive" and total > row_cap:
-            raise ValueError(f"block l={l} has {total} rows, above the cap")
-        sampled = mode == "sample" or (mode == "auto" and total > row_cap)
+        sampled = mode == "sample" or total > row_cap
         checked, max_left, max_right = 0, F(0), F(0)
         flags, failure = (True, True, True), None
-        for _, index in block_sweep_tasks(d, k, l, sampled, sample_rows, seed):
+        for index in block_sweep_indices(d, k, l, sampled, sample_rows,
+                                         seed):
             left, right = block_row(d, k, l, index)
             *row_flags, musum, _, m_row, n_row = literal_row_check(
                 con, left, right)

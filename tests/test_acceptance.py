@@ -80,13 +80,16 @@ def test_criterion_3_three_way_agreement(cons):
     ok = True
     for d in (4, 8, 16):
         con = cons[d]
-        cert = verify_conditions(con, mode="exhaustive")
+        cert = verify_conditions(con, mode="auto")
         dom = dominant_subset_sweep(con, con.k, mode="exhaustive")
         cont = projection_containment(con, con.k, mode="exhaustive")
         agree = cert.passed and dom.dominant_found == 0 and cont.min_margin >= 0
         # the three verdicts must also agree with each other
         agree = agree and (cert.passed == (dom.dominant_found == 0)
                            == (cont.min_margin >= 0))
+        # auto mode sweeps every block of these orders exhaustively
+        agree = agree and all(not b.sampled and b.rows_checked == b.rows_total
+                              for b in cert.blocks)
         ok &= agree
         lines.append(
             f"d={d}: cert={cert.passed}, dominant={dom.dominant_found}, "
@@ -104,9 +107,10 @@ def test_criterion_4_certificate_all_orders(cons):
         k = con.k
         alpha, beta = con.params.alpha, con.params.beta
         if d <= 16:
-            rep = verify_conditions(con, mode="exhaustive")
+            rep = verify_conditions(con, mode="auto")
             exhaustive = all(not b.sampled for b in rep.blocks)
-            covered = all(b.rows_checked == b.rows_total for b in rep.blocks)
+            covered = exhaustive and all(b.rows_checked == b.rows_total
+                                         for b in rep.blocks)
         else:
             start = time.monotonic()
             rep = verify_conditions(con, mode="sample", sample_rows=100_000,

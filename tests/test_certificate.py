@@ -15,11 +15,7 @@ from csneighborly import (
 from csneighborly.blocks import (SignedSupportRow, block_row_count,
                                  part_sums, sample_indices, signed_row_count,
                                  unrank_part)
-from csneighborly.certificate import (
-    _left_halves,
-    _packed_tables,
-    _right_halves,
-)
+from csneighborly.certificate import _halves, _packed_tables
 from csneighborly.construction import cs_transform_defect
 from csneighborly.hadamard import HadamardMatrix
 from literal import (
@@ -43,9 +39,9 @@ def half_row_check(con, left, right):
     alpha, beta = con.params.alpha, con.params.beta
     p, q = alpha.numerator, alpha.denominator
     packed = _packed_tables(h, k)
-    [left_result] = _left_halves(packed, p, q, l, [literal_part_sum(
+    [left_result] = _halves(packed, p, q, l, [literal_part_sum(
         packed.lefts, left.support, left.signs)])
-    [right_result] = _right_halves(packed, p, q, k - l, [literal_part_sum(
+    [right_result] = _halves(packed, q, p * con.d, k - l, [literal_part_sum(
         packed.rights, right.support, right.signs)])
     eps_ok = (k - l) * beta + l * alpha <= HALF
     entry_ok, eq_ok = left_result[0] and right_result[0], right_result[1]
@@ -199,7 +195,9 @@ class TestConditionsAgainstLiteralSweep:
 
     @pytest.mark.parametrize("con", SWEEP_CASES)
     @pytest.mark.parametrize("mode,options", [
-        ("exhaustive", {}),
+        # auto mode: every block of these cases is under the cap, so each
+        # is swept exhaustively
+        pytest.param("auto", {}, id="exhaustive-options0"),
         ("sample", {"sample_rows": 25, "seed": 7}),
     ])
     def test_equals_literal_sweep(self, con, mode, options):
@@ -208,12 +206,18 @@ class TestConditionsAgainstLiteralSweep:
         for jobs in (1, 2):
             assert verify_conditions(con, mode=mode, jobs=jobs,
                                      **options) == expected
+        if mode == "auto":
+            assert not any(b.sampled for b in expected.blocks)
 
     def test_failing_cases_fail(self):
-        # the non-Hadamard cases above do exercise the failure path
+        # the non-Hadamard cases above do exercise the failure path, on
+        # exhaustive blocks that stop only at their first failing row
         for case in SWEEP_CASES[3:]:
-            rep = verify_conditions(case.values[0](), mode="exhaustive")
+            rep = verify_conditions(case.values[0](), mode="auto")
             assert not rep.passed and rep.failures
+            for b in rep.blocks:
+                assert not b.sampled
+                assert b.first_failure or b.rows_checked == b.rows_total
 
 
 class TestPackedHalves:
@@ -244,9 +248,9 @@ class TestPackedHalves:
                                             left.signs)
                 right_sum = literal_part_sum(packed.rights, right.support,
                                              right.signs)
-                assert _left_halves(packed, p, q, l, [left_sum]) == [
+                assert _halves(packed, p, q, l, [left_sum]) == [
                     (2 * p * n_top <= q, True, n_top)]
-                assert _right_halves(packed, p, q, 2 - l, [right_sum]) == [
+                assert _halves(packed, q, p * 16, 2 - l, [right_sum]) == [
                     (2 * q * m_top <= p * 16, gram_ok, m_top)]
                 gram_verdicts.add(gram_ok)
         assert gram_verdicts == {True, False}
@@ -275,15 +279,16 @@ def skewed_sylvester16():
 
 
 class TestBatchHalvesAgainstLiteral:
-    """The batch half kernels on mixed batches.  Each batch holds every part
-    of one weight, shuffled, with repeats: every result must equal the
-    literal verdict on its own part, so a result that equal parts share
-    leaks to no other part."""
+    """The batch half kernel on mixed batches of either side.  Each batch
+    holds every part of one weight, shuffled, with repeats: every result
+    must equal the literal verdict on its own part, so a result that equal
+    parts share leaks to no other part."""
 
     @staticmethod
     def check_batches(h, weight, seed):
-        """Run both batch kernels on one mixed batch of the parts of the
-        given weight at d = 16 and compare each result with literal_halves.
+        """Run the batch kernel on one mixed batch of the parts of the given
+        weight at d = 16, as left and as right parts, and compare each
+        result with literal_halves.
         Returns the set of (side, entry_ok, gram_ok, slow) over the batch,
         slow meaning the max is below weight*hbias."""
         con = build(h, verify=False)
@@ -301,11 +306,11 @@ class TestBatchHalvesAgainstLiteral:
             want[0].append((2 * p * n_top <= q, True, n_top))
             want[1].append((2 * q * m_top <= p * 16, gram_ok, m_top))
         seen = set()
-        for side, kernel, table in ((0, _left_halves, packed.lefts),
-                                    (1, _right_halves, packed.rights)):
+        for side, table, num, den in ((0, packed.lefts, p, q),
+                                      (1, packed.rights, q, p * 16)):
             totals = [literal_part_sum(table, part.support, part.signs)
                       for part in parts]
-            got = kernel(packed, p, q, weight, totals)
+            got = _halves(packed, num, den, weight, totals)
             assert got == want[side]
             seen.update((side, ok, gram_ok, top < packed.hbias * weight)
                         for ok, gram_ok, top in got)
@@ -342,10 +347,20 @@ class TestBatchHalvesAgainstLiteral:
         assert {s[1] for s in seen} == {True, False}
         assert {s[3] for s in seen} == {True, False}
 
+    def test_left_batches_pass_the_gram_check(self):
+        # a left sum lies in H's low 8d bits, so the kernel reads gram_ok
+        # True for every left part, also where right parts of the same
+        # weight fail f G == d*f
+        h = skewed_sylvester16()
+        for weight in (1, 2):
+            seen = self.check_batches(h, weight, seed=weight)
+            assert {s[2] for s in seen if s[0] == 0} == {True}
+            assert {s[2] for s in seen if s[0] == 1} == {True, False}
+
     def test_empty_batch(self):
         packed = _packed_tables(sylvester(4), 2)
-        assert _left_halves(packed, 1, 4, 2, []) == []
-        assert _right_halves(packed, 1, 4, 2, []) == []
+        assert _halves(packed, 1, 4, 2, []) == []
+        assert _halves(packed, 4, 16, 2, []) == []
 
 
 def assert_part_sums_literal(packed, d, l, ranks):
@@ -499,10 +514,12 @@ class TestVerifyConditions:
         parallel = verify_conditions(con, jobs=2)
         assert serial == parallel
 
-    def test_exhaustive_cap(self):
-        con = build(sylvester(4))
-        with pytest.raises(ValueError, match="cap"):
-            verify_conditions(con, mode="exhaustive", row_cap=100)
+    @pytest.mark.parametrize("mode", ["exhaustive", "bogus"])
+    def test_unknown_mode_rejected(self, mode):
+        # auto already sweeps every block under the cap exhaustively, so no
+        # mode forces it
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify_conditions(build(sylvester(2)), mode=mode)
 
     def test_alpha_override_still_passes(self):
         # any alpha inside the window must satisfy all three conditions

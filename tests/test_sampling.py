@@ -76,7 +76,6 @@ def test_containment_sample_d16_seed5(monkeypatch, con16):
 def test_certificate_block_sample_d64_seed3():
     total = block_row_count(64, 4, 2)
     assert total == 65028096
-    assert list(certificate.block_sweep_tasks(64, 4, 2, True, 4, 3)) == [
-        (2, 0), (2, total - 1), (2, 40767318), (2, 7591846), (2, 62687125),
-        (2, 57948469),
+    assert list(certificate.block_sweep_indices(64, 4, 2, True, 4, 3)) == [
+        0, total - 1, 40767318, 7591846, 62687125, 57948469,
     ]

@@ -1,18 +1,22 @@
 """ordered_map, and reports that do not depend on the worker count.
 
-Failures are injected by replacing a function the sweep calls (a batch
+Failures are injected by replacing a function the sweep calls (the batch
 half kernel of the certificate sweep, or the face check) with a function of
 this file.  The worker processes fork after the replacement, so serial and
 pooled runs see the same failing halves and subsets.
 
-A batch half kernel gets a task's parts as their weight and their packed
-sums (the sums blocks.part_sums forms), and returns one result per sum.
-Within one weight the sum determines the part, as H is invertible, so a
-(weight, sum) key fails exactly one part.
+The batch half kernel gets a task's parts as their weight and their packed
+sums (the sums blocks.part_sums forms), with the (num, den) of their entry
+bound, and returns one result per sum.  (num, den) tells the side: at
+d = 16, where alpha = 1/4, it is (p, q) = (1, 4) for left parts and
+(q, p*d) = (4, 16) for right parts.  Within one side and weight the sum
+determines the part, as H is invertible, so a (weight, sum) key fails
+exactly one part.
 """
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -35,9 +39,9 @@ from csneighborly.cli import main
 from csneighborly.sweep import ordered_map
 from literal import literal_part_sum
 
-_real_left_halves = certificate._left_halves
-_real_right_halves = certificate._right_halves
+_real_halves = certificate._halves
 _real_face_check = oracle._face_check
+_LEFT16 = (1, 4)                   # (num, den) of a left batch at d = 16
 
 
 def _failed(results, weight, totals, keys, flag):
@@ -49,35 +53,34 @@ def _failed(results, weight, totals, keys, flag):
             for total, result in zip(totals, results, strict=True)]
 
 
-def _left_halves_failing(packed, p, q, weight, totals):
+def _halves_left_failing(packed, num, den, weight, totals):
     # fails the entry bound of the left part -e_5, the weight-1 part whose
     # sum is minus's entry 5.  Only block 1 at d = 16 has weight-1 left
     # parts (32 of them, supports {15}, {14}, ..., {0}, each with sign +
     # then -), so -e_5 is left 2*10 + 1 = 21, and the first row that reads
     # it is 21 * 32 = 672
-    results = _real_left_halves(packed, p, q, weight, totals)
-    return _failed(results, weight, totals, {(1, packed.lefts[-1][5])}, 0)
+    results = _real_halves(packed, num, den, weight, totals)
+    keys = {(1, packed.lefts[-1][5])} if (num, den) == _LEFT16 else ()
+    return _failed(results, weight, totals, keys, 0)
 
 
-def _right_halves_failing(packed, p, q, weight, totals):
+def _halves_right_failing(packed, num, den, weight, totals):
     # fails the matrix equation f G == d*f of the right part +e_3: right
     # 2*12 = 24 of block 1 at d = 16, first read by row 24 (left 0)
-    results = _real_right_halves(packed, p, q, weight, totals)
-    return _failed(results, weight, totals, {(1, packed.rights[1][3])}, 1)
+    results = _real_halves(packed, num, den, weight, totals)
+    keys = () if (num, den) == _LEFT16 else {(1, packed.rights[1][3])}
+    return _failed(results, weight, totals, keys, 1)
 
 
 _LISTED = {"left": (), "right": ()}   # (weight, sum) keys of failing parts
 
 
-def _left_halves_listed(packed, p, q, weight, totals):
-    # fails the entry bound of each listed left part
-    results = _real_left_halves(packed, p, q, weight, totals)
-    return _failed(results, weight, totals, _LISTED["left"], 0)
-
-
-def _right_halves_listed(packed, p, q, weight, totals):
-    # fails the matrix equation of each listed right part
-    results = _real_right_halves(packed, p, q, weight, totals)
+def _halves_listed(packed, num, den, weight, totals):
+    # fails the entry bound of each listed left part and the matrix
+    # equation of each listed right part
+    results = _real_halves(packed, num, den, weight, totals)
+    if (num, den) == _LEFT16:
+        return _failed(results, weight, totals, _LISTED["left"], 0)
     return _failed(results, weight, totals, _LISTED["right"], 1)
 
 
@@ -98,7 +101,9 @@ def _square(con, x):
 
 @pytest.fixture(scope="module")
 def con16():
-    return build(sylvester(4))
+    con = build(sylvester(4))
+    assert con.params.alpha.as_integer_ratio() == _LEFT16
+    return con
 
 
 class TestOrderedMap:
@@ -132,6 +137,37 @@ class TestOrderedMap:
     def test_jobs_below_one_rejected(self, con16):
         with pytest.raises(ValueError, match="jobs"):
             ordered_map(_square, con16, range(3), jobs=0)
+
+    def test_worker_death_raises(self):
+        # a pooled map whose worker dies raises BrokenProcessPool rather
+        # than waiting for the lost results.  It runs in a child process in
+        # its own session, so that a hang is killed, workers and all, and
+        # fails this test instead of holding the suite
+        code = ("import os\n"
+                "from concurrent.futures.process import BrokenProcessPool\n"
+                "from csneighborly.sweep import ordered_map\n"
+                "def check(context, x):\n"
+                "    if x == 7:\n"
+                "        os._exit(1)\n"
+                "    return x\n"
+                "try:\n"
+                "    list(ordered_map(check, None, range(40), 2))\n"
+                "except BrokenProcessPool:\n"
+                "    print('BrokenProcessPool')\n")
+        src = os.path.dirname(os.path.dirname(csneighborly.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                 stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True,
+                                 start_new_session=True)
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a pooled map whose worker died ran past 60 s")
+        assert child.returncode == 0, err
+        assert out.strip() == "BrokenProcessPool"
 
     def test_serial_sweep_never_imports_multiprocessing(self):
         # only a pool needs multiprocessing (and the pickle, socket and
@@ -167,7 +203,7 @@ class TestEmptySweepsRejected:
 
 class TestFailureReportsIndependentOfJobs:
     def test_verify_conditions(self, con16, monkeypatch):
-        monkeypatch.setattr(certificate, "_left_halves", _left_halves_failing)
+        monkeypatch.setattr(certificate, "_halves", _halves_left_failing)
         reports = [verify_conditions(con16, jobs=jobs) for jobs in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
         block = reports[0].blocks[1]
@@ -178,7 +214,7 @@ class TestFailureReportsIndependentOfJobs:
         assert [b.rows_checked for b in reports[0].blocks] == [480, 673, 480]
 
     def test_verify_conditions_right_half(self, con16, monkeypatch):
-        monkeypatch.setattr(certificate, "_right_halves", _right_halves_failing)
+        monkeypatch.setattr(certificate, "_halves", _halves_right_failing)
         reports = [verify_conditions(con16, jobs=jobs) for jobs in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
         block = reports[0].blocks[1]
@@ -189,7 +225,7 @@ class TestFailureReportsIndependentOfJobs:
         assert [b.rows_checked for b in reports[0].blocks] == [480, 25, 480]
 
     def test_certify_reports(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(certificate, "_right_halves", _right_halves_failing)
+        monkeypatch.setattr(certificate, "_halves", _halves_right_failing)
         texts = []
         for jobs in ("1", "2", "4"):
             path = tmp_path / f"report-{jobs}.json"
@@ -220,13 +256,12 @@ class TestFailureReportsIndependentOfJobs:
                     for r in range(32)]
             assert len(set(sums)) == 32        # each key fails one part
             monkeypatch.setitem(_LISTED, side, {(1, sums[r]) for r in ranks})
-        monkeypatch.setattr(certificate, "_left_halves", _left_halves_listed)
-        monkeypatch.setattr(certificate, "_right_halves", _right_halves_listed)
+        monkeypatch.setattr(certificate, "_halves", _halves_listed)
         reports = [verify_conditions(con16, mode="sample", sample_rows=rows,
                                      seed=7, jobs=jobs) for jobs in (1, 2, 4)]
         assert reports[0] == reports[1] == reports[2]
-        for position, (_, index) in enumerate(
-                certificate.block_sweep_tasks(16, 2, 1, True, rows, 7)):
+        for position, index in enumerate(
+                certificate.block_sweep_indices(16, 2, 1, True, rows, 7)):
             i, j = divmod(index, 32)
             if i in left or j in right:
                 return reports[0], (position + 1, index, i, j)
@@ -235,8 +270,8 @@ class TestFailureReportsIndependentOfJobs:
         # lefts are handed out first, so the fold sees the left part's failure
         # first; the right part's first row comes earlier and is reported
         rows, lefts, rights = 300, {}, {}      # rank -> first position
-        for position, (_, index) in enumerate(
-                certificate.block_sweep_tasks(16, 2, 1, True, rows, 7)):
+        for position, index in enumerate(
+                certificate.block_sweep_indices(16, 2, 1, True, rows, 7)):
             lefts.setdefault(index // 32, position)
             rights.setdefault(index % 32, position)
         left = max(lefts, key=lefts.get)       # the left part read last
