@@ -134,9 +134,10 @@ def is_face(con: Construction, subset) -> FaceReport:
 
     Solved in u' = p*u (alpha = p/q), the rows are H's +-1 columns:
     |u'_i| <= p, s*u'_i = p*sigma or s*h_j.u' = q*sigma on the members,
-    |h_j.u'| <= q on the others, and c = u'/(p*sigma).  A positive rescaling
-    of u keeps the sign of every reduced cost and the order of every ratio
-    test, so Bland's rule makes the same pivots and finds the same witness.
+    |h_j.u'| <= q on the others, and c = u'/(p*sigma).  The rescaling maps
+    the feasible points of the LP in u onto those in u' and keeps sigma, so
+    the margin is unchanged and c is an optimal witness; the pivots may
+    differ, as pricing by the largest cost sees u' and not u.
     """
     columns = _PackedColumns(con)
     members, status, margin, result = _face(columns, subset)

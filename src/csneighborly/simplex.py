@@ -21,9 +21,15 @@ maps the other rows by the Edmonds/Bareiss exchange
 with D' = |T[r][s]|.  Every division is exact, so no Fraction arithmetic
 happens in the pivot loop.  A nonbasic variable that reaches its other bound
 first is flipped there without a pivot (Dantzig's upper-bounding technique).
-Entering and leaving variables are chosen by Bland's smallest-index rule over
-fixed variable indices (structural 0..n-1, then one logical per row), so
-identical inputs give identical pivot sequences and outputs.
+Variables have fixed indices (structural 0..n-1, then one logical per row).
+The entering variable is the one whose reduced cost times D is largest in
+size, ties to the smallest index; after n degenerate pivots in a row (each
+a step of 0) it is the smallest-index one instead, Bland's rule, until the
+point moves again (``_entering``).  The leaving variable is the one reached
+at the smallest step; the entering variable's own bound wins a tie, so it
+flips rather than entering only to leave at step 0, and ties among rows go
+to the smallest index.  Identical inputs give identical pivot sequences and
+outputs.
 
 Each row, and the objective row (D times the reduced costs, then D * c.x),
 is one Python int of n + 1 fields of W bits: X = sum_j x_j * 2**(W*j), the
@@ -191,19 +197,20 @@ def lp_max(objective, rows, bounds) -> LpResult:
     nonbasic = list(range(n))                     # variable index per column
     at = [0] * n                                  # value of each nonbasic
     den, pivots = 1, 0
+    stalled = 0                                   # degenerate pivots in a row
     while True:
         y = obj + bias
         costs = [((y >> sh) & mask) - half for sh in shifts]
         if max(costs) >= overflow or min(costs) <= -overflow:
             raise RuntimeError("internal error: field overflow")
-        s = _entering(costs, nonbasic, at, lo, hi)
+        s = _entering(costs, nonbasic, at, lo, hi, stalled >= n)
         if s < 0:
             break
         cost = costs[s]
         up = cost > 0
 
-        # leaving: the smallest step theta = num / dnm, ties to the smallest
-        # variable index; r = -1 is the entering variable's own bound
+        # leaving: the smallest step theta = num / dnm, ties to the entering
+        # variable's own bound (r = -1, a flip), then to the smallest index
         var = nonbasic[s]
         limit = hi[var] if up else lo[var]
         r, leave, num, dnm = -2, -1, 0, 1
@@ -223,7 +230,8 @@ def lp_max(objective, rows, bounds) -> LpResult:
             step = abs(b * den - (x >> top))
             t = abs(t)
             cmp = step * dnm - num * t
-            if r == -2 or cmp < 0 or (cmp == 0 and basic[i] < leave):
+            if (r == -2 or cmp < 0
+                    or (cmp == 0 and r >= 0 and basic[i] < leave)):
                 r, leave, num, dnm = i, basic[i], step, t
         if max(col, default=0) >= overflow or min(col, default=0) <= -overflow:
             raise RuntimeError("internal error: field overflow")
@@ -238,10 +246,12 @@ def lp_max(objective, rows, bounds) -> LpResult:
                 if t:
                     table[i] += t * moved
             obj += cost * moved
+            stalled = 0
             continue
 
         # pivot: basic[r] leaves at the bound it reached, nonbasic[s] enters
         pivots += 1
+        stalled = 0 if num else stalled + 1
         if pivots > MAX_PIVOTS:
             raise RuntimeError("pivot limit exceeded")
         t = col[r]
@@ -317,16 +327,30 @@ def _field_width(objective, rows, bounds, squares=None) -> int:
     return (entry * (1 + total)).bit_length() + 2
 
 
-def _entering(costs, nonbasic, at, lo, hi) -> int:
-    """Bland's rule: the column of the smallest-index nonbasic variable whose
-    reduced cost improves and whose bound lets it move; -1 when none can."""
-    s = -1
+def _entering(costs, nonbasic, at, lo, hi, bland: bool) -> int:
+    """The column of the nonbasic variable to enter, among those whose
+    reduced cost improves and whose bound lets them move; -1 when none can.
+
+    It is the largest |cost| (D times the reduced cost), ties to the smallest
+    variable index, or with bland the smallest index (Bland's rule).  lp_max
+    sets bland after n degenerate pivots in a row and clears it when the
+    point moves.  That ends every run.  c.x never falls, and a flip or a
+    nondegenerate pivot raises it (a flip by a positive step), so no
+    dictionary met before such a step comes back after it; there are
+    finitely many, so a run without end would, from some pivot on, make
+    only degenerate pivots.  From the n-th of those on, both choices are
+    Bland's, since a tie at step 0 never involves the entering variable's
+    own bound, and Bland's rule does not cycle (Bland, "New finite pivoting
+    rules for the simplex method", Math. Oper. Res. 2, 1977).
+    """
+    s, size = -1, 0
     for j, cost in enumerate(costs):
         var = nonbasic[j]
         if ((cost > 0 and (hi[var] is None or at[j] < hi[var]))
                 or (cost < 0 and (lo[var] is None or at[j] > lo[var]))):
-            if s < 0 or var < nonbasic[s]:
-                s = j
+            key = 1 if bland else abs(cost)
+            if key > size or (key == size and var < nonbasic[s]):
+                s, size = j, key
     return s
 
 

@@ -313,22 +313,26 @@ def literal_conditions(con, mode="auto", row_cap=1_000_000,
 
 
 
-def literal_lp_max(objective, rows, bounds, entries=None, dens=None):
+def literal_lp_max(objective, rows, bounds, entries=None, dens=None,
+                   blands=None):
     """lp_max on a Fraction dictionary, as the textbook writes it.
 
     Each basic variable is x_B = sum_j T[i][j] x_N[j] over the nonbasic
     variables, and c.x = sum_j red[j] x_N[j]; basic values are summed afresh
-    from the nonbasic ones whenever they are read.  Bland's rule picks the
-    smallest-index improving nonbasic that can move, and the ratio test the
-    least (step, variable index), the entering variable's own bound
-    competing as its own index; a bound reached first is a flip, not a
-    pivot.  Returns an LpResult.
+    from the nonbasic ones whenever they are read.  Among the improving
+    nonbasics that can move, the entering one has the largest |red[j]|,
+    ties to the smallest index; once the last n pivots (n structurals) all
+    had step 0, with no flip since, it is the smallest-index one (Bland's
+    rule).  The ratio test takes the least step, a tie going to the entering
+    variable's own bound (a flip, not a pivot) and then to the smallest
+    leaving index.  Returns an LpResult.
 
     With a list entries, appends at each dictionary met the largest |value|
     among D times every entry, basic value, reduced cost and c.x, and D
     itself, where D is the product of the |pivots| (the determinant that
     the integer dictionary divides out).  With a list dens, appends D after
-    each pivot.
+    each pivot.  With a list blands, appends for each pivot whether Bland's
+    rule chose its entering variable.
     """
     n = len(objective)
     table = [[F(a) for a in coeffs] for coeffs, _, _ in rows]
@@ -338,7 +342,7 @@ def literal_lp_max(objective, rows, bounds, entries=None, dens=None):
     basic = list(range(n, n + len(table)))
     nonbasic = list(range(n))
     at = [F(0)] * n
-    den, pivots = F(1), 0
+    den, pivots, stalled = F(1), 0, 0
 
     def value(row):
         return sum((t * v for t, v in zip(row, at)), F(0))
@@ -349,20 +353,22 @@ def literal_lp_max(objective, rows, bounds, entries=None, dens=None):
             for row in table:
                 seen += [den * value(row)] + [den * t for t in row]
             entries.append(max(abs(v) for v in seen))
-        s = -1
-        for j, var in enumerate(nonbasic):
-            if ((red[j] > 0 and (hi[var] is None or at[j] < hi[var]))
-                    or (red[j] < 0 and (lo[var] is None or at[j] > lo[var]))):
-                if s < 0 or var < nonbasic[s]:
-                    s = j
-        if s < 0:
+        bland = stalled >= n
+        movable = [(0 if bland else -abs(red[j]), var, j)
+                   for j, var in enumerate(nonbasic)
+                   if (red[j] > 0 and (hi[var] is None or at[j] < hi[var]))
+                   or (red[j] < 0 and (lo[var] is None or at[j] > lo[var]))]
+        if not movable:
+            s = -1
             break
+        s = min(movable)[2]
         up = red[s] > 0
         var = nonbasic[s]
         limit = hi[var] if up else lo[var]
-        best = None                    # (step, leaving variable, row or -1)
+        # (step, 0 for the flip or 1 for a row, leaving variable, row or -1)
+        best = None
         if limit is not None:
-            best = (abs(limit - at[s]), var, -1)
+            best = (abs(limit - at[s]), 0, var, -1)
         for i, row in enumerate(table):
             t = row[s]
             if t == 0:
@@ -370,16 +376,20 @@ def literal_lp_max(objective, rows, bounds, entries=None, dens=None):
             b = hi[basic[i]] if (t > 0) == up else lo[basic[i]]
             if b is None:
                 continue
-            step = abs(b - value(row)) / abs(t)
-            if best is None or (step, basic[i]) < best[:2]:
-                best = (step, basic[i], i)
+            key = (abs(b - value(row)) / abs(t), 1, basic[i], i)
+            if best is None or key < best:
+                best = key
         if best is None:
             break
-        _, leave, r = best
+        step, _, leave, r = best
         if r < 0:
             at[s] = limit
+            stalled = 0
             continue
         pivots += 1
+        stalled = 0 if step else stalled + 1
+        if blands is not None:
+            blands.append(bland)
         t = table[r][s]
         beta = hi[leave] if (t > 0) == up else lo[leave]
         # x_N[s] = (x_leave - sum_{j != s} T[r][j] x_N[j]) / T[r][s]

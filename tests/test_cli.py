@@ -558,6 +558,12 @@ class TestPinnedReports:
          "1b85b8942b6ffe2e8a6cf6e11d6852e6981a6e279ce6f815050a4f91499b5a20"),
         ("generate --d 8 --alpha 2/5 --format json",
          "f049f89399507db12920ba13739ec9e8fc277c9d758f91fcfbdbb6c1a3daf744"),
+        # the face LPs at d = 64 (20 samples) and every face LP at d = 16,
+        # pinned under Bland's rule before pricing by the largest cost
+        ("verify --d 64 --check faces --mode sample --samples 20 --seed 1",
+         "f1368262d8a776569c328f05430dae4e9a4ca1f6516e21a3db4b138d4ec75026"),
+        ("verify --d 16 --check faces",
+         "8d062508be9eced4b5ca813d84cf80cd4567345847cdc640c87639e70481fd46"),
     ])
     def test_report_digest(self, capsys, monkeypatch, argv, digest):
         monkeypatch.delenv("NEIGHBORLY_MAX_ROWS", raising=False)

@@ -221,7 +221,8 @@ class TestBoundFlips:
 class TestDegeneracy:
     def test_beale_cycling_instance(self):
         # the classic cycling example, objective and rows scaled to
-        # integers (objective by 100); Bland's rule must terminate
+        # integers (objective by 100); after 4 degenerate pivots Bland's
+        # rule takes over, and the run must end
         nonneg = (0, None)
         res = lp_max(
             [75, -15000, 2, -600],
@@ -244,6 +245,56 @@ class TestDegeneracy:
             [FREE, FREE],
         )
         assert res.objective == 2
+
+    def test_ratio_tie_goes_to_the_bound_flip(self):
+        # maximize 2x + y with x - y <= 0 and 0 <= x, y <= 2.  x enters
+        # first (the larger cost) and the row stops it at step 0, so x is
+        # basic, x = y + (x - y).  Then y enters: x reaches 2 at step 2, the
+        # same step as y's own bound.  The flip takes it; had x (the smaller
+        # index) left, y would leave again at step 0 on the next pivot, and
+        # the run would take 3 pivots.
+        le = [((F(1), F(-1)), F(0)), ((F(1), F(0)), F(2)),
+              ((F(0), F(1)), F(2)), ((F(-1), F(0)), F(0)),
+              ((F(0), F(-1)), F(0))]
+        program = ([2, 1], [([1, -1], None, 0)], [(0, 2), (0, 2)])
+        res = lp_max(*program)
+        assert res.pivots == 1
+        assert res.x == (2, 2)
+        assert res.objective == brute_force_max([F(2), F(1)], [], le) == 6
+        assert res == literal_lp_max(*program)
+
+    # maximize -x + y - z with three rows through the origin and |x_j| <= 1:
+    # the first n = 3 pivots all stay at the origin, so Bland's rule picks
+    # the fourth pivot's entering variable
+    THROUGH_ORIGIN = ([-1, 1, -1],
+                      [([-3, 2, 1], None, 0), ([-1, -3, 0], None, 0),
+                       ([-1, -1, 0], None, 0)],
+                      [(-1, 1)] * 3)
+
+    def test_bland_fallback_after_n_degenerate_pivots(self, monkeypatch):
+        blands = []
+        expected = literal_lp_max(*self.THROUGH_ORIGIN, blands=blands)
+        assert blands == [False, False, False, True, False, False]
+        assert expected.objective == F(5, 3)
+        assert expected.x == (F(1, 3), 1, -1)
+        objective, rows, _ = self.THROUGH_ORIGIN
+        le = boxed(3, [(tuple(map(F, a)), F(0)) for a, _, _ in rows], 1)
+        assert brute_force_max(list(map(F, objective)), [], le) == F(5, 3)
+        calls = []
+        entering = simplex._entering
+
+        def recording(*args):
+            calls.append(args[-1])
+            return entering(*args)
+
+        monkeypatch.setattr(simplex, "_entering", recording)
+        assert lp_max(*self.THROUGH_ORIGIN) == expected
+        assert calls.count(True) == 1 and calls.index(True) == 3
+        # without the fallback the largest cost enters at the fourth pivot
+        # too, and the run differs
+        monkeypatch.setattr(simplex, "_entering",
+                            lambda *args: entering(*args[:-1], False))
+        assert lp_max(*self.THROUGH_ORIGIN) != expected
 
 
 class TestAgainstBruteForce:
