@@ -22,6 +22,19 @@ exhaustive mode, refused above a cap, or a seeded draw in sample mode
 sweep.ordered_map, serially or on worker processes, and results are
 aggregated in task order, so reports do not depend on the worker count.
 
+The face sweep hands out its subsets in batches of FACE_BATCH consecutive
+ones and solves each LP only as far as its report needs.  Its report reads
+the verdicts, the first failures with their margins and the least margin.
+Within a batch, tau is the least sigma* among the subsets solved so far to
+an optimum as faces; each later subset's LP stops at the first point with
+sigma >= tau (simplex.lp_max's target).  Such a subset is a face, as
+sigma >= tau > 1, and cannot lower the minimum, which an earlier subset
+already attains at tau or below; its margin is that of the point, at least
+1 - 1/tau.  A failure never reaches tau, so failures, and the subset that
+sets the minimum, are solved to a dual-certified optimum.  The batches
+depend only on the task list, so every LP's pivots are the same for every
+worker count.
+
 Every LP row is a column of H, signed and scaled, with a sigma coefficient
 (or a unit row on a member vertex).  Once per sweep, _PackedColumns
 type-checks H's entries and sums its column norms; the first time a
@@ -54,6 +67,7 @@ from .simplex import PackedRows, _field_width, _ints, lp_max
 from .sweep import ordered_map
 
 HALF = Fraction(1, 2)
+FACE_BATCH = 16                  # consecutive subsets per face-sweep task
 
 
 class _PackedColumns:
@@ -149,15 +163,42 @@ def is_face(con: Construction, subset) -> FaceReport:
                       tuple(c / p_sigma for c in result.x[:d]), margin)
 
 
-def _face_check(columns: _PackedColumns, subset) -> tuple:
-    """is_face's (subset, status, margin), without its witness: one task of
-    verify_k_neighborly."""
-    return _face(columns, subset)[:3]
+def _face_batch(columns: _PackedColumns, batch) -> list:
+    """(subset, status, margin) of each subset of a batch, in order: one
+    task of verify_k_neighborly.
+
+    tau is the least sigma* among the subsets of the batch solved so far
+    to an optimum as faces (none at first); each later subset's LP stops
+    once sigma reaches tau.  Each subset is checked through the module
+    global _face_check, so that a test that replaces it sees every subset.
+    """
+    outcomes, tau = [], None
+    for subset in batch:
+        members, status, margin, exact = _face_check(columns, subset, tau)
+        if exact and status == "face" and margin < 1:
+            sigma = 1 / (1 - margin)
+            if tau is None or sigma < tau:
+                tau = sigma
+        outcomes.append((members, status, margin))
+    return outcomes
 
 
-def _face(columns: _PackedColumns, subset) -> tuple:
-    """(members, status, margin, LP result) of is_face; no result for an
-    antipodal subset."""
+def _face_check(columns: _PackedColumns, subset, target=None) -> tuple:
+    """is_face's (subset, status, margin), without its witness, and whether
+    that margin is the LP's optimum.
+
+    With a target > 1, the face LP may stop at a point with sigma >= target:
+    then the subset is a face with margin at least 1 - 1/target, the margin
+    is that of the point, and the flag is False.
+    """
+    members, status, margin, result = _face(columns, subset, target)
+    return (members, status, margin,
+            result is None or result.status != "reached")
+
+
+def _face(columns: _PackedColumns, subset, target=None) -> tuple:
+    """(members, status, margin, LP result) of is_face, the LP stopped at
+    sigma >= target if one is given; no result for an antipodal subset."""
     con = columns.con
     members = tuple(sorted(set((as_index(i), as_index(s)) for i, s in subset)))
     if not members:
@@ -171,17 +212,17 @@ def _face(columns: _PackedColumns, subset) -> tuple:
     if len(set(indices)) < len(indices):
         return members, "antipodal-rejected", None, None
 
-    result = _face_lp(columns, members)
+    result = _face_lp(columns, members, target)
     sigma = result.x[con.d]
     if not sigma:
         return members, "not-face", None, result
-    margin = 1 - 1 / sigma if result.status == "optimal" else Fraction(1)
+    margin = Fraction(1) if result.status == "unbounded" else 1 - 1 / sigma
     return members, "face" if margin > 0 else "not-face", margin, result
 
 
-def _face_lp(columns: _PackedColumns, members):
+def _face_lp(columns: _PackedColumns, members, target=None):
     """The face LP of is_face over antipode-free members, its rows packed
-    from the sweep's columns of H."""
+    from the sweep's columns of H, solved up to sigma >= target."""
     d, p, q, cols = columns.d, columns.p, columns.q, columns.columns
     bounds = [(-p, p)] * d + [(0, None)]
     squares = columns.norms + [1]                 # columns of [c; A]
@@ -207,7 +248,8 @@ def _face_lp(columns: _PackedColumns, members):
     table = [(s << width * i) - (p << top) if i < d
              else s * packed[i - d] - (q << top) for i, s in members]
     table += [packed[j] for j in others]
-    return lp_max(objective, PackedRows(rows, width, table, d), bounds)
+    return lp_max(objective, PackedRows(rows, width, table, d), bounds,
+                  target=target)
 
 
 def canonical_subsets(m: int, k: int):
@@ -260,6 +302,11 @@ def verify_k_neighborly(
     subset pair (global sign flip does not change face status, so reported
     logical counts are doubled); sample mode draws `samples` canonical
     subsets deterministically from the seed.
+
+    The subsets are checked in batches of FACE_BATCH consecutive ones
+    (_face_batch), each LP stopped once sigma reaches tau, the least sigma*
+    of the batch's earlier optimal faces (module docstring).  Verdicts,
+    failures and min_margin are those of solving every LP to its optimum.
     """
     k = con.k if k is None else k
     if k < 1 or k > con.d:
@@ -272,8 +319,10 @@ def verify_k_neighborly(
                samples)),
         seed)
 
-    outcomes = list(ordered_map(_face_check, _PackedColumns(con), tasks,
-                                jobs))
+    batches = [tasks[i:i + FACE_BATCH]
+               for i in range(0, len(tasks), FACE_BATCH)]
+    outcomes = list(chain.from_iterable(
+        ordered_map(_face_batch, _PackedColumns(con), batches, jobs)))
 
     passed = sum(1 for _, status, _ in outcomes if status == "face")
     failures = tuple(o for o in outcomes if o[1] != "face")[:20]

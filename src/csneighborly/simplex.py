@@ -93,6 +93,18 @@ forces each nonzero multiplier's variable to sit at the bound it selects.
 A fault in the tableau, or fields too narrow for its entries, can therefore
 raise RuntimeError("internal error: ...") but cannot return an infeasible
 point, a value short of the optimum or a false ray.
+
+A caller that needs only a feasible point with c.x >= target, not the
+optimum, passes the target: the loop then stops at the first dictionary
+whose value reaches it (checked before pricing, so at the origin too) and
+returns that point as "reached".  Such a point is a certificate of c.x >=
+target that anyone can re-check by substitution, in the sense of
+McConnell, Mehlhorn, Naeher and Schweitzer, "Certifying algorithms"
+(Computer Science Review 5, 2011); ``_recheck`` re-substitutes it as it
+does an optimum.  The reduced costs at that dictionary certify nothing, as
+more pivots might raise c.x, so ``_check_dual`` is not run.  The face
+sweeps use it (oracle.py): a subset whose sigma reaches the least optimum
+met so far in its batch is a face that cannot lower the sweep's minimum.
 """
 
 from __future__ import annotations
@@ -107,9 +119,10 @@ MAX_PIVOTS = 200_000             # lp_max raises RuntimeError beyond it
 
 @dataclass(frozen=True)
 class LpResult:
-    status: str                    # "optimal" | "unbounded"
-    objective: Fraction | None     # the optimum; None when unbounded
-    x: tuple                       # optimal point, or the improving ray
+    status: str                    # "optimal" | "unbounded" | "reached"
+    objective: Fraction | None     # c.x at x; None when unbounded
+    x: tuple                       # the point (optimal, or the first one
+                                   # with c.x >= target), or the ray
     pivots: int                    # basis exchanges (bound flips not counted)
 
 
@@ -140,7 +153,7 @@ class PackedRows(tuple):
         return self
 
 
-def lp_max(objective, rows, bounds) -> LpResult:
+def lp_max(objective, rows, bounds, target=None) -> LpResult:
     """Maximize objective . x subject to lo <= a.x <= hi for each row
     (a, lo, hi) and lo <= x_j <= hi for each bound (lo, hi).
 
@@ -149,7 +162,17 @@ def lp_max(objective, rows, bounds) -> LpResult:
     origin is infeasible.  An "optimal" result has x = nums / den, an
     "unbounded" one has x = a ray r (c.r > 0) that every row and bound
     admits.  Rows given as PackedRows are solved from their table as it is.
+
+    With a target (an int or a Fraction), the loop stops at the first
+    dictionary whose point has c.x >= target, the origin included, and
+    returns it as "reached" with objective c.x.  The point is re-substituted
+    into the rows and bounds as an optimum is, so its feasibility and c.x
+    are checked; it claims no optimality, so no multipliers are checked.
+    A program whose optimum or ray comes first returns as without a target,
+    and without one the pivots and results are those of the plain loop.
     """
+    if target is not None and type(target) not in (int, Fraction):
+        raise TypeError(f"target is not an int or a Fraction: {target!r}")
     objective = tuple(objective)
     bounds = tuple(bounds)
     packed = isinstance(rows, PackedRows)
@@ -198,7 +221,14 @@ def lp_max(objective, rows, bounds) -> LpResult:
     at = [0] * n                                  # value of each nonbasic
     den, pivots = 1, 0
     stalled = 0                                   # degenerate pivots in a row
+    if target is not None:
+        goal, goal_den = target.numerator, target.denominator
+    reached = False
     while True:
+        if target is not None and (
+                ((obj + bias) >> top) * goal_den >= goal * den):
+            s, reached = -1, True                 # D * c.x >= D * target
+            break
         y = obj + bias
         costs = [((y >> sh) & mask) - half for sh in shifts]
         if max(costs) >= overflow or min(costs) <= -overflow:
@@ -283,8 +313,9 @@ def lp_max(objective, rows, bounds) -> LpResult:
         at[s] = beta
         den = p
 
-    # x = nums / den is the optimum, with c.x = obj's value / den, or the ray
-    # along which nonbasic[s] grows: D * x_B moves at T_B[s] per unit of it
+    # x = nums / den is the optimum (or the point that reached the target),
+    # with c.x = obj's value / den, or the ray along which nonbasic[s]
+    # grows: D * x_B moves at T_B[s] per unit of it
     ray = s >= 0
     if ray:
         sign = 1 if up else -1
@@ -301,6 +332,8 @@ def lp_max(objective, rows, bounds) -> LpResult:
     x = tuple(Fraction(v, den) for v in nums)
     if ray:
         return LpResult("unbounded", None, x, pivots)
+    if reached:
+        return LpResult("reached", Fraction(optimum, den), x, pivots)
     multipliers = [0] * len(lo)                   # by variable index
     for var, cost in zip(nonbasic, costs):
         multipliers[var] = cost
@@ -356,7 +389,8 @@ def _entering(costs, nonbasic, at, lo, hi, bland: bool) -> int:
 
 def _recheck(objective, rows, bounds, nums, den: int, optimum) -> None:
     """Check x = nums / den in the caller's integer rows and bounds, and
-    c . nums against the dictionary's optimum (den * c.x).
+    c . nums against the dictionary's value `optimum` (den * c.x, the
+    optimum or the value that reached a target).
 
     With optimum None, nums is a ray: it must lie in the recession cone
     (a.r <= 0 where hi is finite, a.r >= 0 where lo is finite) and c.r > 0.

@@ -313,8 +313,8 @@ def literal_conditions(con, mode="auto", row_cap=1_000_000,
 
 
 
-def literal_lp_max(objective, rows, bounds, entries=None, dens=None,
-                   blands=None):
+def literal_lp_max(objective, rows, bounds, target=None, entries=None,
+                   dens=None, blands=None):
     """lp_max on a Fraction dictionary, as the textbook writes it.
 
     Each basic variable is x_B = sum_j T[i][j] x_N[j] over the nonbasic
@@ -325,7 +325,9 @@ def literal_lp_max(objective, rows, bounds, entries=None, dens=None,
     had step 0, with no flip since, it is the smallest-index one (Bland's
     rule).  The ratio test takes the least step, a tie going to the entering
     variable's own bound (a flip, not a pivot) and then to the smallest
-    leaving index.  Returns an LpResult.
+    leaving index.  With a target, it stops at the first dictionary whose
+    c.x is at least the target, before pricing it, and returns that point
+    as "reached".  Returns an LpResult.
 
     With a list entries, appends at each dictionary met the largest |value|
     among D times every entry, basic value, reduced cost and c.x, and D
@@ -343,6 +345,7 @@ def literal_lp_max(objective, rows, bounds, entries=None, dens=None,
     nonbasic = list(range(n))
     at = [F(0)] * n
     den, pivots, stalled = F(1), 0, 0
+    reached = False
 
     def value(row):
         return sum((t * v for t, v in zip(row, at)), F(0))
@@ -353,6 +356,9 @@ def literal_lp_max(objective, rows, bounds, entries=None, dens=None,
             for row in table:
                 seen += [den * value(row)] + [den * t for t in row]
             entries.append(max(abs(v) for v in seen))
+        if target is not None and value(red) >= target:
+            s, reached = -1, True
+            break
         bland = stalled >= n
         movable = [(0 if bland else -abs(red[j]), var, j)
                    for j, var in enumerate(nonbasic)
@@ -419,7 +425,8 @@ def literal_lp_max(objective, rows, bounds, entries=None, dens=None,
     if s >= 0:
         return LpResult("unbounded", None, tuple(x), pivots)
     optimum = sum((F(c) * v for c, v in zip(objective, x)), F(0))
-    return LpResult("optimal", optimum, tuple(x), pivots)
+    return LpResult("reached" if reached else "optimal", optimum, tuple(x),
+                    pivots)
 
 
 def _substitute(row, solved, s):

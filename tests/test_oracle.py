@@ -3,7 +3,7 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -131,23 +131,42 @@ class TestFaceWitnessLiteral:
         # every subset of seeded d = 16 sweeps at sizes 1-4, including the
         # failure path: k = 4, seed 2 fails 6 subsets (3 canonical LPs and
         # their negations), all with margin 0.  The sweep forms no witness,
-        # so is_face solves each subset again for it, and must find the
-        # sweep's verdict and margin
-        reports = []
+        # so is_face solves each subset again for it.  Where the sweep
+        # solved the LP to its optimum, is_face must find the sweep's
+        # verdict and margin.  Where it stopped at sigma >= tau, tau the
+        # least sigma* of the batch's earlier optimal faces, is_face must
+        # find a face with margin at least tau's, 1 - 1/tau, and at least
+        # the sweep's
+        reports, seen, kinds = [], [], Counter()
         check = oracle._face_check
 
-        def recorded(columns, subset):
-            outcome = check(columns, subset)
+        def recorded(columns, subset, target=None):
+            start = len(seen) - len(seen) % oracle.FACE_BATCH
+            sigmas = [1 / (1 - margin) for _, status, margin, exact
+                      in seen[start:]
+                      if exact and status == "face" and margin < 1]
+            assert target == min(sigmas, default=None)
+            outcome = check(columns, subset, target)
+            seen.append(outcome)
             rep = is_face(con16, subset)
-            assert (rep.subset, rep.status, rep.margin) == outcome
+            if outcome[3]:
+                assert (rep.subset, rep.status, rep.margin) == outcome[:3]
+                kinds["optimum"] += 1
+            else:
+                assert rep.subset == outcome[0]
+                assert rep.status == outcome[1] == "face"
+                assert rep.margin >= outcome[2] >= 1 - 1 / target > 0
+                kinds["reached"] += 1
             reports.append(rep)
             return outcome
 
         monkeypatch.setattr(oracle, "_face_check", recorded)
         sweeps = ((1, 10, 1), (2, 12, 1), (3, 12, 1), (4, 40, 2))
         for k, samples, seed in sweeps:
+            del seen[:]
             rep = verify_k_neighborly(con16, k, mode="sample", samples=samples,
                                       seed=seed)
+        assert kinds["optimum"] and kinds["reached"]
         assert rep.failed == 6
         assert [(st, margin) for _, st, margin in rep.failures] == [
             ("not-face", 0)] * 3
@@ -222,20 +241,21 @@ class TestVertexRows:
 
     @staticmethod
     def recorded_programs(monkeypatch):
-        """(rows, bounds) of each LP solved, as lp_max gets them; each LP's
-        packed table is checked to be lp_max's own packing of its rows."""
+        """(rows, bounds, target) of each LP solved, as lp_max gets them;
+        each LP's packed table is checked to be lp_max's own packing of its
+        rows."""
         programs = []
         real_lp_max = oracle.lp_max
 
-        def recording_lp_max(objective, lp_rows, bounds):
+        def recording_lp_max(objective, lp_rows, bounds, target=None):
             rows = [(tuple(c), low, high) for c, low, high in lp_rows]
             width = _field_width(objective, rows, bounds)
             shifts = range(0, width * len(objective), width)
             assert lp_rows.width == width
             assert list(lp_rows.table) == [
                 sum(a << sh for a, sh in zip(c, shifts)) for c, _, _ in rows]
-            programs.append((rows, list(bounds)))
-            return real_lp_max(objective, lp_rows, bounds)
+            programs.append((rows, list(bounds), target))
+            return real_lp_max(objective, lp_rows, bounds, target=target)
 
         monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
         return programs
@@ -248,11 +268,12 @@ class TestVertexRows:
         membership_margin(con, [1] + [0] * 7)
         is_face(con, [(5, -1), (1, 1)])
         face, member, face2 = ([tuple(c[:4]) for c, _, _ in lp_rows]
-                               for lp_rows, _ in programs)
+                               for lp_rows, _, _ in programs)
         assert face == member == list(cols)
         assert face2 == [(0, 1, 0, 0), tuple(-v for v in cols[1]),
                          cols[0], cols[2], cols[3]]
-        bounds = [b for _, b in programs]
+        assert [target for _, _, target in programs] == [None] * 3
+        bounds = [b for _, b, _ in programs]
         assert bounds[0] == bounds[1] == [(-1, 1)] * 4 + [(0, None)]
         assert bounds[2] == [(-1, 1), (None, None), (-1, 1), (-1, 1),
                              (0, None)]
@@ -267,9 +288,15 @@ class TestVertexRows:
         signed = set(cols) | {tuple(-v for v in col) for col in cols}
         units = {tuple(int(i == j) * s for j in range(4))
                  for i in range(4) for s in (1, -1)}
-        for lp_rows, _ in programs:
+        for lp_rows, _, _ in programs:
             heads = [c[:4] for c, _, _ in lp_rows]
             assert len(heads) >= 4 and set(heads) <= signed | units
+        # only face LPs get a target, above 1, and never the first of a
+        # batch of 16
+        targets = [target for _, _, target in programs]
+        assert targets[0:56:16] == [None] * 4
+        assert all(t is None or t > 1 for t in targets[:56])
+        assert any(targets[:56]) and not any(targets[56:])
 
     def test_p_moves_into_the_bounds(self, monkeypatch):
         # alpha = p/q = 2/5 at d = 8: the rows stay H's +-1 columns, u' = 2u
@@ -288,7 +315,8 @@ class TestVertexRows:
             offsets = cube_offsets(con, point, witness)
             assert max(abs(v) for v in offsets) == F(1, 2) - margin
 
-        (rows0, bounds0), (rows1, bounds1), (rows2, bounds2) = programs[:3]
+        (rows0, bounds0, _), (rows1, bounds1, _), (rows2, bounds2, _) = (
+            programs[:3])
         unit0 = (1,) + (0,) * (d - 1)
         assert rows0 == [(unit0 + (-2,), 0, 0)] + [
             (col + (0,), -5, 5) for col in cols]
@@ -300,7 +328,7 @@ class TestVertexRows:
             tuple(int(j == 3) for j in range(d)),
             tuple(-v for v in cols[4])]
         assert bounds2[3] == free
-        for lp_rows, bounds in programs[3:]:           # membership LPs
+        for lp_rows, bounds, _ in programs[3:]:        # membership LPs
             assert bounds == [(-2, 2)] * d + [(0, None)]
             for (c, low, high), col in zip(lp_rows, cols):
                 # scaled by the lcm of the point's denominators, high / 5
@@ -337,6 +365,45 @@ class TestVerifyKNeighborly:
         rep = verify_k_neighborly(con16, 3, mode="sample", samples=10, seed=4)
         assert rep.checked == 20
         assert rep.passed + rep.failed == 20
+
+    @staticmethod
+    def per_subset(con, k, **options):
+        """verify_k_neighborly's report, and its (passed, failed,
+        min_margin, failures) formed from is_face on each subset the sweep
+        checks."""
+        tasks = []
+        real = oracle.ordered_map
+
+        def spy(check, context, batches, jobs=1):
+            tasks.extend(chain.from_iterable(batches))
+            return real(check, context, batches, jobs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "ordered_map", spy)
+            rep = verify_k_neighborly(con, k, **options)
+        reports = [is_face(con, subset) for subset in tasks]
+        passed = sum(r.status == "face" for r in reports)
+        margins = [r.margin for r in reports if r.margin is not None]
+        expected = (2 * passed, 2 * (len(tasks) - passed),
+                    min(margins, default=None),
+                    tuple((r.subset, r.status, r.margin) for r in reports
+                          if r.status != "face")[:20])
+        return rep, expected
+
+    @pytest.mark.parametrize("d,k,options", [
+        (8, 1, {}), (8, 2, {}), (8, 3, {}), (8, 4, {}), (16, 2, {}),
+        (32, 2, {"mode": "sample", "samples": 40, "seed": 7}),
+    ])
+    def test_report_equals_per_subset_is_face(self, d, k, options):
+        # the sweep solves most LPs only up to its batch's tau; its
+        # minimum, counts and first failures are those of solving each
+        # subset to its optimum
+        rep, expected = self.per_subset(build(sylvester(d.bit_length() - 1)),
+                                        k, **options)
+        assert (rep.passed, rep.failed, rep.min_margin,
+                rep.failures) == expected
+        assert rep.enumerated == rep.checked // 2 == (
+            expected[0] + expected[1]) // 2
 
     def test_jobs_match_serial(self, con8, con16):
         subs = list(canonical_subsets(con16.m, 2))[:30]

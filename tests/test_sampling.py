@@ -5,6 +5,8 @@ each sampled sweep draws are pinned, so a changed seed word, bound or draw
 order fails here even where a report would still pass.
 """
 
+from itertools import chain
+
 import pytest
 
 from csneighborly import build, certificate, oracle, sylvester
@@ -48,8 +50,11 @@ def _first_tasks(monkeypatch, sweep, con, **options):
 
 
 def test_faces_sample_d16_seed3(monkeypatch, con16):
-    tasks = _first_tasks(monkeypatch, oracle.verify_k_neighborly, con16,
-                         samples=6, seed=3)
+    # the face sweep hands out batches of consecutive subsets
+    batches = _first_tasks(monkeypatch, oracle.verify_k_neighborly, con16,
+                           samples=6, seed=3)
+    tasks = list(chain.from_iterable(batches))
+    assert len(tasks) == 6
     assert tasks[:4] == [
         ((0, 1), (19, -1)), ((12, 1), (16, -1)), ((2, 1), (8, -1)),
         ((15, 1), (21, 1)),

@@ -220,11 +220,14 @@ class TestBoundFlips:
 
 class TestDegeneracy:
     def test_beale_cycling_instance(self):
-        # the classic cycling example, objective and rows scaled to
-        # integers (objective by 100); after 4 degenerate pivots Bland's
-        # rule takes over, and the run must end
+        # Beale's classic cycling example, objective and rows scaled to
+        # integers (objective by 100).  It cycles in the textbook tableau,
+        # but not here: this dictionary's ratio-test ties go to other
+        # variables, and the run ends in 6 pivots with or without the Bland
+        # fallback.  The first 4 pivots are degenerate (n = 4), so Bland's
+        # rule picks the fifth pivot's entering variable
         nonneg = (0, None)
-        res = lp_max(
+        program = (
             [75, -15000, 2, -600],
             [
                 ([25, -6000, -4, 900], None, 0),
@@ -233,9 +236,14 @@ class TestDegeneracy:
             ],
             [nonneg] * 4,
         )
+        res = lp_max(*program)
         assert res.status == "optimal"
         assert res.objective == 5
         assert res.x == (F(1, 25), F(0), F(1), F(0))
+        assert res.pivots == 6
+        blands = []
+        assert literal_lp_max(*program, blands=blands) == res
+        assert blands == [False, False, False, False, True, False]
 
     def test_degenerate_vertex(self):
         res = lp_max(
@@ -535,16 +543,18 @@ class TestRecheck:
 
 def solves_of(sweep, *args, **kwargs):
     """(program, rows as given, result) of every LP that an oracle call
-    solves: program is (objective, rows, bounds) with plain tuple rows, and
-    rows as given are the PackedRows that the oracle passed to lp_max."""
+    solves: program is (objective, rows, bounds, target) with plain tuple
+    rows, so that lp_max(*program) and literal_lp_max(*program) solve it
+    with the oracle's target, and rows as given are the PackedRows that the
+    oracle passed to lp_max."""
     solves = []
     solve = oracle.lp_max
 
-    def recording(objective, rows, bounds):
+    def recording(objective, rows, bounds, target=None):
         program = (tuple(objective),
                    tuple((tuple(a), low, high) for a, low, high in rows),
-                   tuple(bounds))
-        result = solve(objective, rows, bounds)
+                   tuple(bounds), target)
+        result = solve(objective, rows, bounds, target=target)
         solves.append((program, rows, result))
         return result
 
@@ -745,10 +755,85 @@ class TestDivisionSplit:
         assert kinds["odd part > 2**30"]
 
 
+class TestTarget:
+    """With a target, lp_max stops at the first dictionary whose c.x
+    reaches it, as the literal oracle does, and returns its point as
+    "reached"; a program whose optimum or ray comes first returns as
+    without a target."""
+
+    # maximize x + y with x + y <= 4, 0 <= x <= 1 and 0 <= y <= 5: x enters
+    # first (a tie, to the smaller index) and flips to 1, then y enters and
+    # the row stops it at 3, the optimum 4 after 1 pivot
+    PROGRAM = ([1, 1], [([1, 1], None, 4)], [(0, 1), (0, 5)])
+
+    @pytest.mark.parametrize("target,status,objective,x,pivots", [
+        (-3, "reached", 0, (0, 0), 0),           # <= 0: the origin
+        (0, "reached", 0, (0, 0), 0),
+        (F(1, 2), "reached", 1, (1, 0), 0),      # after the flip
+        (2, "reached", 4, (1, 3), 1),            # below the optimum
+        (4, "reached", 4, (1, 3), 1),            # at it
+        (F(9, 2), "optimal", 4, (1, 3), 1),      # above it
+    ])
+    def test_target_below_at_and_above_the_optimum(
+            self, monkeypatch, target, status, objective, x, pivots):
+        checked = []
+        check = simplex._check_dual
+
+        def recording(*args):
+            checked.append(None)
+            check(*args)
+
+        monkeypatch.setattr(simplex, "_check_dual", recording)
+        res = lp_max(*self.PROGRAM, target=target)
+        assert (res.status, res.objective, res.x, res.pivots) == (
+            status, objective, x, pivots)
+        assert res == literal_lp_max(*self.PROGRAM, target)
+        # only an optimum is certified by multipliers
+        assert len(checked) == (status == "optimal")
+        if status == "optimal":
+            assert res == lp_max(*self.PROGRAM)
+
+    def test_ray_before_the_target(self):
+        program = ([1, 1], [([1, -1], -1, 1)], [FREE, (0, None)])
+        res = lp_max(*program, target=1 << 40)
+        assert res.status == "unbounded"
+        assert res == lp_max(*program) == literal_lp_max(*program, 1 << 40)
+
+    @pytest.mark.parametrize("target", [0.5, "1", True])
+    def test_target_must_be_int_or_fraction(self, target):
+        with pytest.raises(TypeError, match="target is not an int"):
+            lp_max(*self.PROGRAM, target=target)
+
+    def test_wide_programs_against_literal_oracle(self):
+        """On seeded programs with entries up to 2**40, targets below, at
+        and above each optimum stop where the literal dictionary stops."""
+        rng = random.Random(41)
+        statuses = Counter()
+        for _ in range(100):
+            program = wide_program(rng)
+            full = lp_max(*program)
+            if full.status == "optimal":
+                best = full.objective
+                targets = (best / 3, best, best + F(1, 7))
+            else:
+                targets = (F(1, 3), 1 << 90)
+            for target in targets:
+                res = lp_max(*program, target=target)
+                assert res == literal_lp_max(*program, target)
+                statuses[res.status] += 1
+                assert res.pivots <= full.pivots
+                if res.status == "reached":
+                    assert res.objective >= target
+                else:
+                    assert res == full
+        assert statuses["reached"] and statuses["optimal"]
+        assert statuses["unbounded"]
+
+
 def lp_max_packing(program, width):
     """The rows of a program packed as lp_max packs them, in width-bit
     fields."""
-    objective, rows, _ = program
+    objective, rows = program[:2]
     shifts = range(0, width * len(objective), width)
     return [sum(a << sh for a, sh in zip(coeffs, shifts))
             for coeffs, _, _ in rows]
@@ -761,7 +846,7 @@ def assert_packed_as_lp_max(solves):
     for program, rows, result in solves:
         assert isinstance(rows, PackedRows)
         assert rows.checked == len(program[0]) - 1
-        width = _field_width(*program)
+        width = _field_width(*program[:3])
         assert rows.width == width
         assert list(rows.table) == lp_max_packing(program, width)
         assert result == lp_max(*program)
@@ -858,6 +943,7 @@ class TestDualCertificate:
         monkeypatch.setattr(simplex, "_check_dual", recording)
         optima = 0
         for program in SMALL_PROGRAMS + d8_programs:
+            program = program[:3]              # to the optimum, no target
             res = lp_max(*program)
             if res.status != "optimal":
                 continue
@@ -900,7 +986,7 @@ class TestFieldWidth:
         """Each dictionary's largest entry (D times every entry, value and
         reduced cost, and D) fits in the width less its 2 spare bits."""
         for program, _, entries in sampled_literal_runs:
-            width = _field_width(*program)
+            width = _field_width(*program[:3])
             assert all(v.denominator == 1 for v in entries)
             assert max(entries).numerator.bit_length() <= width - 2
 
@@ -932,17 +1018,17 @@ class TestFieldWidth:
         solve = oracle.lp_max
         outcomes = Counter()
 
-        def narrow(objective, rows, bounds):
+        def narrow(objective, rows, bounds, target=None):
             assert rows.width == 8
             try:
-                res = solve(objective, rows, bounds)
+                res = solve(objective, rows, bounds, target=target)
             except RuntimeError as exc:
                 assert str(exc).startswith("internal error: ")
                 outcomes["internal error"] += 1
-                return solve(objective, tuple(rows), bounds)
+                return solve(objective, tuple(rows), bounds, target=target)
             program = (tuple(objective),
                        tuple((tuple(a), low, high) for a, low, high in rows),
-                       tuple(bounds))
+                       tuple(bounds), target)
             assert res == literal_of(program)
             outcomes["agrees"] += 1
             return res

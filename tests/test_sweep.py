@@ -84,11 +84,13 @@ def _halves_listed(packed, num, den, weight, totals):
     return _failed(results, weight, totals, _LISTED["right"], 1)
 
 
-def _face_check_failing(columns, subset):
-    members, status, margin = _real_face_check(columns, subset)
+def _face_check_failing(columns, subset, target=None):
+    # fails each subset whose least vertex index is 3 mod 7, as an exact
+    # verdict, so its batch leaves it out of tau
+    outcome = _real_face_check(columns, subset, target)
     if min(i for i, _ in subset) % 7 == 3:
-        return members, "not-face", None
-    return members, status, margin
+        return outcome[0], "not-face", None, True
+    return outcome
 
 
 _SQUARED = []                      # arguments _square saw in this process
