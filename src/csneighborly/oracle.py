@@ -35,6 +35,20 @@ sets the minimum, are solved to a dual-certified optimum.  The batches
 depend only on the task list, so every LP's pivots are the same for every
 worker count.
 
+The containment sweep reports only the least margin and the first vertex
+that attains it.  Before the sweep, the calling process solves the LP of
+each block's first vertex, the probe, to a dual-certified optimum; tau is
+the least sigma* among the bounded probes.  Every other vertex's LP stops
+at the first point with sigma > tau, through the target
+tau + 1/(b * 2**(W-2)) (b tau's denominator, W the LP's field width; see
+_margin for why that is exact).  Such a vertex's margin is above the least
+probe margin, so it is neither the minimum nor where it is first met; a
+vertex with sigma* <= tau, ties included, is solved to a dual-certified
+optimum.  The comparison is strict because the minimum may lie in a later
+block than the vertices that stop.  The probe margins and tau go to the
+sweep in its context, so no LP is solved twice, and the targets depend only
+on the task list.
+
 Every LP row is a column of H, signed and scaled, with a sigma coefficient
 (or a unit row on a member vertex).  Once per sweep, _PackedColumns
 type-checks H's entries and sums its column norms; the first time a
@@ -369,9 +383,19 @@ def membership_margin(con: Construction, point) -> tuple:
     return margin, tuple(u / p_sigma - v for u, v in zip(result.x[:d], w))
 
 
-def _margin(columns: _PackedColumns, w) -> tuple:
+def _margin(columns: _PackedColumns, w, tau=None) -> tuple:
     """(membership margin, LP result) of the point w (ints or Fractions),
-    its rows packed from the sweep's columns of H."""
+    its rows packed from the sweep's columns of H.
+
+    With tau (a Fraction a/b), the LP stops at the first point with
+    sigma > tau: lp_max gets the target tau+ = tau + 1/(b * 2**(W-2)), W
+    the LP's field width.  At every dictionary sigma = V/D with V an int
+    and 0 < D < 2**(W-2), as lp_max's overflow guard bounds every pivot
+    entry and so every D; so sigma > tau gives sigma - tau >= 1/(b*D) >
+    1/(b * 2**(W-2)), and sigma >= tau+ holds exactly when sigma > tau.  A
+    "reached" result's margin is that of its point, above 1/2 - 1/tau; an
+    LP whose sigma* is at most tau is solved to its optimum.
+    """
     d, p, q, cols = columns.d, columns.p, columns.q, columns.columns
     scale = lcm(*(v.denominator for v in w))
     ints = [v.numerator * (scale // v.denominator) for v in w]
@@ -394,9 +418,12 @@ def _margin(columns: _PackedColumns, w) -> tuple:
     width = _field_width(objective, rows, bounds, squares)
     packed, top = columns.packed(width), width * d
     table = [scale * x + (qb << top) for x, qb in zip(packed, qbs)]
-    result = lp_max(objective, PackedRows(rows, width, table, d), bounds)
+    target = None if tau is None else tau + Fraction(
+        1, tau.denominator << (width - 2))
+    result = lp_max(objective, PackedRows(rows, width, table, d), bounds,
+                    target=target)
     sigma = result.x[d]
-    margin = HALF - 1 / sigma if result.status == "optimal" else HALF
+    margin = HALF if result.status == "unbounded" else HALF - 1 / sigma
     return margin, result
 
 
@@ -540,6 +567,12 @@ def projection_containment(
     minimum margin is >= 0.  Sample mode draws `samples` rows from each
     block (blocks.sample_indices); each vertex is unranked from its
     (block, row index) as the sweep reaches it.
+
+    Each block's first vertex, its probe, is solved first, in this process,
+    to a dual-certified optimum; every other vertex's LP stops once sigma
+    exceeds tau, the least sigma* of the bounded probes (none when every
+    probe is unbounded; module docstring and _margin).  min_margin and
+    min_at are those of solving every LP to its optimum.
     """
     k = con.k if k is None else k
     d = con.d
@@ -552,7 +585,15 @@ def projection_containment(
         ((l, index) for l in blocks
          for index in sample_indices(d, k, l, samples, seed)),
         seed)
-    margins = ordered_map(_vertex_margin, (_PackedColumns(con), k), tasks,
+    columns = _PackedColumns(con)
+    firsts = {}                   # block l: its first task
+    for task in tasks:
+        firsts.setdefault(task[0], task)
+    probes = {task: _margin(columns, _vertex(columns, k, task))[0]
+              for task in firsts.values()}
+    least = min(probes.values(), default=HALF)
+    tau = 1 / (HALF - least) if least < HALF else None   # sigma* of least
+    margins = ordered_map(_vertex_margin, (columns, k, tau, probes), tasks,
                           jobs)
 
     best = None
@@ -572,9 +613,18 @@ def projection_containment(
     )
 
 
+def _vertex(columns: _PackedColumns, k: int, task) -> tuple:
+    """The vertex at task = (l, row index) of the weight-k section."""
+    return dense_parts(columns.d, *block_row_parts(columns.d, k, *task))
+
+
 def _vertex_margin(context, task):
     """Membership margin of the vertex at task = (l, row index) of the
-    weight-k section; context = (packed columns, k), k the sweep's."""
-    columns, k = context
-    point = dense_parts(columns.d, *block_row_parts(columns.d, k, *task))
-    return _margin(columns, point)[0]
+    weight-k section; context = (packed columns, k, tau, probe margins by
+    task), k the sweep's.  A probe's margin is looked up; any other vertex's
+    LP stops once sigma > tau, and its margin is then that of the point."""
+    columns, k, tau, probes = context
+    margin = probes.get(task)
+    if margin is None:
+        margin = _margin(columns, _vertex(columns, k, task), tau)[0]
+    return margin

@@ -564,6 +564,16 @@ class TestPinnedReports:
          "f1368262d8a776569c328f05430dae4e9a4ca1f6516e21a3db4b138d4ec75026"),
         ("verify --d 16 --check faces",
          "8d062508be9eced4b5ca813d84cf80cd4567345847cdc640c87639e70481fd46"),
+        # containment sweeps pinned with every membership LP solved to its
+        # optimum: many ties at the minimum, the minimum in the last block,
+        # and a failing sweep (sigma* < 2)
+        ("verify --d 16 --check containment",
+         "4cddce70c16afeed540eeebd22314eea600fb90bee3f95cc3f3af9832aa720e5"),
+        ("verify --d 32 --check containment --mode sample --samples 34 "
+         "--seed 1",
+         "489114daef99020cd3c950fd4ffacc366747bd9093fc37a8290d86bb192cdd0f"),
+        ("verify --d 8 --check containment --k 3",
+         "1d7896dec8a27dba1931a1957c2b25d263a0a803bfcc131f3d1c2f77f95c7ca1"),
     ])
     def test_report_digest(self, capsys, monkeypatch, argv, digest):
         monkeypatch.delenv("NEIGHBORLY_MAX_ROWS", raising=False)

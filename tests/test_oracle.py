@@ -20,10 +20,11 @@ from csneighborly import (
     verify_k_neighborly,
 )
 from csneighborly import oracle
+from csneighborly.blocks import block_row_count, sample_indices
 from csneighborly.construction import Construction
 from csneighborly.oracle import canonical_subsets
 from csneighborly.simplex import _field_width
-from literal import recheck_face, signed_vertices, vertex_matrix
+from literal import block_row, recheck_face, signed_vertices, vertex_matrix
 
 
 # (status, margin) of each of the 848 canonical d = 4 subsets of sizes 1-4,
@@ -291,12 +292,14 @@ class TestVertexRows:
         for lp_rows, _, _ in programs:
             heads = [c[:4] for c, _, _ in lp_rows]
             assert len(heads) >= 4 and set(heads) <= signed | units
-        # only face LPs get a target, above 1, and never the first of a
-        # batch of 16
+        # face LPs get a target above 1, never the first of a batch of 16;
+        # dominance LPs get none; containment LPs get one above tau = 3
+        # (every margin is 1/6), except its k + 1 = 2 probes
         targets = [target for _, _, target in programs]
         assert targets[0:56:16] == [None] * 4
         assert all(t is None or t > 1 for t in targets[:56])
-        assert any(targets[:56]) and not any(targets[56:])
+        assert any(targets[:56]) and not any(targets[56:74])
+        assert all(t > 3 for t in targets[74:])
 
     def test_p_moves_into_the_bounds(self, monkeypatch):
         # alpha = p/q = 2/5 at d = 8: the rows stay H's +-1 columns, u' = 2u
@@ -514,20 +517,23 @@ class TestContainment:
     @pytest.mark.parametrize("k", [1, 2])
     def test_points_follow_the_block_stream_d8(self, con8, k, monkeypatch):
         # the sweep's k sizes the blocks, not con.k (1 at d = 8): the point
-        # of task (l, index) is the index-th row block_rows(8, k, l) streams
+        # of task (l, index) is the index-th row block_rows(8, k, l) streams.
+        # The probes, each block's first row, come first, then the other
+        # rows in stream order, each solved once
         points = []
         real_margin = oracle._margin
 
-        def recording_margin(columns, w):
+        def recording_margin(columns, w, tau=None):
             points.append(tuple(w))
-            return real_margin(columns, w)
+            return real_margin(columns, w, tau)
 
         monkeypatch.setattr(oracle, "_margin", recording_margin)
         rep = projection_containment(con8, k)
-        streamed = [e.dense() + f.dense() for l in range(k + 1)
-                    for e, f in block_rows(8, k, l)]
-        assert points == streamed
-        assert rep.vertices_checked == len(streamed) == (1 << k) * (
+        streamed = [[e.dense() + f.dense() for e, f in block_rows(8, k, l)]
+                    for l in range(k + 1)]
+        assert points == ([rows[0] for rows in streamed]
+                          + [point for rows in streamed for point in rows[1:]])
+        assert rep.vertices_checked == len(points) == (1 << k) * (
             16 if k == 1 else 120)
 
     def test_min_at_names_a_least_margin_vertex_d8(self, con8):
@@ -552,3 +558,100 @@ class TestContainment:
         assert faces.all_faces
         assert dom.dominant_found == 0
         assert cont.min_margin > 0
+
+
+class TestContainmentLiteral:
+    """projection_containment against a fold of membership_margin, which
+    solves each vertex's LP to its optimum, with no target."""
+
+    folds = {}                     # (d, k, options) -> the fold's report
+
+    @staticmethod
+    def tasks(d, k, mode="exhaustive", samples=0, seed=0):
+        """The sweep's (block l, row index) tasks, in task order."""
+        if mode == "exhaustive":
+            return [(l, index) for l in range(k + 1)
+                    for index in range(block_row_count(d, k, l))]
+        return [(l, index) for l in range(k + 1)
+                for index in sample_indices(d, k, l, samples, seed)]
+
+    @classmethod
+    def fold(cls, con, k, options):
+        """(min_margin, min_at, vertices_checked): the least margin, first
+        in task order."""
+        key = (con.d, k, tuple(sorted(options.items())))
+        if key not in cls.folds:
+            best = best_at = None
+            tasks = cls.tasks(con.d, k, **options)
+            for l, index in tasks:
+                e, f = block_row(con.d, k, l, index)
+                margin, _ = membership_margin(con, e.dense() + f.dense())
+                if best is None or margin < best:
+                    best, best_at = margin, (l, index)
+            cls.folds[key] = (best, best_at, len(tasks))
+        return cls.folds[key]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("d,k,options", [
+        (8, 1, {}), (8, 2, {}), (8, 3, {}), (16, 2, {}),
+        (32, 2, {"mode": "sample", "samples": 6, "seed": 1}),
+    ])
+    def test_report_equals_fold_of_membership_margin(self, d, k, options,
+                                                     jobs):
+        # most LPs stop once sigma exceeds the least probe optimum; the
+        # report is that of solving every LP to its optimum
+        con = build(sylvester(d.bit_length() - 1))
+        rep = projection_containment(con, k, jobs=jobs, **options)
+        assert (rep.min_margin, rep.min_at, rep.vertices_checked) == (
+            self.fold(con, k, options))
+
+    def test_known_minima_d8(self, con8):
+        # k = 2 touches the boundary; k = 3 leaves the cube at (2, 3)
+        assert self.fold(con8, 2, {})[0] == 0
+        assert self.fold(con8, 3, {})[:2] == (F(-1, 8), (2, 3))
+
+
+class TestContainmentTargets:
+    """The target rule of projection_containment, read off the LPs it
+    solves (module docstring of oracle)."""
+
+    @pytest.mark.parametrize("d,k,options", [
+        (8, 3, {}),                                  # fails: sigma* < 2
+        (16, 2, {}),                                 # ties at the minimum
+        (32, 2, {"mode": "sample", "samples": 34, "seed": 1}),
+    ])
+    def test_targets_stop_only_lps_above_tau(self, d, k, options,
+                                             monkeypatch):
+        calls = []                 # (objective, rows, bounds, target, result)
+        real_lp_max = oracle.lp_max
+
+        def recording_lp_max(objective, rows, bounds, target=None):
+            result = real_lp_max(objective, rows, bounds, target=target)
+            calls.append((objective, rows, bounds, target, result))
+            return result
+
+        monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
+        projection_containment(build(sylvester(d.bit_length() - 1)), k,
+                               **options)
+        tasks = TestContainmentLiteral.tasks(d, k, **options)
+        firsts = {l: (l, index) for l, index in reversed(tasks)}
+        assert len(calls) == k + 1 + sum(
+            task not in firsts.values() for task in tasks)
+
+        # k + 1 probes, solved to an optimum without a target; tau is their
+        # least sigma*
+        probes, others = calls[:k + 1], calls[k + 1:]
+        assert all(target is None and result.status == "optimal"
+                   for *_, target, result in probes)
+        tau = min(result.objective for *_, result in probes)
+        reached = 0
+        for objective, rows, bounds, target, result in others:
+            # tau+ = tau + 1/(b * 2**(W-2)): sigma >= tau+ iff sigma > tau
+            assert target == tau + F(1, tau.denominator << (rows.width - 2))
+            if result.status == "reached":
+                reached += 1
+                assert result.objective > tau
+            optimum = real_lp_max(objective, rows, bounds)
+            if optimum.status == "optimal" and optimum.objective <= tau:
+                assert result == optimum         # solved to its optimum
+        assert reached
