@@ -22,18 +22,32 @@ exhaustive mode, refused above a cap, or a seeded draw in sample mode
 sweep.ordered_map, serially or on worker processes, and results are
 aggregated in task order, so reports do not depend on the worker count.
 
-The face sweep hands out its subsets in batches of FACE_BATCH consecutive
-ones and solves each LP only as far as its report needs.  Its report reads
-the verdicts, the first failures with their margins and the least margin.
-Within a batch, tau is the least sigma* among the subsets solved so far to
-an optimum as faces; each later subset's LP stops at the first point with
-sigma >= tau (simplex.lp_max's target).  Such a subset is a face, as
-sigma >= tau > 1, and cannot lower the minimum, which an earlier subset
-already attains at tau or below; its margin is that of the point, at least
-1 - 1/tau.  A failure never reaches tau, so failures, and the subset that
-sets the minimum, are solved to a dual-certified optimum.  The batches
-depend only on the task list, so every LP's pivots are the same for every
-worker count.
+The face sweep solves an LP only where its report needs an optimum.  Its
+report reads the verdicts, the first failures with their margins and the
+least margin.  Each subset first gets a witness point (_face_witness): with
+G the members' signed Gram matrix and G lambda = 1, c = sum lambda_i s_i x_i
+has <c, s_i x_i> = 1 on every member, and with m the largest |<c, x_j>| over
+the other vertex pairs, u = c/m and sigma_w = 1/m are feasible for
+is_face's LP, so sigma_w <= sigma*.  Each <x_i, x_j> is [i = j], alpha*H_ij
+or alpha^2 G_ij (G = H^T H, d*I once validated), so the point costs O(k*d)
+integer operations read from H, G and (p, q); Gauss-Jordan solves
+G lambda = 1 once per sweep and member pattern (_PackedColumns.solutions).
+Before the sweep, the calling process solves the LP of the subset with the
+least sigma_w (the first in task order), the probe, to a dual-certified
+optimum.  The sweep then hands out its subsets in batches of FACE_BATCH
+consecutive ones.  Within a batch, tau starts at the probe's sigma* and
+falls to the sigma* of each subset solved to an optimum as a face below it.
+A later subset with sigma_w >= tau and sigma_w > 1 gets no LP: its witness
+point is re-substituted into the LP's rows and bounds (simplex._recheck),
+and shows a face whose margin, at least 1 - 1/sigma_w, is the one the
+report keeps.  Every other subset's LP stops at the first point with
+sigma >= tau when tau > 1 (simplex.lp_max's target), with its margin that
+of the point, at least 1 - 1/tau.  Neither can lower the minimum, which the
+probe or an earlier subset already attains at tau or below.  A failure has
+sigma_w <= sigma* <= 1, so it is never settled by its point and never
+reaches tau: failures, and the subset that sets the minimum, are solved to
+a dual-certified optimum.  The probe and the batches depend only on the
+task list, so every LP's pivots are the same for every worker count.
 
 The containment sweep reports only the least margin and the first vertex
 that attains it.  Before the sweep, the calling process solves the LP of
@@ -60,7 +74,7 @@ of [c; A] in closed form for _field_width, and each packed row with one
 product and one shift: s * scale * packed[j] + (sigma coefficient << W*d),
 exact because packing is linear.  lp_max still checks each LP's sigma
 column, row limits and bounds.  The sweeps keep only margins and verdicts,
-so they form no face witness c and no cube witness y.
+so they keep no face witness c and form no cube witness y.
 """
 
 from __future__ import annotations
@@ -77,7 +91,7 @@ from .blocks import (_signs_from_bits, block_row_count, block_row_parts,
 from .construction import Construction
 from .exact import as_scalar
 from .sampling import draws
-from .simplex import PackedRows, _field_width, _ints, lp_max
+from .simplex import PackedRows, _field_width, _ints, _recheck, lp_max
 from .sweep import ordered_map
 
 HALF = Fraction(1, 2)
@@ -89,7 +103,9 @@ class _PackedColumns:
     once, packed once per field width (module docstring).
 
     rows[i] is row i of H, and norms[i] its squared norm: that of LP column
-    i < d over the d rows h_j.
+    i < d over the d rows h_j.  gram is G = H^T H, as validation formed
+    it; solutions keeps _unit_solution's result for each signed Gram
+    matrix of face members that the sweep meets.
     """
 
     def __init__(self, con: Construction):
@@ -100,7 +116,9 @@ class _PackedColumns:
         self.rows = tuple(zip(*self.columns))     # row i of H
         _ints(chain.from_iterable(self.columns), "coefficient")
         self.norms = [sum(h * h for h in row) for row in self.rows]
+        self.gram = con.hadamard.gram
         self._by_width = {}
+        self.solutions = {}
 
     def packed(self, width: int) -> tuple:
         """Column j of H as sum_i h_ij * 2**(width*i), for each j."""
@@ -177,43 +195,29 @@ def is_face(con: Construction, subset) -> FaceReport:
                       tuple(c / p_sigma for c in result.x[:d]), margin)
 
 
-def _face_batch(columns: _PackedColumns, batch) -> list:
-    """(subset, status, margin) of each subset of a batch, in order: one
-    task of verify_k_neighborly.
-
-    tau is the least sigma* among the subsets of the batch solved so far
-    to an optimum as faces (none at first); each later subset's LP stops
-    once sigma reaches tau.  Each subset is checked through the module
-    global _face_check, so that a test that replaces it sees every subset.
-    """
-    outcomes, tau = [], None
-    for subset in batch:
-        members, status, margin, exact = _face_check(columns, subset, tau)
-        if exact and status == "face" and margin < 1:
-            sigma = 1 / (1 - margin)
-            if tau is None or sigma < tau:
-                tau = sigma
-        outcomes.append((members, status, margin))
-    return outcomes
-
-
-def _face_check(columns: _PackedColumns, subset, target=None) -> tuple:
-    """is_face's (subset, status, margin), without its witness, and whether
-    that margin is the LP's optimum.
-
-    With a target > 1, the face LP may stop at a point with sigma >= target:
-    then the subset is a face with margin at least 1 - 1/target, the margin
-    is that of the point, and the flag is False.
-    """
-    members, status, margin, result = _face(columns, subset, target)
-    return (members, status, margin,
-            result is None or result.status != "reached")
-
-
 def _face(columns: _PackedColumns, subset, target=None) -> tuple:
     """(members, status, margin, LP result) of is_face, the LP stopped at
-    sigma >= target if one is given; no result for an antipodal subset."""
-    con = columns.con
+    sigma >= target if one is given; no result for an antipodal subset.
+
+    With a target > 1, a "reached" result shows a face whose margin is at
+    least 1 - 1/target; the margin is then that of the point, not the
+    optimum.
+    """
+    members = _face_members(columns.con, subset)
+    indices = [i for i, _ in members]
+    if len(set(indices)) < len(indices):
+        return members, "antipodal-rejected", None, None
+
+    result = _face_lp(columns, members, target)
+    sigma = result.x[columns.d]
+    if not sigma:
+        return members, "not-face", None, result
+    margin = Fraction(1) if result.status == "unbounded" else 1 - 1 / sigma
+    return members, "face" if margin > 0 else "not-face", margin, result
+
+
+def _face_members(con: Construction, subset) -> tuple:
+    """The members of a signed subset, sorted; raises as is_face does."""
     members = tuple(sorted(set((as_index(i), as_index(s)) for i, s in subset)))
     if not members:
         raise ValueError("subset must be non-empty")
@@ -222,21 +226,14 @@ def _face(columns: _PackedColumns, subset, target=None) -> tuple:
     for i, s in members:
         if not 0 <= i < con.m or s not in (1, -1):
             raise ValueError(f"bad subset member ({i}, {s})")
-    indices = [i for i, _ in members]
-    if len(set(indices)) < len(indices):
-        return members, "antipodal-rejected", None, None
-
-    result = _face_lp(columns, members, target)
-    sigma = result.x[con.d]
-    if not sigma:
-        return members, "not-face", None, result
-    margin = Fraction(1) if result.status == "unbounded" else 1 - 1 / sigma
-    return members, "face" if margin > 0 else "not-face", margin, result
+    return members
 
 
-def _face_lp(columns: _PackedColumns, members, target=None):
-    """The face LP of is_face over antipode-free members, its rows packed
-    from the sweep's columns of H, solved up to sigma >= target."""
+def _face_rows(columns: _PackedColumns, members) -> tuple:
+    """(rows, bounds, squares, others) of the face LP of is_face over
+    antipode-free members: its rows and bounds in (u', sigma), the squared
+    column norms of [c; A], and the non-member columns j of H, whose rows
+    |h_j.u'| <= q follow the members' rows."""
     d, p, q, cols = columns.d, columns.p, columns.q, columns.columns
     bounds = [(-p, p)] * d + [(0, None)]
     squares = columns.norms + [1]                 # columns of [c; A]
@@ -255,7 +252,14 @@ def _face_lp(columns: _PackedColumns, members, target=None):
         rows.append((coeffs, 0, 0))
     others = [j for j in range(d) if j not in used]
     rows += [(cols[j] + (0,), -q, q) for j in others]    # |h_j.u'| <= q
+    return rows, bounds, squares, others
 
+
+def _face_lp(columns: _PackedColumns, members, target=None):
+    """The face LP of is_face over antipode-free members, its rows packed
+    from the sweep's columns of H, solved up to sigma >= target."""
+    d, p, q = columns.d, columns.p, columns.q
+    rows, bounds, squares, others = _face_rows(columns, members)
     objective = (0,) * d + (1,)
     width = _field_width(objective, rows, bounds, squares)
     packed, top = columns.packed(width), width * d
@@ -264,6 +268,143 @@ def _face_lp(columns: _PackedColumns, members, target=None):
     table += [packed[j] for j in others]
     return lp_max(objective, PackedRows(rows, width, table, d), bounds,
                   target=target)
+
+
+def _face_witness(columns: _PackedColumns, members) -> tuple | None:
+    """(nums, den): the members' witness point x = nums / den of the face
+    LP in (u', sigma), sigma_w = nums[d] / den (module docstring); None when
+    the members hold an antipodal pair, their Gram matrix is singular, or
+    no other vertex pair bounds the point.
+
+    In y_i = q*x_i, C = sum nu_i s_i y_i (nu from _unit_solution) has
+    <C, s_i y_i> = delta on each member.  <C, y_j> at every vertex sums the
+    members' Gram rows: q^2 e_i and p*q times row i of H for e_i, p*q h_j
+    and p^2 times row j of G for column j.  den is its largest size over
+    the non-members, sigma = delta / den, and u' = p*q*C / den, whose entry
+    i is p*<C, y_i> / den.
+    """
+    d, p, q = columns.d, columns.p, columns.q
+    indices = {i for i, _ in members}
+    if len(indices) < len(members):
+        return None
+    key = tuple(s * t * _gram_entry(columns, i, j)
+                for i, s in members for j, t in members)
+    solutions = columns.solutions
+    if key not in solutions:
+        solutions[key] = _unit_solution(key, len(members))
+    if solutions[key] is None:
+        return None
+    nu, delta = solutions[key]
+    units, others = [0] * d, [0] * d          # <C, y_i> at e_i, at column i
+    for (i, s), v in zip(members, nu):
+        w = s * v
+        if i < d:
+            units[i] += w * q * q
+            w *= p * q
+            others = [o + w * h for o, h in zip(others, columns.rows[i])]
+        else:
+            wpq, wpp = w * p * q, w * p * p
+            units = [u + wpq * h
+                     for u, h in zip(units, columns.columns[i - d])]
+            others = [o + wpp * g for o, g in zip(others, columns.gram[i - d])]
+    values = units + others
+    for i in indices:
+        values[i] = 0
+    den = max(max(values), -min(values))
+    if not den:
+        return None
+    return [p * u for u in units] + [delta], den
+
+
+def _gram_entry(columns: _PackedColumns, i: int, j: int) -> int:
+    """<y_i, y_j> for the vertices y_i = q*x_i and y_j = q*x_j."""
+    if i > j:
+        i, j = j, i
+    d = columns.d
+    if j < d:
+        return columns.q * columns.q if i == j else 0
+    if i < d:
+        return columns.p * columns.q * columns.rows[i][j - d]
+    return columns.p * columns.p * columns.gram[i - d][j - d]
+
+
+def _unit_solution(gram, k: int) -> tuple | None:
+    """(nu, delta): ints with delta > 0 and G nu = delta * (1, ..., 1) for
+    the k x k matrix G whose entries gram lists row by row; None when G is
+    singular.  Gauss-Jordan elimination in Fractions, once per sweep and
+    member pattern."""
+    rows = [[Fraction(v) for v in gram[r * k:(r + 1) * k]] + [Fraction(1)]
+            for r in range(k)]
+    for c in range(k):
+        r = next((r for r in range(c, k) if rows[r][c]), None)
+        if r is None:
+            return None
+        rows[c], rows[r] = rows[r], rows[c]
+        pivot = rows[c]
+        for i, row in enumerate(rows):
+            if i != c and row[c]:
+                f = row[c] / pivot[c]
+                rows[i] = [a - f * b for a, b in zip(row, pivot)]
+    lam = [row[k] / row[c] for c, row in enumerate(rows)]
+    delta = lcm(*(v.denominator for v in lam))
+    return tuple(v.numerator * (delta // v.denominator) for v in lam), delta
+
+
+def _face_point_check(columns: _PackedColumns, members, nums, den) -> None:
+    """Re-substitute the point nums / den into the face LP's integer rows
+    and bounds over the members (simplex._recheck), with sigma = nums[d] /
+    den; raises RuntimeError("internal error: ...") unless it is feasible."""
+    rows, bounds, _, _ = _face_rows(columns, members)
+    _recheck((0,) * columns.d + (1,), rows, bounds, nums, den, nums[-1])
+
+
+def _face_batch(context, batch) -> list:
+    """(subset, status, margin) of each subset of a batch, in order: one
+    task of verify_k_neighborly; context = (packed columns, the probe's
+    sigma*, the probe's outcome by its task).
+
+    tau starts at the probe's sigma* and falls to the sigma* of each subset
+    of the batch solved to an optimum as a face below it.  Each subset is
+    checked through the module global _face_check, so that a test that
+    replaces it sees every subset but the probe.
+    """
+    columns, tau, probes = context
+    outcomes = []
+    for subset in batch:
+        outcome = probes.get(subset)
+        if outcome is None:
+            outcome, sigma = _face_check(columns, subset, tau)
+            if sigma is not None and (tau is None or sigma < tau):
+                tau = sigma
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _face_check(columns: _PackedColumns, subset, tau=None) -> tuple:
+    """((subset, status, margin), sigma*) of one subset of the face sweep:
+    sigma* when its LP was solved to an optimum as a face with a margin
+    below 1, else None.
+
+    With tau, a subset whose witness has sigma_w >= tau and sigma_w > 1
+    gets no LP: its point is re-substituted, and its margin is the point's,
+    1 - 1/sigma_w.  Any other subset's LP stops once sigma reaches tau, when
+    tau > 1, and its margin is then that of the point.
+    """
+    if tau is not None:
+        members = _face_members(columns.con, subset)
+        witness = _face_witness(columns, members)
+        if witness is not None:
+            nums, den = witness
+            sigma = Fraction(nums[-1], den)
+            if sigma >= tau and sigma > 1:
+                _face_point_check(columns, members, nums, den)
+                return (members, "face", 1 - 1 / sigma), None
+    target = tau if tau is not None and tau > 1 else None
+    members, status, margin, result = _face(columns, subset, target)
+    exact = result is None or result.status != "reached"
+    sigma = (1 / (1 - margin) if exact and status == "face" and margin < 1
+             else None)
+    return (members, status, margin), sigma
 
 
 def canonical_subsets(m: int, k: int):
@@ -288,7 +429,7 @@ class NeighborlinessReport:
     d: int
     k: int
     mode: str
-    enumerated: int                # LPs actually solved (canonical subsets)
+    enumerated: int                # canonical subsets checked
     checked: int                   # logical subsets covered (x2 by symmetry)
     passed: int
     failed: int
@@ -317,10 +458,14 @@ def verify_k_neighborly(
     logical counts are doubled); sample mode draws `samples` canonical
     subsets deterministically from the seed.
 
-    The subsets are checked in batches of FACE_BATCH consecutive ones
-    (_face_batch), each LP stopped once sigma reaches tau, the least sigma*
-    of the batch's earlier optimal faces (module docstring).  Verdicts,
-    failures and min_margin are those of solving every LP to its optimum.
+    The subset with the least witness sigma_w, the probe, is solved first,
+    in this process, to a dual-certified optimum.  The others are checked
+    in batches of FACE_BATCH consecutive ones (_face_batch), with tau the
+    least of the probe's sigma* and the batch's earlier optimal faces'.  A
+    subset with sigma_w >= tau (and > 1) is settled by its re-substituted
+    witness point, without an LP, and any other LP stops once sigma
+    reaches tau (module docstring).  Verdicts, failures and min_margin are
+    those of solving every LP to its optimum.
     """
     k = con.k if k is None else k
     if k < 1 or k > con.d:
@@ -333,10 +478,23 @@ def verify_k_neighborly(
                samples)),
         seed)
 
+    columns = _PackedColumns(con)
+    sigmas = []                   # sigma_w of each task, None without one
+    for subset in tasks:
+        witness = _face_witness(columns, _face_members(con, subset))
+        sigmas.append(witness and Fraction(witness[0][-1], witness[1]))
+    probes, tau = {}, None
+    ranked = [i for i, sigma in enumerate(sigmas) if sigma is not None]
+    if ranked:
+        probe = tasks[min(ranked, key=sigmas.__getitem__)]
+        members, status, margin, _ = _face(columns, probe)
+        probes[probe] = members, status, margin
+        if margin is not None and margin < 1:
+            tau = 1 / (1 - margin)        # the probe's sigma*
     batches = [tasks[i:i + FACE_BATCH]
                for i in range(0, len(tasks), FACE_BATCH)]
     outcomes = list(chain.from_iterable(
-        ordered_map(_face_batch, _PackedColumns(con), batches, jobs)))
+        ordered_map(_face_batch, (columns, tau, probes), batches, jobs)))
 
     passed = sum(1 for _, status, _ in outcomes if status == "face")
     failures = tuple(o for o in outcomes if o[1] != "face")[:20]

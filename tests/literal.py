@@ -189,6 +189,38 @@ def recheck_face(con, report):
     return bad
 
 
+def literal_face_witness(x, subset):
+    """sigma_w of the face sweep's witness point, in Fractions on the
+    vertex representatives x (vertex_matrix's rows, formed once by the
+    caller): c = sum lambda_i s_i x_i over the members, with
+    G lambda = 1 for their signed Gram matrix G (G_ij = s_i s_j <x_i, x_j>),
+    so that <c, s_i x_i> = 1 on each member; m the largest |<c, x_j>| over
+    the other vertex pairs, and sigma_w = 1/m.  None when G is singular or
+    m = 0."""
+    members = sorted(subset)
+    signed = [[s * v for v in x[i]] for i, s in members]
+    k = len(members)
+    work = [[sum((a * b for a, b in zip(u, v)), F(0)) for v in signed]
+            + [F(1)] for u in signed]
+    for c in range(k):
+        piv = next((i for i in range(c, k) if work[i][c] != 0), None)
+        if piv is None:
+            return None
+        work[c], work[piv] = work[piv], work[c]
+        inv = 1 / work[c][c]
+        work[c] = [v * inv for v in work[c]]
+        for i in range(k):
+            if i != c and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    c = [sum((row[k] * v[j] for row, v in zip(work, signed)), F(0))
+         for j in range(len(x[0]))]
+    inside = {i for i, _ in members}
+    m = max(abs(sum((a * b for a, b in zip(c, x[j])), F(0)))
+            for j in range(len(x)) if j not in inside)
+    return None if m == 0 else 1 / m
+
+
 def literal_row_check(con, left, right):
     """The three conditions on one row (e | f), in plain Fraction arithmetic.
 

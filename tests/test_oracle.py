@@ -24,7 +24,8 @@ from csneighborly.blocks import block_row_count, sample_indices
 from csneighborly.construction import Construction
 from csneighborly.oracle import canonical_subsets
 from csneighborly.simplex import _field_width
-from literal import block_row, recheck_face, signed_vertices, vertex_matrix
+from literal import (block_row, literal_face_witness, recheck_face,
+                     signed_vertices, vertex_matrix)
 
 
 # (status, margin) of each of the 848 canonical d = 4 subsets of sizes 1-4,
@@ -55,6 +56,19 @@ def cube_offsets(con, point, y):
     """point + X y, in the caller's coordinates."""
     return [w + sum(c * v for c, v in zip(row, y))
             for w, row in zip(point, vertex_matrix(con))]
+
+
+def witness_sigma(con, subset):
+    """sigma_w of the face sweep's witness point for the subset, after the
+    point is re-substituted into the face LP; None without a point."""
+    columns = oracle._PackedColumns(con)
+    members = oracle._face_members(con, subset)
+    witness = oracle._face_witness(columns, members)
+    if witness is None:
+        return None
+    nums, den = witness
+    oracle._face_point_check(columns, members, nums, den)
+    return F(nums[-1], den)
 
 
 @pytest.fixture(scope="module")
@@ -131,47 +145,62 @@ class TestFaceWitnessLiteral:
     def test_sweep_witnesses_resubstitute(self, con16, monkeypatch):
         # every subset of seeded d = 16 sweeps at sizes 1-4, including the
         # failure path: k = 4, seed 2 fails 6 subsets (3 canonical LPs and
-        # their negations), all with margin 0.  The sweep forms no witness,
-        # so is_face solves each subset again for it.  Where the sweep
-        # solved the LP to its optimum, is_face must find the sweep's
-        # verdict and margin.  Where it stopped at sigma >= tau, tau the
-        # least sigma* of the batch's earlier optimal faces, is_face must
-        # find a face with margin at least tau's, 1 - 1/tau, and at least
-        # the sweep's
-        reports, seen, kinds = [], [], Counter()
-        check = oracle._face_check
+        # their negations), all with margin 0.  The sweep keeps no witness,
+        # so is_face solves each subset again for it.  Each batch starts
+        # from tau = the probe's sigma* (the probe: the first subset of
+        # least witness sigma_w, solved to its optimum), and tau falls to
+        # each optimal face below it.  Where the sweep returns sigma*,
+        # is_face must find the sweep's verdict and margin; where it kept a
+        # witness point or stopped an LP at tau, is_face must find a face
+        # with margin at least the sweep's, which is at least tau's,
+        # 1 - 1/tau
+        reports, batch_sigmas, kinds, probes = [], [], Counter(), []
+        real_batch, real_check = oracle._face_batch, oracle._face_check
 
-        def recorded(columns, subset, target=None):
-            start = len(seen) - len(seen) % oracle.FACE_BATCH
-            sigmas = [1 / (1 - margin) for _, status, margin, exact
-                      in seen[start:]
-                      if exact and status == "face" and margin < 1]
-            assert target == min(sigmas, default=None)
-            outcome = check(columns, subset, target)
-            seen.append(outcome)
+        def batch(context, subsets):
+            columns, tau, outcomes = context
+            (probe, outcome), = outcomes.items()
+            sigma_w = {s: witness_sigma(con16, s) for s in subsets}
+            assert all(v is None or v >= witness_sigma(con16, probe)
+                       for v in sigma_w.values())
+            rep = is_face(con16, probe)
+            assert outcome == (rep.subset, rep.status, rep.margin)
+            assert tau == (1 / (1 - rep.margin) if rep.margin < 1 else None)
+            probes.append(probe)
+            batch_sigmas[:] = [tau]
+            return real_batch(context, subsets)
+
+        def recorded(columns, subset, tau=None):
+            assert tau == min((v for v in batch_sigmas if v is not None),
+                              default=None)
+            outcome, sigma = real_check(columns, subset, tau)
+            batch_sigmas.append(sigma)
             rep = is_face(con16, subset)
-            if outcome[3]:
-                assert (rep.subset, rep.status, rep.margin) == outcome[:3]
+            if outcome == (rep.subset, rep.status, rep.margin):
                 kinds["optimum"] += 1
+                assert sigma is None or sigma == 1 / (1 - rep.margin)
             else:
-                assert rep.subset == outcome[0]
+                assert sigma is None and rep.subset == outcome[0]
                 assert rep.status == outcome[1] == "face"
-                assert rep.margin >= outcome[2] >= 1 - 1 / target > 0
-                kinds["reached"] += 1
+                assert rep.margin >= outcome[2] >= 1 - 1 / tau
+                assert outcome[2] > 0
+                kinds["bound"] += 1
             reports.append(rep)
-            return outcome
+            return outcome, sigma
 
+        monkeypatch.setattr(oracle, "_face_batch", batch)
         monkeypatch.setattr(oracle, "_face_check", recorded)
         sweeps = ((1, 10, 1), (2, 12, 1), (3, 12, 1), (4, 40, 2))
         for k, samples, seed in sweeps:
-            del seen[:]
             rep = verify_k_neighborly(con16, k, mode="sample", samples=samples,
                                       seed=seed)
-        assert kinds["optimum"] and kinds["reached"]
+        assert kinds["optimum"] and kinds["bound"]
         assert rep.failed == 6
         assert [(st, margin) for _, st, margin in rep.failures] == [
             ("not-face", 0)] * 3
-        assert len(reports) == 74
+        # every subset but the probe of each sweep, which is solved before
+        # the batches
+        assert len(set(probes)) == len(sweeps) and len(reports) == 74 - 4
         with_witness = [r for r in reports if r.witness is not None]
         assert {r.status for r in with_witness} == {"face", "not-face"}
         for r in with_witness:
@@ -186,6 +215,68 @@ class TestFaceWitnessLiteral:
                                 2 * rep.margin)
         assert recheck_face(con16, bad_witness) != []
         assert recheck_face(con16, bad_margin) != []
+
+
+class TestWitnessPoint:
+    """The face sweep's witness point: its sigma_w is that of the literal
+    Fraction point, and the point is feasible for is_face's LP, so
+    sigma_w <= sigma*."""
+
+    @staticmethod
+    def check(con, subset, x=None):
+        sigma = witness_sigma(con, subset)
+        if x is not None:
+            assert sigma == literal_face_witness(x, subset), subset
+        rep = is_face(con, subset)
+        if sigma is not None:
+            assert rep.margin is not None, subset
+            assert rep.margin == 1 or sigma <= 1 / (1 - rep.margin), subset
+        return sigma, rep
+
+    @pytest.mark.parametrize("e,ks,literal_every", [
+        (2, (1, 2, 3, 4), 1), (3, (1, 2), 1), (4, (2,), 8)])
+    def test_every_canonical_subset(self, e, ks, literal_every):
+        # the Fraction reference is slow at d = 16: it sees every 8th subset
+        con = build(sylvester(e))
+        x, tally = vertex_matrix(con), Counter()
+        for k in ks:
+            for n, subset in enumerate(canonical_subsets(con.m, k)):
+                sigma, rep = self.check(
+                    con, subset, None if n % literal_every else x)
+                tally[sigma is None, rep.status] += 1
+        # the sweep's rule: a face whose point has sigma_w > 1 needs no LP;
+        # every failure has sigma_w <= sigma* <= 1, or no point at all
+        assert tally[False, "face"] > 0
+        if e == 2:
+            # no point: a singular G, for 96 subsets, all at k = 4
+            assert tally[True, "face"] + tally[True, "not-face"] == 96
+
+    @pytest.mark.parametrize("e,k,samples,alpha", [
+        (5, 2, 8, None), (5, 2, 6, F(3, 16)), (6, 4, 3, None)])
+    def test_sampled_subsets(self, e, k, samples, alpha):
+        con = build(sylvester(e), alpha=alpha)
+        x, rng = vertex_matrix(con), random.Random(e * 100 + samples)
+        for _ in range(samples):
+            indices = sorted(rng.sample(range(con.m), k))
+            subset = tuple((i, rng.choice((1, -1))) for i in indices)
+            sigma, rep = self.check(con, subset, x)
+            assert sigma is not None and rep.status == "face"
+
+    def test_understated_bound_is_rejected(self, con16):
+        # den is the largest |<C, y_j>| over the non-members; one unit less
+        # makes the point leave a row or bound, and a larger sigma breaks
+        # the members' equalities
+        columns = oracle._PackedColumns(con16)
+        for members in (((0, 1), (16, 1)), ((3, -1), (7, 1)),
+                        ((17, 1), (30, -1))):
+            nums, den = oracle._face_witness(columns, members)
+            oracle._face_point_check(columns, members, nums, den)
+            with pytest.raises(RuntimeError,
+                               match="internal error: row or bound violated"):
+                oracle._face_point_check(columns, members, nums, den - 1)
+            with pytest.raises(RuntimeError, match="internal error: "):
+                oracle._face_point_check(columns, members,
+                                         nums[:-1] + [nums[-1] + 1], den)
 
 
 class TestFaceTableD4:
@@ -285,21 +376,21 @@ class TestVertexRows:
         verify_k_neighborly(con, 2)
         dominant_subset_sweep(con, 1)
         projection_containment(con, 1)
-        assert len(programs) == 56 + 16 + 16
+        assert len(programs) == 40 + 16 + 16
         signed = set(cols) | {tuple(-v for v in col) for col in cols}
         units = {tuple(int(i == j) * s for j in range(4))
                  for i in range(4) for s in (1, -1)}
         for lp_rows, _, _ in programs:
             heads = [c[:4] for c, _, _ in lp_rows]
             assert len(heads) >= 4 and set(heads) <= signed | units
-        # face LPs get a target above 1, never the first of a batch of 16;
-        # dominance LPs get none; containment LPs get one above tau = 3
-        # (every margin is 1/6), except its k + 1 = 2 probes
+        # the face sweep solves only its 40 failing subsets: its probe
+        # fails with sigma* = 1, so no face LP gets a target, and its 16
+        # faces are settled by their witness points.  Dominance LPs get no
+        # target; containment LPs get one above tau = 3 (every margin is
+        # 1/6), except its k + 1 = 2 probes
         targets = [target for _, _, target in programs]
-        assert targets[0:56:16] == [None] * 4
-        assert all(t is None or t > 1 for t in targets[:56])
-        assert any(targets[:56]) and not any(targets[56:74])
-        assert all(t > 3 for t in targets[74:])
+        assert not any(targets[:56])
+        assert all(t > 3 for t in targets[58:])
 
     def test_p_moves_into_the_bounds(self, monkeypatch):
         # alpha = p/q = 2/5 at d = 8: the rows stay H's +-1 columns, u' = 2u
@@ -396,13 +487,18 @@ class TestVerifyKNeighborly:
     @pytest.mark.parametrize("d,k,options", [
         (8, 1, {}), (8, 2, {}), (8, 3, {}), (8, 4, {}), (16, 2, {}),
         (32, 2, {"mode": "sample", "samples": 40, "seed": 7}),
+        (16, 3, {"mode": "sample", "samples": 40, "seed": 1}),
+        (32, 2, {"mode": "sample", "samples": 20, "seed": 6,
+                 "alpha": F(3, 16)}),
     ])
     def test_report_equals_per_subset_is_face(self, d, k, options):
-        # the sweep solves most LPs only up to its batch's tau; its
-        # minimum, counts and first failures are those of solving each
-        # subset to its optimum
-        rep, expected = self.per_subset(build(sylvester(d.bit_length() - 1)),
-                                        k, **options)
+        # the sweep settles most subsets by their witness points and solves
+        # most other LPs only up to tau; its minimum, counts and first
+        # failures are those of solving each subset to its optimum
+        options = dict(options)
+        con = build(sylvester(d.bit_length() - 1),
+                    alpha=options.pop("alpha", None))
+        rep, expected = self.per_subset(con, k, **options)
         assert (rep.passed, rep.failed, rep.min_margin,
                 rep.failures) == expected
         assert rep.enumerated == rep.checked // 2 == (

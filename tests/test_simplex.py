@@ -564,18 +564,26 @@ def solves_of(sweep, *args, **kwargs):
     return solves
 
 
+def face_lps(con, subsets):
+    """is_face on each subset: one face LP each, solved to its optimum.
+    The face sweep settles most subsets by witness points, so it is not a
+    source of many face LPs."""
+    return [oracle.is_face(con, subset) for subset in subsets]
+
+
 def programs_of(solves):
     return [program for program, _, _ in solves]
 
 
 @pytest.fixture(scope="module")
 def d8_solves():
-    """Every face, containment and dominance LP of the d = 8 sweeps."""
+    """The face LP of every canonical subset of the d = 8 face sweep, and
+    every containment and dominance LP of the d = 8 sweeps."""
     con = build(sylvester(3))
-    return [solve for sweep in (oracle.verify_k_neighborly,
-                                oracle.projection_containment,
-                                oracle.dominant_subset_sweep)
-            for solve in solves_of(sweep, con)]
+    faces = solves_of(face_lps, con, oracle.canonical_subsets(con.m, con.k))
+    return faces + [solve for sweep in (oracle.projection_containment,
+                                        oracle.dominant_subset_sweep)
+                    for solve in solves_of(sweep, con)]
 
 
 @pytest.fixture(scope="module")
@@ -585,8 +593,10 @@ def d8_programs(d8_solves):
 
 @pytest.fixture(scope="module")
 def d16_face_solves():
-    """Every face LP of the exhaustive d = 16 sweep: 992 subsets."""
-    return solves_of(oracle.verify_k_neighborly, build(sylvester(4)))
+    """The face LP of every canonical subset of the exhaustive d = 16
+    sweep: 992 subsets."""
+    con = build(sylvester(4))
+    return solves_of(face_lps, con, oracle.canonical_subsets(con.m, con.k))
 
 
 @pytest.fixture(scope="module")
@@ -878,9 +888,11 @@ class TestPackedColumns:
         con = build(sylvester(5), alpha=F(3, 16))
         solves = solves_of(oracle.verify_k_neighborly, con, mode="sample",
                            samples=2, seed=1)
+        solves += solves_of(face_lps, con, [((3, 1), (40, -1)),
+                                            ((33, 1), (50, 1))])
         solves += solves_of(oracle.projection_containment, con,
                             mode="sample", samples=1, seed=1)
-        assert len(solves) == 5
+        assert len(solves) == 1 + 2 + 3
         assert_packed_as_lp_max(solves)
         for program, _, result in solves:
             assert result == literal_lp_max(*program)
@@ -1012,9 +1024,11 @@ class TestFieldWidth:
         """The same through verify_k_neighborly at d = 16, every LP's rows
         packed from 8-bit columns of H.  Each internal error is answered
         with lp_max on the plain rows, so the sweep's report stays that of
-        the full-width sweep."""
+        the full-width sweep.  At k = 3 the sweep's witness points leave 15
+        of 40 subsets to LPs, 12 of them stopped at tau."""
         con = build(sylvester(4))
-        expected = oracle.verify_k_neighborly(con)
+        options = {"k": 3, "mode": "sample", "samples": 40, "seed": 1}
+        expected = oracle.verify_k_neighborly(con, **options)
         solve = oracle.lp_max
         outcomes = Counter()
 
@@ -1035,6 +1049,6 @@ class TestFieldWidth:
 
         monkeypatch.setattr(oracle, "_field_width", lambda *program: 8)
         monkeypatch.setattr(oracle, "lp_max", narrow)
-        assert oracle.verify_k_neighborly(con) == expected
-        assert sum(outcomes.values()) == 992
+        assert oracle.verify_k_neighborly(con, **options) == expected
+        assert sum(outcomes.values()) == 15
         assert outcomes["internal error"] > 0 and outcomes["agrees"] > 0

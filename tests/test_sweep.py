@@ -84,13 +84,13 @@ def _halves_listed(packed, num, den, weight, totals):
     return _failed(results, weight, totals, _LISTED["right"], 1)
 
 
-def _face_check_failing(columns, subset, target=None):
-    # fails each subset whose least vertex index is 3 mod 7, as an exact
-    # verdict, so its batch leaves it out of tau
-    outcome = _real_face_check(columns, subset, target)
+def _face_check_failing(columns, subset, tau=None):
+    # fails each subset but the probe whose least vertex index is 3 mod 7,
+    # as an exact verdict, so its batch leaves it out of tau
+    outcome, sigma = _real_face_check(columns, subset, tau)
     if min(i for i, _ in subset) % 7 == 3:
-        return outcome[0], "not-face", None, True
-    return outcome
+        return (outcome[0], "not-face", None), None
+    return outcome, sigma
 
 
 _SQUARED = []                      # arguments _square saw in this process
