@@ -32,36 +32,42 @@ is_face's LP, so sigma_w <= sigma*.  Each <x_i, x_j> is [i = j], alpha*H_ij
 or alpha^2 G_ij (G = H^T H, d*I once validated), so the point costs O(k*d)
 integer operations read from H, G and (p, q); Gauss-Jordan solves
 G lambda = 1 once per sweep and member pattern (_PackedColumns.solutions).
-Before the sweep, the calling process solves the LP of the subset with the
-least sigma_w (the first in task order), the probe, to a dual-certified
-optimum.  The sweep then hands out its subsets in batches of FACE_BATCH
-consecutive ones.  Within a batch, tau starts at the probe's sigma* and
-falls to the sigma* of each subset solved to an optimum as a face below it.
-A later subset with sigma_w >= tau and sigma_w > 1 gets no LP: its witness
-point is re-substituted into the LP's rows and bounds (simplex._recheck),
-and shows a face whose margin, at least 1 - 1/sigma_w, is the one the
-report keeps.  Every other subset's LP stops at the first point with
-sigma >= tau when tau > 1 (simplex.lp_max's target), with its margin that
-of the point, at least 1 - 1/tau.  Neither can lower the minimum, which the
-probe or an earlier subset already attains at tau or below.  A failure has
-sigma_w <= sigma* <= 1, so it is never settled by its point and never
-reaches tau: failures, and the subset that sets the minimum, are solved to
-a dual-certified optimum.  The probe and the batches depend only on the
-task list, so every LP's pivots are the same for every worker count.
+The calling process forms every subset's point once, solves the LP of the
+subset with the least sigma_w (the first in task order), the probe, to a
+dual-certified optimum, and hands out the subsets with their points in
+batches of FACE_BATCH consecutive ones.  Within a batch, tau starts at the
+probe's sigma* and falls to the sigma* of each subset solved to an optimum
+as a face below it.  A later subset with sigma_w >= tau and sigma_w > 1
+gets no LP: its witness point is re-substituted into the LP's rows and
+bounds (simplex._recheck), and shows a face whose margin, at least
+1 - 1/sigma_w, is the one the report keeps.  Every other subset's LP stops
+at the first point with sigma >= tau when tau > 1 (simplex.lp_max's
+target), with its margin that of the point, at least 1 - 1/tau.  Neither
+can lower the minimum, which the probe or an earlier subset already attains
+at tau or below.  A failure has sigma_w <= sigma* <= 1, so it is never
+settled by its point and never reaches tau: failures, and the subset that
+sets the minimum, are solved to a dual-certified optimum.  The probe and
+the batches depend only on the task list, so every LP's pivots are the
+same for every worker count.
 
-The containment sweep reports only the least margin and the first vertex
-that attains it.  Before the sweep, the calling process solves the LP of
-each block's first vertex, the probe, to a dual-certified optimum; tau is
-the least sigma* among the bounded probes.  Every other vertex's LP stops
-at the first point with sigma > tau, through the target
-tau + 1/(b * 2**(W-2)) (b tau's denominator, W the LP's field width; see
-_margin for why that is exact).  Such a vertex's margin is above the least
-probe margin, so it is neither the minimum nor where it is first met; a
-vertex with sigma* <= tau, ties included, is solved to a dual-certified
-optimum.  The comparison is strict because the minimum may lie in a later
-block than the vertices that stop.  The probe margins and tau go to the
-sweep in its context, so no LP is solved twice, and the targets depend only
-on the task list.
+The dominance and containment sweeps solve one membership LP per point
+(_membership_margins): each sign pattern of each index subset, or each
+vertex of the weight-k section.  Before the sweep, the calling process
+solves the probes to a dual-certified optimum: the first pattern, or each
+block's first vertex.  tau is the least sigma* of the bounded probes, and
+for dominance at least 2: a pattern is dominant exactly when its margin
+1/2 - 1/sigma* is <= 0.  Every other LP stops at the first point with
+sigma > tau, through the target tau + 1/(b * 2**(W-2)) (b tau's
+denominator, W the LP's field width; see _margin for why that is exact).
+Such a point's margin is above the least probe margin and above 0 for
+dominance, so it is not the minimum, nor where it is first met, nor a
+dominant pattern; every LP with sigma* <= tau, ties included, is solved to
+a dual-certified optimum.  The comparison is strict because the minimum may
+come later than the points that stop.  With no bounded probe there is no
+tau and no LP stops: a floor of 2 alone would let a stopped point's margin
+stand in for the least margin when that is above 0.  The probe margins and
+tau go to the sweep in its context, so no LP is solved twice, and the
+targets depend only on the task list.
 
 Every LP row is a column of H, signed and scaled, with a sigma coefficient
 (or a unit row on a member vertex).  Once per sweep, _PackedColumns
@@ -81,9 +87,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from functools import partial
+from itertools import chain, combinations, islice, product
 from math import comb, lcm
-from operator import index as as_index, lshift
+from operator import index as as_index, itemgetter, lshift
 
 from .blocks import (_signs_from_bits, block_row_count, block_row_parts,
                      dense_parts, sample_indices, total_row_count,
@@ -185,39 +192,6 @@ def is_face(con: Construction, subset) -> FaceReport:
     the margin is unchanged and c is an optimal witness; the pivots may
     differ, as pricing by the largest cost sees u' and not u.
     """
-    columns = _PackedColumns(con)
-    members, status, margin, result = _face(columns, subset)
-    if margin is None:
-        return FaceReport(members, status, None, None)
-    d = con.d
-    p_sigma = columns.p * result.x[d]
-    return FaceReport(members, status,
-                      tuple(c / p_sigma for c in result.x[:d]), margin)
-
-
-def _face(columns: _PackedColumns, subset, target=None) -> tuple:
-    """(members, status, margin, LP result) of is_face, the LP stopped at
-    sigma >= target if one is given; no result for an antipodal subset.
-
-    With a target > 1, a "reached" result shows a face whose margin is at
-    least 1 - 1/target; the margin is then that of the point, not the
-    optimum.
-    """
-    members = _face_members(columns.con, subset)
-    indices = [i for i, _ in members]
-    if len(set(indices)) < len(indices):
-        return members, "antipodal-rejected", None, None
-
-    result = _face_lp(columns, members, target)
-    sigma = result.x[columns.d]
-    if not sigma:
-        return members, "not-face", None, result
-    margin = Fraction(1) if result.status == "unbounded" else 1 - 1 / sigma
-    return members, "face" if margin > 0 else "not-face", margin, result
-
-
-def _face_members(con: Construction, subset) -> tuple:
-    """The members of a signed subset, sorted; raises as is_face does."""
     members = tuple(sorted(set((as_index(i), as_index(s)) for i, s in subset)))
     if not members:
         raise ValueError("subset must be non-empty")
@@ -226,7 +200,32 @@ def _face_members(con: Construction, subset) -> tuple:
     for i, s in members:
         if not 0 <= i < con.m or s not in (1, -1):
             raise ValueError(f"bad subset member ({i}, {s})")
-    return members
+    if len({i for i, _ in members}) < len(members):
+        return FaceReport(members, "antipodal-rejected", None, None)
+    columns = _PackedColumns(con)
+    status, margin, result = _face(columns, members)
+    if margin is None:
+        return FaceReport(members, status, None, None)
+    d = con.d
+    p_sigma = columns.p * result.x[d]
+    return FaceReport(members, status,
+                      tuple(c / p_sigma for c in result.x[:d]), margin)
+
+
+def _face(columns: _PackedColumns, members, target=None) -> tuple:
+    """(status, margin, LP result) of is_face over antipode-free members,
+    the LP stopped at sigma >= target if one is given.
+
+    With a target > 1, a "reached" result shows a face whose margin is at
+    least 1 - 1/target; the margin is then that of the point, not the
+    optimum.
+    """
+    result = _face_lp(columns, members, target)
+    sigma = result.x[columns.d]
+    if not sigma:
+        return "not-face", None, result
+    margin = Fraction(1) if result.status == "unbounded" else 1 - 1 / sigma
+    return "face" if margin > 0 else "not-face", margin, result
 
 
 def _face_rows(columns: _PackedColumns, members) -> tuple:
@@ -273,8 +272,8 @@ def _face_lp(columns: _PackedColumns, members, target=None):
 def _face_witness(columns: _PackedColumns, members) -> tuple | None:
     """(nums, den): the members' witness point x = nums / den of the face
     LP in (u', sigma), sigma_w = nums[d] / den (module docstring); None when
-    the members hold an antipodal pair, their Gram matrix is singular, or
-    no other vertex pair bounds the point.
+    their signed Gram matrix is singular (as it is when they hold an
+    antipodal pair) or no other vertex pair bounds the point.
 
     In y_i = q*x_i, C = sum nu_i s_i y_i (nu from _unit_solution) has
     <C, s_i y_i> = delta on each member.  <C, y_j> at every vertex sums the
@@ -284,9 +283,6 @@ def _face_witness(columns: _PackedColumns, members) -> tuple | None:
     i is p*<C, y_i> / den.
     """
     d, p, q = columns.d, columns.p, columns.q
-    indices = {i for i, _ in members}
-    if len(indices) < len(members):
-        return None
     key = tuple(s * t * _gram_entry(columns, i, j)
                 for i, s in members for j, t in members)
     solutions = columns.solutions
@@ -308,7 +304,7 @@ def _face_witness(columns: _PackedColumns, members) -> tuple | None:
                      for u, h in zip(units, columns.columns[i - d])]
             others = [o + wpp * g for o, g in zip(others, columns.gram[i - d])]
     values = units + others
-    for i in indices:
+    for i, _ in members:
         values[i] = 0
     den = max(max(values), -min(values))
     if not den:
@@ -359,9 +355,10 @@ def _face_point_check(columns: _PackedColumns, members, nums, den) -> None:
 
 
 def _face_batch(context, batch) -> list:
-    """(subset, status, margin) of each subset of a batch, in order: one
-    task of verify_k_neighborly; context = (packed columns, the probe's
-    sigma*, the probe's outcome by its task).
+    """(subset, status, margin) of each subset of a batch of (members,
+    witness point) pairs, in order: one task of verify_k_neighborly;
+    context = (packed columns, the probe's sigma*, the probe's outcome by
+    its members).
 
     tau starts at the probe's sigma* and falls to the sigma* of each subset
     of the batch solved to an optimum as a face below it.  Each subset is
@@ -370,40 +367,38 @@ def _face_batch(context, batch) -> list:
     """
     columns, tau, probes = context
     outcomes = []
-    for subset in batch:
-        outcome = probes.get(subset)
+    for members, witness in batch:
+        outcome = probes.get(members)
         if outcome is None:
-            outcome, sigma = _face_check(columns, subset, tau)
+            outcome, sigma = _face_check(columns, members, witness, tau)
             if sigma is not None and (tau is None or sigma < tau):
                 tau = sigma
         outcomes.append(outcome)
     return outcomes
 
 
-def _face_check(columns: _PackedColumns, subset, tau=None) -> tuple:
-    """((subset, status, margin), sigma*) of one subset of the face sweep:
-    sigma* when its LP was solved to an optimum as a face with a margin
-    below 1, else None.
+def _face_check(columns: _PackedColumns, members, witness,
+                tau=None) -> tuple:
+    """((members, status, margin), sigma*) of one subset of the face sweep,
+    with its witness point (_face_witness, None without one): sigma* when
+    its LP was solved to an optimum as a face with a margin below 1, else
+    None.
 
     With tau, a subset whose witness has sigma_w >= tau and sigma_w > 1
     gets no LP: its point is re-substituted, and its margin is the point's,
     1 - 1/sigma_w.  Any other subset's LP stops once sigma reaches tau, when
     tau > 1, and its margin is then that of the point.
     """
-    if tau is not None:
-        members = _face_members(columns.con, subset)
-        witness = _face_witness(columns, members)
-        if witness is not None:
-            nums, den = witness
-            sigma = Fraction(nums[-1], den)
-            if sigma >= tau and sigma > 1:
-                _face_point_check(columns, members, nums, den)
-                return (members, "face", 1 - 1 / sigma), None
+    if tau is not None and witness is not None:
+        nums, den = witness
+        sigma = Fraction(nums[-1], den)
+        if sigma >= tau and sigma > 1:
+            _face_point_check(columns, members, nums, den)
+            return (members, "face", 1 - 1 / sigma), None
     target = tau if tau is not None and tau > 1 else None
-    members, status, margin, result = _face(columns, subset, target)
-    exact = result is None or result.status != "reached"
-    sigma = (1 / (1 - margin) if exact and status == "face" and margin < 1
-             else None)
+    status, margin, result = _face(columns, members, target)
+    sigma = (1 / (1 - margin) if result.status != "reached"
+             and status == "face" and margin < 1 else None)
     return (members, status, margin), sigma
 
 
@@ -417,11 +412,6 @@ def canonical_subsets(m: int, k: int):
     for idxs in combinations(range(m), k):
         for signs in product((1, -1), repeat=k - 1):
             yield tuple(zip(idxs, (1,) + signs))
-
-
-def _unrank_canonical_subset(m: int, k: int, comb_rank: int, bits: int):
-    idxs = unrank_support(m, k, comb_rank)
-    return tuple(zip(idxs, (1,) + _signs_from_bits(k - 1, bits)))
 
 
 @dataclass(frozen=True)
@@ -473,26 +463,26 @@ def verify_k_neighborly(
     m = con.m
     tasks, used_seed = _plan(
         mode, (1 << k) * comb(m, k), cap, "subsets", canonical_subsets(m, k),
-        (_unrank_canonical_subset(m, k, rank, bits) for rank, bits in
+        (tuple(zip(unrank_support(m, k, rank),
+                   (1,) + _signs_from_bits(k - 1, bits))) for rank, bits in
          draws((seed << 20) ^ (m << 8) ^ k, (comb(m, k), 1 << (k - 1)),
                samples)),
         seed)
 
+    # canonical subsets are sorted and antipode-free: each is its members
     columns = _PackedColumns(con)
-    sigmas = []                   # sigma_w of each task, None without one
-    for subset in tasks:
-        witness = _face_witness(columns, _face_members(con, subset))
-        sigmas.append(witness and Fraction(witness[0][-1], witness[1]))
+    pairs = [(members, _face_witness(columns, members)) for members in tasks]
+    sigmas = {i: Fraction(w[0][-1], w[1])     # sigma_w of each witness point
+              for i, (_, w) in enumerate(pairs) if w}
     probes, tau = {}, None
-    ranked = [i for i, sigma in enumerate(sigmas) if sigma is not None]
-    if ranked:
-        probe = tasks[min(ranked, key=sigmas.__getitem__)]
-        members, status, margin, _ = _face(columns, probe)
-        probes[probe] = members, status, margin
+    if sigmas:
+        probe = tasks[min(sigmas, key=sigmas.get)]
+        status, margin, _ = _face(columns, probe)
+        probes[probe] = probe, status, margin
         if margin is not None and margin < 1:
             tau = 1 / (1 - margin)        # the probe's sigma*
-    batches = [tasks[i:i + FACE_BATCH]
-               for i in range(0, len(tasks), FACE_BATCH)]
+    batches = [pairs[i:i + FACE_BATCH]
+               for i in range(0, len(pairs), FACE_BATCH)]
     outcomes = list(chain.from_iterable(
         ordered_map(_face_batch, (columns, tau, probes), batches, jobs)))
 
@@ -545,7 +535,7 @@ def _margin(columns: _PackedColumns, w, tau=None) -> tuple:
     """(membership margin, LP result) of the point w (ints or Fractions),
     its rows packed from the sweep's columns of H.
 
-    With tau (a Fraction a/b), the LP stops at the first point with
+    With tau (a rational a/b), the LP stops at the first point with
     sigma > tau: lp_max gets the target tau+ = tau + 1/(b * 2**(W-2)), W
     the LP's field width.  At every dictionary sigma = V/D with V an int
     and 0 < D < 2**(W-2), as lp_max's overflow guard bounds every pivot
@@ -585,6 +575,38 @@ def _margin(columns: _PackedColumns, w, tau=None) -> tuple:
     return margin, result
 
 
+def _membership_margins(columns: _PackedColumns, point, tasks, probes,
+                        floor, jobs: int):
+    """The membership margin of point(columns, task) for each task, in task
+    order: the kernel of both membership sweeps (module docstring).
+
+    Each task in probes is solved first, in this process, to its optimum.
+    tau is the least sigma* of the bounded probes, raised to floor if one
+    is given, and every other LP stops once sigma > tau (_margin); with no
+    bounded probe there is no tau, and every LP is solved to its optimum.
+    """
+    margins = {task: _margin(columns, point(columns, task))[0]
+               for task in probes}
+    least = min(margins.values(), default=HALF)
+    tau = None
+    if least < HALF:                # the least probe's sigma*, or the floor
+        tau = max(1 / (HALF - least), floor or 0)
+    return ordered_map(_task_margin, (columns, point, tau, margins), tasks,
+                       jobs)
+
+
+def _task_margin(context, task):
+    """Membership margin of one task's point; context = (packed columns,
+    point function, tau, probe margins by task).  A probe's margin is looked
+    up; any other LP stops once sigma > tau, and its margin is then that of
+    the point."""
+    columns, point, tau, probes = context
+    margin = probes.get(task)
+    if margin is None:
+        margin = _margin(columns, point(columns, task), tau)[0]
+    return margin
+
+
 @dataclass(frozen=True)
 class DominanceReport:
     indices: tuple
@@ -596,33 +618,29 @@ class DominanceReport:
 def is_dominant(con: Construction, indices) -> DominanceReport:
     """Check one index subset of the cs-transform points for dominance.
 
-    Indices are ints; a float raises TypeError."""
-    return _dominance(_PackedColumns(con), indices)
-
-
-def _dominance(columns: _PackedColumns, indices) -> DominanceReport:
-    """is_dominant on the sweep's columns of H: one task of
-    dominant_subset_sweep."""
-    con = columns.con
+    Indices are ints; a float raises TypeError.  Every pattern's LP is
+    solved to its optimum."""
     indices = tuple(sorted(set(map(as_index, indices))))
     if not indices:
         raise ValueError("index subset must be non-empty")
     if any(not 0 <= i < con.m for i in indices):
         raise ValueError(f"indices must lie in 0..{con.m - 1}")
-    size = len(indices)
-    pattern_margins = []
-    best = None
-    for signs in product((1, -1), repeat=size):
-        margin, _ = _margin(columns, dense_parts(con.m, (indices, signs)))
-        pattern_margins.append((signs, margin))
-        if best is None or margin < best:
-            best = margin
+    patterns = tuple(product((1, -1), repeat=len(indices)))
+    margins = tuple(_membership_margins(
+        _PackedColumns(con), _pattern, [(indices, s) for s in patterns],
+        (), None, 1))
+    best = min(margins)
     return DominanceReport(
         indices=indices,
-        pattern_margins=tuple(pattern_margins),
+        pattern_margins=tuple(zip(patterns, margins)),
         min_margin=best,
         dominant=best <= 0,
     )
+
+
+def _pattern(columns: _PackedColumns, task) -> tuple:
+    """The point of task = (indices, signs): the signs at the indices."""
+    return dense_parts(columns.con.m, task)
 
 
 @dataclass(frozen=True)
@@ -648,7 +666,15 @@ def dominant_subset_sweep(
     jobs: int = 1,
 ) -> DominanceSweepReport:
     """Sweep size-k index subsets for dominance (no dominant subsets of size
-    k means the construction is k-neighborly)."""
+    k means the construction is k-neighborly).
+
+    Each subset's sign patterns are tasks, in binary order.  The first
+    pattern of the first subset, the probe, is solved first, in this
+    process, to a dual-certified optimum; every other LP stops once sigma
+    exceeds tau, the larger of 2 and the probe's sigma* (none when the
+    probe is unbounded; module docstring and _margin).  dominant_found,
+    min_margin and first_dominant are those of solving every LP to its
+    optimum."""
     k = con.k if k is None else k
     m = con.m
     if k < 1 or k > m:
@@ -660,33 +686,25 @@ def dominant_subset_sweep(
          draws((seed << 20) ^ (m << 8) ^ k ^ 0x515, (comb(m, k),), samples)),
         seed)
 
-    reports = list(ordered_map(_dominance, _PackedColumns(con), subsets,
-                               jobs))
+    patterns = tuple(product((1, -1), repeat=k))
+    tasks = [(indices, signs) for indices in subsets for signs in patterns]
+    margins = _membership_margins(_PackedColumns(con), _pattern, tasks,
+                                  tasks[:1], 2, jobs)
 
-    dominant_found = 0
-    first = None
-    best = None
-    patterns = 0
-    for rep in reports:
-        patterns += len(rep.pattern_margins)
-        if best is None or rep.min_margin < best:
-            best = rep.min_margin
-        if rep.dominant:
-            dominant_found += 1
-            if first is None:
-                signs, margin = min(
-                    rep.pattern_margins, key=lambda sm: (sm[1], sm[0])
-                )
-                first = (rep.indices, signs, margin)
+    # each subset's least (margin, signs) pattern, and the dominant ones
+    least = [min(zip(islice(margins, len(patterns)), patterns)) + (indices,)
+             for indices in subsets]
+    dominant = [(indices, signs, margin)
+                for margin, signs, indices in least if margin <= 0]
     return DominanceSweepReport(
         d=con.d,
         k=k,
         mode=mode,
         subsets_checked=len(subsets),
-        patterns_checked=patterns,
-        dominant_found=dominant_found,
-        min_margin=best,
-        first_dominant=first,
+        patterns_checked=len(tasks),
+        dominant_found=len(dominant),
+        min_margin=min(least)[0],
+        first_dominant=dominant[0] if dominant else None,
         seed=used_seed,
     )
 
@@ -743,23 +761,14 @@ def projection_containment(
         ((l, index) for l in blocks
          for index in sample_indices(d, k, l, samples, seed)),
         seed)
-    columns = _PackedColumns(con)
     firsts = {}                   # block l: its first task
     for task in tasks:
         firsts.setdefault(task[0], task)
-    probes = {task: _margin(columns, _vertex(columns, k, task))[0]
-              for task in firsts.values()}
-    least = min(probes.values(), default=HALF)
-    tau = 1 / (HALF - least) if least < HALF else None   # sigma* of least
-    margins = ordered_map(_vertex_margin, (columns, k, tau, probes), tasks,
-                          jobs)
+    margins = _membership_margins(_PackedColumns(con), partial(_vertex, k),
+                                  tasks, firsts.values(), None, jobs)
 
-    best = None
-    best_at = None
-    for task, margin in zip(tasks, margins):
-        if best is None or margin < best:
-            best = margin
-            best_at = task
+    # the least margin, first in task order
+    best, best_at = min(zip(margins, tasks), key=itemgetter(0))
     return ContainmentReport(
         d=d,
         k=k,
@@ -771,18 +780,6 @@ def projection_containment(
     )
 
 
-def _vertex(columns: _PackedColumns, k: int, task) -> tuple:
+def _vertex(k: int, columns: _PackedColumns, task) -> tuple:
     """The vertex at task = (l, row index) of the weight-k section."""
     return dense_parts(columns.d, *block_row_parts(columns.d, k, *task))
-
-
-def _vertex_margin(context, task):
-    """Membership margin of the vertex at task = (l, row index) of the
-    weight-k section; context = (packed columns, k, tau, probe margins by
-    task), k the sweep's.  A probe's margin is looked up; any other vertex's
-    LP stops once sigma > tau, and its margin is then that of the point."""
-    columns, k, tau, probes = context
-    margin = probes.get(task)
-    if margin is None:
-        margin = _margin(columns, _vertex(columns, k, task), tau)[0]
-    return margin

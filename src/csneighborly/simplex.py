@@ -102,14 +102,15 @@ target that anyone can re-check by substitution, in the sense of
 McConnell, Mehlhorn, Naeher and Schweitzer, "Certifying algorithms"
 (Computer Science Review 5, 2011); ``_recheck`` re-substitutes it as it
 does an optimum.  The reduced costs at that dictionary certify nothing, as
-more pivots might raise c.x, so ``_check_dual`` is not run.  Two sweeps
-use it (oracle.py).  In the face sweep, a subset whose sigma reaches tau,
-the least optimum of the probe and of its batch so far, is a face that
-cannot lower the sweep's minimum.  In the containment sweep, a vertex whose
-sigma passes the least probe optimum cannot be the minimum.  The face sweep
-settles most subsets with no LP at all: each one's closed-form witness
-point is a certificate of the same kind, and the sweep re-substitutes it
-with ``_recheck`` before it relies on it.
+more pivots might raise c.x, so ``_check_dual`` is not run.  All three
+sweeps use it (oracle.py).  In the face sweep, a subset whose sigma reaches
+tau, the least optimum of the probe and of its batch so far, is a face that
+cannot lower the sweep's minimum.  In the dominance and containment sweeps,
+a point whose sigma passes the least probe optimum (and 2, for dominance)
+is neither the minimum nor a dominant pattern.  The face sweep settles
+most subsets with no LP at all: each one's closed-form witness point is a
+certificate of the same kind, and the sweep re-substitutes it with
+``_recheck`` before it relies on it.
 """
 
 from __future__ import annotations

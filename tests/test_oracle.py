@@ -3,7 +3,8 @@ import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
-from itertools import chain, islice
+from itertools import chain, combinations, islice, product
+from math import comb
 
 import pytest
 
@@ -23,9 +24,10 @@ from csneighborly import oracle
 from csneighborly.blocks import block_row_count, sample_indices
 from csneighborly.construction import Construction
 from csneighborly.oracle import canonical_subsets
-from csneighborly.simplex import _field_width
-from literal import (block_row, literal_face_witness, recheck_face,
-                     signed_vertices, vertex_matrix)
+from csneighborly.sampling import draws
+from csneighborly.simplex import _field_width, lp_max
+from literal import (block_row, literal_face_witness, literal_unrank_support,
+                     recheck_face, signed_vertices, vertex_matrix)
 
 
 # (status, margin) of each of the 848 canonical d = 4 subsets of sizes 1-4,
@@ -62,7 +64,7 @@ def witness_sigma(con, subset):
     """sigma_w of the face sweep's witness point for the subset, after the
     point is re-substituted into the face LP; None without a point."""
     columns = oracle._PackedColumns(con)
-    members = oracle._face_members(con, subset)
+    members = tuple(sorted(subset))
     witness = oracle._face_witness(columns, members)
     if witness is None:
         return None
@@ -157,23 +159,27 @@ class TestFaceWitnessLiteral:
         reports, batch_sigmas, kinds, probes = [], [], Counter(), []
         real_batch, real_check = oracle._face_batch, oracle._face_check
 
-        def batch(context, subsets):
+        def batch(context, pairs):
+            # each subset comes with the witness point the sweep formed for
+            # it, which is the one _face_witness forms
             columns, tau, outcomes = context
             (probe, outcome), = outcomes.items()
-            sigma_w = {s: witness_sigma(con16, s) for s in subsets}
+            for members, witness in pairs:
+                assert witness == oracle._face_witness(columns, members)
+            sigma_w = [witness_sigma(con16, s) for s, _ in pairs]
             assert all(v is None or v >= witness_sigma(con16, probe)
-                       for v in sigma_w.values())
+                       for v in sigma_w)
             rep = is_face(con16, probe)
             assert outcome == (rep.subset, rep.status, rep.margin)
             assert tau == (1 / (1 - rep.margin) if rep.margin < 1 else None)
             probes.append(probe)
             batch_sigmas[:] = [tau]
-            return real_batch(context, subsets)
+            return real_batch(context, pairs)
 
-        def recorded(columns, subset, tau=None):
+        def recorded(columns, subset, witness, tau=None):
             assert tau == min((v for v in batch_sigmas if v is not None),
                               default=None)
-            outcome, sigma = real_check(columns, subset, tau)
+            outcome, sigma = real_check(columns, subset, witness, tau)
             batch_sigmas.append(sigma)
             rep = is_face(con16, subset)
             if outcome == (rep.subset, rep.status, rep.margin):
@@ -385,12 +391,13 @@ class TestVertexRows:
             assert len(heads) >= 4 and set(heads) <= signed | units
         # the face sweep solves only its 40 failing subsets: its probe
         # fails with sigma* = 1, so no face LP gets a target, and its 16
-        # faces are settled by their witness points.  Dominance LPs get no
-        # target; containment LPs get one above tau = 3 (every margin is
-        # 1/6), except its k + 1 = 2 probes
+        # faces are settled by their witness points.  Dominance and
+        # containment LPs get a target above tau = 3 (every margin is 1/6),
+        # except the dominance sweep's one probe and the containment
+        # sweep's k + 1 = 2 probes
         targets = [target for _, _, target in programs]
-        assert not any(targets[:56])
-        assert all(t > 3 for t in targets[58:])
+        assert not any(targets[:41]) and not any(targets[56:58])
+        assert all(t > 3 for t in targets[41:56] + targets[58:])
 
     def test_p_moves_into_the_bounds(self, monkeypatch):
         # alpha = p/q = 2/5 at d = 8: the rows stay H's +-1 columns, u' = 2u
@@ -469,7 +476,8 @@ class TestVerifyKNeighborly:
         real = oracle.ordered_map
 
         def spy(check, context, batches, jobs=1):
-            tasks.extend(chain.from_iterable(batches))
+            tasks.extend(members for members, _ in chain.from_iterable(
+                batches))
             return real(check, context, batches, jobs)
 
         with pytest.MonkeyPatch.context() as patch:
@@ -751,3 +759,166 @@ class TestContainmentTargets:
             if optimum.status == "optimal" and optimum.objective <= tau:
                 assert result == optimum         # solved to its optimum
         assert reached
+
+
+def pattern_point(m, indices, signs):
+    """The cs-transform point of a sign pattern: the signs at the indices,
+    0 elsewhere."""
+    point = [0] * m
+    for i, s in zip(indices, signs):
+        point[i] = s
+    return point
+
+
+class TestDominanceLiteral:
+    """dominant_subset_sweep against a fold of membership_margin, which
+    solves each sign pattern's LP to its optimum, with no target."""
+
+    folds = {}                     # (d, k, options) -> the fold's report
+
+    @staticmethod
+    def subsets(m, k, mode="exhaustive", samples=0, seed=0):
+        """The sweep's index subsets, in task order."""
+        if mode == "exhaustive":
+            return list(combinations(range(m), k))
+        return [literal_unrank_support(m, k, rank) for (rank,) in
+                draws((seed << 20) ^ (m << 8) ^ k ^ 0x515, (comb(m, k),),
+                      samples)]
+
+    @classmethod
+    def fold(cls, con, k, options):
+        """(subsets_checked, patterns_checked, dominant_found, min_margin,
+        first_dominant): first_dominant is the first dominant subset with
+        its least (margin, signs) pattern."""
+        key = (con.d, k, tuple(sorted(options.items())))
+        if key not in cls.folds:
+            subsets = cls.subsets(con.m, k, **options)
+            found, best, first = 0, None, None
+            for indices in subsets:
+                margin, signs = min(
+                    (membership_margin(con, pattern_point(con.m, indices,
+                                                          signs))[0], signs)
+                    for signs in product((1, -1), repeat=k))
+                best = margin if best is None else min(best, margin)
+                if margin <= 0:
+                    found += 1
+                    first = first or (indices, signs, margin)
+            cls.folds[key] = (len(subsets), len(subsets) << k, found, best,
+                              first)
+        return cls.folds[key]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("d,k,options", [
+        (4, 4, {}), (8, 1, {}), (8, 2, {}), (8, 3, {}), (16, 2, {}),
+        (32, 2, {"mode": "sample", "samples": 10, "seed": 1}),
+    ])
+    def test_report_equals_fold_of_membership_margin(self, d, k, options,
+                                                     jobs):
+        # most LPs stop once sigma exceeds the larger of 2 and the probe's
+        # optimum (3/2 at d = 4, k = 4); the report is that of solving
+        # every LP to its optimum
+        con = build(sylvester(d.bit_length() - 1))
+        rep = dominant_subset_sweep(con, k, jobs=jobs, **options)
+        assert (rep.subsets_checked, rep.patterns_checked,
+                rep.dominant_found, rep.min_margin,
+                rep.first_dominant) == self.fold(con, k, options)
+
+    def test_known_dominant_subsets_d8(self, con8):
+        # k = 1 has none; k = 2 first touches the boundary at (0, 1), and
+        # k = 3 has a pattern outside the cube
+        assert self.fold(con8, 1, {})[2:4] == (0, F(1, 6))
+        assert self.fold(con8, 2, {})[2:] == (28, 0, ((0, 1), (-1, -1), 0))
+        assert self.fold(con8, 3, {})[2:4] == (504, F(-1, 8))
+
+    @pytest.mark.parametrize("indices", [(0, 1), (2, 9), (3, 12, 15)])
+    def test_is_dominant_margins_are_exact(self, con8, indices):
+        rep = is_dominant(con8, indices)
+        assert rep.pattern_margins == tuple(
+            (signs, membership_margin(con8, pattern_point(16, indices,
+                                                          signs))[0])
+            for signs in product((1, -1), repeat=len(indices)))
+        assert rep.min_margin == min(m for _, m in rep.pattern_margins)
+
+
+class TestDominanceTargets:
+    """The target rule of dominant_subset_sweep, read off the LPs it solves
+    (module docstring of oracle): one probe, and every other LP stopped
+    once sigma exceeds the larger of 2 and the probe's sigma*."""
+
+    @staticmethod
+    def recorded_calls(monkeypatch):
+        calls = []                 # (objective, rows, bounds, target, result)
+        real_lp_max = oracle.lp_max
+
+        def recording_lp_max(objective, rows, bounds, target=None):
+            result = real_lp_max(objective, rows, bounds, target=target)
+            calls.append((objective, rows, bounds, target, result))
+            return result
+
+        monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
+        return calls
+
+    @pytest.mark.parametrize("d,k,options,tau", [
+        (4, 4, {}, F(3, 2)),                         # the floor 2 in force
+        (8, 2, {}, 2),                               # ties at margin 0
+        (16, 2, {}, 3),
+        (32, 2, {"mode": "sample", "samples": 25, "seed": 4}, 3),
+    ])
+    def test_targets_stop_only_lps_above_tau(self, d, k, options, tau,
+                                             monkeypatch):
+        calls = self.recorded_calls(monkeypatch)
+        con = build(sylvester(d.bit_length() - 1))
+        dominant_subset_sweep(con, k, **options)
+        subsets = TestDominanceLiteral.subsets(con.m, k, **options)
+        tasks = [(indices, signs) for indices in subsets
+                 for signs in product((1, -1), repeat=k)]
+        assert len(calls) == 1 + sum(task != tasks[0] for task in tasks)
+
+        # one probe, solved to an optimum without a target
+        (*_, target, probe), others = calls[0], calls[1:]
+        assert target is None and probe.status == "optimal"
+        assert probe.objective == tau
+        floor = max(tau, 2)
+        reached = 0
+        for objective, rows, bounds, target, result in others:
+            # max(tau, 2)+ = max(tau, 2) + 1/(b * 2**(W-2))
+            assert target == floor + F(
+                1, F(floor).denominator << (rows.width - 2))
+            if result.status == "reached":
+                reached += 1
+                assert result.objective > floor
+            optimum = lp_max(objective, rows, bounds)
+            if optimum.status == "optimal" and optimum.objective <= floor:
+                assert result == optimum         # solved to its optimum
+        assert reached
+
+    def test_no_bounded_probe_gives_no_target(self, con8, monkeypatch):
+        # the origin's LP is unbounded (margin 1/2): with no tau, the floor
+        # of 2 alone sets no target, and every LP is solved to its optimum
+        calls = self.recorded_calls(monkeypatch)
+        points = {"origin": [0] * 16, "e0": pattern_point(16, (0,), (1,)),
+                  "pair": pattern_point(16, (0, 1), (1, -1)),
+                  "outside": pattern_point(16, (0, 1, 8), (1, 1, -1))}
+        tasks = list(points)
+
+        def margins(probes, floor):
+            del calls[:]
+            return list(oracle._membership_margins(
+                oracle._PackedColumns(con8), lambda _, task: points[task],
+                tasks, probes, floor, 1))
+
+        exact = [membership_margin(con8, points[t])[0] for t in tasks]
+        assert exact == [F(1, 2), F(1, 6), 0, F(-1, 8)]
+        for probes, floor in ((["origin"], 2), ([], 2), ([], None)):
+            assert margins(probes, floor) == exact
+            assert [c[3] for c in calls] == [None] * len(tasks)
+            assert calls[0][4].status == "unbounded"
+        # a bounded probe sets tau, its sigma*; the floor raises tau to 2
+        # only when sigma* is below 2 (e0: 3, outside: 8/5)
+        margins(["e0"], 2)
+        assert calls[0][3] is None and calls[0][4].objective == 3
+        assert all(c[3] > 3 for c in calls[1:])
+        for floor, low, high in ((2, 2, 3), (None, F(8, 5), 2)):
+            assert margins(["outside"], floor)[3] == F(-1, 8)
+            assert calls[0][3] is None and calls[0][4].objective == F(8, 5)
+            assert all(low < c[3] < high for c in calls[1:])

@@ -53,7 +53,7 @@ def test_faces_sample_d16_seed3(monkeypatch, con16):
     # the face sweep hands out batches of consecutive subsets
     batches = _first_tasks(monkeypatch, oracle.verify_k_neighborly, con16,
                            samples=6, seed=3)
-    tasks = list(chain.from_iterable(batches))
+    tasks = [members for members, _ in chain.from_iterable(batches)]
     assert len(tasks) == 6
     assert tasks[:4] == [
         ((0, 1), (19, -1)), ((12, 1), (16, -1)), ((2, 1), (8, -1)),
@@ -62,10 +62,16 @@ def test_faces_sample_d16_seed3(monkeypatch, con16):
 
 
 def test_dominance_sample_d16_seed4(monkeypatch, con16):
-    # seed word (seed << 20) ^ (m << 8) ^ k ^ 0x515
+    # seed word (seed << 20) ^ (m << 8) ^ k ^ 0x515; each drawn subset's
+    # 2^k sign patterns are tasks, in binary order
     tasks = _first_tasks(monkeypatch, oracle.dominant_subset_sweep, con16,
                          samples=6, seed=4)
-    assert tasks[:4] == [(23, 28), (28, 31), (18, 23), (3, 28)]
+    assert len(tasks) == 6 * 4
+    assert [indices for indices, _ in tasks[:16:4]] == [
+        (23, 28), (28, 31), (18, 23), (3, 28)]
+    patterns = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert tasks[:16] == [(indices, signs) for indices, _ in tasks[:16:4]
+                          for signs in patterns]
 
 
 def test_containment_sample_d16_seed5(monkeypatch, con16):

@@ -84,11 +84,11 @@ def _halves_listed(packed, num, den, weight, totals):
     return _failed(results, weight, totals, _LISTED["right"], 1)
 
 
-def _face_check_failing(columns, subset, tau=None):
+def _face_check_failing(columns, members, witness, tau=None):
     # fails each subset but the probe whose least vertex index is 3 mod 7,
     # as an exact verdict, so its batch leaves it out of tau
-    outcome, sigma = _real_face_check(columns, subset, tau)
-    if min(i for i, _ in subset) % 7 == 3:
+    outcome, sigma = _real_face_check(columns, members, witness, tau)
+    if min(i for i, _ in members) % 7 == 3:
         return (outcome[0], "not-face", None), None
     return outcome, sigma
 
