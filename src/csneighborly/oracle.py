@@ -69,6 +69,19 @@ stand in for the least margin when that is above 0.  The probe margins and
 tau go to the sweep in its context, so no LP is solved twice, and the
 targets depend only on the task list.
 
+Before its LP, each other point w = (e | f) gets the paper's certificate
+(_correction_point): with y = -(e + beta*H f) and alpha*beta*d = 1,
+w + X y = (-beta*H f | f - alpha*e H - G f/d), the two correction rows
+(-alpha*e H on the right once G = d*I), so sigma_c = 1/c, c their largest
+|entry|, is feasible and at most sigma*.  In (u', sigma) the point is
+u' = -sigma_c*q*V/d, V = H f, with sigma_c = min(q*d / max|R_j|,
+p*d / (q*max|V_i|)) and R_j = d*qb_j - q*(G f)_j: O(k*d) integer sums.
+A point with sigma_c > tau gets no LP: it is re-substituted into the LP's
+rows and bounds (simplex._recheck), which rejects it unless it is feasible
+whatever G holds, and its margin 1/2 - 1/sigma_c, like a stopped LP's, is
+neither the minimum nor dominant.  sigma_c depends only on the task, so
+each settled set is the same for every worker count.
+
 Every LP row is a column of H, signed and scaled, with a sigma coefficient
 (or a unit row on a member vertex).  Once per sweep, _PackedColumns
 type-checks H's entries and sums its column norms; the first time a
@@ -535,14 +548,16 @@ def _margin(columns: _PackedColumns, w, tau=None) -> tuple:
     """(membership margin, LP result) of the point w (ints or Fractions),
     its rows packed from the sweep's columns of H.
 
-    With tau (a rational a/b), the LP stops at the first point with
-    sigma > tau: lp_max gets the target tau+ = tau + 1/(b * 2**(W-2)), W
-    the LP's field width.  At every dictionary sigma = V/D with V an int
-    and 0 < D < 2**(W-2), as lp_max's overflow guard bounds every pivot
-    entry and so every D; so sigma > tau gives sigma - tau >= 1/(b*D) >
-    1/(b * 2**(W-2)), and sigma >= tau+ holds exactly when sigma > tau.  A
-    "reached" result's margin is that of its point, above 1/2 - 1/tau; an
-    LP whose sigma* is at most tau is solved to its optimum.
+    With tau (a rational a/b), a point whose correction-row point has
+    sigma_c > tau is settled by it (module docstring), with the result
+    None.  Any other LP stops at the first point with sigma > tau: lp_max
+    gets the target tau+ = tau + 1/(b * 2**(W-2)), W the LP's field width.
+    At every dictionary sigma = V/D with V an int and 0 < D < 2**(W-2), as
+    lp_max's overflow guard bounds every pivot entry and so every D; so
+    sigma > tau gives sigma - tau >= 1/(b*D) > 1/(b * 2**(W-2)), and
+    sigma >= tau+ holds exactly when sigma > tau.  A "reached" result's
+    margin is that of its point, above 1/2 - 1/tau; an LP whose sigma* is
+    at most tau is solved to its optimum.
     """
     d, p, q, cols = columns.d, columns.p, columns.q, columns.columns
     scale = lcm(*(v.denominator for v in w))
@@ -559,10 +574,16 @@ def _margin(columns: _PackedColumns, w, tau=None) -> tuple:
     limit = scale * q
     rows = [(col + (qb,), -limit, limit) for col, qb in zip(cols, qbs)]
     bounds = [(-p, p)] * d + [(0, None)]
+    objective = (0,) * d + (1,)
+    if tau is not None:
+        point = _correction_point(columns, ints, qbs, scale)
+        if point and point[0][d] > tau * point[1]:
+            nums, den = point
+            _recheck(objective, rows, bounds, nums, den, nums[d])
+            return HALF - Fraction(den, nums[d]), None
     squares = [v * scale * scale for v in columns.norms]   # of [c; A]
     squares.append(1 + sum(qb * qb for qb in qbs))
 
-    objective = (0,) * d + (1,)
     width = _field_width(objective, rows, bounds, squares)
     packed, top = columns.packed(width), width * d
     table = [scale * x + (qb << top) for x, qb in zip(packed, qbs)]
@@ -575,6 +596,27 @@ def _margin(columns: _PackedColumns, w, tau=None) -> tuple:
     return margin, result
 
 
+def _correction_point(columns: _PackedColumns, ints, qbs,
+                      scale: int) -> tuple | None:
+    """(nums, den): the correction-row point x = nums / den, sigma_c =
+    nums[d] / den, of the membership LP of (e | f) = ints / scale, qbs its
+    sigma coefficients (module docstring); None when both rows vanish."""
+    d, q = columns.d, columns.q
+    vs, gfs = [0] * d, [0] * d                  # V = H f' and G f'
+    for j, v in enumerate(ints[d:]):
+        if v:
+            vs = [a + v * h for a, h in zip(vs, columns.columns[j])]
+            gfs = [a + v * g for a, g in zip(gfs, columns.gram[j])]
+    sd = scale * d
+    c = max(Fraction(max(abs(d * qb - q * g) for qb, g in zip(qbs, gfs)),
+                     q * sd),
+            Fraction(q * max(map(abs, vs)), columns.p * sd))
+    if not c:
+        return None
+    b, a = c.as_integer_ratio()                 # sigma_c = 1/c = a/b
+    return [-a * q * v for v in vs] + [a * sd], b * sd
+
+
 def _membership_margins(columns: _PackedColumns, point, tasks, probes,
                         floor, jobs: int):
     """The membership margin of point(columns, task) for each task, in task
@@ -582,8 +624,9 @@ def _membership_margins(columns: _PackedColumns, point, tasks, probes,
 
     Each task in probes is solved first, in this process, to its optimum.
     tau is the least sigma* of the bounded probes, raised to floor if one
-    is given, and every other LP stops once sigma > tau (_margin); with no
-    bounded probe there is no tau, and every LP is solved to its optimum.
+    is given; every other point is settled or its LP stopped once sigma >
+    tau (_margin).  With no bounded probe there is no tau, and every LP is
+    solved to its optimum.
     """
     margins = {task: _margin(columns, point(columns, task))[0]
                for task in probes}
@@ -598,8 +641,7 @@ def _membership_margins(columns: _PackedColumns, point, tasks, probes,
 def _task_margin(context, task):
     """Membership margin of one task's point; context = (packed columns,
     point function, tau, probe margins by task).  A probe's margin is looked
-    up; any other LP stops once sigma > tau, and its margin is then that of
-    the point."""
+    up; any other point's is _margin's with tau."""
     columns, point, tau, probes = context
     margin = probes.get(task)
     if margin is None:
@@ -670,11 +712,11 @@ def dominant_subset_sweep(
 
     Each subset's sign patterns are tasks, in binary order.  The first
     pattern of the first subset, the probe, is solved first, in this
-    process, to a dual-certified optimum; every other LP stops once sigma
-    exceeds tau, the larger of 2 and the probe's sigma* (none when the
-    probe is unbounded; module docstring and _margin).  dominant_found,
-    min_margin and first_dominant are those of solving every LP to its
-    optimum."""
+    process, to a dual-certified optimum; every other pattern is settled by
+    its correction-row point, or its LP stopped, once sigma exceeds tau, the
+    larger of 2 and the probe's sigma* (none when the probe is unbounded;
+    module docstring and _margin).  dominant_found, min_margin and
+    first_dominant are those of solving every LP to its optimum."""
     k = con.k if k is None else k
     m = con.m
     if k < 1 or k > m:
@@ -745,10 +787,11 @@ def projection_containment(
     (block, row index) as the sweep reaches it.
 
     Each block's first vertex, its probe, is solved first, in this process,
-    to a dual-certified optimum; every other vertex's LP stops once sigma
-    exceeds tau, the least sigma* of the bounded probes (none when every
-    probe is unbounded; module docstring and _margin).  min_margin and
-    min_at are those of solving every LP to its optimum.
+    to a dual-certified optimum; every other vertex is settled by its
+    correction-row point, or its LP stopped, once sigma exceeds tau, the
+    least sigma* of the bounded probes (none when every probe is unbounded;
+    module docstring and _margin).  min_margin and min_at are those of
+    solving every LP to its optimum.
     """
     k = con.k if k is None else k
     d = con.d

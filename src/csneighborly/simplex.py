@@ -108,9 +108,10 @@ tau, the least optimum of the probe and of its batch so far, is a face that
 cannot lower the sweep's minimum.  In the dominance and containment sweeps,
 a point whose sigma passes the least probe optimum (and 2, for dominance)
 is neither the minimum nor a dominant pattern.  The face sweep settles
-most subsets with no LP at all: each one's closed-form witness point is a
-certificate of the same kind, and the sweep re-substitutes it with
-``_recheck`` before it relies on it.
+most subsets with no LP at all, and the membership sweeps many points: a
+subset's closed-form witness point and a point's correction-row point are
+certificates of the same kind, and each sweep re-substitutes them with
+``_recheck`` before it relies on them.
 """
 
 from __future__ import annotations

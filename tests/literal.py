@@ -221,6 +221,29 @@ def literal_face_witness(x, subset):
     return None if m == 0 else 1 / m
 
 
+def literal_correction_rows(con, point):
+    """(y, rows) for the point w = (e | f) of the membership LP, straight
+    from the paper: y = -(e + beta*f*H^T), and rows = (-beta*f*H^T |
+    -alpha*e*H), the two correction rows, which equal w + X y when
+    alpha*beta*d = 1 and H^T H = d*I.  Fraction sums over H's rows and
+    columns, entry by entry."""
+    d, h = con.d, con.hadamard
+    alpha, beta = con.params.alpha, con.params.beta
+    e, f = point[:d], point[d:]
+    f_ht = [sum(f[i] * h.columns[i][c] for i in range(d)) for c in range(d)]
+    e_h = [sum(e[j] * h.signs[j][c] for j in range(d)) for c in range(d)]
+    y = [-(v + beta * m) for v, m in zip(e, f_ht)]
+    return y, [-beta * m for m in f_ht] + [-alpha * n for n in e_h]
+
+
+def literal_correction_sigma(con, point):
+    """sigma = 1/c of the correction-row point of the membership LP, c the
+    largest |entry| of the two correction rows (literal_correction_rows);
+    None when both rows vanish."""
+    c = max(abs(v) for v in literal_correction_rows(con, point)[1])
+    return None if c == 0 else 1 / c
+
+
 def literal_row_check(con, left, right):
     """The three conditions on one row (e | f), in plain Fraction arithmetic.
 

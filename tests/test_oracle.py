@@ -25,9 +25,11 @@ from csneighborly.blocks import block_row_count, sample_indices
 from csneighborly.construction import Construction
 from csneighborly.oracle import canonical_subsets
 from csneighborly.sampling import draws
-from csneighborly.simplex import _field_width, lp_max
-from literal import (block_row, literal_face_witness, literal_unrank_support,
-                     recheck_face, signed_vertices, vertex_matrix)
+from csneighborly.simplex import _field_width, _recheck, lp_max
+from literal import (block_row, literal_correction_rows,
+                     literal_correction_sigma, literal_face_witness,
+                     literal_unrank_support, recheck_face, signed_vertices,
+                     vertex_matrix)
 
 
 # (status, margin) of each of the 848 canonical d = 4 subsets of sizes 1-4,
@@ -735,12 +737,12 @@ class TestContainmentTargets:
             return result
 
         monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
-        projection_containment(build(sylvester(d.bit_length() - 1)), k,
-                               **options)
+        points = recorded_points(monkeypatch)
+        con = build(sylvester(d.bit_length() - 1))
+        projection_containment(con, k, **options)
         tasks = TestContainmentLiteral.tasks(d, k, **options)
         firsts = {l: (l, index) for l, index in reversed(tasks)}
-        assert len(calls) == k + 1 + sum(
-            task not in firsts.values() for task in tasks)
+        others_count = sum(task not in firsts.values() for task in tasks)
 
         # k + 1 probes, solved to an optimum without a target; tau is their
         # least sigma*
@@ -748,6 +750,12 @@ class TestContainmentTargets:
         assert all(target is None and result.status == "optimal"
                    for *_, target, result in probes)
         tau = min(result.objective for *_, result in probes)
+        # a vertex whose correction-row point has sigma_c > tau gets no LP:
+        # the probes and every other vertex not settled get one each
+        settled = assert_settled_above(con, points[k + 1:], tau)
+        assert len(points) == k + 1 + others_count
+        assert len(others) == others_count - settled
+        assert bool(settled) == (d > 8)    # d = 8, k = 3 has sigma* < 2
         reached = 0
         for objective, rows, bounds, target, result in others:
             # tau+ = tau + 1/(b * 2**(W-2)): sigma >= tau+ iff sigma > tau
@@ -758,7 +766,140 @@ class TestContainmentTargets:
             optimum = real_lp_max(objective, rows, bounds)
             if optimum.status == "optimal" and optimum.objective <= tau:
                 assert result == optimum         # solved to its optimum
-        assert reached
+        # from d = 16 on, every vertex whose sigma* passes tau is settled by
+        # its point, so no LP reaches its target
+        assert bool(reached) == (d <= 8)
+
+
+def recorded_points(monkeypatch):
+    """(point, tau, margin, LP result) of each oracle._margin call, in
+    order; the result is None where the point was settled without an LP."""
+    points = []
+    real_margin = oracle._margin
+
+    def recording_margin(columns, w, tau=None):
+        margin, result = real_margin(columns, w, tau)
+        points.append((tuple(w), tau, margin, result))
+        return margin, result
+
+    monkeypatch.setattr(oracle, "_margin", recording_margin)
+    return points
+
+
+def assert_settled_above(con, points, tau):
+    """Check the sweep's rule on the recorded non-probe points: each was
+    given tau, and a point was settled without an LP, with margin
+    1/2 - 1/sigma_c, exactly when its literal sigma_c exceeds tau; returns
+    how many were."""
+    settled = 0
+    for w, given, margin, result in points:
+        assert given == tau
+        sigma = literal_correction_sigma(con, w)
+        if result is None:
+            settled += 1
+            assert sigma > tau and margin == F(1, 2) - 1 / sigma
+        else:
+            assert sigma is None or sigma <= tau
+    return settled
+
+
+def settled_point(columns, point):
+    """(margin, recheck arguments) of _margin on the point with tau = 0,
+    which settles every point that has a correction-row point: the
+    arguments (objective, rows, bounds, nums, den, value) with which it
+    re-substituted the point through oracle._recheck, or None when the
+    point got an LP."""
+    calls = []
+    real_recheck = oracle._recheck
+
+    def recording(*args):
+        calls.append(args)
+        return real_recheck(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_recheck", recording)
+        margin, result = oracle._margin(columns, point, F(0))
+    assert (result is None) == bool(calls)
+    return margin, (calls[0] if calls else None)
+
+
+class TestCorrectionPoint:
+    """The membership sweeps' correction-row point: its sigma_c is 1/c of
+    the paper's two correction rows (literal_correction_sigma), and the
+    point is feasible for membership_margin's LP, so sigma_c <= sigma*."""
+
+    @staticmethod
+    def check(con, columns, point):
+        margin, args = settled_point(columns, point)
+        nums, den = args[3:5]
+        sigma = F(nums[con.d], den)
+        assert sigma == literal_correction_sigma(con, point), point
+        assert margin == F(1, 2) - 1 / sigma
+        optimum, _ = membership_margin(con, point)
+        assert optimum == F(1, 2) or sigma <= 1 / (F(1, 2) - optimum), point
+        return sigma, optimum
+
+    @pytest.mark.parametrize("e,ks", [(2, (1, 2, 3)), (3, (1, 2, 3)),
+                                      (4, (2,))])
+    def test_every_vertex(self, e, ks):
+        con = build(sylvester(e))
+        columns, tally = oracle._PackedColumns(con), Counter()
+        for k in ks:
+            for l in range(k + 1):
+                for left, right in block_rows(con.d, k, l):
+                    sigma, optimum = self.check(
+                        con, columns, left.dense() + right.dense())
+                    tally[sigma == 1 / (F(1, 2) - optimum)] += 1
+        # the point is optimal at some vertices and short of it at others
+        assert tally[True] and tally[False]
+
+    @pytest.mark.parametrize("e,k,samples,alpha", [
+        (5, 2, 4, None), (5, 2, 3, F(3, 16)), (6, 4, 2, None)])
+    def test_sampled_vertices(self, e, k, samples, alpha):
+        con = build(sylvester(e), alpha=alpha)
+        columns = oracle._PackedColumns(con)
+        for l in range(k + 1):
+            for index in sample_indices(con.d, k, l, samples, seed=e):
+                left, right = block_row(con.d, k, l, index)
+                self.check(con, columns, left.dense() + right.dense())
+
+    @pytest.mark.parametrize("e,alpha", [(3, None), (3, F(2, 5)), (4, None)])
+    def test_fractional_points(self, e, alpha):
+        # the sweeps' points are ints; _margin scales any other point's rows
+        # by the lcm of its denominators, and its correction-row point too
+        con = build(sylvester(e), alpha=alpha)
+        columns, rng = oracle._PackedColumns(con), random.Random(e)
+        for _ in range(10):
+            self.check(con, columns, [F(rng.randint(-3, 3), rng.randint(2, 7))
+                                      for _ in range(con.m)])
+
+    def test_rows_are_the_cube_offsets(self, con16):
+        # with y = -(e + beta*f*H^T), w + X y is the two correction rows
+        for l, index in ((0, 7), (1, 300), (2, 400)):
+            left, right = block_row(16, 2, l, index)
+            point = left.dense() + right.dense()
+            y, rows = literal_correction_rows(con16, point)
+            assert cube_offsets(con16, point, y) == rows
+
+    def test_origin_gets_an_lp(self, con8):
+        margin, args = settled_point(oracle._PackedColumns(con8), [0] * 16)
+        assert args is None and margin == F(1, 2)
+
+    def test_overstated_point_is_rejected(self, con16):
+        # sigma_c is the least limit of a row or bound, so one unit less in
+        # den, or the point formed for sigma = (a + 1)/b in place of
+        # sigma_c = a/b (nums[d] = a*d, den = b*d), leaves a row or bound
+        columns = oracle._PackedColumns(con16)
+        for l, index in ((0, 5), (1, 100), (1, 1000), (2, 300)):
+            left, right = block_row(16, 2, l, index)
+            _, args = settled_point(columns, left.dense() + right.dense())
+            objective, rows, bounds, nums, den, value = args
+            a = nums[16] // 16
+            high = [v // a * (a + 1) for v in nums]
+            for bad, bad_den in ((nums, den - 1), (high, den)):
+                with pytest.raises(RuntimeError, match="internal error: "
+                                   "row or bound violated"):
+                    _recheck(objective, rows, bounds, bad, bad_den, bad[16])
 
 
 def pattern_point(m, indices, signs):
@@ -867,18 +1008,25 @@ class TestDominanceTargets:
     def test_targets_stop_only_lps_above_tau(self, d, k, options, tau,
                                              monkeypatch):
         calls = self.recorded_calls(monkeypatch)
+        points = recorded_points(monkeypatch)
         con = build(sylvester(d.bit_length() - 1))
         dominant_subset_sweep(con, k, **options)
         subsets = TestDominanceLiteral.subsets(con.m, k, **options)
         tasks = [(indices, signs) for indices in subsets
                  for signs in product((1, -1), repeat=k)]
-        assert len(calls) == 1 + sum(task != tasks[0] for task in tasks)
+        others_count = sum(task != tasks[0] for task in tasks)
 
         # one probe, solved to an optimum without a target
         (*_, target, probe), others = calls[0], calls[1:]
         assert target is None and probe.status == "optimal"
         assert probe.objective == tau
         floor = max(tau, 2)
+        # a pattern whose correction-row point has sigma_c > max(tau, 2)
+        # gets no LP: the probe and every other pattern not settled get one
+        settled = assert_settled_above(con, points[1:], floor)
+        assert len(points) == 1 + others_count
+        assert len(others) == others_count - settled
+        assert bool(settled) == (d > 8)
         reached = 0
         for objective, rows, bounds, target, result in others:
             # max(tau, 2)+ = max(tau, 2) + 1/(b * 2**(W-2))
@@ -890,7 +1038,9 @@ class TestDominanceTargets:
             optimum = lp_max(objective, rows, bounds)
             if optimum.status == "optimal" and optimum.objective <= floor:
                 assert result == optimum         # solved to its optimum
-        assert reached
+        # from d = 16 on, every pattern whose sigma* passes max(tau, 2) is
+        # settled by its point, so no LP reaches its target
+        assert bool(reached) == (d <= 8)
 
     def test_no_bounded_probe_gives_no_target(self, con8, monkeypatch):
         # the origin's LP is unbounded (margin 1/2): with no tau, the floor

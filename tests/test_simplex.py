@@ -6,7 +6,7 @@ from math import lcm
 
 import pytest
 
-from csneighborly import lp_max, oracle, simplex
+from csneighborly import block_rows, lp_max, oracle, simplex
 from csneighborly.cli import main
 from csneighborly.construction import build
 from csneighborly.hadamard import sylvester
@@ -575,15 +575,26 @@ def programs_of(solves):
     return [program for program, _, _ in solves]
 
 
+def membership_lps(con, points):
+    """membership_margin on each point: one membership LP each, solved to
+    its optimum.  The membership sweeps settle many points by their
+    correction-row points, so they are not a source of many membership
+    LPs."""
+    return [oracle.membership_margin(con, point) for point in points]
+
+
 @pytest.fixture(scope="module")
 def d8_solves():
     """The face LP of every canonical subset of the d = 8 face sweep, and
-    every containment and dominance LP of the d = 8 sweeps."""
+    the membership LP of every vertex of the d = 8 containment sweep and
+    of every sign pattern of the d = 8 dominance sweep."""
     con = build(sylvester(3))
     faces = solves_of(face_lps, con, oracle.canonical_subsets(con.m, con.k))
-    return faces + [solve for sweep in (oracle.projection_containment,
-                                        oracle.dominant_subset_sweep)
-                    for solve in solves_of(sweep, con)]
+    vertices = [left.dense() + right.dense() for l in range(con.k + 1)
+                for left, right in block_rows(con.d, con.k, l)]
+    patterns = [[s if j == i else 0 for j in range(con.m)]
+                for i in range(con.m) for s in (1, -1)]
+    return faces + solves_of(membership_lps, con, vertices + patterns)
 
 
 @pytest.fixture(scope="module")
