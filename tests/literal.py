@@ -4,14 +4,15 @@ The package never multiplies, ranks or stacks Fraction matrices: its
 identities hold by construction or reduce to integer products.  Nor does it
 re-substitute a face witness into the vertices in Fractions: the face LP's
 integer recheck covers that, and it checks a certificate row as two halves
-in packed integer fields.  It unranks supports from a table of binomials.
-It solves its LPs on a dictionary of packed integer rows, and certifies
-each optimum from the integer reduced costs.  These slow, obvious versions
-(a Fraction simplex dictionary and a Fraction dual check among them) are
-what the tests check those shortcuts against, together with the dense
-matrices (C_l, T) and the signed vertex list that only the tests form.  The
-package writes vertex files and reads none: their parsers are here, where
-the tests read `generate`'s output back.
+in packed integer fields.  It forms a membership LP's correction-row point
+from integer sums over H and G, and unranks supports from a table of
+binomials.  It solves its LPs on a dictionary of packed integer rows, and
+certifies each optimum from the integer reduced costs.  These slow,
+obvious versions (a Fraction simplex dictionary and a Fraction dual check
+among them) are what the tests check those shortcuts against, together
+with the dense matrices (C_l, T) and the signed vertex list that only the
+tests form.  The package writes vertex files and reads none: their parsers
+are here, where the tests read `generate`'s output back.
 """
 
 import json
