@@ -50,37 +50,55 @@ sets the minimum, are solved to a dual-certified optimum.  The probe and
 the batches depend only on the task list, so every LP's pivots are the
 same for every worker count.
 
-The dominance and containment sweeps solve one membership LP per point
+The dominance and containment sweeps check one point per task
 (_membership_margins): each sign pattern of each index subset, or each
-vertex of the weight-k section.  Before the sweep, the calling process
-solves the probes to a dual-certified optimum: the first pattern, or each
-block's first vertex.  tau is the least sigma* of the bounded probes, and
-for dominance at least 2: a pattern is dominant exactly when its margin
-1/2 - 1/sigma* is <= 0.  Every other LP stops at the first point with
-sigma > tau, through the target tau + 1/(b * 2**(W-2)) (b tau's
-denominator, W the LP's field width; see _margin for why that is exact).
-Such a point's margin is above the least probe margin and above 0 for
-dominance, so it is not the minimum, nor where it is first met, nor a
-dominant pattern; every LP with sigma* <= tau, ties included, is solved to
-a dual-certified optimum.  The comparison is strict because the minimum may
-come later than the points that stop.  With no bounded probe there is no
-tau and no LP stops: a floor of 2 alone would let a stopped point's margin
-stand in for the least margin when that is above 0.  The probe margins and
-tau go to the sweep in its context, so no LP is solved twice, and the
-targets depend only on the task list.
+vertex of the weight-k section.  The calling process forms each point's
+closed-form point of the membership LP once (_correction_point) and hands
+it out with its task, as the face sweep hands out its witness points.  It
+is the better of two.  The paper's certificate, y = -(e + beta*H f) with
+alpha*beta*d = 1, puts w + X y at the two correction rows
+(-beta*H f | f - alpha*e H - G f/d), which read -alpha*e H on the right
+once G = d*I; with c0 their largest |entry|, sigma_c = 1/c0.  At y = 0,
+w + X y is w itself.  The balanced mix y = (1 - lam)*y_c, lam =
+c0/(1 + c0), has the rows (1 - lam)*(correction rows) + lam*w, where the
+two often cancel: on block 0 (e = 0) its sigma is 1 + p*d/(q*k), on block
+k (f = 0) 1 + q/(p*k), which is sigma* in the k = 2 sweeps at d = 16, 32
+and 64.  In (u', sigma), with V = H f', R_j = d*qb_j - q*(G f')_j (w' =
+(e' | f') = scale*w, qb_j the LP's sigma coefficients), m0 = max(p*max|R_j|,
+q^2*max|V_i|), d0 = p*q*scale*d and l = m0 + d0, the correction-row point
+is u' = -p*q^2*V/m0 with sigma_c = d0/m0, and the mix, with b_i =
+m0*p*d*e'_i - d0*q*V_i and m1 = max(p*max_j|m0*q*d*f'_j + d0*R_j|,
+q*max|b_i|), is u' = p*q*b/m1 with sigma = l*d0/m1.  The mix is taken when
+0 < m1 < m0*l (m1 = 0 makes it a ray of the LP, whose sigma* is then
+unbounded).  Both cost O(k*d) integer sums over f's support, and the
+point's sigma_pt is at most sigma*.
 
-Before its LP, each other point w = (e | f) gets the paper's certificate
-(_correction_point): with y = -(e + beta*H f) and alpha*beta*d = 1,
-w + X y = (-beta*H f | f - alpha*e H - G f/d), the two correction rows
-(-alpha*e H on the right once G = d*I), so sigma_c = 1/c, c their largest
-|entry|, is feasible and at most sigma*.  In (u', sigma) the point is
-u' = -sigma_c*q*V/d, V = H f, with sigma_c = min(q*d / max|R_j|,
-p*d / (q*max|V_i|)) and R_j = d*qb_j - q*(G f)_j: O(k*d) integer sums.
-A point with sigma_c > tau gets no LP: it is re-substituted into the LP's
-rows and bounds (simplex._recheck), which rejects it unless it is feasible
-whatever G holds, and its margin 1/2 - 1/sigma_c, like a stopped LP's, is
-neither the minimum nor dominant.  sigma_c depends only on the task, so
-each settled set is the same for every worker count.
+The probe is the task with the least sigma_pt, the first in task order on
+ties (the first task when no point has one); the calling process solves
+its LP to a dual-certified optimum.  tau is its sigma*, and for dominance
+at least 2: a pattern is dominant exactly when its margin 1/2 - 1/sigma*
+is <= 0.  When tau is above that floor, a task after the probe is settled
+by its point when sigma_pt >= tau, and its LP otherwise stops at the first
+point with sigma >= tau.  Every other task is settled when sigma_pt > tau,
+and its LP stops at the first point with sigma > tau, through the target
+tau + 1/(b * 2**(W-2)) (b tau's denominator, W the LP's field width; see
+_margin for why that is exact).  A settled point is re-substituted into
+the LP's rows and bounds (simplex._recheck), which rejects it unless it is
+feasible whatever G holds, and its margin is 1/2 - 1/sigma_pt.  Every
+point with sigma* < tau is solved to its optimum, as its sigma_pt <=
+sigma*, and so is a tie (sigma* = tau) before the probe, which can be
+where the least margin is first met (containment's min_at).  A point
+after the probe that settles or stops at sigma >= tau keeps a margin at
+least the probe's, which comes first, so it is not where the least margin
+is first met; that margin is above 0, as tau is then above 2, so it is
+not dominant.  The strict test keeps every other kept margin above the
+probe's, and above 0 when the floor is in force, where a point at
+sigma = 2 would read as dominant.  With an unbounded probe there is no
+tau and no LP stops: a floor of 2 alone would let a stopped point's
+margin stand in for the least margin when that is above 0.  The probe's
+index and margin and tau go to the sweep in its context, so no LP is
+solved twice; the points, the probe and tau depend only on the task list,
+so every settled set and every LP is the same for every worker count.
 
 Every LP row is a column of H, signed and scaled, with a sigma coefficient
 (or a unit row on a member vertex).  Once per sweep, _PackedColumns
@@ -538,57 +556,69 @@ def membership_margin(con: Construction, point) -> tuple:
         raise ValueError(f"point must have length {con.m}")
     w = [v if type(v) is int else as_scalar(v) for v in point]
     columns = _PackedColumns(con)
-    margin, result = _margin(columns, w)
+    margin, result = _margin(columns, *_offsets(columns, w)[:2])
     d = con.d
     p_sigma = columns.p * result.x[d]
     return margin, tuple(u / p_sigma - v for u, v in zip(result.x[:d], w))
 
 
-def _margin(columns: _PackedColumns, w, tau=None) -> tuple:
-    """(membership margin, LP result) of the point w (ints or Fractions),
-    its rows packed from the sweep's columns of H.
-
-    With tau (a rational a/b), a point whose correction-row point has
-    sigma_c > tau is settled by it (module docstring), with the result
-    None.  Any other LP stops at the first point with sigma > tau: lp_max
-    gets the target tau+ = tau + 1/(b * 2**(W-2)), W the LP's field width.
-    At every dictionary sigma = V/D with V an int and 0 < D < 2**(W-2), as
-    lp_max's overflow guard bounds every pivot entry and so every D; so
-    sigma > tau gives sigma - tau >= 1/(b*D) > 1/(b * 2**(W-2)), and
-    sigma >= tau+ holds exactly when sigma > tau.  A "reached" result's
-    margin is that of its point, above 1/2 - 1/tau; an LP whose sigma* is
-    at most tau is solved to its optimum.
-    """
-    d, p, q, cols = columns.d, columns.p, columns.q, columns.columns
+def _offsets(columns: _PackedColumns, w) -> tuple:
+    """(scale, qbs, ints) of the point w (ints or Fractions): scale the lcm
+    of its denominators, ints = scale*w, and qbs the membership LP's sigma
+    coefficients scale*q*b_j = q*ints_{d+j} - p*h_j.ints_{1..d}, the dot
+    products summed over the rows of H at w's nonzeros."""
+    d, p, q = columns.d, columns.p, columns.q
     scale = lcm(*(v.denominator for v in w))
     ints = [v.numerator * (scale // v.denominator) for v in w]
-    # scale*q*b_j = q*w'_{d+j} - p*h_j.w'_{1..d} (w' = scale*w), the dot
-    # products summed over the rows of H at w's nonzeros
     qbs = [q * v for v in ints[d:]]
     for v, row in zip(ints[:d], columns.rows):
         if v:
             pv = p * v
             qbs = [qb - pv * h for qb, h in zip(qbs, row)]
+    return scale, qbs, ints
+
+
+def _program(columns: _PackedColumns, scale: int, qbs) -> tuple:
+    """(objective, rows, bounds) of the membership LP of the point with
+    offsets (scale, qbs) (_offsets), in integers: maximize sigma with
+    |scale*h_j.u' + qbs_j*sigma| <= scale*q for each column h_j of H,
+    |u'_i| <= p and sigma >= 0."""
+    d, cols = columns.d, columns.columns
     if scale != 1:
         cols = [tuple(scale * v for v in col) for col in cols]
-    limit = scale * q
+    limit = scale * columns.q
     rows = [(col + (qb,), -limit, limit) for col, qb in zip(cols, qbs)]
-    bounds = [(-p, p)] * d + [(0, None)]
-    objective = (0,) * d + (1,)
-    if tau is not None:
-        point = _correction_point(columns, ints, qbs, scale)
-        if point and point[0][d] > tau * point[1]:
-            nums, den = point
-            _recheck(objective, rows, bounds, nums, den, nums[d])
-            return HALF - Fraction(den, nums[d]), None
+    return ((0,) * d + (1,), rows,
+            [(-columns.p, columns.p)] * d + [(0, None)])
+
+
+def _margin(columns: _PackedColumns, scale: int, qbs, tau=None,
+            ties: bool = False) -> tuple:
+    """(membership margin, LP result) of the point with offsets (scale,
+    qbs) (_offsets), its rows packed from the sweep's columns of H.
+
+    With tau (a rational a/b) the LP stops at the first point with sigma >=
+    tau when ties, else at the first with sigma > tau: lp_max gets the
+    target tau+ = tau + 1/(b * 2**(W-2)), W the LP's field width.  At every
+    dictionary sigma = V/D with V an int and 0 < D < 2**(W-2), as lp_max's
+    overflow guard bounds every pivot entry and so every D; so sigma > tau
+    gives sigma - tau >= 1/(b*D) > 1/(b * 2**(W-2)), and sigma >= tau+
+    holds exactly when sigma > tau.  A "reached" result's margin is that of
+    its point, at least 1/2 - 1/tau (above it without ties); an LP whose
+    sigma* is below tau (at most tau without ties) is solved to its
+    optimum.
+    """
+    d = columns.d
+    objective, rows, bounds = _program(columns, scale, qbs)
     squares = [v * scale * scale for v in columns.norms]   # of [c; A]
     squares.append(1 + sum(qb * qb for qb in qbs))
 
     width = _field_width(objective, rows, bounds, squares)
     packed, top = columns.packed(width), width * d
     table = [scale * x + (qb << top) for x, qb in zip(packed, qbs)]
-    target = None if tau is None else tau + Fraction(
-        1, tau.denominator << (width - 2))
+    target = tau
+    if tau is not None and not ties:
+        target = tau + Fraction(1, tau.denominator << (width - 2))
     result = lp_max(objective, PackedRows(rows, width, table, d), bounds,
                     target=target)
     sigma = result.x[d]
@@ -598,55 +628,89 @@ def _margin(columns: _PackedColumns, w, tau=None) -> tuple:
 
 def _correction_point(columns: _PackedColumns, ints, qbs,
                       scale: int) -> tuple | None:
-    """(nums, den): the correction-row point x = nums / den, sigma_c =
+    """(nums, den): the closed-form point x = nums / den, sigma_pt =
     nums[d] / den, of the membership LP of (e | f) = ints / scale, qbs its
-    sigma coefficients (module docstring); None when both rows vanish."""
-    d, q = columns.d, columns.q
+    sigma coefficients: the better of the correction-row point and its
+    balanced mix with the point (e | f) itself (module docstring); None
+    when both correction rows vanish."""
+    d, p, q = columns.d, columns.p, columns.q
     vs, gfs = [0] * d, [0] * d                  # V = H f' and G f'
     for j, v in enumerate(ints[d:]):
         if v:
             vs = [a + v * h for a, h in zip(vs, columns.columns[j])]
             gfs = [a + v * g for a, g in zip(gfs, columns.gram[j])]
-    sd = scale * d
-    c = max(Fraction(max(abs(d * qb - q * g) for qb, g in zip(qbs, gfs)),
-                     q * sd),
-            Fraction(q * max(map(abs, vs)), columns.p * sd))
-    if not c:
+    rs = [d * qb - q * g for qb, g in zip(qbs, gfs)]     # R_j
+    m0 = max(p * max(map(abs, rs)), q * q * max(map(abs, vs)))
+    if not m0:
         return None
-    b, a = c.as_integer_ratio()                 # sigma_c = 1/c = a/b
-    return [-a * q * v for v in vs] + [a * sd], b * sd
+    d0 = p * q * scale * d
+    ell = m0 + d0
+    bs = [m0 * p * d * x - d0 * q * v for x, v in zip(ints[:d], vs)]
+    m1 = max(p * max(abs(m0 * q * d * x + d0 * r)
+                     for x, r in zip(ints[d:], rs)),
+             q * max(map(abs, bs)))
+    if 0 < m1 < m0 * ell:                       # the mix: sigma = ell*d0/m1
+        return [p * q * b for b in bs] + [ell * d0], m1
+    return [-p * q * q * v for v in vs] + [d0], m0      # sigma_c = d0/m0
 
 
-def _membership_margins(columns: _PackedColumns, point, tasks, probes,
-                        floor, jobs: int):
+def _membership_margins(columns: _PackedColumns, point, tasks, floor,
+                        jobs: int):
     """The membership margin of point(columns, task) for each task, in task
     order: the kernel of both membership sweeps (module docstring).
 
-    Each task in probes is solved first, in this process, to its optimum.
-    tau is the least sigma* of the bounded probes, raised to floor if one
-    is given; every other point is settled or its LP stopped once sigma >
-    tau (_margin).  With no bounded probe there is no tau, and every LP is
-    solved to its optimum.
+    This process forms each task's closed-form point and solves the probe,
+    the task with the least sigma_pt (the first on ties), to its optimum.
+    tau is the probe's sigma*, raised to floor if one is given; every other
+    point is settled or its LP stopped at tau (_task_margin).  With an
+    unbounded probe there is no tau, and every LP is solved to its optimum.
     """
-    margins = {task: _margin(columns, point(columns, task))[0]
-               for task in probes}
-    least = min(margins.values(), default=HALF)
-    tau = None
-    if least < HALF:                # the least probe's sigma*, or the floor
-        tau = max(1 / (HALF - least), floor or 0)
-    return ordered_map(_task_margin, (columns, point, tau, margins), tasks,
-                       jobs)
+    items, sigmas = [], {}
+    for i, task in enumerate(tasks):
+        scale, qbs, ints = _offsets(columns, point(columns, task))
+        pt = _correction_point(columns, ints, qbs, scale)
+        if pt:
+            sigmas[i] = Fraction(pt[0][-1], pt[1])
+        items.append((i, scale, qbs, pt))
+    if not items:                       # ordered_map refuses an empty sweep
+        return ordered_map(_task_margin, None, items, jobs)
+    probe = min(sigmas, key=sigmas.get, default=0)
+    margin = _margin(columns, *items[probe][1:3])[0]
+    tau, ties = None, len(items)
+    if margin < HALF:
+        tau = 1 / (HALF - margin)             # the probe's sigma*
+        if floor is not None and tau <= floor:
+            tau = floor
+        else:
+            ties = probe + 1
+    return ordered_map(_task_margin, (columns, tau, probe, margin, ties),
+                       items, jobs)
 
 
-def _task_margin(context, task):
-    """Membership margin of one task's point; context = (packed columns,
-    point function, tau, probe margins by task).  A probe's margin is looked
-    up; any other point's is _margin's with tau."""
-    columns, point, tau, probes = context
-    margin = probes.get(task)
-    if margin is None:
-        margin = _margin(columns, point(columns, task), tau)[0]
-    return margin
+def _task_margin(context, item):
+    """Membership margin of one task's item (index, scale, qbs, point);
+    context = (packed columns, tau, the probe's index and margin, the
+    first index from which ties stop).
+
+    The probe's margin is looked up.  With tau, a task from `ties` on is
+    settled by its point when sigma_pt >= tau, and its LP otherwise stops
+    at sigma >= tau; any other task is settled when sigma_pt > tau, and
+    its LP stops at sigma > tau.  A settled point is re-substituted into
+    the LP's rows and bounds (simplex._recheck), and its margin is
+    1/2 - 1/sigma_pt.
+    """
+    columns, tau, probe, probe_margin, ties = context
+    i, scale, qbs, pt = item
+    if i == probe:
+        return probe_margin
+    tie = i >= ties
+    if tau is not None and pt:
+        nums, den = pt
+        sigma = nums[columns.d]
+        if sigma >= tau * den if tie else sigma > tau * den:
+            _recheck(*_program(columns, scale, qbs), nums, den, sigma)
+            return HALF - Fraction(den, sigma)
+    return _margin(columns, scale, qbs, tau, tie)[0]
 
 
 @dataclass(frozen=True)
@@ -668,9 +732,10 @@ def is_dominant(con: Construction, indices) -> DominanceReport:
     if any(not 0 <= i < con.m for i in indices):
         raise ValueError(f"indices must lie in 0..{con.m - 1}")
     patterns = tuple(product((1, -1), repeat=len(indices)))
-    margins = tuple(_membership_margins(
-        _PackedColumns(con), _pattern, [(indices, s) for s in patterns],
-        (), None, 1))
+    columns = _PackedColumns(con)
+    points = (_pattern(columns, (indices, s)) for s in patterns)
+    margins = tuple(_margin(columns, *_offsets(columns, w)[:2])[0]
+                    for w in points)
     best = min(margins)
     return DominanceReport(
         indices=indices,
@@ -710,12 +775,12 @@ def dominant_subset_sweep(
     """Sweep size-k index subsets for dominance (no dominant subsets of size
     k means the construction is k-neighborly).
 
-    Each subset's sign patterns are tasks, in binary order.  The first
-    pattern of the first subset, the probe, is solved first, in this
-    process, to a dual-certified optimum; every other pattern is settled by
-    its correction-row point, or its LP stopped, once sigma exceeds tau, the
-    larger of 2 and the probe's sigma* (none when the probe is unbounded;
-    module docstring and _margin).  dominant_found, min_margin and
+    Each subset's sign patterns are tasks, in binary order.  The pattern
+    whose closed-form point has the least sigma_pt, the probe, is solved
+    first, in this process, to a dual-certified optimum; every other
+    pattern is settled by its closed-form point, or its LP stopped, once
+    sigma passes tau, the larger of 2 and the probe's sigma* (none when the
+    probe is unbounded; module docstring).  dominant_found, min_margin and
     first_dominant are those of solving every LP to its optimum."""
     k = con.k if k is None else k
     m = con.m
@@ -730,8 +795,8 @@ def dominant_subset_sweep(
 
     patterns = tuple(product((1, -1), repeat=k))
     tasks = [(indices, signs) for indices in subsets for signs in patterns]
-    margins = _membership_margins(_PackedColumns(con), _pattern, tasks,
-                                  tasks[:1], 2, jobs)
+    margins = _membership_margins(_PackedColumns(con), _pattern, tasks, 2,
+                                  jobs)
 
     # each subset's least (margin, signs) pattern, and the dominant ones
     least = [min(zip(islice(margins, len(patterns)), patterns)) + (indices,)
@@ -783,14 +848,14 @@ def projection_containment(
 
     Containment of the projected section in the projected cube holds iff the
     minimum margin is >= 0.  Sample mode draws `samples` rows from each
-    block (blocks.sample_indices); each vertex is unranked from its
-    (block, row index) as the sweep reaches it.
+    block (blocks.sample_indices); this process unranks each vertex from
+    its (block, row index) and forms its closed-form point.
 
-    Each block's first vertex, its probe, is solved first, in this process,
-    to a dual-certified optimum; every other vertex is settled by its
-    correction-row point, or its LP stopped, once sigma exceeds tau, the
-    least sigma* of the bounded probes (none when every probe is unbounded;
-    module docstring and _margin).  min_margin and min_at are those of
+    The vertex whose point has the least sigma_pt, the probe, is solved
+    first, in this process, to a dual-certified optimum; every other vertex
+    is settled by its point, or its LP stopped, once sigma reaches tau, the
+    probe's sigma* (passes it, before the probe; none when the probe is
+    unbounded; module docstring).  min_margin and min_at are those of
     solving every LP to its optimum.
     """
     k = con.k if k is None else k
@@ -804,11 +869,8 @@ def projection_containment(
         ((l, index) for l in blocks
          for index in sample_indices(d, k, l, samples, seed)),
         seed)
-    firsts = {}                   # block l: its first task
-    for task in tasks:
-        firsts.setdefault(task[0], task)
     margins = _membership_margins(_PackedColumns(con), partial(_vertex, k),
-                                  tasks, firsts.values(), None, jobs)
+                                  tasks, None, jobs)
 
     # the least margin, first in task order
     best, best_at = min(zip(margins, tasks), key=itemgetter(0))

@@ -105,13 +105,15 @@ does an optimum.  The reduced costs at that dictionary certify nothing, as
 more pivots might raise c.x, so ``_check_dual`` is not run.  All three
 sweeps use it (oracle.py).  In the face sweep, a subset whose sigma reaches
 tau, the least optimum of the probe and of its batch so far, is a face that
-cannot lower the sweep's minimum.  In the dominance and containment sweeps,
-a point whose sigma passes the least probe optimum (and 2, for dominance)
-is neither the minimum nor a dominant pattern.  The face sweep settles
-most subsets with no LP at all, and the membership sweeps many points: a
-subset's closed-form witness point and a point's correction-row point are
-certificates of the same kind, and each sweep re-substitutes them with
-``_recheck`` before it relies on them.
+cannot lower the sweep's minimum.  In the dominance and containment sweeps
+tau is the probe's optimum (at least 2, for dominance): a point whose
+sigma passes tau, or reaches it after the probe, is neither where the
+minimum is first met nor a dominant pattern.  Each sweep settles most of
+its tasks with no LP at all, and the membership sweeps at d = 16 and in
+the sampled d = 32 rounds all but their probe: a subset's closed-form
+witness point and a point's closed-form membership point are certificates
+of the same kind, and each sweep re-substitutes them with ``_recheck``
+before it relies on them.
 """
 
 from __future__ import annotations

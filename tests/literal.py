@@ -4,8 +4,9 @@ The package never multiplies, ranks or stacks Fraction matrices: its
 identities hold by construction or reduce to integer products.  Nor does it
 re-substitute a face witness into the vertices in Fractions: the face LP's
 integer recheck covers that, and it checks a certificate row as two halves
-in packed integer fields.  It forms a membership LP's correction-row point
-from integer sums over H and G, and unranks supports from a table of
+in packed integer fields.  It forms a membership LP's closed-form point
+(the correction-row point, or its balanced mix with the point) from
+integer sums over H and G, and unranks supports from a table of
 binomials.  It solves its LPs on a dictionary of packed integer rows, and
 certifies each optimum from the integer reduced costs.  These slow,
 obvious versions (a Fraction simplex dictionary and a Fraction dual check
@@ -243,6 +244,33 @@ def literal_correction_sigma(con, point):
     None when both rows vanish."""
     c = max(abs(v) for v in literal_correction_rows(con, point)[1])
     return None if c == 0 else 1 / c
+
+
+def literal_balanced_rows(con, point):
+    """(y, rows) of the balanced mix of the membership LP's correction-row
+    point with the point w itself: with c the largest |entry| of the two
+    correction rows (literal_correction_rows) and lam = c/(1 + c),
+    y = (1 - lam)*y_c and rows = (1 - lam)*(correction rows) + lam*w, which
+    is w + X y.  None when both correction rows vanish."""
+    y, rows = literal_correction_rows(con, point)
+    c = max(abs(v) for v in rows)
+    if c == 0:
+        return None
+    lam = c / (1 + c)
+    return ([(1 - lam) * v for v in y],
+            [(1 - lam) * r + lam * v for r, v in zip(rows, point)])
+
+
+def literal_balanced_sigma(con, point):
+    """sigma of the membership sweeps' closed-form point: 1/c' with c' the
+    largest |entry| of the balanced mix's rows (literal_balanced_rows),
+    or the correction-row point's 1/c when c' is 0 or at least c.  None
+    when both correction rows vanish."""
+    sigma = literal_correction_sigma(con, point)
+    if sigma is None:
+        return None
+    mixed = max(abs(v) for v in literal_balanced_rows(con, point)[1])
+    return 1 / mixed if 0 < mixed < 1 / sigma else sigma
 
 
 def literal_row_check(con, left, right):

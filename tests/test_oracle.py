@@ -26,7 +26,8 @@ from csneighborly.construction import Construction
 from csneighborly.oracle import canonical_subsets
 from csneighborly.sampling import draws
 from csneighborly.simplex import _field_width, _recheck, lp_max
-from literal import (block_row, literal_correction_rows,
+from literal import (block_row, literal_balanced_rows,
+                     literal_balanced_sigma, literal_correction_rows,
                      literal_correction_sigma, literal_face_witness,
                      literal_unrank_support, recheck_face, signed_vertices,
                      vertex_matrix)
@@ -384,7 +385,7 @@ class TestVertexRows:
         verify_k_neighborly(con, 2)
         dominant_subset_sweep(con, 1)
         projection_containment(con, 1)
-        assert len(programs) == 40 + 16 + 16
+        assert len(programs) == 40 + 1 + 1
         signed = set(cols) | {tuple(-v for v in col) for col in cols}
         units = {tuple(int(i == j) * s for j in range(4))
                  for i in range(4) for s in (1, -1)}
@@ -393,13 +394,11 @@ class TestVertexRows:
             assert len(heads) >= 4 and set(heads) <= signed | units
         # the face sweep solves only its 40 failing subsets: its probe
         # fails with sigma* = 1, so no face LP gets a target, and its 16
-        # faces are settled by their witness points.  Dominance and
-        # containment LPs get a target above tau = 3 (every margin is 1/6),
-        # except the dominance sweep's one probe and the containment
-        # sweep's k + 1 = 2 probes
-        targets = [target for _, _, target in programs]
-        assert not any(targets[:41]) and not any(targets[56:58])
-        assert all(t > 3 for t in targets[41:56] + targets[58:])
+        # faces are settled by their witness points.  The dominance and
+        # containment sweeps each solve only their probe, without a target:
+        # every margin is 1/6, so every other point's closed-form point
+        # ties the probe's sigma* = 3 after it and settles the point
+        assert [target for _, _, target in programs] == [None] * 42
 
     def test_p_moves_into_the_bounds(self, monkeypatch):
         # alpha = p/q = 2/5 at d = 8: the rows stay H's +-1 columns, u' = 2u
@@ -624,21 +623,27 @@ class TestContainment:
     def test_points_follow_the_block_stream_d8(self, con8, k, monkeypatch):
         # the sweep's k sizes the blocks, not con.k (1 at d = 8): the point
         # of task (l, index) is the index-th row block_rows(8, k, l) streams.
-        # The probes, each block's first row, come first, then the other
-        # rows in stream order, each solved once
-        points = []
-        real_margin = oracle._margin
+        # The calling process forms every point once, in stream order,
+        # before it solves the probe's LP
+        events = []                # each point formed, and "lp" per LP
+        real_offsets, real_lp_max = oracle._offsets, oracle.lp_max
 
-        def recording_margin(columns, w, tau=None):
-            points.append(tuple(w))
-            return real_margin(columns, w, tau)
+        def recording_offsets(columns, w):
+            events.append(tuple(w))
+            return real_offsets(columns, w)
 
-        monkeypatch.setattr(oracle, "_margin", recording_margin)
+        def recording_lp_max(*args, **kwargs):
+            events.append("lp")
+            return real_lp_max(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_offsets", recording_offsets)
+        monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
         rep = projection_containment(con8, k)
-        streamed = [[e.dense() + f.dense() for e, f in block_rows(8, k, l)]
-                    for l in range(k + 1)]
-        assert points == ([rows[0] for rows in streamed]
-                          + [point for rows in streamed for point in rows[1:]])
+        streamed = [e.dense() + f.dense() for l in range(k + 1)
+                    for e, f in block_rows(8, k, l)]
+        points = [event for event in events if event != "lp"]
+        assert points == streamed == events[:len(points)]
+        assert events[len(points)] == "lp"
         assert rep.vertices_checked == len(points) == (1 << k) * (
             16 if k == 1 else 120)
 
@@ -717,141 +722,208 @@ class TestContainmentLiteral:
         assert self.fold(con8, 3, {})[:2] == (F(-1, 8), (2, 3))
 
 
-class TestContainmentTargets:
-    """The target rule of projection_containment, read off the LPs it
-    solves (module docstring of oracle)."""
+class SweepSpy:
+    """The LPs and tasks of one serial membership sweep: lps holds
+    (objective, rows, bounds, target, result) of each LP in order, and
+    tasks (index, margin, LPs) of each oracle._task_margin call in order,
+    with the LPs solved within it."""
 
-    @pytest.mark.parametrize("d,k,options", [
-        (8, 3, {}),                                  # fails: sigma* < 2
-        (16, 2, {}),                                 # ties at the minimum
-        (32, 2, {"mode": "sample", "samples": 34, "seed": 1}),
-    ])
-    def test_targets_stop_only_lps_above_tau(self, d, k, options,
-                                             monkeypatch):
-        calls = []                 # (objective, rows, bounds, target, result)
-        real_lp_max = oracle.lp_max
+    def __init__(self, monkeypatch):
+        self.lps, self.tasks = [], []
+        real_lp_max, real_task_margin = oracle.lp_max, oracle._task_margin
 
         def recording_lp_max(objective, rows, bounds, target=None):
             result = real_lp_max(objective, rows, bounds, target=target)
-            calls.append((objective, rows, bounds, target, result))
+            self.lps.append((objective, rows, bounds, target, result))
             return result
 
+        def recording_task_margin(context, item):
+            before = len(self.lps)
+            margin = real_task_margin(context, item)
+            self.tasks.append((item[0], margin, self.lps[before:]))
+            return margin
+
         monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
-        points = recorded_points(monkeypatch)
+        monkeypatch.setattr(oracle, "_task_margin", recording_task_margin)
+
+    def check(self, con, points, floor=None):
+        """Check the sweep's rule (module docstring of oracle) on its task
+        points, from each point's literal closed-form sigma_pt; returns
+        (probe index, tau, how many points were settled).
+
+        The probe, the point with the least sigma_pt (the first on ties),
+        is solved first to its optimum; tau is its sigma*, raised to floor.
+        A point after the probe, when tau is above the floor, is settled
+        when sigma_pt >= tau and its LP otherwise gets the target tau; any
+        other point is settled when sigma_pt > tau and its LP gets tau+.
+        A settled point's margin is 1/2 - 1/sigma_pt, and every LP whose
+        sigma* is below what stops it is solved to its optimum.
+        """
+        sigmas = [literal_balanced_sigma(con, w) for w in points]
+        probe = min((i for i, s in enumerate(sigmas) if s is not None),
+                    key=sigmas.__getitem__)
+        *_, target, optimum = self.lps[0]
+        assert target is None and optimum.status == "optimal"
+        tau, ties = optimum.objective, probe + 1
+        if floor is not None and tau <= floor:
+            tau, ties = floor, len(points)        # no tie stops
+        assert [i for i, _, _ in self.tasks] == list(range(len(points)))
+        settled = 0
+        for i, margin, lps in self.tasks:
+            sigma, tie = sigmas[i], i >= ties
+            if i == probe:                       # looked up
+                assert lps == [] and margin == F(1, 2) - 1 / optimum.objective
+                continue
+            if sigma is not None and (sigma >= tau if tie else sigma > tau):
+                settled += 1
+                assert lps == [] and margin == F(1, 2) - 1 / sigma
+                continue
+            (objective, rows, bounds, target, result), = lps
+            # tau+ = tau + 1/(b * 2**(W-2)): sigma >= tau+ iff sigma > tau
+            assert target == (tau if tie else tau + F(
+                1, F(tau).denominator << (rows.width - 2)))
+            if result.status == "reached":
+                assert result.objective >= tau if tie else (
+                    result.objective > tau)
+            solved = lp_max(objective, rows, bounds)
+            if solved.status == "optimal" and (
+                    solved.objective < tau if tie
+                    else solved.objective <= tau):
+                assert result == solved          # solved to its optimum
+        assert len(self.lps) == len(points) - settled
+        with pytest.MonkeyPatch.context() as patch:    # not recorded
+            patch.setattr(oracle, "lp_max", lp_max)
+            exact, _ = membership_margin(con, points[probe])
+        assert exact == F(1, 2) - 1 / optimum.objective
+        return probe, tau, settled
+
+
+class TestContainmentTargets:
+    """The probe and target rule of projection_containment, read off the
+    LPs it solves (module docstring of oracle)."""
+
+    @pytest.mark.parametrize("d,k,options,probe,lps", [
+        (8, 3, {}, (2, 3), 450),                     # fails: sigma* < 2
+        (8, 3, {"mode": "sample", "samples": 2, "seed": 2}, (2, 559), 6),
+        (16, 2, {}, (0, 0), 1),                      # ties at the minimum
+        (32, 2, {"mode": "sample", "samples": 34, "seed": 1}, (2, 1479), 1),
+    ])
+    def test_targets_stop_only_lps_at_or_above_tau(self, d, k, options,
+                                                   probe, lps, monkeypatch):
+        spy = SweepSpy(monkeypatch)
         con = build(sylvester(d.bit_length() - 1))
         projection_containment(con, k, **options)
         tasks = TestContainmentLiteral.tasks(d, k, **options)
-        firsts = {l: (l, index) for l, index in reversed(tasks)}
-        others_count = sum(task not in firsts.values() for task in tasks)
+        points = [block_row(d, k, l, index) for l, index in tasks]
+        index, _, settled = spy.check(
+            con, [e.dense() + f.dense() for e, f in points])
+        assert tasks[index] == probe and len(spy.lps) == lps
+        # from d = 16 on the probe is the one LP: every other vertex's
+        # closed-form point reaches tau
+        assert (settled == len(tasks) - 1) == (d > 8)
 
-        # k + 1 probes, solved to an optimum without a target; tau is their
-        # least sigma*
-        probes, others = calls[:k + 1], calls[k + 1:]
-        assert all(target is None and result.status == "optimal"
-                   for *_, target, result in probes)
-        tau = min(result.objective for *_, result in probes)
-        # a vertex whose correction-row point has sigma_c > tau gets no LP:
-        # the probes and every other vertex not settled get one each
-        settled = assert_settled_above(con, points[k + 1:], tau)
-        assert len(points) == k + 1 + others_count
-        assert len(others) == others_count - settled
-        assert bool(settled) == (d > 8)    # d = 8, k = 3 has sigma* < 2
-        reached = 0
-        for objective, rows, bounds, target, result in others:
-            # tau+ = tau + 1/(b * 2**(W-2)): sigma >= tau+ iff sigma > tau
-            assert target == tau + F(1, tau.denominator << (rows.width - 2))
-            if result.status == "reached":
-                reached += 1
-                assert result.objective > tau
-            optimum = real_lp_max(objective, rows, bounds)
-            if optimum.status == "optimal" and optimum.objective <= tau:
-                assert result == optimum         # solved to its optimum
-        # from d = 16 on, every vertex whose sigma* passes tau is settled by
-        # its point, so no LP reaches its target
-        assert bool(reached) == (d <= 8)
-
-
-def recorded_points(monkeypatch):
-    """(point, tau, margin, LP result) of each oracle._margin call, in
-    order; the result is None where the point was settled without an LP."""
-    points = []
-    real_margin = oracle._margin
-
-    def recording_margin(columns, w, tau=None):
-        margin, result = real_margin(columns, w, tau)
-        points.append((tuple(w), tau, margin, result))
-        return margin, result
-
-    monkeypatch.setattr(oracle, "_margin", recording_margin)
-    return points
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_a_tie_before_the_probe_is_min_at(self, con8, jobs):
+        # d = 8, k = 3, 2 rows per block (seed 2): the probe (2, 559) has
+        # sigma_pt = 8/5 and sigma* = tau = 2; the earlier (1, 877) has
+        # sigma_pt = sigma* = 2, a tie before the probe.  It keeps the
+        # strict test and the target tau+, so its LP is solved to its
+        # optimum and it is min_at, as in the fold of membership_margin
+        options = {"mode": "sample", "samples": 2, "seed": 2}
+        rep = projection_containment(con8, 3, jobs=jobs, **options)
+        assert (rep.min_margin, rep.min_at, rep.vertices_checked) == (
+            TestContainmentLiteral.fold(con8, 3, options))
+        tasks = TestContainmentLiteral.tasks(8, 3, **options)
+        sigmas = [literal_balanced_sigma(con8, e.dense() + f.dense())
+                  for e, f in (block_row(8, 3, *task) for task in tasks)]
+        probe = sigmas.index(min(sigmas))
+        assert (rep.min_margin, rep.min_at, tasks[probe]) == (
+            0, (1, 877), (2, 559))
+        assert tasks.index(rep.min_at) < probe
+        assert sigmas[tasks.index(rep.min_at)] == 2 > sigmas[probe]
 
 
-def assert_settled_above(con, points, tau):
-    """Check the sweep's rule on the recorded non-probe points: each was
-    given tau, and a point was settled without an LP, with margin
-    1/2 - 1/sigma_c, exactly when its literal sigma_c exceeds tau; returns
-    how many were."""
-    settled = 0
-    for w, given, margin, result in points:
-        assert given == tau
-        sigma = literal_correction_sigma(con, w)
-        if result is None:
-            settled += 1
-            assert sigma > tau and margin == F(1, 2) - 1 / sigma
-        else:
-            assert sigma is None or sigma <= tau
-    return settled
+class TestVanishingMix:
+    """d = 4, k = 4: the balanced mix of 24 block-2 vertices has no
+    nonzero row (m1 = 0), so their closed-form point is the correction-row
+    point.  The reports are those of the sweeps before the mix."""
+
+    def test_reports_d4_k4(self, con4):
+        for jobs in (1, 2):
+            cont = projection_containment(con4, 4, jobs=jobs)
+            assert (cont.vertices_checked, cont.min_margin, cont.min_at) == (
+                1120, F(-1, 2), (2, 18))
+            dom = dominant_subset_sweep(con4, 4, jobs=jobs)
+            assert (dom.subsets_checked, dom.patterns_checked,
+                    dom.dominant_found, dom.min_margin,
+                    dom.first_dominant) == (
+                70, 1120, 70, F(-1, 2),
+                ((0, 1, 2, 3), (-1, -1, -1, -1), F(-1, 6)))
+
+    def test_vanishing_points_fall_back(self, con4):
+        columns, vanishing = oracle._PackedColumns(con4), Counter()
+        for l in range(5):
+            for left, right in block_rows(4, 4, l):
+                point = left.dense() + right.dense()
+                _, rows = literal_balanced_rows(con4, point)
+                if not any(rows):
+                    vanishing[l] += 1
+                    sigma = closed_form_point(columns, point)[0]
+                    assert sigma == literal_correction_sigma(con4, point) == 1
+                    # the mix is a ray: the LP is unbounded
+                    assert membership_margin(con4, point)[0] == F(1, 2)
+        assert vanishing == {2: 24}
 
 
-def settled_point(columns, point):
-    """(margin, recheck arguments) of _margin on the point with tau = 0,
-    which settles every point that has a correction-row point: the
-    arguments (objective, rows, bounds, nums, den, value) with which it
-    re-substituted the point through oracle._recheck, or None when the
-    point got an LP."""
-    calls = []
-    real_recheck = oracle._recheck
-
-    def recording(*args):
-        calls.append(args)
-        return real_recheck(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_recheck", recording)
-        margin, result = oracle._margin(columns, point, F(0))
-    assert (result is None) == bool(calls)
-    return margin, (calls[0] if calls else None)
+def closed_form_point(columns, point):
+    """(sigma_pt, nums, den, rows, bounds) of the membership sweeps'
+    closed-form point x = nums / den of the point, after it is
+    re-substituted into the LP's integer rows and bounds |u'_i| <= p,
+    sigma >= 0 (simplex._recheck); None when the point has none."""
+    d = columns.d
+    scale, qbs, ints = oracle._offsets(columns, point)
+    found = oracle._correction_point(columns, ints, qbs, scale)
+    if found is None:
+        return None
+    nums, den = found
+    objective, rows, bounds = oracle._program(columns, scale, qbs)
+    assert objective == (0,) * d + (1,)
+    assert bounds == [(-columns.p, columns.p)] * d + [(0, None)]
+    _recheck(objective, rows, bounds, nums, den, nums[d])
+    return F(nums[d], den), nums, den, rows, bounds
 
 
 class TestCorrectionPoint:
-    """The membership sweeps' correction-row point: its sigma_c is 1/c of
-    the paper's two correction rows (literal_correction_sigma), and the
-    point is feasible for membership_margin's LP, so sigma_c <= sigma*."""
+    """The membership sweeps' closed-form point: the better of the paper's
+    correction-row point and its balanced mix with the point itself
+    (literal_balanced_sigma), feasible for membership_margin's LP, so
+    sigma_pt <= sigma*."""
 
     @staticmethod
     def check(con, columns, point):
-        margin, args = settled_point(columns, point)
-        nums, den = args[3:5]
-        sigma = F(nums[con.d], den)
-        assert sigma == literal_correction_sigma(con, point), point
-        assert margin == F(1, 2) - 1 / sigma
+        sigma = closed_form_point(columns, point)[0]
+        assert sigma == literal_balanced_sigma(con, point), point
+        assert sigma >= literal_correction_sigma(con, point)
         optimum, _ = membership_margin(con, point)
-        assert optimum == F(1, 2) or sigma <= 1 / (F(1, 2) - optimum), point
-        return sigma, optimum
+        star = None if optimum == F(1, 2) else 1 / (F(1, 2) - optimum)
+        assert star is None or sigma <= star, point
+        return sigma, star
 
-    @pytest.mark.parametrize("e,ks", [(2, (1, 2, 3)), (3, (1, 2, 3)),
+    @pytest.mark.parametrize("e,ks", [(2, (1, 2, 3, 4)), (3, (1, 2, 3)),
                                       (4, (2,))])
     def test_every_vertex(self, e, ks):
         con = build(sylvester(e))
-        columns, tally = oracle._PackedColumns(con), Counter()
+        columns, tally, mixed = oracle._PackedColumns(con), Counter(), 0
         for k in ks:
             for l in range(k + 1):
                 for left, right in block_rows(con.d, k, l):
-                    sigma, optimum = self.check(
-                        con, columns, left.dense() + right.dense())
-                    tally[sigma == 1 / (F(1, 2) - optimum)] += 1
-        # the point is optimal at some vertices and short of it at others
-        assert tally[True] and tally[False]
+                    point = left.dense() + right.dense()
+                    sigma, star = self.check(con, columns, point)
+                    tally[sigma == star] += 1
+                    mixed += sigma > literal_correction_sigma(con, point)
+        # the point is optimal at some vertices and short of it at others,
+        # and the mix beats the correction-row point at some
+        assert tally[True] and tally[False] and mixed
 
     @pytest.mark.parametrize("e,k,samples,alpha", [
         (5, 2, 4, None), (5, 2, 3, F(3, 16)), (6, 4, 2, None)])
@@ -863,10 +935,27 @@ class TestCorrectionPoint:
                 left, right = block_row(con.d, k, l, index)
                 self.check(con, columns, left.dense() + right.dense())
 
+    @pytest.mark.parametrize("e", [4, 5, 6])
+    def test_pure_blocks(self, e):
+        # on block 0 (e = 0) sigma_pt is 1 + p*d/(q*k), on block k (f = 0)
+        # 1 + q/(p*k); with k = 2 that is sigma* at d = 16, 32 and 64.  At
+        # k = 4 it can fall short: at d = 64 both blocks give 3 < sigma* = 4
+        con = build(sylvester(e))
+        columns, (p, q), d = (oracle._PackedColumns(con),
+                              con.params.alpha.as_integer_ratio(), con.d)
+        for k in (2, 4):
+            for l, closed in ((0, 1 + F(p * d, q * k)), (k, 1 + F(q, p * k))):
+                for index in sample_indices(d, k, l, 3, seed=e):
+                    left, right = block_row(d, k, l, index)
+                    sigma, star = self.check(con, columns,
+                                             left.dense() + right.dense())
+                    assert sigma == closed
+                    assert sigma == star or k == 4
+
     @pytest.mark.parametrize("e,alpha", [(3, None), (3, F(2, 5)), (4, None)])
     def test_fractional_points(self, e, alpha):
-        # the sweeps' points are ints; _margin scales any other point's rows
-        # by the lcm of its denominators, and its correction-row point too
+        # the sweeps' points are ints; _offsets scales any other point's
+        # rows by the lcm of its denominators, and its closed-form point too
         con = build(sylvester(e), alpha=alpha)
         columns, rng = oracle._PackedColumns(con), random.Random(e)
         for _ in range(10):
@@ -874,32 +963,55 @@ class TestCorrectionPoint:
                                       for _ in range(con.m)])
 
     def test_rows_are_the_cube_offsets(self, con16):
-        # with y = -(e + beta*f*H^T), w + X y is the two correction rows
+        # with y = -(e + beta*f*H^T), w + X y is the two correction rows;
+        # at (1 - lam)*y it is the balanced mix's rows
         for l, index in ((0, 7), (1, 300), (2, 400)):
             left, right = block_row(16, 2, l, index)
             point = left.dense() + right.dense()
-            y, rows = literal_correction_rows(con16, point)
-            assert cube_offsets(con16, point, y) == rows
+            for y, rows in (literal_correction_rows(con16, point),
+                            literal_balanced_rows(con16, point)):
+                assert cube_offsets(con16, point, y) == rows
 
-    def test_origin_gets_an_lp(self, con8):
-        margin, args = settled_point(oracle._PackedColumns(con8), [0] * 16)
-        assert args is None and margin == F(1, 2)
+    def test_origin_has_no_point(self, con8):
+        assert closed_form_point(oracle._PackedColumns(con8), [0] * 16) is None
+        assert literal_balanced_sigma(con8, [0] * 16) is None
+
+    def test_settled_points_are_rechecked(self, con16, monkeypatch):
+        # the exhaustive d = 16 sweep settles every vertex but its probe,
+        # each after re-substituting its closed-form point
+        calls = []
+        real_recheck = oracle._recheck
+
+        def recording(*args):
+            calls.append(args)
+            return real_recheck(*args)
+
+        monkeypatch.setattr(oracle, "_recheck", recording)
+        projection_containment(con16, 2)
+        columns = oracle._PackedColumns(con16)
+        points = [left.dense() + right.dense() for l in range(3)
+                  for left, right in block_rows(16, 2, l)][1:]
+        assert len(calls) == len(points) == 1983
+        for (_, rows, bounds, nums, den, value), point in zip(calls, points):
+            _, x, x_den, x_rows, x_bounds = closed_form_point(columns, point)
+            assert (rows, bounds, nums, den, value) == (
+                x_rows, x_bounds, x, x_den, x[16])
 
     def test_overstated_point_is_rejected(self, con16):
-        # sigma_c is the least limit of a row or bound, so one unit less in
-        # den, or the point formed for sigma = (a + 1)/b in place of
-        # sigma_c = a/b (nums[d] = a*d, den = b*d), leaves a row or bound
+        # sigma_pt is the least limit of a row or bound, so one unit less
+        # in den, or the point moved out along its ray by (den + 1)/den,
+        # leaves a row or bound
         columns = oracle._PackedColumns(con16)
         for l, index in ((0, 5), (1, 100), (1, 1000), (2, 300)):
             left, right = block_row(16, 2, l, index)
-            _, args = settled_point(columns, left.dense() + right.dense())
-            objective, rows, bounds, nums, den, value = args
-            a = nums[16] // 16
-            high = [v // a * (a + 1) for v in nums]
-            for bad, bad_den in ((nums, den - 1), (high, den)):
+            _, nums, den, rows, bounds = closed_form_point(
+                columns, left.dense() + right.dense())
+            out = [v * (den + 1) for v in nums]
+            for bad, bad_den in ((nums, den - 1), (out, den * den)):
                 with pytest.raises(RuntimeError, match="internal error: "
                                    "row or bound violated"):
-                    _recheck(objective, rows, bounds, bad, bad_den, bad[16])
+                    _recheck((0,) * 16 + (1,), rows, bounds, bad, bad_den,
+                             bad[16])
 
 
 def pattern_point(m, indices, signs):
@@ -982,93 +1094,49 @@ class TestDominanceLiteral:
 
 
 class TestDominanceTargets:
-    """The target rule of dominant_subset_sweep, read off the LPs it solves
-    (module docstring of oracle): one probe, and every other LP stopped
-    once sigma exceeds the larger of 2 and the probe's sigma*."""
+    """The probe and target rule of dominant_subset_sweep, read off the LPs
+    it solves (module docstring of oracle): tau is the probe's sigma*,
+    raised to the floor of 2."""
 
-    @staticmethod
-    def recorded_calls(monkeypatch):
-        calls = []                 # (objective, rows, bounds, target, result)
-        real_lp_max = oracle.lp_max
-
-        def recording_lp_max(objective, rows, bounds, target=None):
-            result = real_lp_max(objective, rows, bounds, target=target)
-            calls.append((objective, rows, bounds, target, result))
-            return result
-
-        monkeypatch.setattr(oracle, "lp_max", recording_lp_max)
-        return calls
-
-    @pytest.mark.parametrize("d,k,options,tau", [
-        (4, 4, {}, F(3, 2)),                         # the floor 2 in force
-        (8, 2, {}, 2),                               # ties at margin 0
-        (16, 2, {}, 3),
-        (32, 2, {"mode": "sample", "samples": 25, "seed": 4}, 3),
+    @pytest.mark.parametrize("d,k,options,tau,lps", [
+        (4, 4, {}, F(6, 5), 1056),                   # the floor 2 in force
+        (8, 2, {}, 2, 240),                          # tau = 2: no tie stops
+        (16, 2, {}, 3, 1),
+        (32, 2, {"mode": "sample", "samples": 25, "seed": 4}, 3, 1),
     ])
-    def test_targets_stop_only_lps_above_tau(self, d, k, options, tau,
-                                             monkeypatch):
-        calls = self.recorded_calls(monkeypatch)
-        points = recorded_points(monkeypatch)
+    def test_targets_stop_only_lps_at_or_above_tau(self, d, k, options, tau,
+                                                   lps, monkeypatch):
+        spy = SweepSpy(monkeypatch)
         con = build(sylvester(d.bit_length() - 1))
         dominant_subset_sweep(con, k, **options)
         subsets = TestDominanceLiteral.subsets(con.m, k, **options)
-        tasks = [(indices, signs) for indices in subsets
-                 for signs in product((1, -1), repeat=k)]
-        others_count = sum(task != tasks[0] for task in tasks)
+        points = [pattern_point(con.m, indices, signs) for indices in subsets
+                  for signs in product((1, -1), repeat=k)]
+        _, floor, settled = spy.check(con, points, floor=2)
+        assert spy.lps[0][4].objective == tau and floor == max(tau, 2)
+        assert len(spy.lps) == lps
+        assert (settled == len(points) - 1) == (d > 8)
 
-        # one probe, solved to an optimum without a target
-        (*_, target, probe), others = calls[0], calls[1:]
-        assert target is None and probe.status == "optimal"
-        assert probe.objective == tau
-        floor = max(tau, 2)
-        # a pattern whose correction-row point has sigma_c > max(tau, 2)
-        # gets no LP: the probe and every other pattern not settled get one
-        settled = assert_settled_above(con, points[1:], floor)
-        assert len(points) == 1 + others_count
-        assert len(others) == others_count - settled
-        assert bool(settled) == (d > 8)
-        reached = 0
-        for objective, rows, bounds, target, result in others:
-            # max(tau, 2)+ = max(tau, 2) + 1/(b * 2**(W-2))
-            assert target == floor + F(
-                1, F(floor).denominator << (rows.width - 2))
-            if result.status == "reached":
-                reached += 1
-                assert result.objective > floor
-            optimum = lp_max(objective, rows, bounds)
-            if optimum.status == "optimal" and optimum.objective <= floor:
-                assert result == optimum         # solved to its optimum
-        # from d = 16 on, every pattern whose sigma* passes max(tau, 2) is
-        # settled by its point, so no LP reaches its target
-        assert bool(reached) == (d <= 8)
-
-    def test_no_bounded_probe_gives_no_target(self, con8, monkeypatch):
-        # the origin's LP is unbounded (margin 1/2): with no tau, the floor
-        # of 2 alone sets no target, and every LP is solved to its optimum
-        calls = self.recorded_calls(monkeypatch)
-        points = {"origin": [0] * 16, "e0": pattern_point(16, (0,), (1,)),
-                  "pair": pattern_point(16, (0, 1), (1, -1)),
-                  "outside": pattern_point(16, (0, 1, 8), (1, 1, -1))}
+    def test_no_bounded_probe_gives_no_target(self, con4, monkeypatch):
+        # the probe is the first point with the least sigma_pt, 1: a block-2
+        # vertex of the d = 4, k = 4 section whose balanced mix vanishes, so
+        # that its LP is unbounded (margin 1/2).  With no tau the floor of 2
+        # alone sets no target, and every LP is solved to its optimum: the
+        # origin's (which has no closed-form point) and that of "outside",
+        # whose sigma_pt ties the probe's
+        spy = SweepSpy(monkeypatch)
+        points = {"vanishing": (0, 0, 1, 1, 1, 0, -1, 0), "origin": (0,) * 8,
+                  "e0": pattern_point(8, (0,), (1,)),
+                  "outside": (0, 0, 1, 1, -1, 0, 1, 0)}
         tasks = list(points)
-
-        def margins(probes, floor):
-            del calls[:]
-            return list(oracle._membership_margins(
-                oracle._PackedColumns(con8), lambda _, task: points[task],
-                tasks, probes, floor, 1))
-
-        exact = [membership_margin(con8, points[t])[0] for t in tasks]
-        assert exact == [F(1, 2), F(1, 6), 0, F(-1, 8)]
-        for probes, floor in ((["origin"], 2), ([], 2), ([], None)):
-            assert margins(probes, floor) == exact
-            assert [c[3] for c in calls] == [None] * len(tasks)
-            assert calls[0][4].status == "unbounded"
-        # a bounded probe sets tau, its sigma*; the floor raises tau to 2
-        # only when sigma* is below 2 (e0: 3, outside: 8/5)
-        margins(["e0"], 2)
-        assert calls[0][3] is None and calls[0][4].objective == 3
-        assert all(c[3] > 3 for c in calls[1:])
-        for floor, low, high in ((2, 2, 3), (None, F(8, 5), 2)):
-            assert margins(["outside"], floor)[3] == F(-1, 8)
-            assert calls[0][3] is None and calls[0][4].objective == F(8, 5)
-            assert all(low < c[3] < high for c in calls[1:])
+        assert [literal_balanced_sigma(con4, points[t]) for t in tasks] == [
+            1, None, 3, 1]
+        exact = [membership_margin(con4, points[t])[0] for t in tasks]
+        assert exact == [F(1, 2), F(1, 2), F(1, 6), F(-1, 2)]
+        for floor in (2, None):
+            del spy.lps[:]
+            assert list(oracle._membership_margins(
+                oracle._PackedColumns(con4), lambda _, task: points[task],
+                tasks, floor, 1)) == exact
+            assert [lp[3] for lp in spy.lps] == [None] * len(tasks)
+            assert spy.lps[0][4].status == "unbounded"

@@ -49,6 +49,21 @@ def _first_tasks(monkeypatch, sweep, con, **options):
     return seen
 
 
+def _membership_tasks(monkeypatch, sweep, con, **options):
+    """The tasks a membership sweep hands to its kernel, which forms each
+    task's point and hands the points to ordered_map."""
+    seen = []
+    real = oracle._membership_margins
+
+    def spy(columns, point, tasks, floor, jobs):
+        seen.extend(tasks)
+        return real(columns, point, seen, floor, jobs)
+
+    monkeypatch.setattr(oracle, "_membership_margins", spy)
+    sweep(con, mode="sample", **options)
+    return seen
+
+
 def test_faces_sample_d16_seed3(monkeypatch, con16):
     # the face sweep hands out batches of consecutive subsets
     batches = _first_tasks(monkeypatch, oracle.verify_k_neighborly, con16,
@@ -64,8 +79,8 @@ def test_faces_sample_d16_seed3(monkeypatch, con16):
 def test_dominance_sample_d16_seed4(monkeypatch, con16):
     # seed word (seed << 20) ^ (m << 8) ^ k ^ 0x515; each drawn subset's
     # 2^k sign patterns are tasks, in binary order
-    tasks = _first_tasks(monkeypatch, oracle.dominant_subset_sweep, con16,
-                         samples=6, seed=4)
+    tasks = _membership_tasks(monkeypatch, oracle.dominant_subset_sweep,
+                              con16, samples=6, seed=4)
     assert len(tasks) == 6 * 4
     assert [indices for indices, _ in tasks[:16:4]] == [
         (23, 28), (28, 31), (18, 23), (3, 28)]
@@ -78,8 +93,8 @@ def test_containment_sample_d16_seed5(monkeypatch, con16):
     first = {0: [60, 204, 343], 1: [704, 94, 680], 2: [425, 296, 193]}
     for l, indices in first.items():
         assert list(sample_indices(16, 2, l, 3, seed=5)) == indices
-    tasks = _first_tasks(monkeypatch, oracle.projection_containment, con16,
-                         samples=3, seed=5)
+    tasks = _membership_tasks(monkeypatch, oracle.projection_containment,
+                              con16, samples=3, seed=5)
     assert tasks == [(l, index) for l, indices in first.items()
                      for index in indices]
 

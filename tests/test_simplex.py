@@ -7,12 +7,13 @@ from math import lcm
 import pytest
 
 from csneighborly import block_rows, lp_max, oracle, simplex
+from csneighborly.blocks import sample_indices
 from csneighborly.cli import main
 from csneighborly.construction import build
 from csneighborly.hadamard import sylvester
 from csneighborly.simplex import (PackedRows, _check_dual, _field_width,
                                   _recheck)
-from literal import literal_dual_failures, literal_lp_max
+from literal import block_row, literal_dual_failures, literal_lp_max
 
 FREE = (None, None)
 
@@ -577,10 +578,16 @@ def programs_of(solves):
 
 def membership_lps(con, points):
     """membership_margin on each point: one membership LP each, solved to
-    its optimum.  The membership sweeps settle many points by their
-    correction-row points, so they are not a source of many membership
-    LPs."""
+    its optimum.  The membership sweeps settle most points by their
+    closed-form points, so they are not a source of many membership LPs."""
     return [oracle.membership_margin(con, point) for point in points]
+
+
+def sampled_vertices(con, k, samples, seed):
+    """The points of a sampled containment sweep, in task order."""
+    return [left.dense() + right.dense() for l in range(k + 1)
+            for left, right in (block_row(con.d, k, l, index) for index in
+                                sample_indices(con.d, k, l, samples, seed))]
 
 
 @pytest.fixture(scope="module")
@@ -617,9 +624,11 @@ def d16_face_programs(d16_face_solves):
 
 @pytest.fixture(scope="module")
 def d32_membership_solves():
-    """Membership LPs of a seeded d = 32 containment sample, 2 per block."""
-    return solves_of(oracle.projection_containment, build(sylvester(5)),
-                     mode="sample", samples=2, seed=3)
+    """Membership LPs of the vertices of a seeded d = 32 containment
+    sample, 2 per block, each solved to its optimum (the sweep itself
+    solves only its probe)."""
+    con = build(sylvester(5))
+    return solves_of(membership_lps, con, sampled_vertices(con, 2, 2, 3))
 
 
 @pytest.fixture(scope="module")
@@ -901,9 +910,13 @@ class TestPackedColumns:
                            samples=2, seed=1)
         solves += solves_of(face_lps, con, [((3, 1), (40, -1)),
                                             ((33, 1), (50, 1))])
+        # the containment sweep solves its probe; every vertex it samples
+        # is solved to its optimum as well
         solves += solves_of(oracle.projection_containment, con,
                             mode="sample", samples=1, seed=1)
-        assert len(solves) == 1 + 2 + 3
+        solves += solves_of(membership_lps, con,
+                            sampled_vertices(con, 2, 1, 1))
+        assert len(solves) == 1 + 2 + 1 + 3
         assert_packed_as_lp_max(solves)
         for program, _, result in solves:
             assert result == literal_lp_max(*program)
